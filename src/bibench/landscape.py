@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bitstring import BitString
-from .dominance import dominates, nondominated_sort
+from .dominance import nondominated_sort
 from .errors import EnumerationCapError, ValidationError
 from .problems import ObjectiveVector, ProblemInstance, evaluate, index_evaluator
 
@@ -24,11 +24,14 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 LOW_RATIO_THRESHOLD = Fraction(1, 2)
 
+# _REV8[b] is the byte b with its eight bits in reverse order.
+_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 def enumeration_cap(override: int | None = None) -> int:
     """Effective cap: explicit override, else env var, else the default."""
     if override is not None:
-        if not isinstance(override, int) or override < 1:
+        if not isinstance(override, int) or isinstance(override, bool) or override < 1:
             raise ValidationError(f"cap must be a positive int, got {override!r}")
         return override
     raw = os.environ.get(CAP_ENV_VAR)
@@ -147,24 +150,41 @@ class LandscapeReport:
         return self.level_by_vector[evaluate(self.instance, x)]
 
 
-def _component_count(members: set[int], n: int) -> int:
-    """Connected components of the Hamming-distance-1 graph on members."""
-    seen: set[int] = set()
+def _component_count(mask: bytearray, n: int) -> int:
+    """Connected components of the Hamming-distance-1 graph on the indices
+    whose mask byte is set. Floods each component, clearing the mask as it
+    goes, so the mask is all zero on return."""
+    bits = [1 << b for b in range(n)]
     components = 0
-    for start in members:
-        if start in seen:
-            continue
+    start = mask.find(1)
+    while start != -1:
         components += 1
+        mask[start] = 0
         stack = [start]
-        seen.add(start)
+        push = stack.append
+        pop = stack.pop
         while stack:
-            cur = stack.pop()
-            for b in range(n):
-                nb = cur ^ (1 << b)
-                if nb in members and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
+            cur = pop()
+            for bit in bits:
+                nb = cur ^ bit
+                if mask[nb]:
+                    mask[nb] = 0
+                    push(nb)
+        start = mask.find(1, start + 1)
     return components
+
+
+def _bit_reverser(n: int):
+    """Map an n-bit index to the index of its mirror image (bit order
+    reversed), one byte-table lookup per byte; valid for any n >= 1."""
+    width = (n + 7) // 8
+    shift = 8 * width - n
+    from_bytes = int.from_bytes
+
+    def reverse(i: int) -> int:
+        return from_bytes(i.to_bytes(width, "little").translate(_REV8), "big") >> shift
+
+    return reverse
 
 
 def enumerate_landscape(inst: ProblemInstance, cap: int | None = None) -> LandscapeReport:
@@ -182,14 +202,25 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     front = set(assignment.levels[0])
 
     ps = [i for i, v in enumerate(values) if v in front]
-    ps_set = set(ps)
+    members = bytearray(1 << n)
+    for i in ps:
+        members[i] = 1
 
+    # A string is a local optimum when no neighbor strictly dominates it;
+    # an equal-valued neighbor does not disqualify it.
+    bits = [1 << b for b in range(n)]
     local = []
-    for i, vec in enumerate(values):
-        if i in ps_set:
+    for i, (a, b) in enumerate(values):
+        if members[i]:
             continue
-        if not any(dominates(values[i ^ (1 << b)], vec) for b in range(n)):
+        for bit in bits:
+            c, d = values[i ^ bit]
+            if c >= a and d >= b and (c > a or d > b):
+                break
+        else:
             local.append(i)
+    # Counting clears the mask, so it comes after the scan that reads it.
+    components = _component_count(members, n)
 
     front_counts = tuple(
         (v, assignment.counts[v]) for v in sorted(front)
@@ -197,18 +228,14 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     lo_counter = Counter(values[i] for i in local)
     local_front_counts = tuple((v, lo_counter[v]) for v in sorted(lo_counter))
 
-    ones_f1: dict[int, Counter] = {}
-    ones_f2: dict[int, Counter] = {}
-    ones_level: dict[int, Counter] = {}
-    for i, (a, b) in enumerate(values):
-        ones = i.bit_count()
-        if ones not in ones_f1:
-            ones_f1[ones] = Counter()
-            ones_f2[ones] = Counter()
-            ones_level[ones] = Counter()
-        ones_f1[ones][a] += 1
-        ones_f2[ones][b] += 1
-        ones_level[ones][level_by_vector[(a, b)]] += 1
+    ones_f1 = [Counter() for _ in range(n + 1)]
+    ones_f2 = [Counter() for _ in range(n + 1)]
+    ones_level = [Counter() for _ in range(n + 1)]
+    by_ones = Counter(zip(map(int.bit_count, range(1 << n)), values))
+    for (ones, vec), count in by_ones.items():
+        ones_f1[ones][vec[0]] += count
+        ones_f2[ones][vec[1]] += count
+        ones_level[ones][level_by_vector[vec]] += count
 
     ones_tables = tuple(
         (
@@ -231,7 +258,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         vector_counts=dict(assignment.counts),
         local_optima_indices=tuple(local),
         local_front_counts=local_front_counts,
-        component_count=_component_count(ps_set, n),
+        component_count=components,
         ratio=Fraction(len(ps), 1 << n),
         ones_tables=ones_tables,
     )
@@ -272,18 +299,11 @@ def is_symmetric_pair(inst: ProblemInstance, cap: int | None = None) -> bool:
     _check_cap(inst.n, cap)
     n = inst.n
     values = _values(inst)
+    mirror = _bit_reverser(n)
     mask = (1 << n) - 1
-    for i, (a, b) in enumerate(values):
-        rev = 0
-        idx = i
-        for _ in range(n):
-            rev = (rev << 1) | (idx & 1)
-            idx >>= 1
-        t = rev ^ mask
-        ta, tb = values[t]
-        if a != tb or b != ta:
-            return False
-    return True
+    return all(
+        values[mirror(i) ^ mask] == (b, a) for i, (a, b) in enumerate(values)
+    )
 
 
 def is_fully_separable(

@@ -1,16 +1,22 @@
 """Exhaustive landscape analysis: frozen exact counts per family, the seven
-characteristic flags, separability, symmetry, front shapes, and caps."""
+characteristic flags, separability, symmetry, front shapes, and caps, plus
+brute-force references for the enumeration core's flat-array helpers."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bibench.bitstring import neighbors
+from bibench.bitstring import all_strings, count_ones, neighbors
 from bibench.errors import EnumerationCapError, ValidationError
 from bibench.landscape import (
     CAP_ENV_VAR,
     DEFAULT_CAP,
     FrontShape,
+    _bit_reverser,
+    _component_count,
     characteristic_profile,
     enumerate_landscape,
     enumeration_cap,
@@ -295,6 +301,8 @@ class TestCaps:
     def test_bad_override(self):
         with pytest.raises(ValidationError):
             enumeration_cap(0)
+        with pytest.raises(ValidationError):
+            enumeration_cap(True)
 
 
 class TestRendering:
@@ -334,3 +342,130 @@ class TestRendering:
         assert summary_line(report_for("ojzj:n=8,k=2")) == (
             "|PS|=240 ratio=15/16 components=3 |LO|=0"
         )
+
+
+def reference_component_count(members: set[int], n: int) -> int:
+    """Connected components of the Hamming-1 graph on members: a set-based
+    DFS, the naive reference for the mask flood."""
+    seen: set[int] = set()
+    components = 0
+    for start in members:
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            cur = stack.pop()
+            for b in range(n):
+                nb = cur ^ (1 << b)
+                if nb in members and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return components
+
+
+cube_subsets = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))
+)
+
+
+class TestFlatHelpers:
+    @given(cube_subsets)
+    @settings(max_examples=200)
+    def test_mask_component_count_matches_reference(self, case):
+        n, members = case
+        mask = bytearray(1 << n)
+        for i in members:
+            mask[i] = 1
+        assert _component_count(mask, n) == reference_component_count(members, n)
+        assert not any(mask)
+
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_bit_reverser_matches_string_reversal(self, n):
+        reverse = _bit_reverser(n)
+        top = (1 << n) - 1
+        samples = {0, 1, top, top >> 1, 1 << (n - 1), 0x5555555555555555 & top}
+        samples.update((i * 0x9E3779B97F4A7C15) & top for i in range(1, 200))
+        for i in samples:
+            assert reverse(i) == int(format(i, f"0{n}b")[::-1], 2), (n, i)
+
+
+def _dominates(a, b):
+    return a != b and a[0] >= b[0] and a[1] >= b[1]
+
+
+class TestBruteForceCrossCheck:
+    """Pareto set, local optima, components and ones tables of the report
+    against a reference built from evaluate, pairwise dominance and BFS."""
+
+    INSTANCES = [
+        "omm:n=8",
+        "lotz:n=8",
+        "ojzj:n=8,k=2",
+        "cocz:n=8",
+        "orzr:n=8,l=4",
+        "omtz:n=8",
+        "omzj:n=8,k=3",
+        "omzr:n=8,l=2",
+        "lozj:n=8,k=3",
+        "lozr:n=8,l=2",
+        "ojzr:n=8,k=3,l=2",
+    ]
+
+    @pytest.mark.parametrize("descriptor", INSTANCES)
+    def test_report_matches_reference(self, descriptor):
+        inst = parse_descriptor(descriptor)
+        n = inst.n
+        vec = {x: evaluate(inst, x) for x in all_strings(n)}
+
+        level = {}
+        remaining = set(vec.values())
+        depth = 0
+        while remaining:
+            depth += 1
+            top = {v for v in remaining if not any(_dominates(w, v) for w in remaining)}
+            level.update(dict.fromkeys(top, depth))
+            remaining -= top
+
+        pareto = {x for x, v in vec.items() if level[v] == 1}
+        local = {
+            x
+            for x, v in vec.items()
+            if x not in pareto and not any(_dominates(vec[y], v) for y in neighbors(x))
+        }
+
+        unseen = set(pareto)
+        components = 0
+        while unseen:
+            components += 1
+            queue = [unseen.pop()]
+            while queue:
+                x = queue.pop(0)
+                for y in neighbors(x):
+                    if y in unseen:
+                        unseen.remove(y)
+                        queue.append(y)
+
+        tables = []
+        for ones in range(n + 1):
+            row = [v for x, v in vec.items() if count_ones(x) == ones]
+            tables.append(
+                (
+                    ones,
+                    (
+                        tuple(sorted(Counter(a for a, _ in row).items())),
+                        tuple(sorted(Counter(b for _, b in row).items())),
+                        tuple(sorted(Counter(level[v] for v in row).items())),
+                    ),
+                )
+            )
+
+        rep = enumerate_landscape(inst)
+        assert rep.pareto_set_indices == tuple(sorted(x.index for x in pareto))
+        assert rep.local_optima_indices == tuple(sorted(x.index for x in local))
+        assert rep.component_count == components
+        assert [
+            (ones, (t.f1_counts, t.f2_counts, t.level_counts))
+            for ones, t in rep.ones_tables
+        ] == tables
