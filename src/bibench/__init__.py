@@ -15,14 +15,7 @@ from .dominance import (
     weakly_dominates,
 )
 from .errors import DescriptorError, DomainError, EnumerationCapError, ValidationError
-from .evolve import (
-    RunConfig,
-    RunResult,
-    Target,
-    gsemo_run,
-    hitting_time_experiment,
-    semo_run,
-)
+from .evolve import RunConfig, RunResult, Target, hitting_time_experiment
 from .landscape import (
     CharacteristicProfile,
     FrontShape,

@@ -46,10 +46,6 @@ class BitString:
         return cls(len(text), int(text, 2))
 
     @classmethod
-    def from_index(cls, n: int, index: int) -> "BitString":
-        return cls(n, index)
-
-    @classmethod
     def all_ones(cls, n: int) -> "BitString":
         _check_length(n)
         return cls(n, (1 << n) - 1)

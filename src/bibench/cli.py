@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bitstring import BitString
 from .errors import DomainError, ValidationError
-from .evolve import RunConfig, Target, hitting_time_experiment, render_experiment
+from .evolve import RunConfig, Target, hitting_time_experiment, render_experiment, worker_count
 from .landscape import (
     LandscapeReport,
     enumerate_landscape,
@@ -50,6 +50,9 @@ class FigureDataset:
         lines.extend(",".join(str(cell) for cell in row) for row in self.rows)
         return "\n".join(lines) + "\n"
 
+
+# Each seed is one run and one output row; the bound is checked before any list is built.
+MAX_SEEDS = 100_000
 
 FIGURE_KINDS = ("objectives_vs_ones", "objective_space", "levels_vs_ones")
 
@@ -140,7 +143,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """Seed list grammar: '7', '1,2,9', or inclusive range '1..50'."""
+    """Seed list grammar: '7', '1,2,9', or inclusive range '1..50'; at most MAX_SEEDS."""
     text = text.strip()
     try:
         if ".." in text:
@@ -148,10 +151,14 @@ def _parse_seeds(text: str) -> list[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise ValidationError(f"empty seed range {text!r}")
-            return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",")]
+            seeds = range(lo, hi + 1)
+        else:
+            seeds = [int(part) for part in text.split(",")]
     except ValueError:
         raise ValidationError(f"bad seed list {text!r}") from None
+    if len(seeds) > MAX_SEEDS:
+        raise ValidationError(f"at most {MAX_SEEDS} seeds per run, got {len(seeds)}")
+    return list(seeds)
 
 
 def _parse_budget(text: str) -> int:
@@ -221,8 +228,9 @@ def cmd_verify(args) -> int:
     families = None if args.scope == "all" else (args.scope,)
     instances = grid_instances(families, sizes)
     payloads = [(inst, args.cap) for inst in instances]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    workers = worker_count(args.threads, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_verify_one, payloads, chunksize=4))
     else:
         outcomes = [_verify_one(p) for p in payloads]

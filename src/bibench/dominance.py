@@ -57,12 +57,6 @@ class LevelAssignment:
     def level_by_vector(self) -> dict[ObjectiveVector, int]:
         return {v: i + 1 for i, level in enumerate(self.levels) for v in level}
 
-    def level_of(self, vector: ObjectiveVector) -> int:
-        for i, level in enumerate(self.levels):
-            if vector in level:
-                return i + 1
-        raise KeyError(f"vector {vector} was not among the sorted points")
-
 
 def nondominated_sort(points: Iterable[ObjectiveVector]) -> LevelAssignment:
     """Peel non-dominated layers; level 1 is the non-dominated front."""

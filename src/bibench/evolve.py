@@ -11,6 +11,7 @@ identical results everywhere.
 
 from __future__ import annotations
 
+import os
 import random
 import statistics
 from dataclasses import dataclass, replace
@@ -177,18 +178,12 @@ def run(cfg: RunConfig) -> RunResult:
     return RunResult(cfg, hit, hitting_time, evaluations, final)
 
 
-def semo_run(cfg: RunConfig) -> RunResult:
-    """SEMO: uniform parent from the archive, one uniformly chosen bit flipped."""
-    if cfg.algorithm != "semo":
-        raise ValidationError(f"semo_run got algorithm {cfg.algorithm!r}")
-    return run(cfg)
-
-
-def gsemo_run(cfg: RunConfig) -> RunResult:
-    """GSEMO: uniform parent, each bit flipped independently with rate 1/n."""
-    if cfg.algorithm != "gsemo":
-        raise ValidationError(f"gsemo_run got algorithm {cfg.algorithm!r}")
-    return run(cfg)
+def worker_count(threads: int, tasks: int) -> int:
+    """Worker processes for `tasks` jobs: `threads`, capped at one per CPU and
+    per task, since a pool starts all its workers up front."""
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
+    return min(threads, os.cpu_count() or 1, tasks)
 
 
 @dataclass(frozen=True)
@@ -212,10 +207,11 @@ def hitting_time_experiment(
     if not seeds:
         raise ValidationError("experiment needs at least one seed")
     configs = [replace(template, seed=seed) for seed in seeds]
-    if threads > 1:
+    workers = worker_count(threads, len(configs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = tuple(pool.map(run, configs))
     else:
         results = tuple(run(cfg) for cfg in configs)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .bitstring import BitString
 from .dominance import nondominated_sort
 from .errors import EnumerationCapError, ValidationError
-from .problems import ObjectiveVector, ProblemInstance, evaluate, index_evaluator
+from .problems import ObjectiveVector, ProblemInstance, index_evaluator
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
@@ -145,9 +145,6 @@ class LandscapeReport:
     @property
     def local_optima(self) -> tuple[BitString, ...]:
         return tuple(BitString(self.n, i) for i in self.local_optima_indices)
-
-    def level_of(self, x: BitString) -> int:
-        return self.level_by_vector[evaluate(self.instance, x)]
 
 
 def _component_count(mask: bytearray, n: int) -> int:
@@ -316,7 +313,7 @@ def is_fully_separable(
     per-position contribution pairs; on failure, two contexts whose deltas for
     the same position differ.
     """
-    if objective not in (1, 2):
+    if isinstance(objective, bool) or objective not in (1, 2):
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
     _check_cap(inst.n, cap)
     n = inst.n

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 from .bitstring import BitString
@@ -19,161 +19,36 @@ from .errors import ValidationError
 from .landscape import _check_cap, enumerate_landscape
 from .problems import (
     FAMILY_NAMES,
+    JUMP_OBJECTIVES,
     ObjectiveVector,
     ProblemInstance,
+    family_catalog,
     index_evaluator,
     validate,
 )
 
-ExactRational = Fraction
-
 DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
-
-
-def _half(n: int) -> int:
-    return n >> 1
-
-
-def _prefix_index(n: int, ones: int) -> int:
-    """Index of the string with `ones` leading ones then zeroes."""
-    return ((1 << ones) - 1) << (n - ones)
-
-
-def _block_profile(n: int, l: int, index: int) -> list[int]:
-    """Ones count per block, left to right."""
-    b = n // l
-    mask = (1 << l) - 1
-    return [((index >> (n - (j + 1) * l)) & mask).bit_count() for j in range(b)]
-
-
-def _completed_indices(n: int, l: int) -> list[int]:
-    """All strings whose blocks are each all-ones or all-zeroes."""
-    b = n // l
-    mask = (1 << l) - 1
-    out = []
-    for pattern in range(1 << b):
-        index = 0
-        for j in range(b):
-            if (pattern >> j) & 1:
-                index |= mask << (n - (j + 1) * l)
-        out.append(index)
-    return out
-
-
-def _ojzr_divisible(inst: ProblemInstance) -> bool:
-    return (inst.n - inst.k) % inst.l == 0
-
-
-def _oracle_ps_indices(inst: ProblemInstance) -> set[int]:
-    n, k, l = inst.n, inst.k, inst.l
-    family = inst.family
-    if family == "omm":
-        return set(range(1 << n))
-    if family in ("lotz", "omtz"):
-        return {_prefix_index(n, i) for i in range(n + 1)}
-    if family == "ojzj":
-        keep = {0, (1 << n) - 1}
-        return keep | {i for i in range(1 << n) if k <= i.bit_count() <= n - k}
-    if family == "cocz":
-        half = _half(n)
-        head = ((1 << half) - 1) << half
-        return {head | low for low in range(1 << half)}
-    if family in ("orzr", "omzr"):
-        return set(_completed_indices(n, l))
-    if family == "omzj":
-        return {0} | {i for i in range(1 << n) if i.bit_count() >= k}
-    if family == "lozj":
-        return {0} | {_prefix_index(n, i) for i in range(k, n + 1)}
-    if family == "lozr":
-        return {_prefix_index(n, i * l) for i in range(n // l + 1)}
-    if family == "ojzr":
-        budget = n - k
-        keep = {(1 << n) - 1}
-        if _ojzr_divisible(inst):
-            keep |= {i for i in _completed_indices(n, l) if i.bit_count() <= budget}
-        else:
-            keep |= {i for i in _completed_indices(n, l) if i.bit_count() < budget}
-            p = k // l
-            keep |= {
-                i
-                for i in range(1 << n)
-                if i.bit_count() == budget
-                and sum(1 for ones in _block_profile(n, l, i) if ones == 0) == p
-            }
-        return keep
-    raise ValidationError(f"no oracle for family {family!r}")
-
-
-def _oracle_lo_indices(inst: ProblemInstance) -> set[int]:
-    n, k, l = inst.n, inst.k, inst.l
-    family = inst.family
-    if family in ("omm", "lotz", "ojzj", "cocz", "omtz", "omzj", "omzr"):
-        return set()
-    if family == "orzr":
-        out = set()
-        for i in range(1 << n):
-            open_blocks = [
-                ones for ones in _block_profile(n, l, i) if 0 < ones < l
-            ]
-            if open_blocks and all(2 <= ones <= l - 2 for ones in open_blocks):
-                out.add(i)
-        return out
-    if family == "lozj":
-        mask = (1 << n) - 1
-        out = set()
-        for i in range(1 << n):
-            if n - i.bit_count() != n - k:
-                continue
-            flipped = i ^ mask
-            lead = n if flipped == 0 else n - flipped.bit_length()
-            if lead < k:
-                out.add(i)
-        return out
-    if family == "lozr":
-        mask = (1 << n) - 1
-        b = n // l
-        candidates = set()
-        for i in range(1 << n):
-            flipped = i ^ mask
-            lead = n if flipped == 0 else n - flipped.bit_length()
-            if lead % l or lead == n:
-                continue
-            profile = _block_profile(n, l, i)
-            head = lead // l
-            if profile[head] != 0:
-                continue
-            if all(profile[j] != 1 for j in range(head + 1, b)):
-                candidates.add(i)
-        return candidates - _oracle_ps_indices(inst)
-    if family == "ojzr":
-        budget = n - k
-        p = k // l
-        return {
-            i
-            for i in range(1 << n)
-            if i.bit_count() == budget
-            and sum(1 for ones in _block_profile(n, l, i) if ones == 0) < p
-        }
-    raise ValidationError(f"no oracle for family {family!r}")
 
 
 def oracle_pareto_set(inst: ProblemInstance, cap: int | None = None) -> tuple[BitString, ...]:
     """Closed-form Pareto set, materialized in ascending index order."""
     _check_cap(inst.n, cap)
-    return tuple(BitString(inst.n, i) for i in sorted(_oracle_ps_indices(inst)))
+    indices = inst.info.pareto_set(inst.n, inst.k, inst.l)
+    return tuple(BitString(inst.n, i) for i in sorted(indices))
 
 
 def oracle_local_optima(inst: ProblemInstance, cap: int | None = None) -> tuple[BitString, ...]:
     """Closed-form non-global Pareto local optima, ascending index order."""
     _check_cap(inst.n, cap)
-    return tuple(BitString(inst.n, i) for i in sorted(_oracle_lo_indices(inst)))
+    indices = inst.info.local_optima(inst.n, inst.k, inst.l)
+    return tuple(BitString(inst.n, i) for i in sorted(indices))
 
 
 def oracle_front(inst: ProblemInstance, cap: int | None = None) -> tuple[ObjectiveVector, ...]:
     """Objective vectors of the closed-form Pareto set, deduplicated and sorted."""
     _check_cap(inst.n, cap)
     ev = index_evaluator(inst)
-    return tuple(sorted({ev(i) for i in _oracle_ps_indices(inst)}))
+    return tuple(sorted({ev(i) for i in inst.info.pareto_set(inst.n, inst.k, inst.l)}))
 
 
 def claimed_front_tuples(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
@@ -183,29 +58,7 @@ def claimed_front_tuples(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
     ojzr family prints a truncated index range and an unshifted special
     point); verify() surfaces any such difference.
     """
-    n, k, l = inst.n, inst.k, inst.l
-    family = inst.family
-    if family in ("omm", "lotz", "omtz"):
-        front = {(i, n - i) for i in range(n + 1)}
-    elif family == "ojzj":
-        front = {(k, n + k), (n + k, k)}
-        front |= {(k + s, n + k - s) for s in range(k, n - k + 1)}
-    elif family == "cocz":
-        half = _half(n)
-        front = {(half + j, n - j) for j in range(half + 1)}
-    elif family in ("orzr", "omzr", "lozr"):
-        b = n // l
-        front = {(i * l, (b - i) * l) for i in range(b + 1)}
-    elif family in ("omzj", "lozj"):
-        front = {(0, n + k)} | {(i, n + k - i) for i in range(k, n + 1)}
-    elif family == "ojzr":
-        p = k // l
-        front = {(n + k, 0)} | {(i * l + k, n - i * l) for i in range(p + 1)}
-        if not _ojzr_divisible(inst):
-            front |= {(n - k, p * l)}
-    else:
-        raise ValidationError(f"no claimed front for family {family!r}")
-    return tuple(sorted(front))
+    return tuple(sorted(inst.info.front(inst.n, inst.k, inst.l)))
 
 
 def ratio_ojzj(n: int, k: int) -> Fraction:
@@ -307,7 +160,7 @@ def reference_front(inst: ProblemInstance, cap: int | None = None) -> tuple[Obje
     is exact and needs no enumeration, so targets work beyond the cap. The
     ojzr closed form is unreliable, so its front is enumerated.
     """
-    if inst.family == "ojzr":
+    if not inst.info.exact:
         return tuple(v for v, _ in enumerate_landscape(inst, cap).front_counts)
     return claimed_front_tuples(inst)
 
@@ -361,7 +214,7 @@ def verify(
     report = enumerate_landscape(inst, cap)
     ev = index_evaluator(inst)
     n = inst.n
-    must = inst.family != "ojzr"
+    must = inst.info.exact
     limit = max_counterexamples
 
     def show(i: int) -> str:
@@ -371,7 +224,7 @@ def verify(
         _set_claim(
             "pareto_set",
             must,
-            _oracle_ps_indices(inst),
+            inst.info.pareto_set(n, inst.k, inst.l),
             set(report.pareto_set_indices),
             show,
             limit,
@@ -379,7 +232,7 @@ def verify(
         _set_claim(
             "local_optima",
             must,
-            _oracle_lo_indices(inst),
+            inst.info.local_optima(n, inst.k, inst.l),
             set(report.local_optima_indices),
             show,
             limit,
@@ -433,7 +286,7 @@ def verify(
             )
 
     notes = []
-    if inst.family in ("ojzj", "omzj", "lozj", "ojzr"):
+    if any(name in JUMP_OBJECTIVES for name in inst.info.objectives):
         notes.append(
             "jump objectives are shifted: value is k plus the bit count outside the valley"
         )
@@ -445,35 +298,21 @@ def grid_instances(
     n_values: tuple[int, ...] = DEFAULT_GRID_SIZES,
 ) -> list[ProblemInstance]:
     """Every valid instance of the requested families on the size grid:
-    all valid gaps k, and all block lengths dividing n with two or more
-    blocks."""
+    each parameter k and l runs over 1..n, k then l ascending, and the
+    family's rule keeps the valid ones."""
     wanted = FAMILY_NAMES if families is None else tuple(families)
     for name in wanted:
         if name not in FAMILY_NAMES:
             raise ValidationError(f"unknown family {name!r}")
     out = []
-    for name in FAMILY_NAMES:
-        if name not in wanted:
+    for info in family_catalog():
+        if info.name not in wanted:
             continue
         for n in n_values:
-            divisors = [l for l in range(1, n // 2 + 1) if n % l == 0]
-            if name in ("omm", "lotz", "omtz"):
-                out.append(validate(name, n))
-            elif name == "cocz":
-                if n % 2 == 0:
-                    out.append(validate(name, n))
-            elif name == "ojzj":
-                out.extend(validate(name, n, k=k) for k in range(1, (n + 1) // 2) if 2 * k < n)
-            elif name in ("omzj", "lozj"):
-                out.extend(validate(name, n, k=k) for k in range(2, (n + 1) // 2) if 2 * k < n)
-            elif name in ("orzr", "omzr", "lozr"):
-                out.extend(validate(name, n, l=l) for l in divisors)
-            elif name == "ojzr":
-                out.extend(
-                    validate(name, n, k=k, l=l)
-                    for k in range(2, n // 2 + 1)
-                    for l in divisors
-                )
+            ks = range(1, n + 1) if "k" in info.params else (None,)
+            ls = range(1, n + 1) if "l" in info.params else (None,)
+            out.extend(validate(info.name, n, k, l)
+                       for k in ks for l in ls if info.rule(n, k, l) is None)
     return out
 
 

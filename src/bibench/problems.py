@@ -1,14 +1,17 @@
 """Bi-objective problem families, instance validation, and evaluation.
 
-Each family composes two scalar objectives into a maximized pair. Instances
-are value objects; a compact text descriptor ("ojzr:n=12,k=5,l=3") names an
-instance uniquely and round-trips through parse_descriptor/descriptor.
+Each family composes two scalar objectives into a maximized pair and is
+defined by one record in the catalog: its objectives, parameter rule and
+closed forms. Instances are value objects; a compact text descriptor
+("ojzr:n=12,k=5,l=3") names an instance uniquely and round-trips through
+parse_descriptor/descriptor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 from .bitstring import MAX_LENGTH, BitString
 from .errors import DescriptorError, ValidationError
@@ -32,38 +35,246 @@ class ProblemInstance:
             parts.append(f"l={self.l}")
         return parts[0] + ("," + ",".join(parts[1:]) if parts[1:] else "")
 
+    @property
+    def info(self) -> FamilyInfo:
+        """The catalog record of this instance's family."""
+        return _BY_NAME[self.family]
+
+
+# Scalar objectives, all maximized, over raw indices in [0, 2^n): index bit
+# n-1 is string position 1. Each builder takes the instance parameters
+# (n, k, l) and returns the objective's closure. Jump objectives use the
+# shifted convention: outside the valley the value is the gap k plus the
+# relevant bit count, so the global optimum dominates the plateau by exactly
+# k and every value stays non-negative.
+
+
+def _leading_ones(n, k, l):
+    mask = (1 << n) - 1
+
+    def lead(i: int) -> int:
+        f = i ^ mask
+        return n if f == 0 else n - f.bit_length()
+
+    return lead
+
+
+def _one_jump(n, k, l):
+    def jump_up(i: int) -> int:
+        s = i.bit_count()
+        return k + s if (s <= n - k or s == n) else n - s
+
+    return jump_up
+
+
+def _zero_jump(n, k, l):
+    def jump_down(i: int) -> int:
+        z = n - i.bit_count()
+        return k + z if (z <= n - k or z == n) else n - z
+
+    return jump_down
+
+
+def _mix(n, k, l):
+    half = n // 2
+    half_mask = (1 << half) - 1
+
+    def mix(i: int) -> int:
+        return (i >> half).bit_count() + (half - (i & half_mask).bit_count())
+
+    return mix
+
+
+def _blocks(want_ones: bool, n, k, l):
+    mask = (1 << l) - 1
+    full = mask if want_ones else 0
+    shifts = tuple(n - (j + 1) * l for j in range(n // l))
+
+    def value(i: int) -> int:
+        return l * sum(1 for s in shifts if (i >> s) & mask == full)
+
+    return value
+
+
+SCALAR_BUILDERS = {
+    "ones": lambda n, k, l: int.bit_count,
+    "zeroes": lambda n, k, l: lambda i: n - i.bit_count(),
+    "leading ones": _leading_ones,
+    "trailing zeroes": lambda n, k, l: lambda i: n if i == 0 else (i & -i).bit_length() - 1,
+    "one-jump": _one_jump,
+    "zero-jump": _zero_jump,
+    "ones in first half plus zeroes in second half": _mix,
+    "all-ones blocks": partial(_blocks, True),
+    "all-zeroes blocks": partial(_blocks, False),
+}
+
+JUMP_OBJECTIVES = ("one-jump", "zero-jump")
+
+
+def _block_length(n, k, l):
+    if l < 1 or n % l:
+        return "l must be a positive divisor of n"
+    if n // l < 2:
+        return "needs at least two blocks (n/l > 1)"
+    return None
+
+
+def _block_profile(n: int, l: int, index: int) -> list[int]:
+    """Ones count per block, left to right."""
+    b = n // l
+    mask = (1 << l) - 1
+    return [((index >> (n - (j + 1) * l)) & mask).bit_count() for j in range(b)]
+
+
+def _completed_indices(n, k, l) -> set[int]:
+    """All strings whose blocks are each all-ones or all-zeroes."""
+    out = {0}
+    for j in range(n // l):
+        block = ((1 << l) - 1) << (j * l)
+        out |= {i | block for i in out}
+    return out
+
+
+def _prefixes(n, k, l):
+    """All strings of leading ones then zeroes."""
+    return {((1 << i) - 1) << (n - i) for i in range(n + 1)}
+
+
+def _block_prefixes(n, k, l):
+    return {i for i in _prefixes(n, k, l) if i.bit_count() % l == 0}
+
+
+def _ojzr_pareto_set(n, k, l):
+    # A completed string with n - k ones has exactly k // l zero blocks, so
+    # the two sets overlap only when l divides k.
+    zero_blocks = _blocks(False, n, k, l)
+    keep = {i for i in _completed_indices(n, k, l) if i.bit_count() <= n - k}
+    keep |= {i for i in range(1 << n) if i.bit_count() == n - k and zero_blocks(i) == k // l * l}
+    return keep | {(1 << n) - 1}
+
+
+def _orzr_local_optima(n, k, l):
+    out = set()
+    for i in range(1 << n):
+        open_blocks = [
+            ones for ones in _block_profile(n, l, i) if 0 < ones < l
+        ]
+        if open_blocks and all(2 <= ones <= l - 2 for ones in open_blocks):
+            out.add(i)
+    return out
+
+
+def _lozr_local_optima(n, k, l):
+    lead_of = _leading_ones(n, k, l)
+    candidates = set()
+    for i in range(1 << n):
+        lead = lead_of(i)
+        if lead % l or lead == n:
+            continue
+        profile = _block_profile(n, l, i)
+        head = lead // l
+        if profile[head] != 0:
+            continue
+        if all(profile[j] != 1 for j in range(head + 1, n // l)):
+            candidates.add(i)
+    return candidates - _block_prefixes(n, k, l)
+
+
+def _ojzr_local_optima(n, k, l):
+    zero_blocks = _blocks(False, n, k, l)
+    return {i for i in range(1 << n) if i.bit_count() == n - k and zero_blocks(i) < k // l * l}
+
+
+def _diagonal_front(n, k, l):
+    return {(i, n - i) for i in range(n + 1)}
+
+
+def _block_front(n, k, l):
+    b = n // l
+    return {(i * l, (b - i) * l) for i in range(b + 1)}
+
+
+def _zero_jump_front(n, k, l):
+    return {(0, n + k)} | {(i, n + k - i) for i in range(k, n + 1)}
+
+
+def _ojzr_front(n, k, l):
+    p = k // l
+    front = {(n + k, 0)} | {(i * l + k, n - i * l) for i in range(p + 1)}
+    if (n - k) % l:
+        front |= {(n - k, p * l)}
+    return front
+
 
 @dataclass(frozen=True, slots=True)
 class FamilyInfo:
+    """One family, defined in one place.
+
+    `objectives` name its two scalar objectives, keys of SCALAR_BUILDERS;
+    `rule(n, k, l)` returns why parameters of the right kinds are invalid,
+    or None, and `constraints` states it for people. The closed forms take
+    (n, k, l): `pareto_set` and `local_optima` give index sets, `front` the
+    front as printed. They are exact oracles unless `exact` is False.
+    """
+
     name: str
     objectives: tuple[str, str]
     params: tuple[str, ...]
     constraints: str
+    pareto_set: Callable[..., set[int]]
+    front: Callable[..., set[ObjectiveVector]]
+    rule: Callable[..., str | None] = lambda n, k, l: None
+    local_optima: Callable[..., set[int]] = lambda n, k, l: set()
+    exact: bool = True
 
 
 _CATALOG = (
-    FamilyInfo("omm", ("ones", "zeroes"), (), "1 <= n <= 63"),
-    FamilyInfo("lotz", ("leading ones", "trailing zeroes"), (), "1 <= n <= 63"),
-    FamilyInfo("ojzj", ("one-jump", "zero-jump"), ("k",), "1 <= k < n/2"),
-    FamilyInfo(
-        "cocz", ("ones", "ones in first half plus zeroes in second half"), (), "n even"
-    ),
-    FamilyInfo(
-        "orzr", ("all-ones blocks", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1"
-    ),
-    FamilyInfo("omtz", ("ones", "trailing zeroes"), (), "1 <= n <= 63"),
-    FamilyInfo("omzj", ("ones", "zero-jump"), ("k",), "1 < k < n/2"),
-    FamilyInfo("omzr", ("ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1"),
-    FamilyInfo("lozj", ("leading ones", "zero-jump"), ("k",), "1 < k < n/2"),
-    FamilyInfo(
-        "lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1"
-    ),
-    FamilyInfo(
-        "ojzr",
-        ("one-jump", "all-zeroes blocks"),
-        ("k", "l"),
-        "1 < k <= floor(n/2), l divides n, n/l > 1",
-    ),
+    FamilyInfo("omm", ("ones", "zeroes"), (), "1 <= n <= 63",
+               pareto_set=lambda n, k, l: set(range(1 << n)), front=_diagonal_front),
+    FamilyInfo("lotz", ("leading ones", "trailing zeroes"), (), "1 <= n <= 63",
+               pareto_set=_prefixes, front=_diagonal_front),
+    FamilyInfo("ojzj", ("one-jump", "zero-jump"), ("k",), "1 <= k < n/2",
+               rule=lambda n, k, l: None if 1 <= k and 2 * k < n else "requires 1 <= k < n/2",
+               pareto_set=lambda n, k, l: {0, (1 << n) - 1}
+               | {i for i in range(1 << n) if k <= i.bit_count() <= n - k},
+               front=lambda n, k, l: {(k, n + k), (n + k, k)}
+               | {(k + s, n + k - s) for s in range(k, n - k + 1)}),
+    FamilyInfo("cocz", ("ones", "ones in first half plus zeroes in second half"), (), "n even",
+               rule=lambda n, k, l: "n must be even" if n % 2 else None,
+               pareto_set=lambda n, k, l: {
+                   ((1 << n // 2) - 1) << n // 2 | low for low in range(1 << n // 2)
+               },
+               front=lambda n, k, l: {(n // 2 + j, n - j) for j in range(n // 2 + 1)}),
+    FamilyInfo("orzr", ("all-ones blocks", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
+               rule=_block_length, pareto_set=_completed_indices,
+               local_optima=_orzr_local_optima, front=_block_front),
+    FamilyInfo("omtz", ("ones", "trailing zeroes"), (), "1 <= n <= 63",
+               pareto_set=_prefixes, front=_diagonal_front),
+    FamilyInfo("omzj", ("ones", "zero-jump"), ("k",), "1 < k < n/2",
+               rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
+               pareto_set=lambda n, k, l: {0} | {i for i in range(1 << n) if i.bit_count() >= k},
+               front=_zero_jump_front),
+    FamilyInfo("omzr", ("ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
+               rule=_block_length, pareto_set=_completed_indices, front=_block_front),
+    FamilyInfo("lozj", ("leading ones", "zero-jump"), ("k",), "1 < k < n/2",
+               rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
+               pareto_set=lambda n, k, l: {0}
+               | {i for i in _prefixes(n, k, l) if i.bit_count() >= k},
+               local_optima=lambda n, k, l: {
+                   i for i in range(1 << n) if i.bit_count() == k and i >> (n - k) != (1 << k) - 1
+               },
+               front=_zero_jump_front),
+    FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
+               rule=_block_length, pareto_set=_block_prefixes,
+               local_optima=_lozr_local_optima, front=_block_front),
+    # The ojzr closed forms assume the block length is below the gap, which
+    # not every valid instance satisfies, so they are informational.
+    FamilyInfo("ojzr", ("one-jump", "all-zeroes blocks"), ("k", "l"),
+               "1 < k <= floor(n/2), l divides n, n/l > 1",
+               rule=lambda n, k, l: _block_length(n, k, l) if 1 < k and 2 * k <= n
+               else "requires 1 < k <= floor(n/2)",
+               pareto_set=_ojzr_pareto_set, local_optima=_ojzr_local_optima, front=_ojzr_front,
+               exact=False),
 )
 
 _BY_NAME = {info.name: info for info in _CATALOG}
@@ -96,26 +307,13 @@ def validate(family: str, n: int, k: int | None = None, l: int | None = None) ->
             _fail(name, n, k, l, f"{label} must be an integer")
     if not 1 <= n <= MAX_LENGTH:
         _fail(name, n, k, l, f"n must be in [1, {MAX_LENGTH}]")
-    if ("k" in info.params) != (k is not None):
-        verb = "requires" if "k" in info.params else "does not take"
-        _fail(name, n, k, l, f"{verb} parameter k")
-    if ("l" in info.params) != (l is not None):
-        verb = "requires" if "l" in info.params else "does not take"
-        _fail(name, n, k, l, f"{verb} parameter l")
-
-    if name == "cocz" and n % 2:
-        _fail(name, n, k, l, "n must be even")
-    if name == "ojzj" and not (1 <= k and 2 * k < n):
-        _fail(name, n, k, l, "requires 1 <= k < n/2")
-    if name in ("omzj", "lozj") and not (1 < k and 2 * k < n):
-        _fail(name, n, k, l, "requires 1 < k < n/2")
-    if name == "ojzr" and not (1 < k and 2 * k <= n):
-        _fail(name, n, k, l, "requires 1 < k <= floor(n/2)")
-    if name in ("orzr", "omzr", "lozr", "ojzr"):
-        if l < 1 or n % l:
-            _fail(name, n, k, l, "l must be a positive divisor of n")
-        if n // l < 2:
-            _fail(name, n, k, l, "needs at least two blocks (n/l > 1)")
+    for label, value in (("k", k), ("l", l)):
+        if (label in info.params) != (value is not None):
+            verb = "requires" if label in info.params else "does not take"
+            _fail(name, n, k, l, f"{verb} parameter {label}")
+    reason = info.rule(n, k, l)
+    if reason is not None:
+        _fail(name, n, k, l, reason)
     return ProblemInstance(name, n, k, l)
 
 
@@ -141,18 +339,6 @@ def parse_descriptor(text: str) -> ProblemInstance:
     return validate(head.strip().lower(), params["n"], params.get("k"), params.get("l"))
 
 
-def _royal_block_counter(n: int, l: int, want_ones: bool):
-    count = n // l
-    mask = (1 << l) - 1
-    full = mask if want_ones else 0
-    shifts = tuple(n - (j + 1) * l for j in range(count))
-
-    def value(i: int) -> int:
-        return l * sum(1 for s in shifts if (i >> s) & mask == full)
-
-    return value
-
-
 @lru_cache(maxsize=128)
 def index_evaluator(inst: ProblemInstance):
     """Closure mapping a raw index in [0, 2^n) to the instance's objective pair.
@@ -160,57 +346,8 @@ def index_evaluator(inst: ProblemInstance):
     This is the hot path for exhaustive enumeration and the evolutionary
     loops; it must agree with evaluate() everywhere (tests pin that).
     """
-    n, k, l = inst.n, inst.k, inst.l
-    mask = (1 << n) - 1
-
-    def lead(i: int) -> int:
-        f = i ^ mask
-        return n if f == 0 else n - f.bit_length()
-
-    def trail(i: int) -> int:
-        return n if i == 0 else (i & -i).bit_length() - 1
-
-    def jump_up(i: int) -> int:
-        s = i.bit_count()
-        return k + s if (s <= n - k or s == n) else n - s
-
-    def jump_down(i: int) -> int:
-        z = n - i.bit_count()
-        return k + z if (z <= n - k or z == n) else n - z
-
-    family = inst.family
-    if family == "omm":
-        return lambda i: (i.bit_count(), n - i.bit_count())
-    if family == "lotz":
-        return lambda i: (lead(i), trail(i))
-    if family == "ojzj":
-        return lambda i: (jump_up(i), jump_down(i))
-    if family == "cocz":
-        half = n // 2
-        half_mask = (1 << half) - 1
-
-        def mix(i: int) -> int:
-            return (i >> half).bit_count() + (half - (i & half_mask).bit_count())
-
-        return lambda i: (i.bit_count(), mix(i))
-    if family == "omtz":
-        return lambda i: (i.bit_count(), trail(i))
-    if family == "omzj":
-        return lambda i: (i.bit_count(), jump_down(i))
-    if family == "lozj":
-        return lambda i: (lead(i), jump_down(i))
-
-    zero_blocks = _royal_block_counter(n, l, False)
-    if family == "orzr":
-        one_blocks = _royal_block_counter(n, l, True)
-        return lambda i: (one_blocks(i), zero_blocks(i))
-    if family == "omzr":
-        return lambda i: (i.bit_count(), zero_blocks(i))
-    if family == "lozr":
-        return lambda i: (lead(i), zero_blocks(i))
-    if family == "ojzr":
-        return lambda i: (jump_up(i), zero_blocks(i))
-    raise ValidationError(f"unknown family {family!r}")
+    f, g = (SCALAR_BUILDERS[name](inst.n, inst.k, inst.l) for name in inst.info.objectives)
+    return lambda i: (f(i), g(i))
 
 
 def evaluate(inst: ProblemInstance, x: BitString) -> ObjectiveVector:

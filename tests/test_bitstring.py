@@ -34,7 +34,7 @@ class TestConstruction:
         assert str(x) == "100"
 
     def test_from_index_pads_leading_zeroes(self):
-        assert str(BitString.from_index(5, 3)) == "00011"
+        assert str(BitString(5, 3)) == "00011"
 
     def test_all_ones_all_zeroes(self):
         assert str(BitString.all_ones(4)) == "1111"

@@ -247,6 +247,11 @@ class TestVerifyCommand:
         assert rc == 1
         assert err.startswith("error:")
 
+    def test_bad_thread_count_rejected(self, capsys):
+        for bad in ("0", "-4"):
+            rc, _, err = run_main(capsys, ["verify", "omm", "--threads", bad])
+            assert (rc, err) == (1, f"error: threads must be a positive integer, got {bad}\n")
+
 
 class TestRunCommand:
     def test_stdout_golden(self, capsys):
@@ -308,6 +313,17 @@ class TestRunCommand:
         rc, _, err = run_main(capsys, ["run", "semo", "omm:n=4", "--seeds", "x", "--budget", "10"])
         assert (rc, err) == (1, "error: bad seed list 'x'\n")
 
+    def test_seed_count_is_bounded_before_any_list_is_built(self, capsys):
+        argv = ["run", "semo", "omm:n=4", "--seeds", "1..10000000000", "--budget", "10"]
+        rc, out, err = run_main(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: at most 100000 seeds per run, got 10000000000\n"
+
+    def test_bad_thread_count_rejected(self, capsys):
+        argv = ["run", "semo", "omm:n=4", "--seeds", "1", "--budget", "10", "--threads", "0"]
+        rc, _, err = run_main(capsys, argv)
+        assert (rc, err) == (1, "error: threads must be a positive integer, got 0\n")
+
     def test_bad_budget(self, capsys):
         rc, _, err = run_main(
             capsys, ["run", "semo", "omm:n=4", "--seeds", "1", "--budget", "0.5"]
@@ -328,10 +344,23 @@ class TestFamiliesCommand:
     def test_lists_all_families(self, capsys):
         rc, out, _ = run_main(capsys, ["families"])
         assert rc == 0
-        lines = out.splitlines()
-        assert len(lines) == 11
-        assert lines[0] == "omm: objectives=(ones; zeroes) params=- constraints=1 <= n <= 63"
-        assert all("objectives=" in line for line in lines)
+        assert out.splitlines() == [
+            "omm: objectives=(ones; zeroes) params=- constraints=1 <= n <= 63",
+            "lotz: objectives=(leading ones; trailing zeroes) params=- constraints=1 <= n <= 63",
+            "ojzj: objectives=(one-jump; zero-jump) params=k constraints=1 <= k < n/2",
+            "cocz: objectives=(ones; ones in first half plus zeroes in second half)"
+            " params=- constraints=n even",
+            "orzr: objectives=(all-ones blocks; all-zeroes blocks)"
+            " params=l constraints=l divides n, n/l > 1",
+            "omtz: objectives=(ones; trailing zeroes) params=- constraints=1 <= n <= 63",
+            "omzj: objectives=(ones; zero-jump) params=k constraints=1 < k < n/2",
+            "omzr: objectives=(ones; all-zeroes blocks) params=l constraints=l divides n, n/l > 1",
+            "lozj: objectives=(leading ones; zero-jump) params=k constraints=1 < k < n/2",
+            "lozr: objectives=(leading ones; all-zeroes blocks)"
+            " params=l constraints=l divides n, n/l > 1",
+            "ojzr: objectives=(one-jump; all-zeroes blocks)"
+            " params=k,l constraints=1 < k <= floor(n/2), l divides n, n/l > 1",
+        ]
 
 
 class TestUsageErrors:

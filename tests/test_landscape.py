@@ -247,6 +247,8 @@ class TestSeparability:
     def test_objective_selector_is_validated(self):
         with pytest.raises(ValidationError):
             is_fully_separable(validate("omm", 4), 3)
+        with pytest.raises(ValidationError):
+            is_fully_separable(validate("omm", 4), True)
 
 
 class TestFrontShape:

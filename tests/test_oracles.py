@@ -26,7 +26,7 @@ from bibench.oracles import (
     render_verification,
     verify,
 )
-from bibench.problems import parse_descriptor, validate
+from bibench.problems import FAMILY_NAMES, parse_descriptor, validate
 
 EIGHT_BIT_DESCRIPTORS = (
     "omm:n=8",
@@ -418,6 +418,19 @@ class TestGrid:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValidationError):
             grid_instances(families=("nope",))
+
+    def test_grid_is_every_instance_validate_accepts(self):
+        expected = []
+        for family in FAMILY_NAMES:
+            for n in range(1, 23):
+                for k in (None, *range(1, n + 1)):
+                    for l in (None, *range(1, n + 1)):
+                        try:
+                            expected.append(validate(family, n, k, l))
+                        except ValidationError:
+                            pass
+        assert grid_instances(n_values=range(1, 23)) == expected
+        assert len(expected) == 816
 
 
 class TestCaps:

@@ -6,6 +6,7 @@ from bibench.bitstring import BitString, all_strings, blocks
 from bibench.errors import DescriptorError, ValidationError
 from bibench.problems import (
     FAMILY_NAMES,
+    SCALAR_BUILDERS,
     ProblemInstance,
     evaluate,
     family_catalog,
@@ -37,6 +38,11 @@ class TestCatalog:
         assert params["ojzj"] == ("k",)
         assert params["orzr"] == ("l",)
         assert params["ojzr"] == ("k", "l")
+
+    def test_families_use_every_scalar_objective(self):
+        used = {name for info in family_catalog() for name in info.objectives}
+        assert used == set(SCALAR_BUILDERS)
+        assert [info.name for info in family_catalog() if not info.exact] == ["ojzr"]
 
 
 class TestDescriptors:
