@@ -24,11 +24,8 @@ from .landscape import (
     enumerate_landscape,
     front_shape,
     is_completely_conflicting,
-    is_disjoint_pareto,
     is_fully_separable,
     is_symmetric_pair,
-    local_optima,
-    ratio_pareto,
 )
 from .oracles import (
     VerificationReport,

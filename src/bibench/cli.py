@@ -148,14 +148,13 @@ def _parse_seeds(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValidationError(f"empty seed range {text!r}")
-            seeds = range(lo, hi + 1)
+            seeds = range(int(lo), int(hi) + 1)
         else:
             seeds = [int(part) for part in text.split(",")]
     except ValueError:
         raise ValidationError(f"bad seed list {text!r}") from None
+    if not seeds:
+        raise ValidationError(f"empty seed range {text!r}")
     if len(seeds) > MAX_SEEDS:
         raise ValidationError(f"at most {MAX_SEEDS} seeds per run, got {len(seeds)}")
     return list(seeds)

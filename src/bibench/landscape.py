@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -52,12 +52,6 @@ def _check_cap(n: int, cap: int | None) -> None:
         raise EnumerationCapError(
             f"n={n} exceeds the enumeration cap {limit}; pass a larger cap to force it"
         )
-
-
-@lru_cache(maxsize=8)
-def _values(inst: ProblemInstance) -> list[ObjectiveVector]:
-    ev = index_evaluator(inst)
-    return [ev(i) for i in range(1 << inst.n)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,10 +117,11 @@ class CharacteristicProfile:
 @dataclass(frozen=True)
 class LandscapeReport:
     instance: ProblemInstance
+    # values[i] is the objective pair of the string with index i.
+    values: tuple[ObjectiveVector, ...] = field(repr=False, compare=False)
     pareto_set_indices: tuple[int, ...]
     front_counts: tuple[tuple[ObjectiveVector, int], ...]
     levels: tuple[tuple[ObjectiveVector, ...], ...]
-    level_by_vector: dict[ObjectiveVector, int]
     vector_counts: dict[ObjectiveVector, int]
     local_optima_indices: tuple[int, ...]
     local_front_counts: tuple[tuple[ObjectiveVector, int], ...]
@@ -144,6 +139,9 @@ class LandscapeReport:
 
     @property
     def local_optima(self) -> tuple[BitString, ...]:
+        """Non-global Pareto local optima: no neighbor strictly dominates
+        them, yet they are not Pareto-optimal. Equal-valued neighbors do not
+        disqualify."""
         return tuple(BitString(self.n, i) for i in self.local_optima_indices)
 
 
@@ -190,10 +188,15 @@ def enumerate_landscape(inst: ProblemInstance, cap: int | None = None) -> Landsc
     return _report(inst)
 
 
-@lru_cache(maxsize=8)
+# One slot suffices: callers ask for an instance's report and then for its
+# predicates, so only the most recent report is read again.
+@lru_cache(maxsize=1)
 def _report(inst: ProblemInstance) -> LandscapeReport:
     n = inst.n
-    values = _values(inst)
+    ev = index_evaluator(inst)
+    # Built from a list: tuple() of an iterator grows the tuple step by step,
+    # which costs about a third more at n = 18.
+    values = tuple([ev(i) for i in range(1 << n)])
     assignment = nondominated_sort(values)
     level_by_vector = assignment.level_by_vector
     front = set(assignment.levels[0])
@@ -248,10 +251,10 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
 
     return LandscapeReport(
         instance=inst,
+        values=values,
         pareto_set_indices=tuple(ps),
         front_counts=front_counts,
         levels=assignment.levels,
-        level_by_vector=level_by_vector,
         vector_counts=dict(assignment.counts),
         local_optima_indices=tuple(local),
         local_front_counts=local_front_counts,
@@ -261,29 +264,11 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     )
 
 
-def local_optima(inst: ProblemInstance, cap: int | None = None) -> tuple[BitString, ...]:
-    """Non-global Pareto local optima: no neighbor dominates them, yet they
-    are not Pareto-optimal. Equal-valued neighbors do not disqualify."""
-    return enumerate_landscape(inst, cap).local_optima
-
-
-def ratio_pareto(inst: ProblemInstance, cap: int | None = None) -> Fraction:
-    """|Pareto set| / 2^n as an exact rational."""
-    return enumerate_landscape(inst, cap).ratio
-
-
-def is_disjoint_pareto(inst: ProblemInstance, cap: int | None = None) -> tuple[bool, int]:
-    """Whether the Pareto set is disconnected under single-bit flips."""
-    count = enumerate_landscape(inst, cap).component_count
-    return count > 1, count
-
-
 def is_completely_conflicting(inst: ProblemInstance, cap: int | None = None) -> bool:
     """True when any improvement in one objective forces a loss in the other:
     distinct image vectors never share a coordinate and are totally ordered
     with f2 strictly falling as f1 rises."""
-    _check_cap(inst.n, cap)
-    distinct = sorted(set(_values(inst)))
+    distinct = sorted(enumerate_landscape(inst, cap).vector_counts)
     for (a1, a2), (b1, b2) in zip(distinct, distinct[1:]):
         if b1 == a1 or b2 >= a2:
             return False
@@ -293,9 +278,8 @@ def is_completely_conflicting(inst: ProblemInstance, cap: int | None = None) -> 
 def is_symmetric_pair(inst: ProblemInstance, cap: int | None = None) -> bool:
     """True when complementing plus mirroring every string swaps the two
     objectives everywhere."""
-    _check_cap(inst.n, cap)
     n = inst.n
-    values = _values(inst)
+    values = enumerate_landscape(inst, cap).values
     mirror = _bit_reverser(n)
     mask = (1 << n) - 1
     return all(
@@ -315,9 +299,8 @@ def is_fully_separable(
     """
     if isinstance(objective, bool) or objective not in (1, 2):
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
-    _check_cap(inst.n, cap)
     n = inst.n
-    values = _values(inst)
+    values = enumerate_landscape(inst, cap).values
     pick = objective - 1
     deltas = []
     for position in range(1, n + 1):

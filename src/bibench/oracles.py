@@ -211,20 +211,23 @@ def verify(
     inst: ProblemInstance, cap: int | None = None, max_counterexamples: int = 5
 ) -> VerificationReport:
     """Compare every closed-form claim for the instance against enumeration."""
+    limit = max_counterexamples
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
+        raise ValidationError(f"max_counterexamples must be a non-negative int, got {limit!r}")
     report = enumerate_landscape(inst, cap)
-    ev = index_evaluator(inst)
+    values = report.values
     n = inst.n
     must = inst.info.exact
-    limit = max_counterexamples
+    pareto = inst.info.pareto_set(n, inst.k, inst.l)
 
     def show(i: int) -> str:
-        return f"{BitString(n, i)} -> {ev(i)}"
+        return f"{BitString(n, i)} -> {values[i]}"
 
     claims = [
         _set_claim(
             "pareto_set",
             must,
-            inst.info.pareto_set(n, inst.k, inst.l),
+            pareto,
             set(report.pareto_set_indices),
             show,
             limit,
@@ -241,7 +244,7 @@ def verify(
             "claimed_front",
             must,
             set(claimed_front_tuples(inst)),
-            set(oracle_front(inst, cap)),
+            {values[i] for i in pareto},
             str,
             limit,
         ),

@@ -313,6 +313,11 @@ class TestRunCommand:
         rc, _, err = run_main(capsys, ["run", "semo", "omm:n=4", "--seeds", "x", "--budget", "10"])
         assert (rc, err) == (1, "error: bad seed list 'x'\n")
 
+    def test_empty_seed_range(self, capsys):
+        argv = ["run", "semo", "omm:n=4", "--seeds", "5..1", "--budget", "10"]
+        rc, _, err = run_main(capsys, argv)
+        assert (rc, err) == (1, "error: empty seed range '5..1'\n")
+
     def test_seed_count_is_bounded_before_any_list_is_built(self, capsys):
         argv = ["run", "semo", "omm:n=4", "--seeds", "1..10000000000", "--budget", "10"]
         rc, out, err = run_main(capsys, argv)

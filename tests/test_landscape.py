@@ -1,7 +1,9 @@
 """Exhaustive landscape analysis: frozen exact counts per family, the seven
-characteristic flags, separability, symmetry, front shapes, and caps, plus
-brute-force references for the enumeration core's flat-array helpers."""
+characteristic flags, separability, symmetry, front shapes, caps and the
+one-slot report memo, plus brute-force references for the enumeration
+core's flat-array helpers."""
 
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -17,19 +19,18 @@ from bibench.landscape import (
     FrontShape,
     _bit_reverser,
     _component_count,
+    _report,
     characteristic_profile,
     enumerate_landscape,
     enumeration_cap,
     front_shape,
     is_completely_conflicting,
-    is_disjoint_pareto,
     is_fully_separable,
     is_symmetric_pair,
-    local_optima,
-    ratio_pareto,
     render_report,
     summary_line,
 )
+from bibench.oracles import grid_instances, verify
 from bibench.problems import evaluate, parse_descriptor, validate
 
 
@@ -117,8 +118,6 @@ class TestOnesTables:
         "descriptor", ["omm:n=6", "lotz:n=6", "ojzj:n=8,k=2", "ojzr:n=12,k=5,l=3"]
     )
     def test_tables_partition_the_cube(self, descriptor):
-        import math
-
         rep = report_for(descriptor)
         n = rep.n
         assert [ones for ones, _ in rep.ones_tables] == list(range(n + 1))
@@ -184,16 +183,6 @@ class TestPredicates:
         assert is_completely_conflicting(validate("omm", 8))
         for descriptor in ["lotz:n=8", "cocz:n=8", "ojzj:n=8,k=2", "omtz:n=8"]:
             assert not is_completely_conflicting(parse_descriptor(descriptor))
-
-    def test_disjoint_pareto_reports_component_count(self):
-        assert is_disjoint_pareto(validate("omm", 8)) == (False, 1)
-        assert is_disjoint_pareto(validate("ojzj", 8, k=2)) == (True, 3)
-        assert is_disjoint_pareto(validate("orzr", 8, l=2)) == (True, 16)
-
-    def test_ratio_and_local_optima_helpers(self):
-        assert ratio_pareto(validate("lotz", 8)) == Fraction(9, 256)
-        assert len(local_optima(validate("orzr", 8, l=4))) == 60
-        assert local_optima(validate("omm", 8)) == ()
 
 
 class TestSeparability:
@@ -305,6 +294,26 @@ class TestCaps:
             enumeration_cap(0)
         with pytest.raises(ValidationError):
             enumeration_cap(True)
+
+
+class TestReportMemo:
+    def test_only_the_latest_report_is_kept(self):
+        enumerate_landscape(validate("omm", 6))
+        enumerate_landscape(validate("lotz", 6))
+        assert _report.cache_info().currsize == 1
+
+    def test_profile_and_verify_reuse_the_report(self):
+        inst = validate("ojzr", 12, k=5, l=3)
+        enumerate_landscape(inst)
+        misses = _report.cache_info().misses
+        characteristic_profile(inst)
+        verify(inst)
+        assert _report.cache_info().misses == misses
+
+    def test_repr_omits_the_value_table(self):
+        rep = report_for("omm:n=4")
+        assert len(rep.values) == 16
+        assert "values=" not in repr(rep)
 
 
 class TestRendering:
@@ -464,6 +473,7 @@ class TestBruteForceCrossCheck:
             )
 
         rep = enumerate_landscape(inst)
+        assert all(rep.values[x.index] == v for x, v in vec.items())
         assert rep.pareto_set_indices == tuple(sorted(x.index for x in pareto))
         assert rep.local_optima_indices == tuple(sorted(x.index for x in local))
         assert rep.component_count == components
@@ -471,3 +481,29 @@ class TestBruteForceCrossCheck:
             (ones, (t.f1_counts, t.f2_counts, t.level_counts))
             for ones, t in rep.ones_tables
         ] == tables
+
+
+small_instances = st.sampled_from(grid_instances(n_values=range(1, 11)))
+
+
+class TestReportProperties:
+    """Properties of the report on random valid instances with n <= 10,
+    drawn from every family's parameter rule."""
+
+    @given(small_instances)
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_pairs_map_the_pareto_set_onto_itself(self, inst):
+        if not is_symmetric_pair(inst):
+            return
+        n = inst.n
+        ps = set(enumerate_landscape(inst).pareto_set_indices)
+        mirror = {int(format(i ^ ((1 << n) - 1), f"0{n}b")[::-1], 2) for i in ps}
+        assert mirror == ps
+
+    @given(small_instances)
+    @settings(max_examples=100, deadline=None)
+    def test_ones_table_rows_sum_to_binomials(self, inst):
+        n = inst.n
+        for ones, summary in enumerate_landscape(inst).ones_tables:
+            for counts in (summary.f1_counts, summary.f2_counts, summary.level_counts):
+                assert sum(c for _, c in counts) == math.comb(n, ones)

@@ -332,6 +332,14 @@ class TestVerify:
         by_name = {claim.name: claim for claim in report.claims}
         assert len(by_name["pareto_set"].counterexamples) == 2
 
+    def test_counterexample_limit_is_validated(self):
+        inst = validate("ojzr", n=6, k=2, l=3)
+        for bad in (-1, True, 2.0, "2", None):
+            with pytest.raises(ValidationError):
+                verify(inst, max_counterexamples=bad)
+        report = verify(inst, max_counterexamples=0)
+        assert all(claim.counterexamples == () for claim in report.claims)
+
     def test_whole_grid_must_match(self):
         for inst in grid_instances(n_values=(6, 8)):
             assert verify(inst).must_match_ok, inst.descriptor
