@@ -6,14 +6,8 @@ separability, front geometry), closed-form predictions verified against
 enumeration, and seeded SEMO/GSEMO baselines.
 """
 
-from .bitstring import BitString, blocks, complement, count_ones, neighbors, reverse
-from .dominance import (
-    LevelAssignment,
-    dominates,
-    nondominated_filter,
-    nondominated_sort,
-    weakly_dominates,
-)
+from .bitstring import BitString
+from .dominance import LevelAssignment, dominates, nondominated_sort, weakly_dominates
 from .errors import DescriptorError, DomainError, EnumerationCapError, ValidationError
 from .evolve import RunConfig, RunResult, Target, hitting_time_experiment
 from .landscape import (
@@ -33,9 +27,6 @@ from .oracles import (
     grid_instances,
     ojzj_asymptote,
     ojzj_threshold_k,
-    oracle_front,
-    oracle_local_optima,
-    oracle_pareto_set,
     ratio_ojzj,
     ratio_ojzr,
     verify,

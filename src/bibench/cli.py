@@ -147,16 +147,18 @@ def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..", 1)
-            seeds = range(int(lo), int(hi) + 1)
+            lo, hi = (int(part) for part in text.split("..", 1))
+            seeds = range(lo, hi + 1)
+            count = hi - lo + 1  # len(range) overflows beyond sys.maxsize
         else:
             seeds = [int(part) for part in text.split(",")]
+            count = len(seeds)
     except ValueError:
         raise ValidationError(f"bad seed list {text!r}") from None
-    if not seeds:
+    if count < 1:
         raise ValidationError(f"empty seed range {text!r}")
-    if len(seeds) > MAX_SEEDS:
-        raise ValidationError(f"at most {MAX_SEEDS} seeds per run, got {len(seeds)}")
+    if count > MAX_SEEDS:
+        raise ValidationError(f"at most {MAX_SEEDS} seeds per run, got {count}")
     return list(seeds)
 
 

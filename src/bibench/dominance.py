@@ -35,13 +35,6 @@ def _maximal(distinct: Iterable[ObjectiveVector]) -> set[ObjectiveVector]:
     return maximal
 
 
-def nondominated_filter(points: Iterable[ObjectiveVector]) -> list[ObjectiveVector]:
-    """The non-dominated members of points, in input order, duplicates kept."""
-    points = list(points)
-    maximal = _maximal(set(points))
-    return [p for p in points if p in maximal]
-
-
 @dataclass(frozen=True)
 class LevelAssignment:
     """Result of non-dominated sorting over a multiset of vectors.

@@ -233,11 +233,11 @@ def render_experiment(experiment: ExperimentResult) -> str:
         lines.append(
             f"{result.config.seed},{str(result.hit).lower()},{ht},{result.evaluations_used}"
         )
-    frac = experiment.success_fraction
+    hits = sum(result.hit for result in experiment.results)
     median = experiment.median_hitting_time
     mean = experiment.mean_hitting_time
     lines.append(
-        f"summary: success={frac.numerator}/{frac.denominator}"
+        f"summary: success={hits}/{len(experiment.results)}"
         f" median_hitting_time={'-' if median is None else median}"
         f" mean_hitting_time={'-' if mean is None else mean}"
     )

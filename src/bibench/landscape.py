@@ -176,10 +176,10 @@ def _bit_reverser(n: int):
     shift = 8 * width - n
     from_bytes = int.from_bytes
 
-    def reverse(i: int) -> int:
+    def mirror(i: int) -> int:
         return from_bytes(i.to_bytes(width, "little").translate(_REV8), "big") >> shift
 
-    return reverse
+    return mirror
 
 
 def enumerate_landscape(inst: ProblemInstance, cap: int | None = None) -> LandscapeReport:

@@ -16,47 +16,25 @@ from fractions import Fraction
 
 from .bitstring import BitString
 from .errors import ValidationError
-from .landscape import _check_cap, enumerate_landscape
+from .landscape import enumerate_landscape
 from .problems import (
     FAMILY_NAMES,
     JUMP_OBJECTIVES,
     ObjectiveVector,
     ProblemInstance,
     family_catalog,
-    index_evaluator,
     validate,
 )
 
 DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
 
 
-def oracle_pareto_set(inst: ProblemInstance, cap: int | None = None) -> tuple[BitString, ...]:
-    """Closed-form Pareto set, materialized in ascending index order."""
-    _check_cap(inst.n, cap)
-    indices = inst.info.pareto_set(inst.n, inst.k, inst.l)
-    return tuple(BitString(inst.n, i) for i in sorted(indices))
-
-
-def oracle_local_optima(inst: ProblemInstance, cap: int | None = None) -> tuple[BitString, ...]:
-    """Closed-form non-global Pareto local optima, ascending index order."""
-    _check_cap(inst.n, cap)
-    indices = inst.info.local_optima(inst.n, inst.k, inst.l)
-    return tuple(BitString(inst.n, i) for i in sorted(indices))
-
-
-def oracle_front(inst: ProblemInstance, cap: int | None = None) -> tuple[ObjectiveVector, ...]:
-    """Objective vectors of the closed-form Pareto set, deduplicated and sorted."""
-    _check_cap(inst.n, cap)
-    ev = index_evaluator(inst)
-    return tuple(sorted({ev(i) for i in inst.info.pareto_set(inst.n, inst.k, inst.l)}))
-
-
 def claimed_front_tuples(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
     """The front exactly as its printed formula states it, for cross-checks.
 
-    These are kept literal even where they disagree with oracle_front (the
-    ojzr family prints a truncated index range and an unshifted special
-    point); verify() surfaces any such difference.
+    These are kept literal even where they disagree with the vectors of the
+    closed-form Pareto set (the ojzr family prints a truncated index range
+    and an unshifted special point); verify() surfaces any such difference.
     """
     return tuple(sorted(inst.info.front(inst.n, inst.k, inst.l)))
 

@@ -17,7 +17,7 @@ from bibench.cli import (
 from bibench.errors import ValidationError
 from bibench.landscape import enumerate_landscape, render_report
 from bibench.oracles import ClaimResult, VerificationReport
-from bibench.problems import parse_descriptor, validate
+from bibench.problems import parse_descriptor
 
 
 def run_main(capsys, argv):
@@ -263,7 +263,16 @@ class TestRunCommand:
             "seed,hit,hitting_time,evaluations_used\n"
             "1,true,36,36\n"
             "2,true,61,61\n"
-            "summary: success=1/1 median_hitting_time=48.5 mean_hitting_time=48.5\n"
+            "summary: success=2/2 median_hitting_time=48.5 mean_hitting_time=48.5\n"
+        )
+
+    def test_success_counts_hits_over_seeds_unreduced(self, capsys):
+        rc, out, _ = run_main(
+            capsys, ["run", "gsemo", "omm:n=4", "--seeds", "1..4", "--budget", "40"]
+        )
+        assert rc == 0
+        assert out.endswith(
+            "summary: success=2/4 median_hitting_time=32.5 mean_hitting_time=32.5\n"
         )
 
     def test_seed_range_and_float_budget_to_file(self, capsys, tmp_path):
@@ -276,7 +285,7 @@ class TestRunCommand:
             ],
         )
         assert rc == 0
-        assert out == "summary: success=1/1 median_hitting_time=58 mean_hitting_time=51.666666666666664\n"
+        assert out == "summary: success=3/3 median_hitting_time=58 mean_hitting_time=51.666666666666664\n"
         text = out_file.read_text(encoding="utf-8")
         assert text.startswith("seed,hit,hitting_time,evaluations_used\n1,true,36,36\n")
         assert text.count("\n") == 5
@@ -319,10 +328,12 @@ class TestRunCommand:
         assert (rc, err) == (1, "error: empty seed range '5..1'\n")
 
     def test_seed_count_is_bounded_before_any_list_is_built(self, capsys):
-        argv = ["run", "semo", "omm:n=4", "--seeds", "1..10000000000", "--budget", "10"]
-        rc, out, err = run_main(capsys, argv)
-        assert (rc, out) == (1, "")
-        assert err == "error: at most 100000 seeds per run, got 10000000000\n"
+        # The second range is longer than sys.maxsize, so len(range) would overflow.
+        for count in ("10000000000", "100000000000000000000"):
+            argv = ["run", "semo", "omm:n=4", "--seeds", f"1..{count}", "--budget", "10"]
+            rc, out, err = run_main(capsys, argv)
+            assert (rc, out) == (1, "")
+            assert err == f"error: at most 100000 seeds per run, got {count}\n"
 
     def test_bad_thread_count_rejected(self, capsys):
         argv = ["run", "semo", "omm:n=4", "--seeds", "1", "--budget", "10", "--threads", "0"]

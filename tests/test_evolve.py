@@ -211,7 +211,7 @@ class TestExperiment:
             "seed,hit,hitting_time,evaluations_used\n"
             "1,true,36,36\n"
             "2,true,61,61\n"
-            "summary: success=1/1 median_hitting_time=48.5 mean_hitting_time=48.5\n"
+            "summary: success=2/2 median_hitting_time=48.5 mean_hitting_time=48.5\n"
         )
 
     def test_render_misses_use_dashes(self):

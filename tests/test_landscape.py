@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibench.bitstring import all_strings, count_ones, neighbors
+from bibench.bitstring import BitString
 from bibench.errors import EnumerationCapError, ValidationError
 from bibench.landscape import (
     CAP_ENV_VAR,
@@ -36,6 +36,14 @@ from bibench.problems import evaluate, parse_descriptor, validate
 
 def report_for(descriptor):
     return enumerate_landscape(parse_descriptor(descriptor))
+
+
+def flip(x, position):
+    return BitString(x.n, x.index ^ (1 << (x.n - position)))
+
+
+def neighbors(x):
+    return [flip(x, position) for position in range(1, x.n + 1)]
 
 
 class TestFrozenCounts:
@@ -212,15 +220,11 @@ class TestSeparability:
             assert not rep.separable, (descriptor, objective)
 
     def test_contributions_reconstruct_the_objective(self):
-        from bibench.bitstring import all_strings
-
         for descriptor, objective in [("omm:n=6", 2), ("cocz:n=6", 2)]:
             inst = parse_descriptor(descriptor)
             rep = is_fully_separable(inst, objective)
-            for x in all_strings(6):
-                total = sum(
-                    pair[x.bit(pos)] for pos, pair in enumerate(rep.contributions, 1)
-                )
+            for x in (BitString(6, i) for i in range(1 << 6)):
+                total = sum(pair[int(bit)] for bit, pair in zip(str(x), rep.contributions))
                 assert total == evaluate(inst, x)[objective - 1]
 
     def test_witness_really_breaks_constancy(self):
@@ -228,8 +232,8 @@ class TestSeparability:
         rep = is_fully_separable(inst, 1)
         a, b = rep.witness
         pos = rep.witness_position
-        da = evaluate(inst, a.with_flipped(pos))[0] - evaluate(inst, a)[0]
-        db = evaluate(inst, b.with_flipped(pos))[0] - evaluate(inst, b)[0]
+        da = evaluate(inst, flip(a, pos))[0] - evaluate(inst, a)[0]
+        db = evaluate(inst, flip(b, pos))[0] - evaluate(inst, b)[0]
         assert (da, db) == rep.witness_deltas
         assert da != db
 
@@ -428,7 +432,7 @@ class TestBruteForceCrossCheck:
     def test_report_matches_reference(self, descriptor):
         inst = parse_descriptor(descriptor)
         n = inst.n
-        vec = {x: evaluate(inst, x) for x in all_strings(n)}
+        vec = {x: evaluate(inst, x) for x in (BitString(n, i) for i in range(1 << n))}
 
         level = {}
         remaining = set(vec.values())
@@ -460,7 +464,7 @@ class TestBruteForceCrossCheck:
 
         tables = []
         for ones in range(n + 1):
-            row = [v for x, v in vec.items() if count_ones(x) == ones]
+            row = [v for x, v in vec.items() if str(x).count("1") == ones]
             tables.append(
                 (
                     ones,

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from bibench.bitstring import BitString, complement
+from bibench.bitstring import BitString
 from bibench.problems import SCALAR_BUILDERS
 
 
@@ -161,4 +161,4 @@ class TestAgainstNaive:
     def test_jump_symmetry_under_complement(self, x, k):
         if k > x.n:
             return
-        assert zero_jump(x, k) == one_jump(complement(x), k)
+        assert zero_jump(x, k) == one_jump(BitString(x.n, x.index ^ ((1 << x.n) - 1)), k)

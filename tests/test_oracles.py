@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibench.errors import EnumerationCapError, ValidationError
+from bibench.errors import ValidationError
 from bibench.landscape import enumerate_landscape
 from bibench.oracles import (
     claimed_front_tuples,
@@ -17,16 +17,13 @@ from bibench.oracles import (
     ojzj_threshold_k,
     ojzr_bound,
     ojzr_within_bound,
-    oracle_front,
-    oracle_local_optima,
-    oracle_pareto_set,
     ratio_ojzj,
     ratio_ojzr,
     reference_front,
     render_verification,
     verify,
 )
-from bibench.problems import FAMILY_NAMES, parse_descriptor, validate
+from bibench.problems import FAMILY_NAMES, index_evaluator, parse_descriptor, validate
 
 EIGHT_BIT_DESCRIPTORS = (
     "omm:n=8",
@@ -45,31 +42,37 @@ EIGHT_BIT_DESCRIPTORS = (
 )
 
 
+def closed_form_front(inst):
+    """Objective vectors of the closed-form Pareto set, sorted."""
+    ev = index_evaluator(inst)
+    return tuple(sorted({ev(i) for i in inst.info.pareto_set(inst.n, inst.k, inst.l)}))
+
+
 class TestOracleSetsMatchEnumeration:
     @pytest.mark.parametrize("descriptor", EIGHT_BIT_DESCRIPTORS)
     def test_pareto_set(self, descriptor):
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
-        assert oracle_pareto_set(inst) == report.pareto_set
+        assert inst.info.pareto_set(inst.n, inst.k, inst.l) == set(report.pareto_set_indices)
 
     @pytest.mark.parametrize("descriptor", EIGHT_BIT_DESCRIPTORS)
     def test_local_optima(self, descriptor):
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
-        assert oracle_local_optima(inst) == report.local_optima
+        assert inst.info.local_optima(inst.n, inst.k, inst.l) == set(report.local_optima_indices)
 
     @pytest.mark.parametrize("descriptor", EIGHT_BIT_DESCRIPTORS)
     def test_front(self, descriptor):
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
-        assert oracle_front(inst) == tuple(v for v, _ in report.front_counts)
+        assert closed_form_front(inst) == tuple(v for v, _ in report.front_counts)
 
     def test_ojzr_oracle_is_exact_when_blocks_are_shorter_than_the_gap(self):
         for n, k, l in ((12, 4, 3), (12, 5, 3), (12, 5, 4), (8, 3, 2)):
             inst = validate("ojzr", n=n, k=k, l=l)
             report = enumerate_landscape(inst)
-            assert oracle_pareto_set(inst) == report.pareto_set
-            assert oracle_local_optima(inst) == report.local_optima
+            assert inst.info.pareto_set(n, k, l) == set(report.pareto_set_indices)
+            assert inst.info.local_optima(n, k, l) == set(report.local_optima_indices)
 
 
 class TestRatioOjzj:
@@ -80,7 +83,7 @@ class TestRatioOjzj:
         assert ratio_ojzj(20, 9) == Fraction(260339, 524288)
 
     def test_matches_enumeration(self):
-        for n, k in ((6, 1), (6, 2), (8, 3), (10, 4), (12, 5)):
+        for n, k in ((6, 1), (6, 2), (8, 3), (10, 4), (12, 5), (7, 3), (9, 4), (11, 5)):
             inst = validate("ojzj", n=n, k=k)
             assert ratio_ojzj(n, k) == enumerate_landscape(inst).ratio
 
@@ -245,12 +248,12 @@ class TestClaimedFronts:
     def test_ojzr_truncation_is_kept_literal(self):
         inst = validate("ojzr", n=12, k=3, l=3)
         assert claimed_front_tuples(inst) == ((3, 12), (6, 9), (15, 0))
-        assert oracle_front(inst) == ((3, 12), (6, 9), (9, 6), (12, 3), (15, 0))
+        assert closed_form_front(inst) == ((3, 12), (6, 9), (9, 6), (12, 3), (15, 0))
 
     def test_matches_oracle_front_outside_ojzr(self):
         for descriptor in EIGHT_BIT_DESCRIPTORS:
             inst = parse_descriptor(descriptor)
-            assert claimed_front_tuples(inst) == oracle_front(inst)
+            assert claimed_front_tuples(inst) == closed_form_front(inst)
 
 
 class TestReferenceFront:
@@ -342,6 +345,13 @@ class TestVerify:
 
     def test_whole_grid_must_match(self):
         for inst in grid_instances(n_values=(6, 8)):
+            assert verify(inst).must_match_ok, inst.descriptor
+
+    def test_odd_sizes_must_match(self):
+        # DEFAULT_GRID_SIZES are all even, so `bibench verify all` never checks odd n.
+        instances = grid_instances(None, (5, 7, 9, 11))
+        assert len(instances) == 74
+        for inst in instances:
             assert verify(inst).must_match_ok, inst.descriptor
 
 
@@ -439,13 +449,3 @@ class TestGrid:
                             pass
         assert grid_instances(n_values=range(1, 23)) == expected
         assert len(expected) == 816
-
-
-class TestCaps:
-    def test_oracle_sets_respect_the_cap(self):
-        with pytest.raises(EnumerationCapError):
-            oracle_pareto_set(validate("omm", n=30))
-
-    def test_explicit_cap_override(self):
-        # The closed-form set for lotz is tiny, so a raised cap is safe here.
-        assert len(oracle_pareto_set(validate("lotz", n=26), cap=26)) == 27
