@@ -34,7 +34,7 @@ from .oracles import (
     render_verification,
     verify,
 )
-from .problems import FAMILY_NAMES, evaluate, family_catalog, parse_descriptor, validate
+from .problems import FAMILY_NAMES, evaluate, family_catalog, parse_descriptor
 
 
 @dataclass(frozen=True)
@@ -117,21 +117,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("descriptor", nargs="?", help="instance like 'ojzr:n=12,k=5,l=3'")
-    parser.add_argument("--family", choices=FAMILY_NAMES)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--l", type=int)
-
-
-def _resolve_instance(args):
-    if args.descriptor is not None:
-        if args.family is not None or args.n is not None:
-            raise ValidationError("give either a descriptor or --family/--n, not both")
-        return parse_descriptor(args.descriptor)
-    if args.family is None or args.n is None:
-        raise ValidationError("an instance needs a descriptor or --family plus --n")
-    return validate(args.family, args.n, args.k, args.l)
+    parser.add_argument("descriptor", help="instance like 'ojzr:n=12,k=5,l=3'")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -200,14 +186,14 @@ def _parse_target(text: str) -> Target:
 
 
 def cmd_eval(args) -> int:
-    inst = _resolve_instance(args)
+    inst = parse_descriptor(args.descriptor)
     vec = evaluate(inst, BitString.from_text(args.bits))
     print(f"({vec[0]},{vec[1]})")
     return 0
 
 
 def cmd_landscape(args) -> int:
-    inst = _resolve_instance(args)
+    inst = parse_descriptor(args.descriptor)
     report = enumerate_landscape(inst, args.cap)
     _write_text(args.out, render_report(report))
     print(summary_line(report))
@@ -275,7 +261,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    inst = _resolve_instance(args)
+    inst = parse_descriptor(args.descriptor)
     report = enumerate_landscape(inst, args.cap)
     dataset = build_figure(report, args.kind)
     _write_text(args.out, dataset.render())
@@ -284,7 +270,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_run(args) -> int:
-    inst = _resolve_instance(args)
+    inst = parse_descriptor(args.descriptor)
     seeds = _parse_seeds(args.seeds)
     template = RunConfig(
         algorithm=args.algorithm,

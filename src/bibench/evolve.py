@@ -46,7 +46,9 @@ class Target:
 
     @classmethod
     def front_point(cls, vector: ObjectiveVector) -> "Target":
-        return cls("front_point", vector=(int(vector[0]), int(vector[1])))
+        if len(vector) != 2 or any(not isinstance(c, int) or isinstance(c, bool) for c in vector):
+            raise ValidationError(f"front point must be two ints, got {vector!r}")
+        return cls("front_point", vector=tuple(vector))
 
     @classmethod
     def coverage(cls, fraction) -> "Target":
@@ -111,7 +113,7 @@ def run(cfg: RunConfig) -> RunResult:
     """Execute one seeded run until the target is hit or the budget is spent."""
     if cfg.algorithm not in ALGORITHMS:
         raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
-    if not isinstance(cfg.budget, int) or cfg.budget < 1:
+    if not isinstance(cfg.budget, int) or isinstance(cfg.budget, bool) or cfg.budget < 1:
         raise ValidationError(f"budget must be a positive int, got {cfg.budget!r}")
     if cfg.target.kind not in ("full_front", "front_point", "coverage"):
         raise ValidationError(f"unknown target kind {cfg.target.kind!r}")

@@ -386,11 +386,7 @@ def front_shape(inst: ProblemInstance, cap: int | None = None) -> FrontShape:
     )
 
 
-def characteristic_profile(
-    inst: ProblemInstance,
-    cap: int | None = None,
-    low_ratio_threshold: Fraction = LOW_RATIO_THRESHOLD,
-) -> CharacteristicProfile:
+def characteristic_profile(inst: ProblemInstance, cap: int | None = None) -> CharacteristicProfile:
     """All seven characteristic flags for one instance, computed exactly."""
     report = enumerate_landscape(inst, cap)
     shape = front_shape(inst, cap)
@@ -402,7 +398,7 @@ def characteristic_profile(
         non_completely_conflicting=not is_completely_conflicting(inst, cap),
         disjoint_optima=report.component_count > 1,
         not_fully_separable=not (sep1.separable and sep2.separable),
-        low_ratio_witness=report.ratio <= low_ratio_threshold,
+        low_ratio_witness=report.ratio <= LOW_RATIO_THRESHOLD,
         nonlinear_front=shape is FrontShape.NONLINEAR_CONCAVE,
         has_local_optima=bool(report.local_optima_indices),
         component_count=report.component_count,

@@ -28,6 +28,10 @@ from .problems import (
 
 DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
 
+# Bounds the ratio formulas' cost and the digits of the printed fractions,
+# which must stay below Python's int-to-str limit.
+MAX_RATIO_N = 4096
+
 
 def claimed_front_tuples(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
     """The front exactly as its printed formula states it, for cross-checks.
@@ -52,8 +56,8 @@ def _check_ratio_params(n: int, *params: int) -> None:
     for value in (n, *params):
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValidationError(f"ratio parameters must be ints, got {value!r}")
-    if n < 1:
-        raise ValidationError(f"n must be positive, got {n}")
+    if not 1 <= n <= MAX_RATIO_N:
+        raise ValidationError(f"n must be in [1, {MAX_RATIO_N}], got {n}")
 
 
 def ojzj_threshold_k(n: int) -> int:

@@ -41,71 +41,67 @@ class ProblemInstance:
         return _BY_NAME[self.family]
 
 
-# Scalar objectives, all maximized, over raw indices in [0, 2^n): index bit
-# n-1 is string position 1. Each builder takes the instance parameters
-# (n, k, l) and returns the objective's closure. Jump objectives use the
-# shifted convention: outside the valley the value is the gap k plus the
-# relevant bit count, so the global optimum dominates the plateau by exactly
-# k and every value stays non-negative.
+# Each scalar objective, all maximized, is a value table read at one integer
+# statistic of the string. A statistic maps a raw index in [0, 2^n) to a
+# count in 0..n (index bit n-1 is string position 1); its builder takes the
+# parameters (n, l). A table builder takes (n, k, l) and returns the list of
+# objective values by statistic value.
 
 
-def _leading_ones(n, k, l):
+def _leading_ones(n, l):
     mask = (1 << n) - 1
-
-    def lead(i: int) -> int:
-        f = i ^ mask
-        return n if f == 0 else n - f.bit_length()
-
-    return lead
+    return lambda i: n - (i ^ mask).bit_length()
 
 
-def _one_jump(n, k, l):
-    def jump_up(i: int) -> int:
-        s = i.bit_count()
-        return k + s if (s <= n - k or s == n) else n - s
-
-    return jump_up
-
-
-def _zero_jump(n, k, l):
-    def jump_down(i: int) -> int:
-        z = n - i.bit_count()
-        return k + z if (z <= n - k or z == n) else n - z
-
-    return jump_down
-
-
-def _mix(n, k, l):
+def _half_mix(n, l):
     half = n // 2
     half_mask = (1 << half) - 1
-
-    def mix(i: int) -> int:
-        return (i >> half).bit_count() + (half - (i & half_mask).bit_count())
-
-    return mix
+    return lambda i: (i >> half).bit_count() + (half - (i & half_mask).bit_count())
 
 
-def _blocks(want_ones: bool, n, k, l):
+def _blocks(want_ones: bool, n, l):
     mask = (1 << l) - 1
     full = mask if want_ones else 0
     shifts = tuple(n - (j + 1) * l for j in range(n // l))
-
-    def value(i: int) -> int:
-        return l * sum(1 for s in shifts if (i >> s) & mask == full)
-
-    return value
+    return lambda i: sum(1 for s in shifts if (i >> s) & mask == full)
 
 
-SCALAR_BUILDERS = {
-    "ones": lambda n, k, l: int.bit_count,
-    "zeroes": lambda n, k, l: lambda i: n - i.bit_count(),
+STATISTICS = {
+    "ones": lambda n, l: int.bit_count,
     "leading ones": _leading_ones,
-    "trailing zeroes": lambda n, k, l: lambda i: n if i == 0 else (i & -i).bit_length() - 1,
-    "one-jump": _one_jump,
-    "zero-jump": _zero_jump,
-    "ones in first half plus zeroes in second half": _mix,
+    "trailing zeroes": lambda n, l: lambda i: n if i == 0 else (i & -i).bit_length() - 1,
+    "first-half ones plus second-half zeroes": _half_mix,
     "all-ones blocks": partial(_blocks, True),
     "all-zeroes blocks": partial(_blocks, False),
+}
+
+
+def _identity(n, k, l):
+    return list(range(n + 1))
+
+
+def _jump(n, k, l):
+    """The shifted jump of gap k over a count c: k + c outside the valley
+    n - k < c < n and n - c inside it, so the optimum dominates the plateau
+    by exactly k and every value stays non-negative."""
+    return [k + c if c <= n - k or c == n else n - c for c in range(n + 1)]
+
+
+def _block_values(n, k, l):
+    return list(range(0, n + 1, l))
+
+
+OBJECTIVES = {
+    "ones": ("ones", _identity),
+    "zeroes": ("ones", lambda n, k, l: _identity(n, k, l)[::-1]),
+    "leading ones": ("leading ones", _identity),
+    "trailing zeroes": ("trailing zeroes", _identity),
+    "one-jump": ("ones", _jump),
+    "zero-jump": ("ones", lambda n, k, l: _jump(n, k, l)[::-1]),
+    "ones in first half plus zeroes in second half":
+        ("first-half ones plus second-half zeroes", _identity),
+    "all-ones blocks": ("all-ones blocks", _block_values),
+    "all-zeroes blocks": ("all-zeroes blocks", _block_values),
 }
 
 JUMP_OBJECTIVES = ("one-jump", "zero-jump")
@@ -147,9 +143,9 @@ def _block_prefixes(n, k, l):
 def _ojzr_pareto_set(n, k, l):
     # A completed string with n - k ones has exactly k // l zero blocks, so
     # the two sets overlap only when l divides k.
-    zero_blocks = _blocks(False, n, k, l)
+    zero_blocks = _blocks(False, n, l)
     keep = {i for i in _completed_indices(n, k, l) if i.bit_count() <= n - k}
-    keep |= {i for i in range(1 << n) if i.bit_count() == n - k and zero_blocks(i) == k // l * l}
+    keep |= {i for i in range(1 << n) if i.bit_count() == n - k and zero_blocks(i) == k // l}
     return keep | {(1 << n) - 1}
 
 
@@ -165,7 +161,7 @@ def _orzr_local_optima(n, k, l):
 
 
 def _lozr_local_optima(n, k, l):
-    lead_of = _leading_ones(n, k, l)
+    lead_of = _leading_ones(n, l)
     candidates = set()
     for i in range(1 << n):
         lead = lead_of(i)
@@ -181,8 +177,8 @@ def _lozr_local_optima(n, k, l):
 
 
 def _ojzr_local_optima(n, k, l):
-    zero_blocks = _blocks(False, n, k, l)
-    return {i for i in range(1 << n) if i.bit_count() == n - k and zero_blocks(i) < k // l * l}
+    zero_blocks = _blocks(False, n, l)
+    return {i for i in range(1 << n) if i.bit_count() == n - k and zero_blocks(i) < k // l}
 
 
 def _diagonal_front(n, k, l):
@@ -210,7 +206,7 @@ def _ojzr_front(n, k, l):
 class FamilyInfo:
     """One family, defined in one place.
 
-    `objectives` name its two scalar objectives, keys of SCALAR_BUILDERS;
+    `objectives` name its two scalar objectives, keys of OBJECTIVES;
     `rule(n, k, l)` returns why parameters of the right kinds are invalid,
     or None, and `constraints` states it for people. The closed forms take
     (n, k, l): `pareto_set` and `local_optima` give index sets, `front` the
@@ -346,8 +342,11 @@ def index_evaluator(inst: ProblemInstance):
     This is the hot path for exhaustive enumeration and the evolutionary
     loops; it must agree with evaluate() everywhere (tests pin that).
     """
-    f, g = (SCALAR_BUILDERS[name](inst.n, inst.k, inst.l) for name in inst.info.objectives)
-    return lambda i: (f(i), g(i))
+    (s1, t1), (s2, t2) = (
+        (STATISTICS[statistic](inst.n, inst.l), table(inst.n, inst.k, inst.l))
+        for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives)
+    )
+    return lambda i: (t1[s1(i)], t2[s2(i)])
 
 
 def evaluate(inst: ProblemInstance, x: BitString) -> ObjectiveVector:

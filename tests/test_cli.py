@@ -30,16 +30,13 @@ class TestEval:
     def test_descriptor_form(self, capsys):
         assert run_main(capsys, ["eval", "lotz:n=8", "11100000"]) == (0, "(3,5)\n", "")
 
-    def test_flag_form(self, capsys):
-        argv = ["eval", "--family", "ojzj", "--n", "8", "--k", "2", "11111111"]
-        assert run_main(capsys, argv) == (0, "(10,2)\n", "")
-
-    def test_descriptor_and_flags_conflict(self, capsys):
-        rc, out, err = run_main(
-            capsys, ["eval", "lotz:n=8", "--family", "omm", "--n", "8", "11100000"]
-        )
-        assert rc == 1
+    def test_descriptor_is_the_only_instance_form(self, capsys, tmp_path):
+        # A parameter flag next to a descriptor is a usage error, not ignored.
+        argv = ["landscape", "orzr:n=8,l=2", "--l", "4", "--out", str(tmp_path / "x.txt")]
+        rc, out, err = run_main(capsys, argv)
+        assert (rc, out) == (1, "")
         assert err.startswith("error:")
+        assert not (tmp_path / "x.txt").exists()
 
     def test_bad_bits(self, capsys):
         rc, _, err = run_main(capsys, ["eval", "lotz:n=8", "11x00000"])
@@ -88,6 +85,16 @@ class TestRatioCommand:
         rc, _, err = run_main(capsys, ["ratio", "ojzj", "--n", "8", "--k", "2", "--l", "1"])
         assert rc == 1
         assert "ojzj takes no --l" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["ojzj", "--n", "14300", "--k", "3"], ["ojzr", "--n", "300000", "--k", "5", "--l", "3"]],
+    )
+    def test_n_is_bounded(self, capsys, argv):
+        rc, out, err = run_main(capsys, ["ratio", *argv])
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: n must be in [1, 4096]")
+        assert "Traceback" not in err
 
     def test_ojzr_narrow_blocks_print_no_bound(self, capsys):
         rc, out, _ = run_main(capsys, ["ratio", "ojzr", "--n", "8", "--k", "3", "--l", "2"])

@@ -40,6 +40,11 @@ class TestTargets:
     def test_front_point_coerces_ints(self):
         assert Target.front_point((3, 5)).vector == (3, 5)
 
+    @pytest.mark.parametrize("vector", [(1.5, 4.9), (3, 5.0), (True, 5), ("3", 5), (3, 5, 0)])
+    def test_front_point_needs_two_ints(self, vector):
+        with pytest.raises(ValidationError):
+            Target.front_point(vector)
+
     def test_front_point_must_be_on_the_front(self):
         cfg = RunConfig("semo", LOTZ8, seed=1, budget=100, target=Target.front_point((7, 7)))
         with pytest.raises(ValidationError):
@@ -57,6 +62,8 @@ class TestRunValidation:
             run(RunConfig("semo", OMM10, seed=1, budget=0))
         with pytest.raises(ValidationError):
             run(RunConfig("semo", OMM10, seed=1, budget="100"))
+        with pytest.raises(ValidationError):
+            run(RunConfig("semo", OMM10, seed=1, budget=True))
 
     def test_unknown_target_kind(self):
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
-"""Every imported name is referenced by the module that imports it."""
+"""Every imported name is referenced by the module that imports it, and every
+private top-level name of the package is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -23,3 +24,26 @@ def test_no_unused_imports(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+SOURCES = sorted((ROOT / "src" / "bibench").glob("*.py"))
+
+
+def test_no_unreferenced_private_names():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    defined = set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert sorted(private - used) == []

@@ -173,11 +173,11 @@ class TestCharacteristicFlags:
             p.has_local_optima,
         )
 
-    def test_low_ratio_threshold_is_inclusive_and_overridable(self):
-        inst = validate("ojzj", 8, k=2)
-        assert not characteristic_profile(inst).low_ratio_witness
-        loose = characteristic_profile(inst, low_ratio_threshold=Fraction(15, 16))
-        assert loose.low_ratio_witness
+    def test_low_ratio_threshold_is_inclusive(self):
+        half = characteristic_profile(validate("cocz", 2))
+        assert half.ratio == Fraction(1, 2) and half.low_ratio_witness
+        high = characteristic_profile(validate("ojzj", 8, k=2))
+        assert high.ratio == Fraction(15, 16) and not high.low_ratio_witness
 
 
 class TestPredicates:

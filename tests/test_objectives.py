@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from bibench.bitstring import BitString
-from bibench.problems import SCALAR_BUILDERS
+from bibench.problems import OBJECTIVES, STATISTICS
 
 
 def bits(text):
@@ -11,7 +11,8 @@ def bits(text):
 
 
 def scalar(name, x, k=None, l=None):
-    return SCALAR_BUILDERS[name](x.n, k, l)(x.index)
+    statistic, table = OBJECTIVES[name]
+    return table(x.n, k, l)[STATISTICS[statistic](x.n, l)(x.index)]
 
 
 def one_max(x):

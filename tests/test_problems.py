@@ -4,9 +4,11 @@ import pytest
 
 from bibench.bitstring import BitString
 from bibench.errors import DescriptorError, ValidationError
+from bibench.oracles import grid_instances
 from bibench.problems import (
     FAMILY_NAMES,
-    SCALAR_BUILDERS,
+    OBJECTIVES,
+    STATISTICS,
     ProblemInstance,
     evaluate,
     family_catalog,
@@ -41,7 +43,8 @@ class TestCatalog:
 
     def test_families_use_every_scalar_objective(self):
         used = {name for info in family_catalog() for name in info.objectives}
-        assert used == set(SCALAR_BUILDERS)
+        assert used == set(OBJECTIVES)
+        assert {statistic for statistic, _ in OBJECTIVES.values()} == set(STATISTICS)
         assert [info.name for info in family_catalog() if not info.exact] == ["ojzr"]
 
 
@@ -239,10 +242,24 @@ class TestEvaluation:
             inst = parse_descriptor(descriptor)
             assert evaluate(inst, BitString.from_text(text)) == expected, descriptor
 
-    @pytest.mark.parametrize("inst", EIGHT_BIT_INSTANCES, ids=lambda i: i.descriptor)
+    # Odd lengths and every family and parameter at n = 7, 9, 10 (75 instances).
+    @pytest.mark.parametrize(
+        "inst", EIGHT_BIT_INSTANCES + grid_instances(None, (7, 9, 10)), ids=lambda i: i.descriptor
+    )
     def test_evaluate_matches_naive_exhaustively(self, inst):
-        for x in (BitString(8, i) for i in range(1 << 8)):
+        for x in (BitString(inst.n, i) for i in range(1 << inst.n)):
             assert evaluate(inst, x) == naive_pair(inst, str(x))
+
+    def test_value_tables_fit_one_byte(self):
+        # Every objective value is at most n + k < 128, so it fits one byte with
+        # the top bit free.
+        instances = grid_instances(None, range(1, 64))
+        assert len(instances) == 7187
+        for inst in instances:
+            for name in inst.info.objectives:
+                table = OBJECTIVES[name][1](inst.n, inst.k, inst.l)
+                assert type(table) is list, name
+                assert all(0 <= value <= 127 for value in table), inst.descriptor
 
     @pytest.mark.parametrize("inst", EIGHT_BIT_INSTANCES, ids=lambda i: i.descriptor)
     def test_index_evaluator_agrees_with_evaluate(self, inst):
