@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitstring import BitString
 from .errors import DomainError, ValidationError
-from .evolve import RunConfig, Target, hitting_time_experiment, render_experiment, worker_count
+from .evolve import RunConfig, Target, hitting_time_experiment, parallel_map, render_experiment
 from .landscape import (
     LandscapeReport,
     enumerate_landscape,
@@ -112,6 +111,11 @@ def build_figure(report: LandscapeReport, kind: str) -> FigureDataset:
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # verification failures, so usage problems become domain errors.
+    def __init__(self, *args, **kwargs):
+        # An unknown flag that prefixes a real one (--n for --n-max) is a
+        # usage error, not silently taken as that flag.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise DomainError(message)
 
@@ -194,15 +198,14 @@ def cmd_eval(args) -> int:
 
 def cmd_landscape(args) -> int:
     inst = parse_descriptor(args.descriptor)
-    report = enumerate_landscape(inst, args.cap)
+    report = enumerate_landscape(inst)
     _write_text(args.out, render_report(report))
     print(summary_line(report))
     return 0
 
 
-def _verify_one(payload):
-    inst, cap = payload
-    report = verify(inst, cap)
+def _verify_one(inst):
+    report = verify(inst)
     return render_verification(report), report.must_match_ok, any(
         not c.matched for c in report.claims
     )
@@ -213,14 +216,7 @@ def cmd_verify(args) -> int:
     if not sizes:
         raise ValidationError(f"--n-max {args.n_max} leaves no grid sizes {DEFAULT_GRID_SIZES}")
     families = None if args.scope == "all" else (args.scope,)
-    instances = grid_instances(families, sizes)
-    payloads = [(inst, args.cap) for inst in instances]
-    workers = worker_count(args.threads, len(payloads))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_verify_one, payloads, chunksize=4))
-    else:
-        outcomes = [_verify_one(p) for p in payloads]
+    outcomes = parallel_map(_verify_one, grid_instances(families, sizes), args.threads)
     failures = sum(1 for _, ok, _ in outcomes if not ok)
     informational = sum(1 for _, ok, mism in outcomes if ok and mism)
     body = "".join(text for text, _, _ in outcomes)
@@ -262,7 +258,7 @@ def cmd_ratio(args) -> int:
 
 def cmd_figure(args) -> int:
     inst = parse_descriptor(args.descriptor)
-    report = enumerate_landscape(inst, args.cap)
+    report = enumerate_landscape(inst)
     dataset = build_figure(report, args.kind)
     _write_text(args.out, dataset.render())
     print(f"{dataset.kind}: {len(dataset.rows)} rows")
@@ -278,7 +274,6 @@ def cmd_run(args) -> int:
         seed=0,
         budget=_parse_budget(args.budget),
         target=_parse_target(args.target),
-        cap=args.cap,
     )
     experiment = hitting_time_experiment(template, seeds, threads=args.threads)
     text = render_experiment(experiment)
@@ -310,13 +305,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("landscape", help="exhaustive landscape report")
     _add_instance_args(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_landscape)
 
     p = sub.add_parser("verify", help="closed forms vs enumeration on the size grid")
     p.add_argument("scope", choices=FAMILY_NAMES + ("all",))
     p.add_argument("--n-max", type=int, default=max(DEFAULT_GRID_SIZES))
-    p.add_argument("--cap", type=int)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
@@ -332,7 +325,6 @@ def _build_parser() -> _Parser:
     _add_instance_args(p)
     p.add_argument("--kind", required=True, choices=FIGURE_KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--cap", type=int)
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser("run", help="seeded SEMO/GSEMO hitting-time experiment")
@@ -342,7 +334,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", required=True, help="evaluation budget, e.g. 1e6")
     p.add_argument("--target", default="full_front")
     p.add_argument("--out")
-    p.add_argument("--cap", type=int)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_run)
 

@@ -11,6 +11,7 @@ identical results everywhere.
 
 from __future__ import annotations
 
+import numbers
 import os
 import random
 import statistics
@@ -52,11 +53,17 @@ class Target:
 
     @classmethod
     def coverage(cls, fraction) -> "Target":
+        """Target a fraction in (0, 1], given as an int, a Fraction or a float."""
+        # NaN fails the range test, as does every infinity.
+        if (
+            isinstance(fraction, bool)
+            or not isinstance(fraction, (numbers.Rational, float))
+            or not 0 < fraction <= 1
+        ):
+            raise ValidationError(f"coverage fraction must be in (0, 1], got {fraction!r}")
         # Floats go through str() so 0.95 means the decimal 95/100, not the
         # binary double slightly above it.
         frac = Fraction(str(fraction)) if isinstance(fraction, float) else Fraction(fraction)
-        if not 0 < frac <= 1:
-            raise ValidationError(f"coverage fraction must be in (0, 1], got {fraction!r}")
         return cls("coverage", fraction=frac)
 
 
@@ -68,7 +75,6 @@ class RunConfig:
     budget: int
     target: Target = Target.full_front()
     check_archive: bool = False
-    cap: int | None = None
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ def run(cfg: RunConfig) -> RunResult:
     inst = cfg.instance
     n = inst.n
     ev = index_evaluator(inst)
-    front = set(reference_front(inst, cfg.cap))
+    front = set(reference_front(inst))
     if cfg.target.kind == "front_point":
         if cfg.target.vector not in front:
             raise ValidationError(
@@ -188,6 +194,20 @@ def worker_count(threads: int, tasks: int) -> int:
     return min(threads, os.cpu_count() or 1, tasks)
 
 
+def parallel_map(fn, items: Sequence, threads: int) -> list:
+    """[fn(item) for item in items], in item order. With threads > 1 the
+    calls run in worker processes, which inherit the environment, so the
+    enumeration cap set there holds in them too. Like multiprocessing's
+    Pool.map, each worker is sent its share of items in about four chunks."""
+    workers = worker_count(threads, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
     template: RunConfig
@@ -208,15 +228,7 @@ def hitting_time_experiment(
     """
     if not seeds:
         raise ValidationError("experiment needs at least one seed")
-    configs = [replace(template, seed=seed) for seed in seeds]
-    workers = worker_count(threads, len(configs))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = tuple(pool.map(run, configs))
-    else:
-        results = tuple(run(cfg) for cfg in configs)
+    results = tuple(parallel_map(run, [replace(template, seed=seed) for seed in seeds], threads))
     times = [r.hitting_time for r in results if r.hit]
     return ExperimentResult(
         template=template,

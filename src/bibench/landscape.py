@@ -1,8 +1,8 @@
 """Exhaustive landscape analysis: Pareto structure, local optima, and the
 seven characteristic flags, all computed exactly by enumeration.
 
-Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP, per-call
-override) so accidental huge requests fail fast with a clear error.
+Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
+accidental huge requests fail fast with a clear error.
 """
 
 from __future__ import annotations
@@ -28,12 +28,8 @@ LOW_RATIO_THRESHOLD = Fraction(1, 2)
 _REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def enumeration_cap(override: int | None = None) -> int:
-    """Effective cap: explicit override, else env var, else the default."""
-    if override is not None:
-        if not isinstance(override, int) or isinstance(override, bool) or override < 1:
-            raise ValidationError(f"cap must be a positive int, got {override!r}")
-        return override
+def enumeration_cap() -> int:
+    """Effective cap: the env var if set, else the default."""
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
@@ -44,14 +40,6 @@ def enumeration_cap(override: int | None = None) -> int:
     if value < 1:
         raise ValidationError(f"{CAP_ENV_VAR} must be positive, got {value}")
     return value
-
-
-def _check_cap(n: int, cap: int | None) -> None:
-    limit = enumeration_cap(cap)
-    if n > limit:
-        raise EnumerationCapError(
-            f"n={n} exceeds the enumeration cap {limit}; pass a larger cap to force it"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,9 +170,13 @@ def _bit_reverser(n: int):
     return mirror
 
 
-def enumerate_landscape(inst: ProblemInstance, cap: int | None = None) -> LandscapeReport:
+def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
     """Full exact analysis of one instance by enumerating all 2^n strings."""
-    _check_cap(inst.n, cap)
+    limit = enumeration_cap()
+    if inst.n > limit:
+        raise EnumerationCapError(
+            f"n={inst.n} exceeds the enumeration cap {limit}; set {CAP_ENV_VAR} to raise it"
+        )
     return _report(inst)
 
 
@@ -264,22 +256,22 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     )
 
 
-def is_completely_conflicting(inst: ProblemInstance, cap: int | None = None) -> bool:
+def is_completely_conflicting(inst: ProblemInstance) -> bool:
     """True when any improvement in one objective forces a loss in the other:
     distinct image vectors never share a coordinate and are totally ordered
     with f2 strictly falling as f1 rises."""
-    distinct = sorted(enumerate_landscape(inst, cap).vector_counts)
+    distinct = sorted(enumerate_landscape(inst).vector_counts)
     for (a1, a2), (b1, b2) in zip(distinct, distinct[1:]):
         if b1 == a1 or b2 >= a2:
             return False
     return True
 
 
-def is_symmetric_pair(inst: ProblemInstance, cap: int | None = None) -> bool:
+def is_symmetric_pair(inst: ProblemInstance) -> bool:
     """True when complementing plus mirroring every string swaps the two
     objectives everywhere."""
     n = inst.n
-    values = enumerate_landscape(inst, cap).values
+    values = enumerate_landscape(inst).values
     mirror = _bit_reverser(n)
     mask = (1 << n) - 1
     return all(
@@ -287,9 +279,7 @@ def is_symmetric_pair(inst: ProblemInstance, cap: int | None = None) -> bool:
     )
 
 
-def is_fully_separable(
-    inst: ProblemInstance, objective: int, cap: int | None = None
-) -> SeparabilityReport:
+def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityReport:
     """Check one objective for full separability (bitwise additive form).
 
     An objective is fully separable iff flipping any one bit changes the value
@@ -300,7 +290,7 @@ def is_fully_separable(
     if isinstance(objective, bool) or objective not in (1, 2):
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
     n = inst.n
-    values = enumerate_landscape(inst, cap).values
+    values = enumerate_landscape(inst).values
     pick = objective - 1
     deltas = []
     for position in range(1, n + 1):
@@ -363,12 +353,12 @@ def _strictly_below_upper_hull(points: list[ObjectiveVector]) -> bool:
     return False
 
 
-def front_shape(inst: ProblemInstance, cap: int | None = None) -> FrontShape:
+def front_shape(inst: ProblemInstance) -> FrontShape:
     """Classify the Pareto front: collinear, or bent below its upper hull.
 
     A one-point front is reported as degenerate rather than classified.
     """
-    report = enumerate_landscape(inst, cap)
+    report = enumerate_landscape(inst)
     points = [v for v, _ in report.front_counts]
     if len(points) == 1:
         return FrontShape.DEGENERATE
@@ -386,16 +376,16 @@ def front_shape(inst: ProblemInstance, cap: int | None = None) -> FrontShape:
     )
 
 
-def characteristic_profile(inst: ProblemInstance, cap: int | None = None) -> CharacteristicProfile:
+def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
     """All seven characteristic flags for one instance, computed exactly."""
-    report = enumerate_landscape(inst, cap)
-    shape = front_shape(inst, cap)
-    sep1 = is_fully_separable(inst, 1, cap)
-    sep2 = is_fully_separable(inst, 2, cap)
+    report = enumerate_landscape(inst)
+    shape = front_shape(inst)
+    sep1 = is_fully_separable(inst, 1)
+    sep2 = is_fully_separable(inst, 2)
     return CharacteristicProfile(
         instance=inst,
-        non_symmetric=not is_symmetric_pair(inst, cap),
-        non_completely_conflicting=not is_completely_conflicting(inst, cap),
+        non_symmetric=not is_symmetric_pair(inst),
+        non_completely_conflicting=not is_completely_conflicting(inst),
         disjoint_optima=report.component_count > 1,
         not_fully_separable=not (sep1.separable and sep2.separable),
         low_ratio_witness=report.ratio <= LOW_RATIO_THRESHOLD,

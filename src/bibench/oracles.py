@@ -32,6 +32,9 @@ DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
 # which must stay below Python's int-to-str limit.
 MAX_RATIO_N = 4096
 
+# Counterexamples shown per direction of each set claim.
+MAX_COUNTEREXAMPLES = 5
+
 
 def claimed_front_tuples(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
     """The front exactly as its printed formula states it, for cross-checks.
@@ -135,7 +138,7 @@ def ojzr_within_bound(n: int, k: int, l: int) -> bool:
     return ratio * ratio <= squared
 
 
-def reference_front(inst: ProblemInstance, cap: int | None = None) -> tuple[ObjectiveVector, ...]:
+def reference_front(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
     """The true Pareto front used as a hitting target by the search loops.
 
     For the ten families whose closed forms are verified, the printed front
@@ -143,7 +146,7 @@ def reference_front(inst: ProblemInstance, cap: int | None = None) -> tuple[Obje
     ojzr closed form is unreliable, so its front is enumerated.
     """
     if not inst.info.exact:
-        return tuple(v for v, _ in enumerate_landscape(inst, cap).front_counts)
+        return tuple(v for v, _ in enumerate_landscape(inst).front_counts)
     return claimed_front_tuples(inst)
 
 
@@ -173,12 +176,11 @@ def _set_claim(
     claimed: set,
     actual: set,
     describe,
-    limit: int,
 ) -> ClaimResult:
     extra = sorted(claimed - actual)
     missing = sorted(actual - claimed)
-    examples = [f"claimed but wrong: {describe(v)}" for v in extra[:limit]]
-    examples += [f"missing from claim: {describe(v)}" for v in missing[:limit]]
+    examples = [f"claimed but wrong: {describe(v)}" for v in extra[:MAX_COUNTEREXAMPLES]]
+    examples += [f"missing from claim: {describe(v)}" for v in missing[:MAX_COUNTEREXAMPLES]]
     detail = f"claimed={len(claimed)} actual={len(actual)}"
     return ClaimResult(
         name=name,
@@ -189,14 +191,9 @@ def _set_claim(
     )
 
 
-def verify(
-    inst: ProblemInstance, cap: int | None = None, max_counterexamples: int = 5
-) -> VerificationReport:
+def verify(inst: ProblemInstance) -> VerificationReport:
     """Compare every closed-form claim for the instance against enumeration."""
-    limit = max_counterexamples
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-        raise ValidationError(f"max_counterexamples must be a non-negative int, got {limit!r}")
-    report = enumerate_landscape(inst, cap)
+    report = enumerate_landscape(inst)
     values = report.values
     n = inst.n
     must = inst.info.exact
@@ -212,7 +209,6 @@ def verify(
             pareto,
             set(report.pareto_set_indices),
             show,
-            limit,
         ),
         _set_claim(
             "local_optima",
@@ -220,7 +216,6 @@ def verify(
             inst.info.local_optima(n, inst.k, inst.l),
             set(report.local_optima_indices),
             show,
-            limit,
         ),
         _set_claim(
             "claimed_front",
@@ -228,7 +223,6 @@ def verify(
             set(claimed_front_tuples(inst)),
             {values[i] for i in pareto},
             str,
-            limit,
         ),
     ]
 

@@ -1,13 +1,17 @@
 """Tests for the command line interface and the figure-data exporters."""
 
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from bibench.cli import (
     FIGURE_KINDS,
+    _build_parser,
     build_figure,
     figure_levels_vs_ones,
     figure_objective_space,
@@ -15,7 +19,7 @@ from bibench.cli import (
     main,
 )
 from bibench.errors import ValidationError
-from bibench.landscape import enumerate_landscape, render_report
+from bibench.landscape import CAP_ENV_VAR, enumerate_landscape, render_report
 from bibench.oracles import ClaimResult, VerificationReport
 from bibench.problems import parse_descriptor
 
@@ -240,7 +244,7 @@ class TestVerifyCommand:
         assert out == "instances=5 must_match_failures=0 informational_mismatches=0\n"
 
     def test_must_match_failure_exits_two(self, capsys):
-        def fake_verify(inst, cap=None, max_counterexamples=5):
+        def fake_verify(inst):
             claim = ClaimResult("pareto_set", True, False, "claimed=1 actual=2", ())
             return VerificationReport(inst, (claim,), ())
 
@@ -407,6 +411,69 @@ class TestUsageErrors:
         rc, _, err = run_main(capsys, ["landscape", "lotz:n=4", "--out", target])
         assert rc == 1
         assert err.startswith(f"error: cannot write {target}:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["landscape", "lotz:n=8", "--out", "{out}"],
+            ["verify", "lotz", "--n-max", "6"],
+            ["figure", "lotz:n=8", "--kind", "objective_space", "--out", "{out}"],
+            ["run", "gsemo", "lotz:n=8", "--seeds", "1", "--budget", "100"],
+        ],
+    )
+    def test_cap_is_not_a_flag(self, capsys, tmp_path, argv):
+        out = tmp_path / "x.txt"
+        argv = [arg.format(out=out) for arg in argv] + ["--cap", "30"]
+        rc, stdout, err = run_main(capsys, argv)
+        assert (rc, stdout) == (1, "")
+        assert err == "error: unrecognized arguments: --cap 30\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["landscape", "omm:n=10", "--out", "{out}"],
+            ["verify", "omm", "--threads", "2"],
+            ["run", "gsemo", "ojzr:n=10,k=3,l=2", "--seeds", "1..4", "--budget", "100"],
+        ],
+    )
+    def test_env_var_sets_the_cap(self, capsys, tmp_path, monkeypatch, argv):
+        # verify with two threads enumerates only in its worker processes.
+        monkeypatch.setenv(CAP_ENV_VAR, "8")
+        out = tmp_path / "x.txt"
+        rc, stdout, err = run_main(capsys, [arg.format(out=out) for arg in argv])
+        assert (rc, stdout) == (1, "")
+        assert err == f"error: n=10 exceeds the enumeration cap 8; set {CAP_ENV_VAR} to raise it\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "lotz", "--n", "8"], ["landscape", "lotz:n=8", "--o", "{out}"]],
+    )
+    def test_abbreviated_flags_are_rejected(self, capsys, tmp_path, argv):
+        out = tmp_path / "f.txt"
+        rc, stdout, err = run_main(capsys, [arg.format(out=out) for arg in argv])
+        assert (rc, stdout) == (1, "")
+        assert err.startswith("error:")
+        assert not out.exists()
+
+
+def readme_commands() -> list[str]:
+    """Every bibench line of the README's command line block."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", readme, re.DOTALL).group(1)
+    return [line for line in block.splitlines() if line.startswith("bibench ")]
+
+
+def test_readme_has_command_examples():
+    assert len(readme_commands()) >= 8
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line):
+    argv = shlex.split(line, comments=True)
+    assert argv[0] == "bibench"
+    _build_parser().parse_args(argv[1:])
 
 
 class TestModuleEntryPoint:

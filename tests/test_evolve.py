@@ -32,10 +32,9 @@ class TestTargets:
         assert Target.coverage(1).fraction == Fraction(1)
 
     def test_coverage_range(self):
-        with pytest.raises(ValidationError):
-            Target.coverage(0)
-        with pytest.raises(ValidationError):
-            Target.coverage(1.5)
+        for bad in (0, 1.5, True, float("nan"), float("inf"), float("-inf"), "0.5", None):
+            with pytest.raises(ValidationError):
+                Target.coverage(bad)
 
     def test_front_point_coerces_ints(self):
         assert Target.front_point((3, 5)).vector == (3, 5)

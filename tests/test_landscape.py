@@ -287,18 +287,6 @@ class TestCaps:
         with pytest.raises(ValidationError):
             enumeration_cap()
 
-    def test_explicit_cap_beats_env(self, monkeypatch):
-        monkeypatch.setenv(CAP_ENV_VAR, "4")
-        assert enumerate_landscape(validate("omm", 8), cap=8).n == 8
-        with pytest.raises(EnumerationCapError):
-            enumerate_landscape(validate("omm", 8), cap=6)
-
-    def test_bad_override(self):
-        with pytest.raises(ValidationError):
-            enumeration_cap(0)
-        with pytest.raises(ValidationError):
-            enumeration_cap(True)
-
 
 class TestReportMemo:
     def test_only_the_latest_report_is_kept(self):
