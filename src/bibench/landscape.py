@@ -1,6 +1,11 @@
 """Exhaustive landscape analysis: Pareto structure, local optima, and the
 seven characteristic flags, all computed exactly by enumeration.
 
+Enumeration works on byte planes: 2^n bytes whose byte i is a value of the
+string with index i. Every stage is a whole-plane operation (bytes.translate,
+slicing, a Counter over a memoryview, big-int arithmetic on byte lanes), so
+no Python loop runs per string.
+
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
 """
@@ -8,24 +13,41 @@ accidental huge requests fail fast with a clear error.
 from __future__ import annotations
 
 import os
+import sys
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .bitstring import BitString
 from .dominance import nondominated_sort
 from .errors import EnumerationCapError, ValidationError
-from .problems import ObjectiveVector, ProblemInstance, index_evaluator
+from .problems import STATISTIC_PLANES, ObjectiveVector, ProblemInstance, objective_planes
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
+# Peak resident memory of enumerate_landscape plus characteristic_profile
+# per string of the cube, rounded up from the largest measured over the
+# families at n = 24 (368 MB, see README). MAX_CAP is the largest n whose
+# estimate fits MEMORY_LIMIT.
+BYTES_PER_STRING = 24
+MEMORY_LIMIT = 16 << 30
+MAX_CAP = (MEMORY_LIMIT // BYTES_PER_STRING).bit_length() - 1
+
 LOW_RATIO_THRESHOLD = Fraction(1, 2)
 
-# _REV8[b] is the byte b with its eight bits in reverse order.
-_REV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+def _estimated_memory(n: int) -> str:
+    """Estimated peak memory of analysing all 2^n strings, n <= 63, for messages."""
+    size = BYTES_PER_STRING << n
+    scale = min((size.bit_length() - 1) // 10, 6)
+    unit = ("B", "KiB", "MiB", "GiB", "TiB", "PiB", "EiB")[scale]
+    return f"about {size / 1024**scale:.0f} {unit}"
 
 
 def enumeration_cap() -> int:
@@ -39,6 +61,11 @@ def enumeration_cap() -> int:
         raise ValidationError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
     if value < 1:
         raise ValidationError(f"{CAP_ENV_VAR} must be positive, got {value}")
+    if value > MAX_CAP:
+        raise ValidationError(
+            f"{CAP_ENV_VAR} must be at most {MAX_CAP}, got {value}"
+            f" (n={MAX_CAP} already needs {_estimated_memory(MAX_CAP)})"
+        )
     return value
 
 
@@ -102,16 +129,33 @@ class CharacteristicProfile:
         )
 
 
+class _Vectors(Sequence):
+    """Read-only view of two objective planes: item i is the pair (f1, f2)
+    of the string with index i."""
+
+    __slots__ = ("_f1", "_f2")
+
+    def __init__(self, f1: bytes, f2: bytes):
+        self._f1 = f1
+        self._f2 = f2
+
+    def __len__(self) -> int:
+        return len(self._f1)
+
+    def __getitem__(self, i: int) -> ObjectiveVector:
+        return self._f1[i], self._f2[i]
+
+
 @dataclass(frozen=True)
 class LandscapeReport:
     instance: ProblemInstance
-    # values[i] is the objective pair of the string with index i.
-    values: tuple[ObjectiveVector, ...] = field(repr=False, compare=False)
-    pareto_set_indices: tuple[int, ...]
+    # planes[j][i] is objective j+1 at the string with index i.
+    planes: tuple[bytes, bytes] = field(repr=False, compare=False)
+    pareto_set_indices: array
     front_counts: tuple[tuple[ObjectiveVector, int], ...]
     levels: tuple[tuple[ObjectiveVector, ...], ...]
     vector_counts: dict[ObjectiveVector, int]
-    local_optima_indices: tuple[int, ...]
+    local_optima_indices: array
     local_front_counts: tuple[tuple[ObjectiveVector, int], ...]
     component_count: int
     ratio: Fraction
@@ -120,6 +164,11 @@ class LandscapeReport:
     @property
     def n(self) -> int:
         return self.instance.n
+
+    @property
+    def values(self) -> Sequence[ObjectiveVector]:
+        """values[i] is the objective pair of the string with index i."""
+        return _Vectors(*self.planes)
 
     @property
     def pareto_set(self) -> tuple[BitString, ...]:
@@ -157,17 +206,78 @@ def _component_count(mask: bytearray, n: int) -> int:
     return components
 
 
-def _bit_reverser(n: int):
-    """Map an n-bit index to the index of its mirror image (bit order
-    reversed), one byte-table lookup per byte; valid for any n >= 1."""
-    width = (n + 7) // 8
-    shift = 8 * width - n
-    from_bytes = int.from_bytes
+def _bit_component_count(members: int, n: int) -> int:
+    """Connected components of the Hamming-distance-1 graph on the set bits
+    of members (bit i set when index i is a member). Each component grows
+    from its lowest member by sweeps over the whole cube, one shift pair per
+    index bit, until a sweep adds nothing."""
+    size = 1 << n
+    cube = (1 << size) - 1
+    clear = []
+    for b in range(n):
+        if b < 3:
+            pattern = bytes([(0x55, 0x33, 0x0F)[b]]) * max(1, size >> 3)
+        else:
+            half = 1 << (b - 3)
+            pattern = (b"\xff" * half + bytes(half)) * (size >> (b + 1))
+        clear.append(int.from_bytes(pattern, "little") & cube)
+    components = 0
+    while members:
+        components += 1
+        grown = members & -members
+        seen = 0
+        while grown != seen:
+            seen = grown
+            for b, low in enumerate(clear):
+                step = 1 << b
+                grown |= ((grown & low) << step | (grown >> step) & low) & members
+        members ^= grown
+    return components
 
-    def mirror(i: int) -> int:
-        return from_bytes(i.to_bytes(width, "little").translate(_REV8), "big") >> shift
 
-    return mirror
+def _pack_bits(flags: bytes) -> int:
+    """The int whose bit i is byte i of flags, every byte 0 or 1."""
+    packed = 0
+    for k in range(8):
+        packed |= int.from_bytes(flags[k::8], "little") << k
+    return packed
+
+
+def _lanes(size: int, byte: int) -> int:
+    """size byte lanes, each holding byte."""
+    return int.from_bytes(bytes([byte]) * size, "little")
+
+
+def _local_optima(f1: bytes, f2: bytes, member: bytes, n: int) -> bytes:
+    """Byte i nonzero exactly when string i is a non-global local optimum:
+    not a member and no neighbour strictly dominates it (an equal-valued
+    neighbour does not count).
+
+    Lanes are the bytes of a plane read as one int. All values are at most
+    127, so ((X | G) - Y) with G = 0x80 in every lane has lane i's bit 7 set
+    exactly when x_i >= y_i, and no lane borrows from the next. For index bit
+    b, the lanes with bit b clear meet their neighbours 2^b lanes up."""
+    size = 1 << n
+    guard = _lanes(size, 0x80)
+    a1, a2 = (int.from_bytes(p, "little") for p in (f1, f2))
+    a1g, a2g = a1 | guard, a2 | guard
+    marked = int.from_bytes(member, "little") << 7
+    for b in range(n):
+        step = 1 << b
+        shift = 8 << b
+        up1, up2 = a1 >> shift, a2 >> shift
+        up_weak = ((up1 | guard) - a1) & ((up2 | guard) - a2)
+        own_weak = (a1g - up1) & (a2g - up2)
+        del up1, up2
+        lanes = int.from_bytes((b"\x80" * step + bytes(step)) * (size >> (b + 1)), "little")
+        # Weakly better in one direction only is strictly better.
+        strict = (up_weak ^ own_weak) & lanes
+        marked |= (strict & up_weak) | (strict & own_weak) << shift
+    return (marked ^ guard).to_bytes(size, "little")
+
+
+# Byte 0 maps to 1, every other byte to 0.
+_IS_ZERO = b"\x01" + bytes(255)
 
 
 def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
@@ -175,7 +285,8 @@ def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
     limit = enumeration_cap()
     if inst.n > limit:
         raise EnumerationCapError(
-            f"n={inst.n} exceeds the enumeration cap {limit}; set {CAP_ENV_VAR} to raise it"
+            f"n={inst.n} exceeds the enumeration cap {limit} and would need"
+            f" {_estimated_memory(inst.n)}; set {CAP_ENV_VAR} (at most {MAX_CAP}) to raise it"
         )
     return _report(inst)
 
@@ -185,49 +296,56 @@ def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
 @lru_cache(maxsize=1)
 def _report(inst: ProblemInstance) -> LandscapeReport:
     n = inst.n
-    ev = index_evaluator(inst)
-    # Built from a list: tuple() of an iterator grows the tuple step by step,
-    # which costs about a third more at n = 18.
-    values = tuple([ev(i) for i in range(1 << n)])
-    assignment = nondominated_sort(values)
+    size = 1 << n
+    f1, f2 = objective_planes(inst)
+
+    # One count over the 4-byte words (f1, f2, ones, 0) of every string
+    # gives the image with its multiplicities and the ones tables.
+    words = bytearray(4 * size)
+    words[0::4] = f1
+    words[1::4] = f2
+    words[2::4] = STATISTIC_PLANES["ones"](n, None)
+    by_word = Counter(memoryview(words).cast("I"))
+    del words
+    triples = [(*word.to_bytes(4, sys.byteorder)[:3], count) for word, count in by_word.items()]
+    vector_counts: dict[ObjectiveVector, int] = {}
+    for a, b, _, count in triples:
+        vector_counts[a, b] = vector_counts.get((a, b), 0) + count
+    assignment = nondominated_sort(vector_counts)
     level_by_vector = assignment.level_by_vector
-    front = set(assignment.levels[0])
+    front = assignment.levels[0]
 
-    ps = [i for i, v in enumerate(values) if v in front]
-    members = bytearray(1 << n)
-    for i in ps:
-        members[i] = 1
+    # A front vector is the only one on the front with its f1, so string i
+    # is a member when its f2 is the front's f2 at its f1.
+    front_f2 = bytearray(b"\xff" * 256)
+    for a, b in front:
+        front_f2[a] = b
+    paired = int.from_bytes(f1.translate(front_f2), "little") ^ int.from_bytes(f2, "little")
+    member = paired.to_bytes(size, "little").translate(_IS_ZERO)
+    del paired
+    local_mask = _local_optima(f1, f2, member, n)
+    local = array("I", compress(range(size), local_mask))
+    lo_counter = Counter(zip(compress(f1, local_mask), compress(f2, local_mask)))
+    ps = array("I", compress(range(size), member))
 
-    # A string is a local optimum when no neighbor strictly dominates it;
-    # an equal-valued neighbor does not disqualify it.
-    bits = [1 << b for b in range(n)]
-    local = []
-    for i, (a, b) in enumerate(values):
-        if members[i]:
-            continue
-        for bit in bits:
-            c, d = values[i ^ bit]
-            if c >= a and d >= b and (c > a or d > b):
-                break
-        else:
-            local.append(i)
-    # Counting clears the mask, so it comes after the scan that reads it.
-    components = _component_count(members, n)
+    # Whole-cube floods cost a pass over the cube per sweep and component;
+    # the byte flood costs a step per member. Sparse Pareto sets, with their
+    # many isolated members (orzr, ojzr), take the byte flood.
+    if len(ps) > size >> 4:
+        components = _bit_component_count(_pack_bits(member), n)
+    else:
+        components = _component_count(bytearray(member), n)
 
-    front_counts = tuple(
-        (v, assignment.counts[v]) for v in sorted(front)
-    )
-    lo_counter = Counter(values[i] for i in local)
+    front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
     local_front_counts = tuple((v, lo_counter[v]) for v in sorted(lo_counter))
 
     ones_f1 = [Counter() for _ in range(n + 1)]
     ones_f2 = [Counter() for _ in range(n + 1)]
     ones_level = [Counter() for _ in range(n + 1)]
-    by_ones = Counter(zip(map(int.bit_count, range(1 << n)), values))
-    for (ones, vec), count in by_ones.items():
-        ones_f1[ones][vec[0]] += count
-        ones_f2[ones][vec[1]] += count
-        ones_level[ones][level_by_vector[vec]] += count
+    for a, b, ones, count in triples:
+        ones_f1[ones][a] += count
+        ones_f2[ones][b] += count
+        ones_level[ones][level_by_vector[a, b]] += count
 
     ones_tables = tuple(
         (
@@ -243,15 +361,15 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
 
     return LandscapeReport(
         instance=inst,
-        values=values,
-        pareto_set_indices=tuple(ps),
+        planes=(f1, f2),
+        pareto_set_indices=ps,
         front_counts=front_counts,
         levels=assignment.levels,
-        vector_counts=dict(assignment.counts),
-        local_optima_indices=tuple(local),
+        vector_counts=vector_counts,
+        local_optima_indices=local,
         local_front_counts=local_front_counts,
         component_count=components,
-        ratio=Fraction(len(ps), 1 << n),
+        ratio=Fraction(len(ps), size),
         ones_tables=ones_tables,
     )
 
@@ -267,16 +385,34 @@ def is_completely_conflicting(inst: ProblemInstance) -> bool:
     return True
 
 
+def _mirror_pairs(n: int) -> list[tuple[int, int]]:
+    """Transpositions of index bits whose product reverses an n-bit index."""
+    return [(b, n - 1 - b) for b in range(n // 2)]
+
+
+def _mirror(plane: bytes, n: int) -> bytes:
+    """The plane with byte i moved to byte rev(i), where rev reverses the n
+    bits of an index. Each transposition of index bits b < c is one delta
+    swap: the lanes with bit b set and bit c clear trade places with the
+    lanes 2^c - 2^b above them."""
+    size = 1 << n
+    x = int.from_bytes(plane, "little")
+    for b, c in _mirror_pairs(n):
+        shift = 8 * ((1 << c) - (1 << b))
+        period = (bytes(1 << b) + b"\xff" * (1 << b)) * (1 << (c - b - 1)) + bytes(1 << c)
+        t = (x ^ x >> shift) & int.from_bytes(period * (size >> (c + 1)), "little")
+        x ^= t ^ t << shift
+    return x.to_bytes(size, "little")
+
+
 def is_symmetric_pair(inst: ProblemInstance) -> bool:
     """True when complementing plus mirroring every string swaps the two
     objectives everywhere."""
-    n = inst.n
-    values = enumerate_landscape(inst).values
-    mirror = _bit_reverser(n)
-    mask = (1 << n) - 1
-    return all(
-        values[mirror(i) ^ mask] == (b, a) for i, (a, b) in enumerate(values)
-    )
+    # Complementing and mirroring is an involution, so f1 after it equal to
+    # f2 everywhere also gives f2 after it equal to f1. Complementing an
+    # index reverses the plane.
+    f1, f2 = enumerate_landscape(inst).planes
+    return _mirror(f1[::-1], inst.n) == f2
 
 
 def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityReport:
@@ -290,30 +426,32 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
     if isinstance(objective, bool) or objective not in (1, 2):
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
     n = inst.n
-    values = enumerate_landscape(inst).values
-    pick = objective - 1
+    size = 1 << n
+    plane = enumerate_landscape(inst).planes[objective - 1]
+    p = int.from_bytes(plane, "little")
+    guard = _lanes(size, 0x80)
     deltas = []
     for position in range(1, n + 1):
-        bit = 1 << (n - position)
-        first_context = None
-        first_delta = None
-        for i in range(1 << n):
-            if i & bit:
-                continue
-            d = values[i | bit][pick] - values[i][pick]
-            if first_delta is None:
-                first_context, first_delta = i, d
-            elif d != first_delta:
-                return SeparabilityReport(
-                    objective=objective,
-                    separable=False,
-                    contributions=None,
-                    witness_position=position,
-                    witness=(BitString(n, first_context), BitString(n, i)),
-                    witness_deltas=(first_delta, d),
-                )
-        deltas.append(first_delta)
-    base = values[0][pick]
+        b = n - position
+        step = 1 << b
+        # Context 0 comes first; lane i of `offset` is 128 plus the flip
+        # delta at context i, xor 128 plus the delta at context 0, so on the
+        # contexts (bit b clear) it is zero where the two deltas agree.
+        first = plane[step] - plane[0]
+        contexts = int.from_bytes((b"\xff" * step + bytes(step)) * (size >> (b + 1)), "little")
+        offset = (((p >> 8 * step | guard) - p) ^ _lanes(size, 128 + first)) & contexts
+        if offset:
+            i = ((offset & -offset).bit_length() - 1) >> 3
+            return SeparabilityReport(
+                objective=objective,
+                separable=False,
+                contributions=None,
+                witness_position=position,
+                witness=(BitString(n, 0), BitString(n, i)),
+                witness_deltas=(first, plane[i + step] - plane[i]),
+            )
+        deltas.append(first)
+    base = plane[0]
     contributions = [(0, d) for d in deltas]
     contributions[0] = (base, base + deltas[0])
     return SeparabilityReport(

@@ -194,13 +194,13 @@ def _set_claim(
 def verify(inst: ProblemInstance) -> VerificationReport:
     """Compare every closed-form claim for the instance against enumeration."""
     report = enumerate_landscape(inst)
-    values = report.values
     n = inst.n
     must = inst.info.exact
     pareto = inst.info.pareto_set(n, inst.k, inst.l)
+    f1, f2 = report.planes
 
     def show(i: int) -> str:
-        return f"{BitString(n, i)} -> {values[i]}"
+        return f"{BitString(n, i)} -> {report.values[i]}"
 
     claims = [
         _set_claim(
@@ -221,7 +221,7 @@ def verify(inst: ProblemInstance) -> VerificationReport:
             "claimed_front",
             must,
             set(claimed_front_tuples(inst)),
-            {values[i] for i in pareto},
+            set(zip(map(f1.__getitem__, pareto), map(f2.__getitem__, pareto))),
             str,
         ),
     ]

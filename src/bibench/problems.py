@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import compress
 from typing import Callable
 
 from .bitstring import MAX_LENGTH, BitString
@@ -75,6 +76,61 @@ STATISTICS = {
     "all-zeroes blocks": partial(_blocks, False),
 }
 
+# The same statistics as byte planes: a plane builder takes (n, l) and
+# returns 2^n bytes whose byte i is the statistic at index i. Each builder
+# starts from the empty string's plane and doubles it, prepending one index
+# bit (or one block) at a time: the lower half of the new plane is the new
+# bit clear, the upper half set.
+
+_INC = bytes(range(1, 256)) + b"\0"
+
+
+def _ones_plane(n, l, p=b"\0"):
+    for _ in range(n):
+        p = p + p.translate(_INC)
+    return p
+
+
+def _leading_ones_plane(n, l):
+    p = b"\0"
+    for m in range(n):
+        p = bytes(1 << m) + p.translate(_INC)
+    return p
+
+
+def _trailing_zeroes_plane(n, l):
+    # Only the all-zero string gains a trailing zero when a 0 is prepended.
+    p = b"\0"
+    for m in range(n):
+        p = bytes([m + 1]) + p[1:] + p
+    return p
+
+
+def _half_mix_plane(n, l):
+    half = n // 2
+    p = b"\0"
+    for _ in range(half):
+        p = p.translate(_INC) + p
+    return _ones_plane(n - half, l, p)
+
+
+def _blocks_plane(want_ones: bool, n, l):
+    p = b"\0"
+    for _ in range(n // l):
+        rest = p * ((1 << l) - 1)
+        p = rest + p.translate(_INC) if want_ones else p.translate(_INC) + rest
+    return p
+
+
+STATISTIC_PLANES = {
+    "ones": _ones_plane,
+    "leading ones": _leading_ones_plane,
+    "trailing zeroes": _trailing_zeroes_plane,
+    "first-half ones plus second-half zeroes": _half_mix_plane,
+    "all-ones blocks": partial(_blocks_plane, True),
+    "all-zeroes blocks": partial(_blocks_plane, False),
+}
+
 
 def _identity(n, k, l):
     return list(range(n + 1))
@@ -115,13 +171,6 @@ def _block_length(n, k, l):
     return None
 
 
-def _block_profile(n: int, l: int, index: int) -> list[int]:
-    """Ones count per block, left to right."""
-    b = n // l
-    mask = (1 << l) - 1
-    return [((index >> (n - (j + 1) * l)) & mask).bit_count() for j in range(b)]
-
-
 def _completed_indices(n, k, l) -> set[int]:
     """All strings whose blocks are each all-ones or all-zeroes."""
     out = {0}
@@ -140,45 +189,84 @@ def _block_prefixes(n, k, l):
     return {i for i in _prefixes(n, k, l) if i.bit_count() % l == 0}
 
 
+# The closed forms below that filter the whole cube read statistic planes:
+# each test is a 256-entry table applied to a plane with bytes.translate.
+
+
+def _mark(plane: bytes, test) -> bytes:
+    """Byte i is 1 where test holds for byte i of the plane, else 0."""
+    return plane.translate(bytes(test(v) for v in range(256)))
+
+
+def _where(*marks: bytes) -> set[int]:
+    """The indices marked in every one of the marks."""
+    both = marks[0]
+    for mark in marks[1:]:
+        both = (int.from_bytes(both, "little") & int.from_bytes(mark, "little")).to_bytes(
+            len(mark), "little"
+        )
+    return set(compress(range(len(both)), both))
+
+
+def _block_automaton(n, l, move) -> bytes:
+    """Plane of the state an automaton reaches from state 0 by reading the
+    blocks left to right; move(state, ones) is its step on a block with that
+    many ones. Appending a block at the low end of the index puts the states
+    after block value v at every 2^l-th byte from byte v."""
+    width = 1 << l
+    by_ones = [bytes(move(s, ones) for s in range(256)) for ones in range(l + 1)]
+    moves = [by_ones[v.bit_count()] for v in range(width)]
+    p = b"\0"
+    for _ in range(n // l):
+        q = bytearray(len(p) * width)
+        for v, table in enumerate(moves):
+            q[v::width] = p.translate(table)
+        p = bytes(q)
+    return p
+
+
 def _ojzr_pareto_set(n, k, l):
     # A completed string with n - k ones has exactly k // l zero blocks, so
     # the two sets overlap only when l divides k.
-    zero_blocks = _blocks(False, n, l)
     keep = {i for i in _completed_indices(n, k, l) if i.bit_count() <= n - k}
-    keep |= {i for i in range(1 << n) if i.bit_count() == n - k and zero_blocks(i) == k // l}
+    keep |= _where(
+        _mark(_ones_plane(n, l), lambda s: s == n - k),
+        _mark(_blocks_plane(False, n, l), lambda z: z == k // l),
+    )
     return keep | {(1 << n) - 1}
 
 
 def _orzr_local_optima(n, k, l):
-    out = set()
-    for i in range(1 << n):
-        open_blocks = [
-            ones for ones in _block_profile(n, l, i) if 0 < ones < l
-        ]
-        if open_blocks and all(2 <= ones <= l - 2 for ones in open_blocks):
-            out.add(i)
-    return out
+    # State 0: every block so far all-ones or all-zeroes; 1: some block
+    # open with 2 to l - 2 ones, none with 1 or l - 1; 2: one with 1 or l - 1.
+    def move(state, ones):
+        if ones in (0, l):
+            return state
+        return max(state, 1) if 2 <= ones <= l - 2 else 2
+
+    return _where(_mark(_block_automaton(n, l, move), lambda state: state == 1))
 
 
 def _lozr_local_optima(n, k, l):
-    lead_of = _leading_ones(n, l)
-    candidates = set()
-    for i in range(1 << n):
-        lead = lead_of(i)
-        if lead % l or lead == n:
-            continue
-        profile = _block_profile(n, l, i)
-        head = lead // l
-        if profile[head] != 0:
-            continue
-        if all(profile[j] != 1 for j in range(head + 1, n // l)):
-            candidates.add(i)
-    return candidates - _block_prefixes(n, k, l)
+    # Full blocks, then an all-zero block, then blocks none of which holds
+    # exactly one 1, not all zero (those strings are block prefixes).
+    # State 0: only full blocks so far; 1: then a zero block and zero blocks;
+    # 2: then some block with two or more ones; 3: rejected.
+    def move(state, ones):
+        if state == 0:
+            return 0 if ones == l else 1 if ones == 0 else 3
+        if state == 3 or ones == 1:
+            return 3
+        return 1 if state == 1 and ones == 0 else 2
+
+    return _where(_mark(_block_automaton(n, l, move), lambda state: state == 2))
 
 
 def _ojzr_local_optima(n, k, l):
-    zero_blocks = _blocks(False, n, l)
-    return {i for i in range(1 << n) if i.bit_count() == n - k and zero_blocks(i) < k // l}
+    return _where(
+        _mark(_ones_plane(n, l), lambda s: s == n - k),
+        _mark(_blocks_plane(False, n, l), lambda z: z < k // l),
+    )
 
 
 def _diagonal_front(n, k, l):
@@ -231,8 +319,9 @@ _CATALOG = (
                pareto_set=_prefixes, front=_diagonal_front),
     FamilyInfo("ojzj", ("one-jump", "zero-jump"), ("k",), "1 <= k < n/2",
                rule=lambda n, k, l: None if 1 <= k and 2 * k < n else "requires 1 <= k < n/2",
-               pareto_set=lambda n, k, l: {0, (1 << n) - 1}
-               | {i for i in range(1 << n) if k <= i.bit_count() <= n - k},
+               pareto_set=lambda n, k, l: _where(
+                   _mark(_ones_plane(n, l), lambda s: s in (0, n) or k <= s <= n - k)
+               ),
                front=lambda n, k, l: {(k, n + k), (n + k, k)}
                | {(k + s, n + k - s) for s in range(k, n - k + 1)}),
     FamilyInfo("cocz", ("ones", "ones in first half plus zeroes in second half"), (), "n even",
@@ -248,7 +337,9 @@ _CATALOG = (
                pareto_set=_prefixes, front=_diagonal_front),
     FamilyInfo("omzj", ("ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
-               pareto_set=lambda n, k, l: {0} | {i for i in range(1 << n) if i.bit_count() >= k},
+               pareto_set=lambda n, k, l: _where(
+                   _mark(_ones_plane(n, l), lambda s: s == 0 or s >= k)
+               ),
                front=_zero_jump_front),
     FamilyInfo("omzr", ("ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
                rule=_block_length, pareto_set=_completed_indices, front=_block_front),
@@ -256,9 +347,10 @@ _CATALOG = (
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
                pareto_set=lambda n, k, l: {0}
                | {i for i in _prefixes(n, k, l) if i.bit_count() >= k},
-               local_optima=lambda n, k, l: {
-                   i for i in range(1 << n) if i.bit_count() == k and i >> (n - k) != (1 << k) - 1
-               },
+               local_optima=lambda n, k, l: _where(
+                   _mark(_ones_plane(n, l), lambda s: s == k),
+                   _mark(_leading_ones_plane(n, l), lambda lead: lead < k),
+               ),
                front=_zero_jump_front),
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
                rule=_block_length, pareto_set=_block_prefixes,
@@ -347,6 +439,17 @@ def index_evaluator(inst: ProblemInstance):
         for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives)
     )
     return lambda i: (t1[s1(i)], t2[s2(i)])
+
+
+def objective_planes(inst: ProblemInstance) -> tuple[bytes, bytes]:
+    """Both objectives as byte planes: byte i of each is that objective's
+    value at index i, the values index_evaluator gives."""
+    return tuple(
+        STATISTIC_PLANES[statistic](inst.n, inst.l).translate(
+            bytes(table(inst.n, inst.k, inst.l)).ljust(256, b"\0")
+        )
+        for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives)
+    )
 
 
 def evaluate(inst: ProblemInstance, x: BitString) -> ObjectiveVector:

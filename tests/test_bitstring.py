@@ -1,17 +1,25 @@
-"""Bit strings: the value type, its conventions, and the index-level bit
-operations the library keeps (string reversal, block profiles)."""
+"""Bit strings: the value type, its conventions, and the bit operations the
+library keeps (the plane mirror, which reverses strings, and the block
+automaton, which reads blocks left to right)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bibench.bitstring import BitString
 from bibench.errors import ValidationError
-from bibench.landscape import _bit_reverser
-from bibench.problems import _block_profile
+from bibench.landscape import _mirror
+from bibench.problems import _block_automaton
 
 
 def bits(text):
     return BitString.from_text(text)
+
+
+def mirrored(n, index):
+    """Where the plane mirror moves the byte of one index."""
+    plane = bytearray(1 << n)
+    plane[index] = 1
+    return _mirror(bytes(plane), n).index(1)
 
 
 short = st.integers(min_value=1, max_value=12).flatmap(
@@ -61,25 +69,27 @@ class TestAccessors:
         assert [(x.index >> (6 - p)) & 1 for p in range(1, 7)] == [1, 0, 0, 1, 1, 0]
 
     def test_reverse(self):
-        assert _bit_reverser(4)(0b1100) == 0b0011
+        assert mirrored(4, 0b1100) == 0b0011
 
     def test_blocks_left_to_right(self):
+        # An automaton that appends each block's ones count as a base-(l+1)
+        # digit reads the block profile back, leftmost block first.
         x = bits("11010000")
-        assert _block_profile(8, 2, x.index) == [2, 1, 0, 0]
-        assert _block_profile(8, 4, x.index) == [3, 0]
+        digits = _block_automaton(8, 2, lambda s, ones: min(3 * s + ones, 255))
+        assert digits[x.index] == int("2100", 3)
+        digits = _block_automaton(8, 4, lambda s, ones: min(5 * s + ones, 255))
+        assert digits[x.index] == int("30", 5)
 
 
 class TestInvolutions:
     @given(short)
     def test_reverse_involution(self, x):
-        reverse = _bit_reverser(x.n)
-        assert reverse(reverse(x.index)) == x.index
+        assert mirrored(x.n, mirrored(x.n, x.index)) == x.index
 
     @given(short)
     def test_complement_and_reverse_commute(self, x):
-        reverse = _bit_reverser(x.n)
         top = (1 << x.n) - 1
-        assert reverse(x.index ^ top) == reverse(x.index) ^ top
+        assert mirrored(x.n, x.index ^ top) == mirrored(x.n, x.index) ^ top
 
     @given(short)
     def test_text_round_trip(self, x):

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from bibench.cli import (
     main,
 )
 from bibench.errors import ValidationError
-from bibench.landscape import CAP_ENV_VAR, enumerate_landscape, render_report
+from bibench.landscape import CAP_ENV_VAR, MAX_CAP, enumerate_landscape, render_report
 from bibench.oracles import ClaimResult, VerificationReport
 from bibench.problems import parse_descriptor
 
@@ -443,7 +444,21 @@ class TestUsageErrors:
         out = tmp_path / "x.txt"
         rc, stdout, err = run_main(capsys, [arg.format(out=out) for arg in argv])
         assert (rc, stdout) == (1, "")
-        assert err == f"error: n=10 exceeds the enumeration cap 8; set {CAP_ENV_VAR} to raise it\n"
+        assert err == (
+            f"error: n=10 exceeds the enumeration cap 8 and would need about 24 KiB;"
+            f" set {CAP_ENV_VAR} (at most {MAX_CAP}) to raise it\n"
+        )
+        assert not out.exists()
+
+    def test_env_var_above_the_largest_cap_fails_fast(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(CAP_ENV_VAR, "40")
+        out = tmp_path / "x.txt"
+        start = time.perf_counter()
+        rc, stdout, err = run_main(capsys, ["landscape", "omm:n=30", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert (rc, stdout) == (1, "")
+        assert err.startswith(f"error: {CAP_ENV_VAR} must be at most {MAX_CAP}, got 40")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """Exhaustive landscape analysis: frozen exact counts per family, the seven
 characteristic flags, separability, symmetry, front shapes, caps and the
 one-slot report memo, plus brute-force references for the enumeration
-core's flat-array helpers."""
+core's plane helpers."""
 
 import math
 from collections import Counter
@@ -11,14 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibench import problems
 from bibench.bitstring import BitString
 from bibench.errors import EnumerationCapError, ValidationError
 from bibench.landscape import (
+    BYTES_PER_STRING,
     CAP_ENV_VAR,
     DEFAULT_CAP,
+    MAX_CAP,
+    MEMORY_LIMIT,
     FrontShape,
-    _bit_reverser,
+    _bit_component_count,
     _component_count,
+    _mirror,
+    _mirror_pairs,
     _report,
     characteristic_profile,
     enumerate_landscape,
@@ -237,6 +243,35 @@ class TestSeparability:
         assert (da, db) == rep.witness_deltas
         assert da != db
 
+    @pytest.mark.parametrize(
+        "descriptor", ["lotz:n=6", "omtz:n=7", "ojzj:n=8,k=2", "orzr:n=8,l=2", "lozr:n=8,l=2"]
+    )
+    def test_witness_is_the_first_context_that_differs(self, descriptor):
+        # Positions in order 1..n; within one, contexts by index, context 0 first.
+        inst = parse_descriptor(descriptor)
+        n = inst.n
+        for objective in (1, 2):
+            expected = None
+            for position in range(1, n + 1):
+                bit = 1 << (n - position)
+                contexts = [i for i in range(1 << n) if not i & bit]
+                deltas = [
+                    evaluate(inst, BitString(n, i | bit))[objective - 1]
+                    - evaluate(inst, BitString(n, i))[objective - 1]
+                    for i in contexts
+                ]
+                odd = next((c for c, d in zip(contexts, deltas) if d != deltas[0]), None)
+                if odd is not None:
+                    expected = (position, (0, odd), (deltas[0], deltas[contexts.index(odd)]))
+                    break
+            rep = is_fully_separable(inst, objective)
+            found = None if rep.separable else (
+                rep.witness_position,
+                tuple(x.index for x in rep.witness),
+                rep.witness_deltas,
+            )
+            assert found == expected, (descriptor, objective)
+
     def test_objective_selector_is_validated(self):
         with pytest.raises(ValidationError):
             is_fully_separable(validate("omm", 4), 3)
@@ -286,6 +321,20 @@ class TestCaps:
         monkeypatch.setenv(CAP_ENV_VAR, "0")
         with pytest.raises(ValidationError):
             enumeration_cap()
+
+    def test_env_var_is_bounded_by_the_memory_estimate(self, monkeypatch):
+        # MAX_CAP is the largest n whose estimated peak fits the limit.
+        assert BYTES_PER_STRING << MAX_CAP <= MEMORY_LIMIT < BYTES_PER_STRING << (MAX_CAP + 1)
+        monkeypatch.setenv(CAP_ENV_VAR, str(MAX_CAP))
+        assert enumeration_cap() == MAX_CAP
+        monkeypatch.setenv(CAP_ENV_VAR, str(MAX_CAP + 1))
+        with pytest.raises(ValidationError, match=f"at most {MAX_CAP}"):
+            enumeration_cap()
+
+    def test_cap_error_states_the_memory_estimate(self, monkeypatch):
+        monkeypatch.setenv(CAP_ENV_VAR, "10")
+        with pytest.raises(EnumerationCapError, match="would need about 96 KiB"):
+            enumerate_landscape(validate("omm", 12))
 
 
 class TestReportMemo:
@@ -384,14 +433,34 @@ class TestFlatHelpers:
         assert _component_count(mask, n) == reference_component_count(members, n)
         assert not any(mask)
 
+    @given(cube_subsets)
+    @settings(max_examples=200)
+    def test_bit_component_count_matches_reference(self, case):
+        n, members = case
+        bits = sum(1 << i for i in members)
+        assert _bit_component_count(bits, n) == reference_component_count(members, n)
+
     @pytest.mark.parametrize("n", range(1, 64))
     def test_bit_reverser_matches_string_reversal(self, n):
-        reverse = _bit_reverser(n)
+        # The mirror's index-bit transpositions reverse every n-bit string.
         top = (1 << n) - 1
         samples = {0, 1, top, top >> 1, 1 << (n - 1), 0x5555555555555555 & top}
         samples.update((i * 0x9E3779B97F4A7C15) & top for i in range(1, 200))
         for i in samples:
-            assert reverse(i) == int(format(i, f"0{n}b")[::-1], 2), (n, i)
+            j = i
+            for b, c in _mirror_pairs(n):
+                if (j >> b ^ j >> c) & 1:
+                    j ^= 1 << b | 1 << c
+            assert j == int(format(i, f"0{n}b")[::-1], 2), (n, i)
+        # The plane mirror moves the byte of index i to its reversal; two
+        # planes carry the low and the high byte of each index.
+        if n <= 16:
+            size = 1 << n
+            for shift in (0, 8):
+                plane = bytes((i >> shift) & 0xFF for i in range(size))
+                out = _mirror(plane, n)
+                for i in range(size):
+                    assert out[int(format(i, f"0{n}b")[::-1], 2)] == plane[i], (n, i)
 
 
 def _dominates(a, b):
@@ -466,8 +535,8 @@ class TestBruteForceCrossCheck:
 
         rep = enumerate_landscape(inst)
         assert all(rep.values[x.index] == v for x, v in vec.items())
-        assert rep.pareto_set_indices == tuple(sorted(x.index for x in pareto))
-        assert rep.local_optima_indices == tuple(sorted(x.index for x in local))
+        assert tuple(rep.pareto_set_indices) == tuple(sorted(x.index for x in pareto))
+        assert tuple(rep.local_optima_indices) == tuple(sorted(x.index for x in local))
         assert rep.component_count == components
         assert [
             (ones, (t.f1_counts, t.f2_counts, t.level_counts))
@@ -499,3 +568,23 @@ class TestReportProperties:
         for ones, summary in enumerate_landscape(inst).ones_tables:
             for counts in (summary.f1_counts, summary.f2_counts, summary.level_counts):
                 assert sum(c for _, c in counts) == math.comb(n, ones)
+
+
+class TestPlanesOnly:
+    def test_enumeration_evaluates_no_string(self, monkeypatch):
+        """Enumeration and the profile read only planes: with every
+        index-level statistic raising, both still succeed."""
+
+        def refuse(n, l):
+            raise AssertionError("index-level statistic called during enumeration")
+
+        for name in problems.STATISTICS:
+            monkeypatch.setitem(problems.STATISTICS, name, refuse)
+        problems.index_evaluator.cache_clear()
+        _report.cache_clear()
+        inst = validate("ojzr", 12, k=5, l=3)
+        assert summary_line(enumerate_landscape(inst)) == (
+            "|PS|=156 ratio=39/1024 components=120 |LO|=648"
+        )
+        assert characteristic_profile(inst).flags == (True,) * 7
+        _report.cache_clear()

@@ -8,11 +8,13 @@ from bibench.oracles import grid_instances
 from bibench.problems import (
     FAMILY_NAMES,
     OBJECTIVES,
+    STATISTIC_PLANES,
     STATISTICS,
     ProblemInstance,
     evaluate,
     family_catalog,
     index_evaluator,
+    objective_planes,
     parse_descriptor,
     validate,
 )
@@ -275,3 +277,28 @@ class TestEvaluation:
         a = validate("ojzr", 12, k=5, l=3)
         b = ProblemInstance("ojzr", 12, 5, 3)
         assert a == b and hash(a) == hash(b)
+
+
+class TestPlanes:
+    """The byte-plane form of each statistic and objective against the
+    index-level form."""
+
+    def test_every_statistic_has_a_plane(self):
+        assert STATISTIC_PLANES.keys() == STATISTICS.keys()
+
+    @pytest.mark.parametrize("name", list(STATISTICS))
+    def test_statistic_planes_match_the_index_form(self, name):
+        for n in range(1, 13):
+            # Block statistics take every block length dividing n.
+            lengths = [l for l in range(1, n + 1) if n % l == 0] if "blocks" in name else [None]
+            for l in lengths:
+                expected = bytes(map(STATISTICS[name](n, l), range(1 << n)))
+                assert STATISTIC_PLANES[name](n, l) == expected, (name, n, l)
+
+    def test_objective_planes_match_index_evaluator(self):
+        instances = grid_instances(None, range(1, 13))
+        assert len(instances) == 248
+        for inst in instances:
+            ev = index_evaluator(inst)
+            f1, f2 = objective_planes(inst)
+            assert list(zip(f1, f2)) == [ev(i) for i in range(1 << inst.n)], inst.descriptor
