@@ -133,7 +133,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    """Seed list grammar: '7', '1,2,9', or inclusive range '1..50'; at most MAX_SEEDS."""
+    """Seed list grammar: '7', '1,2,9', or inclusive range '1..50'; at most
+    MAX_SEEDS seeds, none negative."""
     text = text.strip()
     try:
         if ".." in text:
@@ -149,6 +150,10 @@ def _parse_seeds(text: str) -> list[int]:
         raise ValidationError(f"empty seed range {text!r}")
     if count > MAX_SEEDS:
         raise ValidationError(f"at most {MAX_SEEDS} seeds per run, got {count}")
+    lowest = min(seeds)
+    if lowest < 0:
+        # random.Random seeds with |seed|: -3 would repeat the run of seed 3.
+        raise ValidationError(f"seeds must be non-negative, got {lowest}")
     return list(seeds)
 
 

@@ -7,6 +7,18 @@ Python versions. Bounded integers are drawn by rejection on getrandbits and
 per-bit mutation uses random() against 1/n, so no library call with a
 version-dependent algorithm is involved. Same config, same seed: bit
 identical results everywhere.
+
+Each distinct objective vector meets the archive at most once per run. Once
+a vector has been offered, some archive member weakly dominates it for the
+rest of the run: the member that rejected it, or the vector itself if it was
+accepted, and a member is evicted only by a newcomer that dominates it and so
+takes over that role. Offering the vector again would therefore change
+nothing, so a child whose vector was offered before skips the archive, and a
+child equal to its parent (GSEMO flipping no bit) skips the objective call
+too; both still count as evaluations. The skips make no random draw and the
+archive changes exactly as before, so results and RNG consumption are those
+of offering every child. The seen set holds at most 128^2 vectors, since
+every objective value is in 0..127.
 """
 
 from __future__ import annotations
@@ -86,23 +98,17 @@ class RunResult:
     archive: tuple[tuple[BitString, ObjectiveVector], ...]
 
 
-def _rand_below(rng: random.Random, bound: int) -> int:
-    """Uniform int in [0, bound) via rejection on getrandbits."""
-    bits = (bound - 1).bit_length()
-    if bound == 1:
-        return 0
-    while True:
-        value = rng.getrandbits(bits)
-        if value < bound:
-            return value
-
-
-def _check_archive_invariant(archive: list[tuple[int, ObjectiveVector]]) -> None:
-    vectors = [vec for _, vec in archive]
+def _check_step(archive: list[tuple[int, ObjectiveVector]], vec: ObjectiveVector) -> None:
+    """Audit after a step: the archive is mutually non-dominated, and some
+    held vector weakly dominates the child's vector, which is what lets a
+    later child with that vector skip the archive."""
+    vectors = [held for _, held in archive]
     for i, a in enumerate(vectors):
         for j, b in enumerate(vectors):
             if i != j and weakly_dominates(a, b):
                 raise AssertionError(f"archive invariant violated: {a} vs {b}")
+    if not any(weakly_dominates(held, vec) for held in vectors):
+        raise AssertionError(f"offered vector {vec} is not weakly dominated by the archive")
 
 
 def _needed_count(target: Target, front_size: int) -> int:
@@ -121,6 +127,10 @@ def run(cfg: RunConfig) -> RunResult:
         raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
     if not isinstance(cfg.budget, int) or isinstance(cfg.budget, bool) or cfg.budget < 1:
         raise ValidationError(f"budget must be a positive int, got {cfg.budget!r}")
+    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
+        # random.Random seeds with |seed|, so a negative seed would repeat
+        # the run of its absolute value.
+        raise ValidationError(f"seed must be a non-negative int, got {cfg.seed!r}")
     if cfg.target.kind not in ("full_front", "front_point", "coverage"):
         raise ValidationError(f"unknown target kind {cfg.target.kind!r}")
 
@@ -139,46 +149,68 @@ def run(cfg: RunConfig) -> RunResult:
     needed = _needed_count(cfg.target, len(wanted))
 
     rng = random.Random(cfg.seed)
+    getrandbits = rng.getrandbits
+    rand = rng.random
     gsemo = cfg.algorithm == "gsemo"
+    check = cfg.check_archive
     flip_p = 1.0 / n
+    masks = [1 << b for b in range(n)]
+    flip_bits = (n - 1).bit_length()
 
-    archive: list[tuple[int, ObjectiveVector]] = []
-    have = 0
-
-    def consider(idx: int, vec: ObjectiveVector) -> None:
-        nonlocal have
-        for _, held in archive:
-            if weakly_dominates(held, vec):
-                return
-        archive[:] = [(i, v) for i, v in archive if not dominates(vec, v)]
-        archive.append((idx, vec))
-        if vec in wanted:
-            # Front vectors are globally non-dominated, so once present they
-            # can never be evicted; counting them is monotone.
-            have += 1
-
-    start = rng.getrandbits(n)
-    evaluations = 1
-    consider(start, ev(start))
+    start = getrandbits(n)
+    vec = ev(start)
+    archive: list[tuple[int, ObjectiveVector]] = [(start, vec)]
+    # Every vector offered to the archive so far; each stays weakly dominated
+    # by a held vector for the rest of the run (module docstring).
+    seen = {vec}
+    parents = [start]
+    size = 1
+    parent_bits = 0
+    have = int(vec in wanted)
     hit = have >= needed
-    hitting_time = evaluations if hit else None
+    hitting_time = 1 if hit else None
+    evaluations = 1
 
-    while not hit and evaluations < cfg.budget:
-        parent = archive[_rand_below(rng, len(archive))][0]
-        if gsemo:
-            child = parent
-            for b in range(n):
-                if rng.random() < flip_p:
-                    child ^= 1 << b
-        else:
-            child = parent ^ (1 << _rand_below(rng, n))
-        evaluations += 1
-        consider(child, ev(child))
-        if cfg.check_archive:
-            _check_archive_invariant(archive)
-        if have >= needed:
-            hit = True
-            hitting_time = evaluations
+    if not hit:
+        for evaluations in range(2, cfg.budget + 1):
+            # Uniform draws below a bound by rejection on getrandbits; a
+            # bound of 1 takes getrandbits(0), which consumes no state.
+            r = getrandbits(parent_bits)
+            while r >= size:
+                r = getrandbits(parent_bits)
+            parent = parents[r]
+            if gsemo:
+                child = parent
+                for mask in masks:
+                    if rand() < flip_p:
+                        child ^= mask
+            else:
+                r = getrandbits(flip_bits)
+                while r >= n:
+                    r = getrandbits(flip_bits)
+                child = parent ^ masks[r]
+            if child != parent:
+                vec = ev(child)
+                if vec not in seen:
+                    seen.add(vec)
+                    if not any(weakly_dominates(held, vec) for _, held in archive):
+                        archive = [(i, v) for i, v in archive if not dominates(vec, v)]
+                        archive.append((child, vec))
+                        parents = [i for i, _ in archive]
+                        size = len(parents)
+                        parent_bits = (size - 1).bit_length()
+                        if vec in wanted:
+                            # Front vectors are globally non-dominated, so once
+                            # present they can never be evicted; counting them
+                            # is monotone.
+                            have += 1
+                            if have >= needed:
+                                hit = True
+                                hitting_time = evaluations
+            if check:
+                _check_step(archive, ev(child))
+            if hit:
+                break
 
     final = tuple(
         (BitString(n, idx), vec) for idx, vec in sorted(archive, key=lambda item: item[1])

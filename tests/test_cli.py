@@ -339,6 +339,14 @@ class TestRunCommand:
         rc, _, err = run_main(capsys, argv)
         assert (rc, err) == (1, "error: empty seed range '5..1'\n")
 
+    @pytest.mark.parametrize("seeds", ["-3..3", "4,-2", "-1", "-5..-1"])
+    def test_negative_seeds_rejected(self, capsys, seeds):
+        # random.Random seeds with |seed|, so -3 would rerun seed 3.
+        argv = ["run", "semo", "omm:n=4", f"--seeds={seeds}", "--budget", "10"]
+        rc, out, err = run_main(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: seeds must be non-negative, got -")
+
     def test_seed_count_is_bounded_before_any_list_is_built(self, capsys):
         # The second range is longer than sys.maxsize, so len(range) would overflow.
         for count in ("10000000000", "100000000000000000000"):

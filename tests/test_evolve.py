@@ -1,23 +1,27 @@
 """Tests for the SEMO/GSEMO archive search and the experiment harness."""
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
-from bibench.dominance import weakly_dominates
+from bibench.bitstring import BitString
+from bibench.dominance import dominates, weakly_dominates
 from bibench.errors import ValidationError
 from bibench.evolve import (
     ALGORITHMS,
     RunConfig,
     Target,
+    _check_step,
+    _needed_count,
     hitting_time_experiment,
     render_experiment,
     run,
     worker_count,
 )
 from bibench.oracles import reference_front
-from bibench.problems import validate
+from bibench.problems import index_evaluator, validate
 
 OMM10 = validate("omm", n=10)
 LOTZ8 = validate("lotz", n=8)
@@ -64,6 +68,17 @@ class TestRunValidation:
         with pytest.raises(ValidationError):
             run(RunConfig("semo", OMM10, seed=1, budget=True))
 
+    @pytest.mark.parametrize("seed", [-5, -1, None, True, False, 1.0, "x"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # random.Random seeds with |seed|, so seed -5 would repeat seed 5's run,
+        # and None would draw an unseeded stream.
+        with pytest.raises(ValidationError):
+            run(RunConfig("gsemo", OMM10, seed=seed, budget=100))
+
+    def test_seed_zero_and_large_seeds_run(self):
+        for seed in (0, 2**80):
+            assert run(RunConfig("gsemo", OMM10, seed=seed, budget=10)).evaluations_used == 10
+
     def test_unknown_target_kind(self):
         with pytest.raises(ValidationError):
             run(RunConfig("semo", OMM10, seed=1, budget=100, target=Target("bogus")))
@@ -109,6 +124,14 @@ class TestArchive:
             RunConfig("gsemo", LOTZ8, seed=2, budget=3000, check_archive=True)
         )
         assert result.evaluations_used >= 1
+
+    def test_step_audit_rejects_a_broken_archive(self):
+        _check_step([(0, (2, 1)), (1, (1, 2))], (1, 1))
+        with pytest.raises(AssertionError, match="archive invariant"):
+            _check_step([(0, (2, 1)), (1, (1, 1))], (1, 1))
+        # A vector no held vector weakly dominates must not skip the archive.
+        with pytest.raises(AssertionError, match="not weakly dominated"):
+            _check_step([(0, (2, 1)), (1, (1, 2))], (2, 2))
 
     def test_archive_members_evaluate_to_their_vector(self):
         from bibench.problems import evaluate
@@ -227,3 +250,107 @@ class TestExperiment:
         text = render_experiment(exp)
         assert "5,false,-,10\n" in text
         assert "success=0/1 median_hitting_time=- mean_hitting_time=-" in text
+
+
+def _rand_below(rng, bound):
+    bits = (bound - 1).bit_length()
+    if bound == 1:
+        return 0
+    while True:
+        value = rng.getrandbits(bits)
+        if value < bound:
+            return value
+
+
+def _reference_run(cfg):
+    """The plain step loop: every child is evaluated and offered to the
+    archive, which is scanned in full each time. Returns what run() reports."""
+    n = cfg.instance.n
+    ev = index_evaluator(cfg.instance)
+    front = set(reference_front(cfg.instance))
+    wanted = {cfg.target.vector} if cfg.target.kind == "front_point" else front
+    needed = _needed_count(cfg.target, len(wanted))
+    rng = random.Random(cfg.seed)
+    archive = []
+    have = 0
+
+    def consider(idx, vec):
+        nonlocal have
+        for _, held in archive:
+            if weakly_dominates(held, vec):
+                return
+        archive[:] = [(i, v) for i, v in archive if not dominates(vec, v)]
+        archive.append((idx, vec))
+        have += vec in wanted
+
+    start = rng.getrandbits(n)
+    evaluations = 1
+    consider(start, ev(start))
+    hitting_time = evaluations if have >= needed else None
+    while hitting_time is None and evaluations < cfg.budget:
+        parent = archive[_rand_below(rng, len(archive))][0]
+        if cfg.algorithm == "gsemo":
+            child = parent
+            for b in range(n):
+                if rng.random() < 1.0 / n:
+                    child ^= 1 << b
+        else:
+            child = parent ^ (1 << _rand_below(rng, n))
+        evaluations += 1
+        consider(child, ev(child))
+        if have >= needed:
+            hitting_time = evaluations
+    final = tuple((BitString(n, i), v) for i, v in sorted(archive, key=lambda item: item[1]))
+    return hitting_time is not None, hitting_time, evaluations, final
+
+
+# One small instance per family, plus n=1, where SEMO's flip position and a
+# one-member archive's parent take no random draw.
+EQUIVALENCE_INSTANCES = (
+    validate("omm", n=1),
+    validate("lotz", n=5),
+    validate("ojzj", n=7, k=2),
+    validate("cocz", n=6),
+    validate("orzr", n=6, l=2),
+    validate("omtz", n=5),
+    validate("omzj", n=8, k=2),
+    validate("omzr", n=6, l=3),
+    validate("lozj", n=8, k=3),
+    validate("lozr", n=6, l=2),
+    validate("ojzr", n=6, k=2, l=2),
+)
+
+
+class TestEquivalence:
+    """run() skips the archive for vectors it has offered before and children
+    equal to their parent; none of that may change a result or a draw."""
+
+    @pytest.mark.parametrize("inst", EQUIVALENCE_INSTANCES, ids=lambda i: i.descriptor)
+    def test_matches_the_plain_step_loop(self, inst):
+        corner = max(reference_front(inst))
+        targets = (Target.full_front(), Target.coverage(Fraction(1, 2)), Target.front_point(corner))
+        for algorithm in ALGORITHMS:
+            for budget in (1, 2, 7, 300, 20_000):
+                for seed in (0, 1, 2):
+                    for target in targets:
+                        cfg = RunConfig(
+                            algorithm, inst, seed, budget, target, check_archive=seed == 1
+                        )
+                        result = run(cfg)
+                        got = (
+                            result.hit,
+                            result.hitting_time,
+                            result.evaluations_used,
+                            result.archive,
+                        )
+                        assert got == _reference_run(cfg), cfg
+
+    def test_search_workload_hitting_times(self):
+        # The seed-1 GSEMO runs on the benchmark's search instances, as the
+        # plain step loop gives them.
+        for family, params, hitting_time in (
+            ("ojzj", {"n": 12, "k": 3}, 25075),
+            ("lotz", {"n": 30}, 15954),
+        ):
+            result = run(RunConfig("gsemo", validate(family, **params), 1, 10**7))
+            assert (result.hit, result.hitting_time) == (True, hitting_time)
