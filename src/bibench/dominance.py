@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -19,32 +19,15 @@ def dominates(a: ObjectiveVector, b: ObjectiveVector) -> bool:
     return a[0] >= b[0] and a[1] >= b[1] and a != b
 
 
-def _maximal(distinct: Iterable[ObjectiveVector]) -> set[ObjectiveVector]:
-    # Sweep in (f1 desc, f2 desc) order: a vector is non-dominated iff its f2
-    # strictly exceeds every f2 seen at strictly larger f1, and it is the best
-    # f2 within its own f1 group.
-    best = float("-inf")
-    maximal: set[ObjectiveVector] = set()
-    group_f1 = None
-    for vec in sorted(distinct, reverse=True):
-        if vec[0] != group_f1:
-            group_f1 = vec[0]
-            if vec[1] > best:
-                maximal.add(vec)
-                best = vec[1]
-    return maximal
-
-
 @dataclass(frozen=True)
 class LevelAssignment:
     """Result of non-dominated sorting over a multiset of vectors.
 
     levels[i] holds the distinct vectors of level i+1 in (f1 desc, f2 desc)
-    order; identical vectors share a level; counts carries multiplicities.
+    order; identical vectors share a level.
     """
 
     levels: tuple[tuple[ObjectiveVector, ...], ...]
-    counts: dict[ObjectiveVector, int]
 
     @property
     def level_by_vector(self) -> dict[ObjectiveVector, int]:
@@ -52,12 +35,22 @@ class LevelAssignment:
 
 
 def nondominated_sort(points: Iterable[ObjectiveVector]) -> LevelAssignment:
-    """Peel non-dominated layers; level 1 is the non-dominated front."""
-    counts = Counter(points)
-    remaining = set(counts)
-    levels = []
-    while remaining:
-        front = _maximal(remaining)
-        levels.append(tuple(sorted(front, reverse=True)))
-        remaining -= front
-    return LevelAssignment(tuple(levels), dict(counts))
+    """Non-dominated levels in one sweep; level 1 is the non-dominated front.
+
+    In (f1 desc, f2 desc) order every vector that can dominate the current
+    one comes before it, and does exactly when its f2 is at least the
+    current f2. The best f2 on a level never exceeds the one on the level
+    above, so the current vector goes one past the levels whose best f2
+    reaches its own.
+    """
+    # The negated best f2 of each level, ascending for bisect.
+    tops: list[int] = []
+    levels: list[list[ObjectiveVector]] = []
+    for vec in sorted(set(points), reverse=True):
+        i = bisect_right(tops, -vec[1])
+        if i == len(levels):
+            levels.append([])
+            tops.append(0)
+        levels[i].append(vec)
+        tops[i] = -vec[1]
+    return LevelAssignment(tuple(map(tuple, levels)))

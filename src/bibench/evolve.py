@@ -32,10 +32,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bitstring import BitString
-from .dominance import dominates, weakly_dominates
+from .dominance import ObjectiveVector, dominates, weakly_dominates
 from .errors import ValidationError
 from .oracles import reference_front
-from .problems import ObjectiveVector, ProblemInstance, index_evaluator
+from .problems import ProblemInstance, index_evaluator
 
 ALGORITHMS = ("semo", "gsemo")
 

@@ -16,7 +16,6 @@ import os
 import sys
 from array import array
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -24,9 +23,9 @@ from functools import lru_cache
 from itertools import compress
 
 from .bitstring import BitString
-from .dominance import nondominated_sort
+from .dominance import ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
-from .problems import STATISTIC_PLANES, ObjectiveVector, ProblemInstance, objective_planes
+from .problems import STATISTIC_PLANES, ProblemInstance, objective_planes
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
@@ -129,23 +128,6 @@ class CharacteristicProfile:
         )
 
 
-class _Vectors(Sequence):
-    """Read-only view of two objective planes: item i is the pair (f1, f2)
-    of the string with index i."""
-
-    __slots__ = ("_f1", "_f2")
-
-    def __init__(self, f1: bytes, f2: bytes):
-        self._f1 = f1
-        self._f2 = f2
-
-    def __len__(self) -> int:
-        return len(self._f1)
-
-    def __getitem__(self, i: int) -> ObjectiveVector:
-        return self._f1[i], self._f2[i]
-
-
 @dataclass(frozen=True)
 class LandscapeReport:
     instance: ProblemInstance
@@ -164,11 +146,6 @@ class LandscapeReport:
     @property
     def n(self) -> int:
         return self.instance.n
-
-    @property
-    def values(self) -> Sequence[ObjectiveVector]:
-        """values[i] is the objective pair of the string with index i."""
-        return _Vectors(*self.planes)
 
     @property
     def pareto_set(self) -> tuple[BitString, ...]:
@@ -377,12 +354,9 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
 def is_completely_conflicting(inst: ProblemInstance) -> bool:
     """True when any improvement in one objective forces a loss in the other:
     distinct image vectors never share a coordinate and are totally ordered
-    with f2 strictly falling as f1 rises."""
-    distinct = sorted(enumerate_landscape(inst).vector_counts)
-    for (a1, a2), (b1, b2) in zip(distinct, distinct[1:]):
-        if b1 == a1 or b2 >= a2:
-            return False
-    return True
+    with f2 strictly falling as f1 rises, that is, none dominates another
+    and they all form one non-dominated level."""
+    return len(enumerate_landscape(inst).levels) == 1
 
 
 def _mirror_pairs(n: int) -> list[tuple[int, int]]:
@@ -464,31 +438,14 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
     )
 
 
-def _strictly_below_upper_hull(points: list[ObjectiveVector]) -> bool:
-    """Whether some point lies strictly under the upper convex hull of points.
-
-    Points must be sorted by f1 ascending with all f1 distinct. All arithmetic
-    is exact integer cross products.
-    """
-    hull: list[ObjectiveVector] = []
-    for p in points:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    for p in points:
-        # Find the hull segment spanning p's f1 and test the exact side.
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= p[0] <= x2:
-                cross = (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)
-                if cross < 0:
-                    return True
-                break
-    return False
+def _turns(points: list[ObjectiveVector]) -> list[int]:
+    """Exact cross product of each consecutive triple (o, a, p) of points
+    sorted by f1: positive exactly when a lies strictly below the chord from
+    o to p."""
+    return [
+        (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+        for o, a, p in zip(points, points[1:], points[2:])
+    ]
 
 
 def front_shape(inst: ProblemInstance) -> FrontShape:
@@ -500,14 +457,12 @@ def front_shape(inst: ProblemInstance) -> FrontShape:
     points = [v for v, _ in report.front_counts]
     if len(points) == 1:
         return FrontShape.DEGENERATE
-    o = points[0]
-    collinear = all(
-        (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) == 0
-        for a, b in zip(points[1:], points[2:])
-    )
-    if collinear:
+    turns = _turns(points)
+    if not any(turns):
         return FrontShape.LINEAR
-    if _strictly_below_upper_hull(points):
+    # A polyline with no point below its neighbours' chord is concave, so it
+    # is its own upper hull and no point lies strictly below that hull.
+    if max(turns) > 0:
         return FrontShape.NONLINEAR_CONCAVE
     raise ValidationError(
         f"{inst.descriptor}: front is neither collinear nor concave; not classified"

@@ -15,12 +15,12 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 from .bitstring import BitString
+from .dominance import ObjectiveVector
 from .errors import ValidationError
 from .landscape import enumerate_landscape
 from .problems import (
     FAMILY_NAMES,
     JUMP_OBJECTIVES,
-    ObjectiveVector,
     ProblemInstance,
     family_catalog,
     validate,
@@ -200,7 +200,7 @@ def verify(inst: ProblemInstance) -> VerificationReport:
     f1, f2 = report.planes
 
     def show(i: int) -> str:
-        return f"{BitString(n, i)} -> {report.values[i]}"
+        return f"{BitString(n, i)} -> ({f1[i]}, {f2[i]})"
 
     claims = [
         _set_claim(

@@ -15,9 +15,8 @@ from itertools import compress
 from typing import Callable
 
 from .bitstring import MAX_LENGTH, BitString
+from .dominance import ObjectiveVector
 from .errors import DescriptorError, ValidationError
-
-ObjectiveVector = tuple[int, int]
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +33,7 @@ class ProblemInstance:
             parts.append(f"k={self.k}")
         if self.l is not None:
             parts.append(f"l={self.l}")
-        return parts[0] + ("," + ",".join(parts[1:]) if parts[1:] else "")
+        return ",".join(parts)
 
     @property
     def info(self) -> FamilyInfo:
@@ -61,10 +60,17 @@ def _half_mix(n, l):
 
 
 def _blocks(want_ones: bool, n, l):
-    mask = (1 << l) - 1
-    full = mask if want_ones else 0
-    shifts = tuple(n - (j + 1) * l for j in range(n // l))
-    return lambda i: sum(1 for s in shifts if (i >> s) & mask == full)
+    # Adding 1 at the bottom of a block whose top bit is cleared carries
+    # into that top bit exactly when the block's other bits are all ones.
+    low = sum(1 << s for s in range(0, n, l))
+    high = low << (l - 1)
+    flip = 0 if want_ones else (1 << n) - 1
+
+    def count(i):
+        x = i ^ flip
+        return (((x & ~high) + low) & x & high).bit_count()
+
+    return count
 
 
 STATISTICS = {

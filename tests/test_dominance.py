@@ -1,9 +1,9 @@
 """Dominance relations and non-dominated sorting, checked against a naive
-quadratic reference."""
+quadratic reference and the former peeling sort."""
 
 from hypothesis import given, strategies as st
 
-from bibench.dominance import _maximal, dominates, nondominated_sort, weakly_dominates
+from bibench.dominance import dominates, nondominated_sort, weakly_dominates
 
 vectors = st.tuples(
     st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
@@ -18,6 +18,31 @@ def naive_maximal(points):
         for p in distinct
         if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in distinct)
     }
+
+
+def peeled_levels(points):
+    """The former nondominated_sort: peel the maximal vectors off, level by
+    level, each found by a (f1 desc, f2 desc) sweep."""
+
+    def maximal(distinct):
+        best = float("-inf")
+        found = set()
+        group_f1 = None
+        for vec in sorted(distinct, reverse=True):
+            if vec[0] != group_f1:
+                group_f1 = vec[0]
+                if vec[1] > best:
+                    found.add(vec)
+                    best = vec[1]
+        return found
+
+    remaining = set(points)
+    levels = []
+    while remaining:
+        front = maximal(remaining)
+        levels.append(tuple(sorted(front, reverse=True)))
+        remaining -= front
+    return tuple(levels)
 
 
 class TestRelations:
@@ -55,12 +80,8 @@ class TestRelations:
 
 class TestFilter:
     @given(vector_lists)
-    def test_matches_naive_maximal(self, points):
-        assert _maximal(set(points)) == naive_maximal(points)
-
-    @given(vector_lists)
     def test_survivors_cover_everything(self, points):
-        maximal = _maximal(set(points))
+        maximal = nondominated_sort(points).levels[0]
         for p in points:
             assert any(weakly_dominates(q, p) for q in maximal)
 
@@ -77,11 +98,14 @@ class TestSorting:
     def test_identical_vectors_share_a_level(self):
         assignment = nondominated_sort([(1, 1), (1, 1), (0, 0)])
         assert assignment.levels == (((1, 1),), ((0, 0),))
-        assert assignment.counts == {(1, 1): 2, (0, 0): 1}
 
     def test_level_lookup(self):
         assignment = nondominated_sort([(1, 1), (0, 0)])
         assert assignment.level_by_vector == {(1, 1): 1, (0, 0): 2}
+
+    @given(vector_lists)
+    def test_matches_the_peeling_sort(self, points):
+        assert nondominated_sort(points).levels == peeled_levels(points)
 
     @given(vector_lists)
     def test_levels_partition_distinct_vectors(self, points):

@@ -1,5 +1,6 @@
-"""Every imported name is referenced by the module that imports it, and every
-private top-level name of the package is referenced somewhere in it."""
+"""Every imported name is referenced by the module that imports it, every
+private top-level name of the package is referenced somewhere in it, and no
+top-level name is defined in two modules of the package."""
 
 import ast
 from pathlib import Path
@@ -29,16 +30,20 @@ def test_no_unused_imports(path):
 SOURCES = sorted((ROOT / "src" / "bibench").glob("*.py"))
 
 
+def top_level_names(tree):
+    """Names a module defines at top level: functions, classes and plain
+    assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
 def test_no_unreferenced_private_names():
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
-    defined = set()
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    defined = {name for tree in trees for name in top_level_names(tree)}
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
@@ -47,3 +52,12 @@ def test_no_unreferenced_private_names():
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
     assert sorted(private - used) == []
+
+
+def test_each_top_level_name_is_defined_once():
+    owners = {}
+    for path in SOURCES:
+        if path.name != "__init__.py":
+            for name in top_level_names(ast.parse(path.read_text(encoding="utf-8"))):
+                owners.setdefault(name, set()).add(path.name)
+    assert {name: sorted(paths) for name, paths in owners.items() if len(paths) > 1} == {}

@@ -26,6 +26,7 @@ from bibench.landscape import (
     _mirror,
     _mirror_pairs,
     _report,
+    _turns,
     characteristic_profile,
     enumerate_landscape,
     enumeration_cap,
@@ -50,6 +51,29 @@ def flip(x, position):
 
 def neighbors(x):
     return [flip(x, position) for position in range(1, x.n + 1)]
+
+
+def below_upper_hull(points):
+    """The former front_shape test: whether some point lies strictly under
+    the upper convex hull of points sorted by f1 with all f1 distinct."""
+    hull = []
+    for p in points:
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+            if cross >= 0:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    for p in points:
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            if x1 <= p[0] <= x2:
+                cross = (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)
+                if cross < 0:
+                    return True
+                break
+    return False
 
 
 class TestFrozenCounts:
@@ -198,6 +222,16 @@ class TestPredicates:
         for descriptor in ["lotz:n=8", "cocz:n=8", "ojzj:n=8,k=2", "omtz:n=8"]:
             assert not is_completely_conflicting(parse_descriptor(descriptor))
 
+    def test_complete_conflict_matches_the_consecutive_pair_scan(self):
+        """One non-dominated level against the former check: consecutive
+        distinct vectors never share f1, and f2 strictly falls."""
+        for inst in grid_instances(None, range(1, 13)):
+            distinct = sorted(enumerate_landscape(inst).vector_counts)
+            scan = all(
+                b1 != a1 and b2 < a2 for (a1, a2), (b1, b2) in zip(distinct, distinct[1:])
+            )
+            assert is_completely_conflicting(inst) == scan, inst.descriptor
+
 
 class TestSeparability:
     def test_counting_objectives_are_separable(self):
@@ -302,6 +336,26 @@ class TestFrontShape:
     def test_everything_else_is_linear_at_desk_scale(self, descriptor):
         assert front_shape(parse_descriptor(descriptor)) is FrontShape.LINEAR
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 12)),
+            min_size=1,
+            max_size=10,
+            unique_by=lambda v: v[0],
+        )
+    )
+    @settings(max_examples=500)
+    def test_turns_match_the_upper_hull(self, points):
+        points = sorted(points)
+        turns = _turns(points)
+        o = points[0]
+        collinear = all(
+            (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) == 0
+            for a, b in zip(points[1:], points[2:])
+        )
+        assert (not any(turns)) == collinear
+        assert (max(turns, default=0) > 0) == below_upper_hull(points)
+
 
 class TestCaps:
     def test_default_cap(self, monkeypatch):
@@ -353,8 +407,8 @@ class TestReportMemo:
 
     def test_repr_omits_the_value_table(self):
         rep = report_for("omm:n=4")
-        assert len(rep.values) == 16
-        assert "values=" not in repr(rep)
+        assert [len(plane) for plane in rep.planes] == [16, 16]
+        assert "planes=" not in repr(rep)
 
 
 class TestRendering:
@@ -534,7 +588,8 @@ class TestBruteForceCrossCheck:
             )
 
         rep = enumerate_landscape(inst)
-        assert all(rep.values[x.index] == v for x, v in vec.items())
+        f1, f2 = rep.planes
+        assert all((f1[x.index], f2[x.index]) == v for x, v in vec.items())
         assert tuple(rep.pareto_set_indices) == tuple(sorted(x.index for x in pareto))
         assert tuple(rep.local_optima_indices) == tuple(sorted(x.index for x in local))
         assert rep.component_count == components
