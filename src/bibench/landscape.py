@@ -3,8 +3,10 @@ seven characteristic flags, all computed exactly by enumeration.
 
 Enumeration works on byte planes: 2^n bytes whose byte i is a value of the
 string with index i. Every stage is a whole-plane operation (bytes.translate,
-slicing, a Counter over a memoryview, big-int arithmetic on byte lanes), so
-no Python loop runs per string.
+slicing, compress, big-int arithmetic on byte lanes), so no Python loop runs
+per string. The image, its multiplicities and the ones tables are not read
+from the planes at all: they come from the (f1, f2, ones) histogram that
+problems.image_counts counts by a DP over the index bits.
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -13,7 +15,6 @@ accidental huge requests fail fast with a clear error.
 from __future__ import annotations
 
 import os
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,14 +26,14 @@ from itertools import compress
 from .bitstring import BitString
 from .dominance import ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
-from .problems import STATISTIC_PLANES, ProblemInstance, objective_planes
+from .problems import ProblemInstance, image_counts, objective_planes
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Peak resident memory of enumerate_landscape plus characteristic_profile
 # per string of the cube, rounded up from the largest measured over the
-# families at n = 24 (368 MB, see README). MAX_CAP is the largest n whose
+# families at n = 24 (369 MB, see README). MAX_CAP is the largest n whose
 # estimate fits MEMORY_LIMIT.
 BYTES_PER_STRING = 24
 MEMORY_LIMIT = 16 << 30
@@ -136,6 +137,7 @@ class LandscapeReport:
     pareto_set_indices: array
     front_counts: tuple[tuple[ObjectiveVector, int], ...]
     levels: tuple[tuple[ObjectiveVector, ...], ...]
+    # Image vector to its number of strings, in ascending (f1, f2) order.
     vector_counts: dict[ObjectiveVector, int]
     local_optima_indices: array
     local_front_counts: tuple[tuple[ObjectiveVector, int], ...]
@@ -276,17 +278,11 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     size = 1 << n
     f1, f2 = objective_planes(inst)
 
-    # One count over the 4-byte words (f1, f2, ones, 0) of every string
-    # gives the image with its multiplicities and the ones tables.
-    words = bytearray(4 * size)
-    words[0::4] = f1
-    words[1::4] = f2
-    words[2::4] = STATISTIC_PLANES["ones"](n, None)
-    by_word = Counter(memoryview(words).cast("I"))
-    del words
-    triples = [(*word.to_bytes(4, sys.byteorder)[:3], count) for word, count in by_word.items()]
+    # The image with its multiplicities and the ones tables come from the
+    # counted (f1, f2, ones) histogram, whose keys sort by (f1, f2).
+    image = sorted(image_counts(inst).items())
     vector_counts: dict[ObjectiveVector, int] = {}
-    for a, b, _, count in triples:
+    for (a, b, _), count in image:
         vector_counts[a, b] = vector_counts.get((a, b), 0) + count
     assignment = nondominated_sort(vector_counts)
     level_by_vector = assignment.level_by_vector
@@ -319,7 +315,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     ones_f1 = [Counter() for _ in range(n + 1)]
     ones_f2 = [Counter() for _ in range(n + 1)]
     ones_level = [Counter() for _ in range(n + 1)]
-    for a, b, ones, count in triples:
+    for (a, b, ones), count in image:
         ones_f1[ones][a] += count
         ones_f2[ones][b] += count
         ones_level[ones][level_by_vector[a, b]] += count
@@ -400,11 +396,41 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
     if isinstance(objective, bool) or objective not in (1, 2):
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
     n = inst.n
-    size = 1 << n
     plane = enumerate_landscape(inst).planes[objective - 1]
+    base = plane[0]
+    # deltas[position - 1] is the flip delta of that position in context 0.
+    deltas = [plane[1 << (n - position)] - base for position in range(1, n + 1)]
+    # The objective is separable exactly when it equals its additive
+    # prediction, built by doubling the way the statistic planes are: the
+    # upper half adds index bit b's delta to the lower half. Mod 256 is
+    # exact: a flip delta and a context-0 delta both lie in -127..127, so
+    # they are equal when congruent.
+    shifts = bytes(range(256)) * 2
+    predicted = bytes([base])
+    for delta in reversed(deltas):
+        d = delta % 256
+        predicted += predicted.translate(shifts[d : d + 256])
+    if predicted == plane:
+        contributions = [(0, d) for d in deltas]
+        contributions[0] = (base, base + deltas[0])
+        return SeparabilityReport(
+            objective=objective,
+            separable=True,
+            contributions=tuple(contributions),
+            witness_position=None,
+            witness=None,
+            witness_deltas=None,
+        )
+    return _separability_witness(plane, n, objective)
+
+
+def _separability_witness(plane: bytes, n: int, objective: int) -> SeparabilityReport:
+    """The report of an objective that is not separable: the first position
+    whose flip delta differs between context 0 and some other context, and
+    the first such context."""
+    size = 1 << n
     p = int.from_bytes(plane, "little")
     guard = _lanes(size, 0x80)
-    deltas = []
     for position in range(1, n + 1):
         b = n - position
         step = 1 << b
@@ -424,18 +450,7 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
                 witness=(BitString(n, 0), BitString(n, i)),
                 witness_deltas=(first, plane[i + step] - plane[i]),
             )
-        deltas.append(first)
-    base = plane[0]
-    contributions = [(0, d) for d in deltas]
-    contributions[0] = (base, base + deltas[0])
-    return SeparabilityReport(
-        objective=objective,
-        separable=True,
-        contributions=tuple(contributions),
-        witness_position=None,
-        witness=None,
-        witness_deltas=None,
-    )
+    raise AssertionError("a plane that differs from its additive prediction has a witness")
 
 
 def _turns(points: list[ObjectiveVector]) -> list[int]:
@@ -512,7 +527,7 @@ def render_report(report: LandscapeReport) -> str:
     ]
     lines.extend(f"{a},{b},{c}" for (a, b), c in report.front_counts)
     lines.append("local_optima_strings:")
-    lines.extend(str(BitString(n, i)) for i in report.local_optima_indices)
+    lines.extend(map(f"{{:0{n}b}}".format, report.local_optima_indices))
     lines.append("ones_tables:")
     lines.append("ones,f1_value:count,f2_value:count,level:count")
     for ones, summary in report.ones_tables:

@@ -9,10 +9,11 @@ parse_descriptor/descriptor.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bitstring import MAX_LENGTH, BitString
 from .dominance import ObjectiveVector
@@ -43,9 +44,34 @@ class ProblemInstance:
 
 # Each scalar objective, all maximized, is a value table read at one integer
 # statistic of the string. A statistic maps a raw index in [0, 2^n) to a
-# count in 0..n (index bit n-1 is string position 1); its builder takes the
-# parameters (n, l). A table builder takes (n, k, l) and returns the list of
-# objective values by statistic value.
+# count in 0..n (index bit n-1 is string position 1). It has two forms, each
+# built from the parameters (n, l):
+#
+# - its index form in STATISTICS, a function of one index, which evaluation
+#   and search call string by string;
+# - its automaton in AUTOMATA, which reads the index bits from bit 0 upward.
+#   step(state, bit, m) is the state after index bit m, given the state after
+#   the bits below m (state 0 before any bit), and value(state) is the
+#   statistic once all n bits are read. Every state fits in a byte.
+#
+# Whole-cube work runs the automata through their step tables: per index bit
+# m and bit value, one table indexed by state, filled over the states that
+# can occur before bit m and padded to 256 bytes where bytes.translate reads
+# it. The same tables build a statistic's byte plane by doubling
+# (statistic_plane) and count the image of an instance by a DP over the
+# index bits (image_counts).
+#
+# A table builder takes (n, k, l) and returns the list of objective values by
+# statistic value.
+
+
+class Automaton(NamedTuple):
+    step: Callable[[int, int, int], int]
+    value: Callable[[int], int] = lambda state: state
+
+
+def _ones_automaton(n, l):
+    return Automaton(lambda s, bit, m: s + bit)
 
 
 def _leading_ones(n, l):
@@ -53,10 +79,28 @@ def _leading_ones(n, l):
     return lambda i: n - (i ^ mask).bit_length()
 
 
+def _leading_ones_automaton(n, l):
+    # The run of ones that ends at the latest bit read; after bit n-1 it is
+    # the run that starts at string position 1.
+    return Automaton(lambda s, bit, m: s + 1 if bit else 0)
+
+
+def _trailing_zeroes_automaton(n, l):
+    # The zero bits below the lowest one bit: the state is m while every bit
+    # below m is zero, and stays below m once a one has been read.
+    return Automaton(lambda s, bit, m: s + 1 if s == m and not bit else s)
+
+
 def _half_mix(n, l):
     half = n // 2
     half_mask = (1 << half) - 1
     return lambda i: (i >> half).bit_count() + (half - (i & half_mask).bit_count())
+
+
+def _half_mix_automaton(n, l):
+    # The low half of the index is the second half of the string.
+    half = n // 2
+    return Automaton(lambda s, bit, m: s + (bit if m >= half else 1 - bit))
 
 
 def _blocks(want_ones: bool, n, l):
@@ -73,6 +117,19 @@ def _blocks(want_ones: bool, n, l):
     return count
 
 
+def _blocks_automaton(want_ones: bool, n, l):
+    # State 2c + d: c blocks closed with every bit the wanted one, and d = 1
+    # once the open block holds an unwanted bit. Bit m closes a block when
+    # m + 1 is a multiple of l.
+    want = int(want_ones)
+
+    def step(s, bit, m):
+        s |= bit != want
+        return s if (m + 1) % l else (s >> 1) + 1 - (s & 1) << 1
+
+    return Automaton(step, lambda s: s >> 1)
+
+
 STATISTICS = {
     "ones": lambda n, l: int.bit_count,
     "leading ones": _leading_ones,
@@ -82,60 +139,58 @@ STATISTICS = {
     "all-zeroes blocks": partial(_blocks, False),
 }
 
-# The same statistics as byte planes: a plane builder takes (n, l) and
-# returns 2^n bytes whose byte i is the statistic at index i. Each builder
-# starts from the empty string's plane and doubles it, prepending one index
-# bit (or one block) at a time: the lower half of the new plane is the new
-# bit clear, the upper half set.
-
-_INC = bytes(range(1, 256)) + b"\0"
-
-
-def _ones_plane(n, l, p=b"\0"):
-    for _ in range(n):
-        p = p + p.translate(_INC)
-    return p
-
-
-def _leading_ones_plane(n, l):
-    p = b"\0"
-    for m in range(n):
-        p = bytes(1 << m) + p.translate(_INC)
-    return p
-
-
-def _trailing_zeroes_plane(n, l):
-    # Only the all-zero string gains a trailing zero when a 0 is prepended.
-    p = b"\0"
-    for m in range(n):
-        p = bytes([m + 1]) + p[1:] + p
-    return p
-
-
-def _half_mix_plane(n, l):
-    half = n // 2
-    p = b"\0"
-    for _ in range(half):
-        p = p.translate(_INC) + p
-    return _ones_plane(n - half, l, p)
-
-
-def _blocks_plane(want_ones: bool, n, l):
-    p = b"\0"
-    for _ in range(n // l):
-        rest = p * ((1 << l) - 1)
-        p = rest + p.translate(_INC) if want_ones else p.translate(_INC) + rest
-    return p
-
-
-STATISTIC_PLANES = {
-    "ones": _ones_plane,
-    "leading ones": _leading_ones_plane,
-    "trailing zeroes": _trailing_zeroes_plane,
-    "first-half ones plus second-half zeroes": _half_mix_plane,
-    "all-ones blocks": partial(_blocks_plane, True),
-    "all-zeroes blocks": partial(_blocks_plane, False),
+AUTOMATA = {
+    "ones": _ones_automaton,
+    "leading ones": _leading_ones_automaton,
+    "trailing zeroes": _trailing_zeroes_automaton,
+    "first-half ones plus second-half zeroes": _half_mix_automaton,
+    "all-ones blocks": partial(_blocks_automaton, True),
+    "all-zeroes blocks": partial(_blocks_automaton, False),
 }
+
+
+# Instances of one size share their statistics' tables, so a grid of
+# instances builds few of them.
+@lru_cache(maxsize=64)
+def _step_tables(statistic: str, n: int, l: int | None):
+    """The statistic's automaton as tables indexed by state: for each index
+    bit m the pair of tables of its step on bit 0 and on bit 1, filled over
+    the states that can occur before bit m and zero elsewhere. Also returns
+    the value table, over the states that can occur after the last bit."""
+    step, value = AUTOMATA[statistic](n, l)
+    states = {0}
+    tables = []
+    for m in range(n):
+        pair = (bytearray(max(states) + 1), bytearray(max(states) + 1))
+        for bit, table in enumerate(pair):
+            for s in states:
+                table[s] = step(s, bit, m)
+        tables.append(tuple(map(bytes, pair)))
+        states = {table[s] for table in pair for s in states}
+    values = bytearray(max(states) + 1)
+    for s in states:
+        values[s] = value(s)
+    return tuple(tables), bytes(values)
+
+
+def _translate(plane: bytes, table: bytes) -> bytes:
+    """Byte i is table[plane[i]], every byte of the plane indexing table."""
+    return plane.translate(table.ljust(256, b"\0"))
+
+
+def _state_plane(tables) -> bytes:
+    """Byte i is the automaton's state after reading every bit of index i."""
+    p = b"\0"
+    for t0, t1 in tables:
+        p = _translate(p, t0) + _translate(p, t1)
+    return p
+
+
+def statistic_plane(statistic: str, n: int, l: int | None) -> bytes:
+    """The statistic as a byte plane: 2^n bytes whose byte i is the
+    statistic at index i."""
+    tables, values = _step_tables(statistic, n, l)
+    return _translate(_state_plane(tables), values)
 
 
 def _identity(n, k, l):
@@ -236,8 +291,8 @@ def _ojzr_pareto_set(n, k, l):
     # the two sets overlap only when l divides k.
     keep = {i for i in _completed_indices(n, k, l) if i.bit_count() <= n - k}
     keep |= _where(
-        _mark(_ones_plane(n, l), lambda s: s == n - k),
-        _mark(_blocks_plane(False, n, l), lambda z: z == k // l),
+        _mark(statistic_plane("ones", n, l), lambda s: s == n - k),
+        _mark(statistic_plane("all-zeroes blocks", n, l), lambda z: z == k // l),
     )
     return keep | {(1 << n) - 1}
 
@@ -270,8 +325,8 @@ def _lozr_local_optima(n, k, l):
 
 def _ojzr_local_optima(n, k, l):
     return _where(
-        _mark(_ones_plane(n, l), lambda s: s == n - k),
-        _mark(_blocks_plane(False, n, l), lambda z: z < k // l),
+        _mark(statistic_plane("ones", n, l), lambda s: s == n - k),
+        _mark(statistic_plane("all-zeroes blocks", n, l), lambda z: z < k // l),
     )
 
 
@@ -325,9 +380,9 @@ _CATALOG = (
                pareto_set=_prefixes, front=_diagonal_front),
     FamilyInfo("ojzj", ("one-jump", "zero-jump"), ("k",), "1 <= k < n/2",
                rule=lambda n, k, l: None if 1 <= k and 2 * k < n else "requires 1 <= k < n/2",
-               pareto_set=lambda n, k, l: _where(
-                   _mark(_ones_plane(n, l), lambda s: s in (0, n) or k <= s <= n - k)
-               ),
+               pareto_set=lambda n, k, l: _where(_mark(
+                   statistic_plane("ones", n, l), lambda s: s in (0, n) or k <= s <= n - k
+               )),
                front=lambda n, k, l: {(k, n + k), (n + k, k)}
                | {(k + s, n + k - s) for s in range(k, n - k + 1)}),
     FamilyInfo("cocz", ("ones", "ones in first half plus zeroes in second half"), (), "n even",
@@ -344,7 +399,7 @@ _CATALOG = (
     FamilyInfo("omzj", ("ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
                pareto_set=lambda n, k, l: _where(
-                   _mark(_ones_plane(n, l), lambda s: s == 0 or s >= k)
+                   _mark(statistic_plane("ones", n, l), lambda s: s == 0 or s >= k)
                ),
                front=_zero_jump_front),
     FamilyInfo("omzr", ("ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
@@ -354,8 +409,8 @@ _CATALOG = (
                pareto_set=lambda n, k, l: {0}
                | {i for i in _prefixes(n, k, l) if i.bit_count() >= k},
                local_optima=lambda n, k, l: _where(
-                   _mark(_ones_plane(n, l), lambda s: s == k),
-                   _mark(_leading_ones_plane(n, l), lambda lead: lead < k),
+                   _mark(statistic_plane("ones", n, l), lambda s: s == k),
+                   _mark(statistic_plane("leading ones", n, l), lambda lead: lead < k),
                ),
                front=_zero_jump_front),
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
@@ -447,15 +502,42 @@ def index_evaluator(inst: ProblemInstance):
     return lambda i: (t1[s1(i)], t2[s2(i)])
 
 
+def _objective_tables(inst: ProblemInstance):
+    """Per objective, the step tables of its statistic and the table from a
+    state after the last bit to the objective value."""
+    out = []
+    for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives):
+        tables, values = _step_tables(statistic, inst.n, inst.l)
+        out.append((tables, _translate(values, bytes(table(inst.n, inst.k, inst.l)))))
+    return out
+
+
 def objective_planes(inst: ProblemInstance) -> tuple[bytes, bytes]:
     """Both objectives as byte planes: byte i of each is that objective's
     value at index i, the values index_evaluator gives."""
     return tuple(
-        STATISTIC_PLANES[statistic](inst.n, inst.l).translate(
-            bytes(table(inst.n, inst.k, inst.l)).ljust(256, b"\0")
-        )
-        for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives)
+        _translate(_state_plane(tables), final) for tables, final in _objective_tables(inst)
     )
+
+
+def image_counts(inst: ProblemInstance) -> dict[tuple[int, int, int], int]:
+    """How many strings have each (f1, f2, ones): a DP over the index bits,
+    from bit 0 upward, on the triples of automaton states of both
+    objectives' statistics and of the ones count, each with the number of
+    index prefixes that reach it."""
+    (tables1, final1), (tables2, final2) = _objective_tables(inst)
+    ones_tables, ones = _step_tables("ones", inst.n, None)
+    counts = {(0, 0, 0): 1}
+    for (a0, a1), (b0, b1), (c0, c1) in zip(tables1, tables2, ones_tables):
+        after = defaultdict(int)
+        for (a, b, c), count in counts.items():
+            after[a0[a], b0[b], c0[c]] += count
+            after[a1[a], b1[b], c1[c]] += count
+        counts = after
+    image = defaultdict(int)
+    for (a, b, c), count in counts.items():
+        image[final1[a], final2[b], ones[c]] += count
+    return dict(image)
 
 
 def evaluate(inst: ProblemInstance, x: BitString) -> ObjectiveVector:

@@ -21,6 +21,7 @@ from bibench.landscape import (
     MAX_CAP,
     MEMORY_LIMIT,
     FrontShape,
+    SeparabilityReport,
     _bit_component_count,
     _component_count,
     _mirror,
@@ -233,6 +234,46 @@ class TestPredicates:
             assert is_completely_conflicting(inst) == scan, inst.descriptor
 
 
+def scan_separability(inst, objective):
+    """The former is_fully_separable: a whole-plane scan of every position
+    for a context whose flip delta differs from context 0's."""
+    n = inst.n
+    size = 1 << n
+    plane = enumerate_landscape(inst).planes[objective - 1]
+    p = int.from_bytes(plane, "little")
+    guard = int.from_bytes(b"\x80" * size, "little")
+    deltas = []
+    for position in range(1, n + 1):
+        b = n - position
+        step = 1 << b
+        first = plane[step] - plane[0]
+        contexts = int.from_bytes((b"\xff" * step + bytes(step)) * (size >> (b + 1)), "little")
+        lanes = int.from_bytes(bytes([128 + first]) * size, "little")
+        offset = (((p >> 8 * step | guard) - p) ^ lanes) & contexts
+        if offset:
+            i = ((offset & -offset).bit_length() - 1) >> 3
+            return SeparabilityReport(
+                objective=objective,
+                separable=False,
+                contributions=None,
+                witness_position=position,
+                witness=(BitString(n, 0), BitString(n, i)),
+                witness_deltas=(first, plane[i + step] - plane[i]),
+            )
+        deltas.append(first)
+    base = plane[0]
+    contributions = [(0, d) for d in deltas]
+    contributions[0] = (base, base + deltas[0])
+    return SeparabilityReport(
+        objective=objective,
+        separable=True,
+        contributions=tuple(contributions),
+        witness_position=None,
+        witness=None,
+        witness_deltas=None,
+    )
+
+
 class TestSeparability:
     def test_counting_objectives_are_separable(self):
         for descriptor, objective in [
@@ -305,6 +346,15 @@ class TestSeparability:
                 rep.witness_deltas,
             )
             assert found == expected, (descriptor, objective)
+
+    def test_one_pass_check_matches_the_scan(self):
+        instances = grid_instances(None, range(1, 17))
+        assert len(instances) == 434
+        for inst in instances:
+            for objective in (1, 2):
+                assert is_fully_separable(inst, objective) == scan_separability(
+                    inst, objective
+                ), (inst.descriptor, objective)
 
     def test_objective_selector_is_validated(self):
         with pytest.raises(ValidationError):
@@ -623,6 +673,20 @@ class TestReportProperties:
         for ones, summary in enumerate_landscape(inst).ones_tables:
             for counts in (summary.f1_counts, summary.f2_counts, summary.level_counts):
                 assert sum(c for _, c in counts) == math.comb(n, ones)
+
+
+class TestImageCounts:
+    def test_counted_image_matches_the_planes(self):
+        """The DP histogram against a count over the planes themselves."""
+        for inst in grid_instances(None, range(1, 17)):
+            f1, f2 = enumerate_landscape(inst).planes
+            ones = problems.statistic_plane("ones", inst.n, None)
+            assert problems.image_counts(inst) == Counter(zip(f1, f2, ones)), inst.descriptor
+
+    def test_vector_counts_ascend(self):
+        for descriptor in ["lotz:n=8", "ojzj:n=10,k=3", "ojzr:n=12,k=5,l=3"]:
+            keys = list(report_for(descriptor).vector_counts)
+            assert keys == sorted(keys), descriptor
 
 
 class TestPlanesOnly:

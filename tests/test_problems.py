@@ -4,11 +4,12 @@ import pytest
 
 from bibench.bitstring import BitString
 from bibench.errors import DescriptorError, ValidationError
+from bibench.landscape import MAX_CAP
 from bibench.oracles import grid_instances
 from bibench.problems import (
+    AUTOMATA,
     FAMILY_NAMES,
     OBJECTIVES,
-    STATISTIC_PLANES,
     STATISTICS,
     ProblemInstance,
     evaluate,
@@ -16,6 +17,7 @@ from bibench.problems import (
     index_evaluator,
     objective_planes,
     parse_descriptor,
+    statistic_plane,
     validate,
 )
 
@@ -279,21 +281,36 @@ class TestEvaluation:
         assert a == b and hash(a) == hash(b)
 
 
+def block_lengths(name, n):
+    """Block statistics take every block length dividing n, the others none."""
+    return [l for l in range(1, n + 1) if n % l == 0] if "blocks" in name else [None]
+
+
 class TestPlanes:
-    """The byte-plane form of each statistic and objective against the
-    index-level form."""
+    """The byte-plane form of each statistic and objective, built from the
+    statistic's automaton, against the index-level form."""
 
     def test_every_statistic_has_a_plane(self):
-        assert STATISTIC_PLANES.keys() == STATISTICS.keys()
+        assert AUTOMATA.keys() == STATISTICS.keys()
 
     @pytest.mark.parametrize("name", list(STATISTICS))
     def test_statistic_planes_match_the_index_form(self, name):
         for n in range(1, 13):
-            # Block statistics take every block length dividing n.
-            lengths = [l for l in range(1, n + 1) if n % l == 0] if "blocks" in name else [None]
-            for l in lengths:
+            for l in block_lengths(name, n):
                 expected = bytes(map(STATISTICS[name](n, l), range(1 << n)))
-                assert STATISTIC_PLANES[name](n, l) == expected, (name, n, l)
+                assert statistic_plane(name, n, l) == expected, (name, n, l)
+
+    @pytest.mark.parametrize("name", list(STATISTICS))
+    def test_automaton_states_fit_a_byte(self, name):
+        # Every state reachable after each index bit, up to the largest
+        # size the enumeration cap admits.
+        for n in range(1, MAX_CAP + 1):
+            for l in block_lengths(name, n):
+                step, _ = AUTOMATA[name](n, l)
+                states = {0}
+                for m in range(n):
+                    states = {step(s, bit, m) for s in states for bit in (0, 1)}
+                    assert max(states) < 256, (name, n, l, m)
 
     def test_objective_planes_match_index_evaluator(self):
         instances = grid_instances(None, range(1, 13))
