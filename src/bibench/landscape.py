@@ -3,8 +3,8 @@ seven characteristic flags, all computed exactly by enumeration.
 
 Enumeration works on byte planes: 2^n bytes whose byte i is a value of the
 string with index i. Every stage is a whole-plane operation (bytes.translate,
-slicing, compress, big-int arithmetic on byte lanes), so no Python loop runs
-per string. The image, its multiplicities and the ones tables are not read
+slicing, compress, big-int arithmetic on byte lanes or on bit planes, whose
+bit i belongs to string i), so no Python loop runs per string. The image, its multiplicities and the ones tables are not read
 from the planes at all: they come from the (f1, f2, ones) histogram that
 problems.image_counts counts by a DP over the index bits.
 
@@ -31,10 +31,11 @@ from .problems import ProblemInstance, image_counts, objective_planes
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
-# Peak resident memory of enumerate_landscape plus characteristic_profile
-# per string of the cube, rounded up from the largest measured over the
-# families at n = 24 (369 MB, see README). MAX_CAP is the largest n whose
-# estimate fits MEMORY_LIMIT.
+# Budget for the peak resident memory of enumerate_landscape plus
+# characteristic_profile per string of the cube. The largest measured over
+# the families at n = 24 is 249 MB, 15.6 bytes per string (see README); the
+# budget stays at 24, since 16 would raise MAX_CAP, the largest n whose
+# estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
 MEMORY_LIMIT = 16 << 30
 MAX_CAP = (MEMORY_LIMIT // BYTES_PER_STRING).bit_length() - 1
@@ -185,21 +186,25 @@ def _component_count(mask: bytearray, n: int) -> int:
     return components
 
 
+def _bit_clear(n: int, b: int) -> int:
+    """The int whose bit i, for every index i < 2^n, is set when bit b of i
+    is clear."""
+    size = 1 << n
+    if b < 3:
+        pattern = bytes([(0x55, 0x33, 0x0F)[b]]) * max(1, size >> 3)
+    else:
+        half = 1 << (b - 3)
+        pattern = (b"\xff" * half + bytes(half)) * (size >> (b + 1))
+    clear = int.from_bytes(pattern, "little")
+    return clear & ((1 << size) - 1) if size < 8 else clear
+
+
 def _bit_component_count(members: int, n: int) -> int:
     """Connected components of the Hamming-distance-1 graph on the set bits
     of members (bit i set when index i is a member). Each component grows
     from its lowest member by sweeps over the whole cube, one shift pair per
     index bit, until a sweep adds nothing."""
-    size = 1 << n
-    cube = (1 << size) - 1
-    clear = []
-    for b in range(n):
-        if b < 3:
-            pattern = bytes([(0x55, 0x33, 0x0F)[b]]) * max(1, size >> 3)
-        else:
-            half = 1 << (b - 3)
-            pattern = (b"\xff" * half + bytes(half)) * (size >> (b + 1))
-        clear.append(int.from_bytes(pattern, "little") & cube)
+    clear = [_bit_clear(n, b) for b in range(n)]
     components = 0
     while members:
         components += 1
@@ -222,37 +227,102 @@ def _pack_bits(flags: bytes) -> int:
     return packed
 
 
-def _lanes(size: int, byte: int) -> int:
-    """size byte lanes, each holding byte."""
-    return int.from_bytes(bytes([byte]) * size, "little")
+# _BITS[k] maps a byte to its bit k.
+_BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
 
 
-def _local_optima(f1: bytes, f2: bytes, member: bytes, n: int) -> bytes:
-    """Byte i nonzero exactly when string i is a non-global local optimum:
-    not a member and no neighbour strictly dominates it (an equal-valued
-    neighbour does not count).
+def _unpack_bits(packed: int, size: int) -> bytearray:
+    """The size bytes whose byte i is bit i of packed."""
+    raw = packed.to_bytes(-(-size // 8), "little")
+    flags = bytearray(len(raw) << 3)
+    for k, table in enumerate(_BITS):
+        flags[k::8] = raw.translate(table)
+    del flags[size:]
+    return flags
 
-    Lanes are the bytes of a plane read as one int. All values are at most
-    127, so ((X | G) - Y) with G = 0x80 in every lane has lane i's bit 7 set
-    exactly when x_i >= y_i, and no lane borrows from the next. For index bit
-    b, the lanes with bit b clear meet their neighbours 2^b lanes up."""
+
+# Delta swaps (shift, mask of one 64-bit word) that transpose the 8x8 bit
+# matrix in every word: bit k of byte t trades places with bit t of byte k.
+_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+# Bytes transposed at a time, a multiple of 8.
+_CHUNK = 1 << 16
+
+
+def _bit_planes(plane: bytes) -> list[int]:
+    """Bit planes 0 to 6 of a plane whose values are at most 127: bit i of
+    the plane for bit k is bit k of byte i. An 8x8 bit transpose of every
+    8 bytes gathers bit k of their 8 strings into byte k, and a strided
+    slice collects those bytes; chunks keep the big ints small."""
+    raw = plane + bytes(-len(plane) % 8)
+    chunk = min(len(raw), _CHUNK)
+    swaps = [
+        (shift, int.from_bytes(mask.to_bytes(8, "little") * (chunk >> 3), "little"))
+        for shift, mask in _TRANSPOSE
+    ]
+    rows = [[] for _ in range(7)]
+    for start in range(0, len(raw), chunk):
+        x = int.from_bytes(raw[start : start + chunk], "little")
+        for shift, mask in swaps:
+            t = (x ^ x >> shift) & mask
+            x ^= t ^ t << shift
+        block = x.to_bytes(chunk, "little")
+        for k, row in enumerate(rows):
+            row.append(block[k::8])
+    return [int.from_bytes(b"".join(row), "little") for row in rows]
+
+
+def _local_optima(f1: bytes, f2: bytes, member: int, n: int) -> bytearray:
+    """Byte i is 1 exactly when string i is a non-global local optimum: not
+    a member (bit i of member) and no neighbour strictly dominates it (an
+    equal-valued neighbour does not count), else 0.
+
+    Bit-sliced: each plane becomes its 7 bit planes, so bit i of every int
+    below belongs to string i. For index bit b, the strings with bit b clear
+    meet their neighbours 2^b bits up. Bit planes 0 to 6 in turn tell, per
+    objective, whether the two values differ and which is greater at the
+    highest bit where they do."""
     size = 1 << n
-    guard = _lanes(size, 0x80)
-    a1, a2 = (int.from_bytes(p, "little") for p in (f1, f2))
-    a1g, a2g = a1 | guard, a2 | guard
-    marked = int.from_bytes(member, "little") << 7
+    sliced = (_bit_planes(f1), _bit_planes(f2))
+    marked = member
     for b in range(n):
         step = 1 << b
-        shift = 8 << b
-        up1, up2 = a1 >> shift, a2 >> shift
-        up_weak = ((up1 | guard) - a1) & ((up2 | guard) - a2)
-        own_weak = (a1g - up1) & (a2g - up2)
-        del up1, up2
-        lanes = int.from_bytes((b"\x80" * step + bytes(step)) * (size >> (b + 1)), "little")
-        # Weakly better in one direction only is strictly better.
-        strict = (up_weak ^ own_weak) & lanes
-        marked |= (strict & up_weak) | (strict & own_weak) << shift
-    return (marked ^ guard).to_bytes(size, "little")
+        # up: the neighbour is greater in some objective; down: smaller.
+        up = down = 0
+        for planes in sliced:
+            differ = greater = 0
+            for p in planes:
+                q = p >> step
+                d = p ^ q
+                if d:
+                    # Where they differ, a higher bit plane overrides.
+                    greater ^= (greater ^ q) & d
+                    differ |= d
+            up |= greater
+            down |= differ ^ greater
+        # Better in one direction only is strictly dominating.
+        strict = (up ^ down) & _bit_clear(n, b)
+        marked |= strict & up | (strict & down) << step
+    return _unpack_bits(marked ^ ((1 << size) - 1), size)
+
+
+# Zero bytes that end a run of a mask. Compressing a shorter gap costs less
+# than the find and the call that skipping it takes.
+_GAP = bytes(64)
+
+
+def _indices(mask: bytes) -> array:
+    """The indices of the set bytes of a 0/1 mask, ascending. One compress
+    per run of the mask that holds no gap of len(_GAP) zero bytes; find
+    skips the gaps."""
+    indices = array("I")
+    start = mask.find(1)
+    while start != -1:
+        end = mask.find(_GAP, start)
+        if end == -1:
+            end = len(mask)
+        indices.extend(compress(range(start, end), mask[start:end]))
+        start = mask.find(1, end)
+    return indices
 
 
 # Byte 0 maps to 1, every other byte to 0.
@@ -296,16 +366,16 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     paired = int.from_bytes(f1.translate(front_f2), "little") ^ int.from_bytes(f2, "little")
     member = paired.to_bytes(size, "little").translate(_IS_ZERO)
     del paired
-    local_mask = _local_optima(f1, f2, member, n)
-    local = array("I", compress(range(size), local_mask))
-    lo_counter = Counter(zip(compress(f1, local_mask), compress(f2, local_mask)))
-    ps = array("I", compress(range(size), member))
+    member_bits = _pack_bits(member)
+    local = _indices(_local_optima(f1, f2, member_bits, n))
+    ps = _indices(member)
+    lo_counter = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
 
     # Whole-cube floods cost a pass over the cube per sweep and component;
     # the byte flood costs a step per member. Sparse Pareto sets, with their
     # many isolated members (orzr, ojzr), take the byte flood.
     if len(ps) > size >> 4:
-        components = _bit_component_count(_pack_bits(member), n)
+        components = _bit_component_count(member_bits, n)
     else:
         components = _component_count(bytearray(member), n)
 
@@ -422,6 +492,11 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
             witness_deltas=None,
         )
     return _separability_witness(plane, n, objective)
+
+
+def _lanes(size: int, byte: int) -> int:
+    """size byte lanes, each holding byte."""
+    return int.from_bytes(bytes([byte]) * size, "little")
 
 
 def _separability_witness(plane: bytes, n: int, objective: int) -> SeparabilityReport:

@@ -15,7 +15,7 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 from .bitstring import BitString
-from .dominance import ObjectiveVector
+from .dominance import ObjectiveVector, nondominated_sort
 from .errors import ValidationError
 from .landscape import enumerate_landscape
 from .problems import (
@@ -23,6 +23,7 @@ from .problems import (
     JUMP_OBJECTIVES,
     ProblemInstance,
     family_catalog,
+    image_counts,
     validate,
 )
 
@@ -142,11 +143,13 @@ def reference_front(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
     """The true Pareto front used as a hitting target by the search loops.
 
     For the ten families whose closed forms are verified, the printed front
-    is exact and needs no enumeration, so targets work beyond the cap. The
-    ojzr closed form is unreliable, so its front is enumerated.
+    is exact. The ojzr closed form is unreliable, so its front is the first
+    non-dominated level of the image that image_counts counts. Neither
+    enumerates the cube, so targets work beyond the cap.
     """
     if not inst.info.exact:
-        return tuple(v for v, _ in enumerate_landscape(inst).front_counts)
+        image = (vector[:2] for vector in image_counts(inst))
+        return tuple(sorted(nondominated_sort(image).levels[0]))
     return claimed_front_tuples(inst)
 
 

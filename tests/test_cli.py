@@ -324,6 +324,13 @@ class TestRunCommand:
         assert rc == 0
         assert out.splitlines()[1].startswith("1,true,")
 
+    def test_ojzr_beyond_the_cap_needs_no_enumeration(self, capsys):
+        rc, out, err = run_main(
+            capsys, ["run", "gsemo", "ojzr:n=30,k=5,l=3", "--seeds", "1", "--budget", "1000"]
+        )
+        assert (rc, err) == (0, "")
+        assert out.startswith("seed,hit,hitting_time,evaluations_used\n1,")
+
     def test_reruns_are_identical(self, capsys):
         argv = ["run", "semo", "lotz:n=8", "--seeds", "4,5", "--budget", "50000"]
         _, first, _ = run_main(capsys, argv)
@@ -443,7 +450,6 @@ class TestUsageErrors:
         [
             ["landscape", "omm:n=10", "--out", "{out}"],
             ["verify", "omm", "--threads", "2"],
-            ["run", "gsemo", "ojzr:n=10,k=3,l=2", "--seeds", "1..4", "--budget", "100"],
         ],
     )
     def test_env_var_sets_the_cap(self, capsys, tmp_path, monkeypatch, argv):

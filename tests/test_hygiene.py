@@ -1,8 +1,10 @@
-"""Every imported name is referenced by the module that imports it, every
-private top-level name of the package is referenced somewhere in it, and no
+"""Every imported name is referenced by the module that imports it, the
+package imports nothing outside the standard library, every private
+top-level name of the package is referenced somewhere in it, and no
 top-level name is defined in two modules of the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,20 @@ def test_no_unused_imports(path):
 
 
 SOURCES = sorted((ROOT / "src" / "bibench").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    # pyproject.toml declares no dependencies, so nothing may need one.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    tops = {module.split(".")[0] for module in modules}
+    assert sorted(tops - sys.stdlib_module_names - {"bibench"}) == []
 
 
 def top_level_names(tree):

@@ -4,14 +4,18 @@ one-slot report memo, plus brute-force references for the enumeration
 core's plane helpers."""
 
 import math
+import random
+from array import array
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibench import problems
+from bibench import landscape, problems
 from bibench.bitstring import BitString
 from bibench.errors import EnumerationCapError, ValidationError
 from bibench.landscape import (
@@ -23,11 +27,16 @@ from bibench.landscape import (
     FrontShape,
     SeparabilityReport,
     _bit_component_count,
+    _bit_planes,
     _component_count,
+    _indices,
+    _local_optima,
     _mirror,
     _mirror_pairs,
+    _pack_bits,
     _report,
     _turns,
+    _unpack_bits,
     characteristic_profile,
     enumerate_landscape,
     enumeration_cap,
@@ -565,6 +574,87 @@ class TestFlatHelpers:
                 out = _mirror(plane, n)
                 for i in range(size):
                     assert out[int(format(i, f"0{n}b")[::-1], 2)] == plane[i], (n, i)
+
+
+def reference_local_optima(f1, f2, members, n):
+    """Byte i is 1 when string i is not a member and no neighbour strictly
+    dominates it: a check of every neighbour of every string."""
+    flips = [1 << b for b in range(n)]
+    out = bytearray(1 << n)
+    for i in range(1 << n):
+        a, c = f1[i], f2[i]
+        out[i] = i not in members and not any(
+            f1[i ^ m] >= a and f2[i ^ m] >= c and (f1[i ^ m], f2[i ^ m]) != (a, c)
+            for m in flips
+        )
+    return out
+
+
+def mask_from_runs(runs):
+    return b"".join(bytes([value]) * length for value, length in runs)
+
+
+# Masks of alternating runs around the extraction's 64-byte gap.
+run_masks = st.lists(
+    st.tuples(st.integers(0, 1), st.sampled_from([1, 2, 7, 63, 64, 65, 200])), max_size=12
+).map(mask_from_runs)
+
+
+class TestBitSlicedKernels:
+    def test_local_optima_match_the_neighbour_check(self):
+        # n = 1 and 2 pad the planes to one 8-byte word.
+        for inst in grid_instances(None, range(1, 13)):
+            report = enumerate_landscape(inst)
+            f1, f2 = report.planes
+            members = set(report.pareto_set_indices)
+            packed = sum(1 << i for i in members)
+            expected = reference_local_optima(f1, f2, members, inst.n)
+            assert _local_optima(f1, f2, packed, inst.n) == expected, inst.descriptor
+
+    @given(st.lists(st.integers(0, 127), min_size=1, max_size=80).map(bytes))
+    @settings(max_examples=200)
+    def test_bit_planes_rebuild_the_plane(self, plane):
+        # Small chunks make several, the last one short.
+        for chunk in (8, 24, landscape._CHUNK):
+            with mock.patch.object(landscape, "_CHUNK", chunk):
+                planes = _bit_planes(plane)
+            assert len(planes) == 7
+            assert all(p >> len(plane) == 0 for p in planes)
+            rebuilt = bytes(
+                sum((p >> i & 1) << k for k, p in enumerate(planes)) for i in range(len(plane))
+            )
+            assert rebuilt == plane, chunk
+
+    @given(cube_subsets)
+    @settings(max_examples=100)
+    def test_unpacked_bits_pack_back(self, case):
+        n, members = case
+        size, packed = 1 << n, sum(1 << i for i in members)
+        flags = _unpack_bits(packed, size)
+        assert len(flags) == size and set(flags) <= {0, 1}
+        assert _pack_bits(flags) == packed
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            bytes(300),
+            b"\x01" * 300,
+            b"\x01" + bytes(299),
+            bytes(299) + b"\x01",
+            b"\x01\x00" * 150,
+            bytes(random.Random(7).choice((0, 1)) for _ in range(5000)),
+            bytes(random.Random(8).random() < 0.01 for _ in range(5000)),
+            b"",
+        ],
+        ids=["empty", "full", "first", "last", "alternating", "random", "sparse", "no-bytes"],
+    )
+    def test_indices_match_compress(self, mask):
+        assert _indices(mask) == array("I", compress(range(len(mask)), mask))
+
+    @given(run_masks)
+    @settings(max_examples=200)
+    def test_indices_match_compress_across_gaps(self, mask):
+        assert _indices(mask) == array("I", compress(range(len(mask)), mask))
 
 
 def _dominates(a, b):

@@ -257,10 +257,22 @@ class TestClaimedFronts:
 
 
 class TestReferenceFront:
-    def test_ojzr_uses_enumeration(self):
+    def test_ojzr_front_is_not_the_printed_one(self):
         inst = validate("ojzr", n=6, k=2, l=3)
         assert reference_front(inst) == ((2, 6), (5, 3), (8, 0))
         assert reference_front(inst) != claimed_front_tuples(inst)
+
+    def test_ojzr_front_matches_enumeration(self):
+        instances = grid_instances(("ojzr",), range(4, 17))
+        assert len(instances) == 136
+        for inst in instances:
+            enumerated = tuple(v for v, _ in enumerate_landscape(inst).front_counts)
+            assert reference_front(inst) == enumerated, inst.descriptor
+
+    def test_ojzr_front_works_beyond_the_enumeration_cap(self):
+        front = reference_front(validate("ojzr", n=30, k=5, l=3))
+        assert front == tuple(sorted(front))
+        assert all(a < b and c > d for (a, c), (b, d) in zip(front, front[1:]))
 
     def test_other_families_use_the_closed_form(self):
         inst = validate("omm", n=8)
