@@ -141,6 +141,10 @@ class LandscapeReport:
     # Image vector to its number of strings, in ascending (f1, f2) order.
     vector_counts: dict[ObjectiveVector, int]
     local_optima_indices: array
+    # Bit i of each is set when string i is in the Pareto set, or is a
+    # non-global local optimum.
+    member_bits: int = field(repr=False, compare=False)
+    local_optima_bits: int = field(repr=False, compare=False)
     local_front_counts: tuple[tuple[ObjectiveVector, int], ...]
     component_count: int
     ratio: Fraction
@@ -271,10 +275,10 @@ def _bit_planes(plane: bytes) -> list[int]:
     return [int.from_bytes(b"".join(row), "little") for row in rows]
 
 
-def _local_optima(f1: bytes, f2: bytes, member: int, n: int) -> bytearray:
-    """Byte i is 1 exactly when string i is a non-global local optimum: not
-    a member (bit i of member) and no neighbour strictly dominates it (an
-    equal-valued neighbour does not count), else 0.
+def _local_optima(f1: bytes, f2: bytes, member: int, n: int) -> int:
+    """The int whose bit i is set exactly when string i is a non-global
+    local optimum: not a member (bit i of member) and no neighbour strictly
+    dominates it (an equal-valued neighbour does not count).
 
     Bit-sliced: each plane becomes its 7 bit planes, so bit i of every int
     below belongs to string i. For index bit b, the strings with bit b clear
@@ -302,7 +306,7 @@ def _local_optima(f1: bytes, f2: bytes, member: int, n: int) -> bytearray:
         # Better in one direction only is strictly dominating.
         strict = (up ^ down) & _bit_clear(n, b)
         marked |= strict & up | (strict & down) << step
-    return _unpack_bits(marked ^ ((1 << size) - 1), size)
+    return marked ^ ((1 << size) - 1)
 
 
 # Zero bytes that end a run of a mask. Compressing a shorter gap costs less
@@ -367,7 +371,8 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     member = paired.to_bytes(size, "little").translate(_IS_ZERO)
     del paired
     member_bits = _pack_bits(member)
-    local = _indices(_local_optima(f1, f2, member_bits, n))
+    local_bits = _local_optima(f1, f2, member_bits, n)
+    local = _indices(_unpack_bits(local_bits, size))
     ps = _indices(member)
     lo_counter = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
 
@@ -410,6 +415,8 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         levels=assignment.levels,
         vector_counts=vector_counts,
         local_optima_indices=local,
+        member_bits=member_bits,
+        local_optima_bits=local_bits,
         local_front_counts=local_front_counts,
         component_count=components,
         ratio=Fraction(len(ps), size),

@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
+from itertools import compress
 
 from .bitstring import BitString
 from .dominance import ObjectiveVector, nondominated_sort
 from .errors import ValidationError
-from .landscape import enumerate_landscape
+from .landscape import _pack_bits, enumerate_landscape
 from .problems import (
     FAMILY_NAMES,
     JUMP_OBJECTIVES,
@@ -173,25 +174,40 @@ class VerificationReport:
         return all(c.matched for c in self.claims if c.must_match)
 
 
-def _set_claim(
-    name: str,
-    must_match: bool,
-    claimed: set,
-    actual: set,
-    describe,
-) -> ClaimResult:
-    extra = sorted(claimed - actual)
-    missing = sorted(actual - claimed)
+def _claim(name: str, must_match: bool, sizes, extra, missing, describe) -> ClaimResult:
+    """A set claim from its size and the true set's, and the first
+    counterexamples in each direction: members the claim wrongly includes
+    (extra) and members it leaves out (missing)."""
     examples = [f"claimed but wrong: {describe(v)}" for v in extra[:MAX_COUNTEREXAMPLES]]
     examples += [f"missing from claim: {describe(v)}" for v in missing[:MAX_COUNTEREXAMPLES]]
-    detail = f"claimed={len(claimed)} actual={len(actual)}"
     return ClaimResult(
         name=name,
         must_match=must_match,
         matched=not extra and not missing,
-        detail=detail,
+        detail="claimed={} actual={}".format(*sizes),
         counterexamples=tuple(examples),
     )
+
+
+def _lowest_bits(x: int) -> list[int]:
+    """The positions of the lowest set bits of x, ascending, as many as a
+    claim shows."""
+    out = []
+    while x and len(out) < MAX_COUNTEREXAMPLES:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _bits_claim(name: str, must_match: bool, claimed: int, actual: int, describe) -> ClaimResult:
+    """A claim on a set of strings, both sets packed with bit i for index i:
+    one comparison decides it, and only a mismatch looks for examples."""
+    sizes = (claimed.bit_count(), actual.bit_count())
+    if claimed == actual:
+        return _claim(name, must_match, sizes, [], [], describe)
+    extra = _lowest_bits(claimed & ~actual)
+    return _claim(name, must_match, sizes, extra, _lowest_bits(actual & ~claimed), describe)
 
 
 def verify(inst: ProblemInstance) -> VerificationReport:
@@ -205,26 +221,30 @@ def verify(inst: ProblemInstance) -> VerificationReport:
     def show(i: int) -> str:
         return f"{BitString(n, i)} -> ({f1[i]}, {f2[i]})"
 
+    pareto_claim = _bits_claim("pareto_set", must, _pack_bits(pareto), report.member_bits, show)
+    # The image of the enumerated Pareto set is the front.
+    if pareto_claim.matched:
+        image = {v for v, _ in report.front_counts}
+    else:
+        image = set(zip(compress(f1, pareto), compress(f2, pareto)))
+    # The byte mask is done with; the local optima build their own.
+    del pareto
+    front = set(claimed_front_tuples(inst))
     claims = [
-        _set_claim(
-            "pareto_set",
-            must,
-            pareto,
-            set(report.pareto_set_indices),
-            show,
-        ),
-        _set_claim(
+        pareto_claim,
+        _bits_claim(
             "local_optima",
             must,
-            inst.info.local_optima(n, inst.k, inst.l),
-            set(report.local_optima_indices),
+            _pack_bits(inst.info.local_optima(n, inst.k, inst.l)),
+            report.local_optima_bits,
             show,
         ),
-        _set_claim(
+        _claim(
             "claimed_front",
             must,
-            set(claimed_front_tuples(inst)),
-            set(zip(map(f1.__getitem__, pareto), map(f2.__getitem__, pareto))),
+            (len(front), len(image)),
+            sorted(front - image),
+            sorted(image - front),
             str,
         ),
     ]

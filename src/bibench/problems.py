@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import compress
 from typing import Callable, NamedTuple
 
 from .bitstring import MAX_LENGTH, BitString
@@ -149,15 +148,13 @@ AUTOMATA = {
 }
 
 
-# Instances of one size share their statistics' tables, so a grid of
-# instances builds few of them.
-@lru_cache(maxsize=64)
-def _step_tables(statistic: str, n: int, l: int | None):
-    """The statistic's automaton as tables indexed by state: for each index
-    bit m the pair of tables of its step on bit 0 and on bit 1, filled over
-    the states that can occur before bit m and zero elsewhere. Also returns
-    the value table, over the states that can occur after the last bit."""
-    step, value = AUTOMATA[statistic](n, l)
+def _automaton_tables(automaton: Automaton, n: int):
+    """The automaton as tables indexed by state: for each bit read, m = 0 to
+    n - 1, the pair of tables of its step on bit 0 and on bit 1, filled over
+    the states that can occur before that bit and zero elsewhere. Also
+    returns the value table, over the states that can occur after the last
+    bit."""
+    step, value = automaton
     states = {0}
     tables = []
     for m in range(n):
@@ -173,16 +170,33 @@ def _step_tables(statistic: str, n: int, l: int | None):
     return tuple(tables), bytes(values)
 
 
+# Instances of one size share their statistics' tables, so a grid of
+# instances builds few of them.
+@lru_cache(maxsize=64)
+def _step_tables(statistic: str, n: int, l: int | None):
+    """The step and value tables of the statistic's automaton."""
+    return _automaton_tables(AUTOMATA[statistic](n, l), n)
+
+
 def _translate(plane: bytes, table: bytes) -> bytes:
     """Byte i is table[plane[i]], every byte of the plane indexing table."""
     return plane.translate(table.ljust(256, b"\0"))
 
 
-def _state_plane(tables) -> bytes:
-    """Byte i is the automaton's state after reading every bit of index i."""
+def _state_plane(tables, downward: bool = False) -> bytes:
+    """Byte i is the automaton's state after reading every bit of index i,
+    from bit 0 upward: each bit read becomes the new high bit of the index.
+    Downward, each bit read becomes the new low bit, so the first bit read
+    is index bit n-1."""
     p = b"\0"
     for t0, t1 in tables:
-        p = _translate(p, t0) + _translate(p, t1)
+        if downward:
+            q = bytearray(2 * len(p))
+            q[::2] = _translate(p, t0)
+            q[1::2] = _translate(p, t1)
+            p = q
+        else:
+            p = _translate(p, t0) + _translate(p, t1)
     return p
 
 
@@ -232,101 +246,100 @@ def _block_length(n, k, l):
     return None
 
 
-def _completed_indices(n, k, l) -> set[int]:
-    """All strings whose blocks are each all-ones or all-zeroes."""
-    out = {0}
-    for j in range(n // l):
-        block = ((1 << l) - 1) << (j * l)
-        out |= {i | block for i in out}
-    return out
+# The closed forms below give masks: 2^n bytes whose byte i is 1 when the
+# string with index i is in the set, else 0. They are built by whole-plane
+# operations only: marks of statistic planes, their AND and OR, doubling and
+# runs of ones; the few strings of a prefix family are set one by one.
 
 
-def _prefixes(n, k, l):
-    """All strings of leading ones then zeroes."""
-    return {((1 << i) - 1) << (n - i) for i in range(n + 1)}
+def _completed(n, k, l) -> bytes:
+    """The strings whose blocks are each all-ones or all-zeroes. Each block
+    added at the high end of the index repeats the mask at block values 0
+    and 2^l - 1."""
+    mask = b"\x01"
+    for _ in range(n // l):
+        mask += bytes(len(mask) * ((1 << l) - 2)) + mask
+    return mask
 
 
-def _block_prefixes(n, k, l):
-    return {i for i in _prefixes(n, k, l) if i.bit_count() % l == 0}
+def _prefixes(n, counts) -> bytearray:
+    """The strings of leading ones then zeroes with each of the given numbers
+    of ones."""
+    mask = bytearray(1 << n)
+    for c in counts:
+        mask[((1 << c) - 1) << (n - c)] = 1
+    return mask
 
 
-# The closed forms below that filter the whole cube read statistic planes:
-# each test is a 256-entry table applied to a plane with bytes.translate.
+def _mark(plane: bytes, values) -> bytes:
+    """The mask of the indices whose byte in the plane is one of the values:
+    one bytes.translate, by a table set at those values alone."""
+    table = bytearray(256)
+    for v in values:
+        table[v] = 1
+    return plane.translate(table)
 
 
-def _mark(plane: bytes, test) -> bytes:
-    """Byte i is 1 where test holds for byte i of the plane, else 0."""
-    return plane.translate(bytes(test(v) for v in range(256)))
-
-
-def _where(*marks: bytes) -> set[int]:
-    """The indices marked in every one of the marks."""
-    both = marks[0]
+def _where(*marks: bytes) -> bytes:
+    """The mask of the indices marked in every one of the marks."""
+    both = int.from_bytes(marks[0], "little")
     for mark in marks[1:]:
-        both = (int.from_bytes(both, "little") & int.from_bytes(mark, "little")).to_bytes(
-            len(mark), "little"
-        )
-    return set(compress(range(len(both)), both))
+        both &= int.from_bytes(mark, "little")
+    return both.to_bytes(len(marks[0]), "little")
 
 
 def _block_automaton(n, l, move) -> bytes:
     """Plane of the state an automaton reaches from state 0 by reading the
     blocks left to right; move(state, ones) is its step on a block with that
-    many ones. Appending a block at the low end of the index puts the states
-    after block value v at every 2^l-th byte from byte v."""
-    width = 1 << l
-    by_ones = [bytes(move(s, ones) for s in range(256)) for ones in range(l + 1)]
-    moves = [by_ones[v.bit_count()] for v in range(width)]
-    p = b"\0"
-    for _ in range(n // l):
-        q = bytearray(len(p) * width)
-        for v, table in enumerate(moves):
-            q[v::width] = p.translate(table)
-        p = bytes(q)
-    return p
+    many ones. It runs bit by bit from index bit n-1 down, on the state
+    (l + 1) * (state before the open block) + (ones in the open block)."""
+    width = l + 1
+
+    def step(s, bit, m):
+        s += bit
+        return s if (m + 1) % l else move(s // width, s % width) * width
+
+    tables, values = _automaton_tables(Automaton(step, lambda s: s // width), n)
+    return _translate(_state_plane(tables, downward=True), values)
 
 
 def _ojzr_pareto_set(n, k, l):
     # A completed string with n - k ones has exactly k // l zero blocks, so
     # the two sets overlap only when l divides k.
-    keep = {i for i in _completed_indices(n, k, l) if i.bit_count() <= n - k}
-    keep |= _where(
-        _mark(statistic_plane("ones", n, l), lambda s: s == n - k),
-        _mark(statistic_plane("all-zeroes blocks", n, l), lambda z: z == k // l),
+    ones = statistic_plane("ones", n, l)
+    completed = _where(_completed(n, k, l), _mark(ones, (*range(n - k + 1), n)))
+    middle = _where(
+        _mark(ones, (n - k,)),
+        _mark(statistic_plane("all-zeroes blocks", n, l), (k // l,)),
     )
-    return keep | {(1 << n) - 1}
+    either = int.from_bytes(completed, "little") | int.from_bytes(middle, "little")
+    return either.to_bytes(1 << n, "little")
 
 
-def _orzr_local_optima(n, k, l):
+def _orzr_move(l, state, ones):
     # State 0: every block so far all-ones or all-zeroes; 1: some block
     # open with 2 to l - 2 ones, none with 1 or l - 1; 2: one with 1 or l - 1.
-    def move(state, ones):
-        if ones in (0, l):
-            return state
-        return max(state, 1) if 2 <= ones <= l - 2 else 2
-
-    return _where(_mark(_block_automaton(n, l, move), lambda state: state == 1))
+    if ones in (0, l):
+        return state
+    return max(state, 1) if 2 <= ones <= l - 2 else 2
 
 
-def _lozr_local_optima(n, k, l):
+def _lozr_move(l, state, ones):
     # Full blocks, then an all-zero block, then blocks none of which holds
     # exactly one 1, not all zero (those strings are block prefixes).
     # State 0: only full blocks so far; 1: then a zero block and zero blocks;
     # 2: then some block with two or more ones; 3: rejected.
-    def move(state, ones):
-        if state == 0:
-            return 0 if ones == l else 1 if ones == 0 else 3
-        if state == 3 or ones == 1:
-            return 3
-        return 1 if state == 1 and ones == 0 else 2
-
-    return _where(_mark(_block_automaton(n, l, move), lambda state: state == 2))
+    if state == 0:
+        return 0 if ones == l else 1 if ones == 0 else 3
+    if state == 3 or ones == 1:
+        return 3
+    return 1 if state == 1 and ones == 0 else 2
 
 
 def _ojzr_local_optima(n, k, l):
     return _where(
-        _mark(statistic_plane("ones", n, l), lambda s: s == n - k),
-        _mark(statistic_plane("all-zeroes blocks", n, l), lambda z: z < k // l),
+        _mark(statistic_plane("ones", n, l), (n - k,)),
+        _mark(statistic_plane("all-zeroes blocks", n, l), range(k // l)),
     )
 
 
@@ -358,64 +371,72 @@ class FamilyInfo:
     `objectives` name its two scalar objectives, keys of OBJECTIVES;
     `rule(n, k, l)` returns why parameters of the right kinds are invalid,
     or None, and `constraints` states it for people. The closed forms take
-    (n, k, l): `pareto_set` and `local_optima` give index sets, `front` the
-    front as printed. They are exact oracles unless `exact` is False.
+    (n, k, l): `pareto_set` and `local_optima` give masks of 2^n bytes, byte
+    i 1 when the string with index i is in the set and 0 otherwise, and
+    `front` gives the front as printed. They are exact oracles unless
+    `exact` is False.
     """
 
     name: str
     objectives: tuple[str, str]
     params: tuple[str, ...]
     constraints: str
-    pareto_set: Callable[..., set[int]]
+    pareto_set: Callable[..., bytes]
     front: Callable[..., set[ObjectiveVector]]
     rule: Callable[..., str | None] = lambda n, k, l: None
-    local_optima: Callable[..., set[int]] = lambda n, k, l: set()
+    local_optima: Callable[..., bytes] = lambda n, k, l: bytes(1 << n)
     exact: bool = True
 
 
 _CATALOG = (
     FamilyInfo("omm", ("ones", "zeroes"), (), "1 <= n <= 63",
-               pareto_set=lambda n, k, l: set(range(1 << n)), front=_diagonal_front),
+               pareto_set=lambda n, k, l: b"\x01" * (1 << n), front=_diagonal_front),
     FamilyInfo("lotz", ("leading ones", "trailing zeroes"), (), "1 <= n <= 63",
-               pareto_set=_prefixes, front=_diagonal_front),
+               pareto_set=lambda n, k, l: _prefixes(n, range(n + 1)), front=_diagonal_front),
     FamilyInfo("ojzj", ("one-jump", "zero-jump"), ("k",), "1 <= k < n/2",
                rule=lambda n, k, l: None if 1 <= k and 2 * k < n else "requires 1 <= k < n/2",
-               pareto_set=lambda n, k, l: _where(_mark(
-                   statistic_plane("ones", n, l), lambda s: s in (0, n) or k <= s <= n - k
-               )),
+               pareto_set=lambda n, k, l: _mark(
+                   statistic_plane("ones", n, l), (0, *range(k, n - k + 1), n)
+               ),
                front=lambda n, k, l: {(k, n + k), (n + k, k)}
                | {(k + s, n + k - s) for s in range(k, n - k + 1)}),
+    # The Pareto set is the strings whose first half is all ones: the last
+    # 2^(n/2) indices.
     FamilyInfo("cocz", ("ones", "ones in first half plus zeroes in second half"), (), "n even",
                rule=lambda n, k, l: "n must be even" if n % 2 else None,
-               pareto_set=lambda n, k, l: {
-                   ((1 << n // 2) - 1) << n // 2 | low for low in range(1 << n // 2)
-               },
+               pareto_set=lambda n, k, l: bytes((1 << n) - (1 << n // 2))
+               + b"\x01" * (1 << n // 2),
                front=lambda n, k, l: {(n // 2 + j, n - j) for j in range(n // 2 + 1)}),
     FamilyInfo("orzr", ("all-ones blocks", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
-               rule=_block_length, pareto_set=_completed_indices,
-               local_optima=_orzr_local_optima, front=_block_front),
+               rule=_block_length, pareto_set=_completed,
+               local_optima=lambda n, k, l: _mark(
+                   _block_automaton(n, l, partial(_orzr_move, l)), (1,)
+               ),
+               front=_block_front),
     FamilyInfo("omtz", ("ones", "trailing zeroes"), (), "1 <= n <= 63",
-               pareto_set=_prefixes, front=_diagonal_front),
+               pareto_set=lambda n, k, l: _prefixes(n, range(n + 1)), front=_diagonal_front),
     FamilyInfo("omzj", ("ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
-               pareto_set=lambda n, k, l: _where(
-                   _mark(statistic_plane("ones", n, l), lambda s: s == 0 or s >= k)
+               pareto_set=lambda n, k, l: _mark(
+                   statistic_plane("ones", n, l), (0, *range(k, n + 1))
                ),
                front=_zero_jump_front),
     FamilyInfo("omzr", ("ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
-               rule=_block_length, pareto_set=_completed_indices, front=_block_front),
+               rule=_block_length, pareto_set=_completed, front=_block_front),
     FamilyInfo("lozj", ("leading ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
-               pareto_set=lambda n, k, l: {0}
-               | {i for i in _prefixes(n, k, l) if i.bit_count() >= k},
+               pareto_set=lambda n, k, l: _prefixes(n, (0, *range(k, n + 1))),
                local_optima=lambda n, k, l: _where(
-                   _mark(statistic_plane("ones", n, l), lambda s: s == k),
-                   _mark(statistic_plane("leading ones", n, l), lambda lead: lead < k),
+                   _mark(statistic_plane("ones", n, l), (k,)),
+                   _mark(statistic_plane("leading ones", n, l), range(k)),
                ),
                front=_zero_jump_front),
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
-               rule=_block_length, pareto_set=_block_prefixes,
-               local_optima=_lozr_local_optima, front=_block_front),
+               rule=_block_length, pareto_set=lambda n, k, l: _prefixes(n, range(0, n + 1, l)),
+               local_optima=lambda n, k, l: _mark(
+                   _block_automaton(n, l, partial(_lozr_move, l)), (2,)
+               ),
+               front=_block_front),
     # The ojzr closed forms assume the block length is below the gap, which
     # not every valid instance satisfies, so they are informational.
     FamilyInfo("ojzr", ("one-jump", "all-zeroes blocks"), ("k", "l"),

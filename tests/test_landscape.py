@@ -608,8 +608,10 @@ class TestBitSlicedKernels:
             f1, f2 = report.planes
             members = set(report.pareto_set_indices)
             packed = sum(1 << i for i in members)
-            expected = reference_local_optima(f1, f2, members, inst.n)
+            expected = _pack_bits(reference_local_optima(f1, f2, members, inst.n))
             assert _local_optima(f1, f2, packed, inst.n) == expected, inst.descriptor
+            assert report.member_bits == packed, inst.descriptor
+            assert report.local_optima_bits == expected, inst.descriptor
 
     @given(st.lists(st.integers(0, 127), min_size=1, max_size=80).map(bytes))
     @settings(max_examples=200)

@@ -1,16 +1,22 @@
 """Tests for closed-form predictions and their verification harness."""
 
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibench.errors import ValidationError
-from bibench.landscape import enumerate_landscape
+from bibench.landscape import BYTES_PER_STRING, enumerate_landscape
 from bibench.oracles import (
+    ClaimResult,
+    VerificationReport,
+    _bits_claim,
     claimed_front_tuples,
     grid_instances,
     ojzj_asymptote,
@@ -23,7 +29,16 @@ from bibench.oracles import (
     render_verification,
     verify,
 )
-from bibench.problems import FAMILY_NAMES, index_evaluator, parse_descriptor, validate
+from bibench.problems import (
+    FAMILY_NAMES,
+    _block_automaton,
+    _lozr_move,
+    _orzr_move,
+    index_evaluator,
+    parse_descriptor,
+    statistic_plane,
+    validate,
+)
 
 EIGHT_BIT_DESCRIPTORS = (
     "omm:n=8",
@@ -42,10 +57,17 @@ EIGHT_BIT_DESCRIPTORS = (
 )
 
 
+def members(mask, n):
+    """The indices a closed-form mask marks; a mask is 2^n bytes of 0 and 1."""
+    assert len(mask) == 1 << n and set(mask) <= {0, 1}
+    return set(compress(range(1 << n), mask))
+
+
 def closed_form_front(inst):
     """Objective vectors of the closed-form Pareto set, sorted."""
     ev = index_evaluator(inst)
-    return tuple(sorted({ev(i) for i in inst.info.pareto_set(inst.n, inst.k, inst.l)}))
+    mask = inst.info.pareto_set(inst.n, inst.k, inst.l)
+    return tuple(sorted({ev(i) for i in members(mask, inst.n)}))
 
 
 class TestOracleSetsMatchEnumeration:
@@ -53,13 +75,15 @@ class TestOracleSetsMatchEnumeration:
     def test_pareto_set(self, descriptor):
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
-        assert inst.info.pareto_set(inst.n, inst.k, inst.l) == set(report.pareto_set_indices)
+        mask = inst.info.pareto_set(inst.n, inst.k, inst.l)
+        assert members(mask, inst.n) == set(report.pareto_set_indices)
 
     @pytest.mark.parametrize("descriptor", EIGHT_BIT_DESCRIPTORS)
     def test_local_optima(self, descriptor):
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
-        assert inst.info.local_optima(inst.n, inst.k, inst.l) == set(report.local_optima_indices)
+        mask = inst.info.local_optima(inst.n, inst.k, inst.l)
+        assert members(mask, inst.n) == set(report.local_optima_indices)
 
     @pytest.mark.parametrize("descriptor", EIGHT_BIT_DESCRIPTORS)
     def test_front(self, descriptor):
@@ -71,8 +95,176 @@ class TestOracleSetsMatchEnumeration:
         for n, k, l in ((12, 4, 3), (12, 5, 3), (12, 5, 4), (8, 3, 2)):
             inst = validate("ojzr", n=n, k=k, l=l)
             report = enumerate_landscape(inst)
-            assert inst.info.pareto_set(n, k, l) == set(report.pareto_set_indices)
-            assert inst.info.local_optima(n, k, l) == set(report.local_optima_indices)
+            assert members(inst.info.pareto_set(n, k, l), n) == set(report.pareto_set_indices)
+            assert members(inst.info.local_optima(n, k, l), n) == set(
+                report.local_optima_indices
+            )
+
+
+# The closed forms and the claims of verify() as index sets, the way they
+# were computed before they became masks: the references the masks and the
+# rendered verification are checked against.
+
+
+def reference_mark(plane, test):
+    return plane.translate(bytes(test(v) for v in range(256)))
+
+
+def reference_where(*marks):
+    both = marks[0]
+    for mark in marks[1:]:
+        both = (int.from_bytes(both, "little") & int.from_bytes(mark, "little")).to_bytes(
+            len(mark), "little"
+        )
+    return set(compress(range(len(both)), both))
+
+
+def reference_block_automaton(n, l, move):
+    """The block automaton run block by block, 256 states per table."""
+    width = 1 << l
+    by_ones = [bytes(move(s, ones) for s in range(256)) for ones in range(l + 1)]
+    moves = [by_ones[v.bit_count()] for v in range(width)]
+    p = b"\0"
+    for _ in range(n // l):
+        q = bytearray(len(p) * width)
+        for v, table in enumerate(moves):
+            q[v::width] = p.translate(table)
+        p = bytes(q)
+    return p
+
+
+def reference_completed(n, k, l):
+    out = {0}
+    for j in range(n // l):
+        block = ((1 << l) - 1) << (j * l)
+        out |= {i | block for i in out}
+    return out
+
+
+def reference_prefixes(n, k, l):
+    return {((1 << i) - 1) << (n - i) for i in range(n + 1)}
+
+
+def reference_ones_mark(n, test):
+    return reference_mark(statistic_plane("ones", n, None), test)
+
+
+def reference_ojzr_pareto_set(n, k, l):
+    keep = {i for i in reference_completed(n, k, l) if i.bit_count() <= n - k}
+    keep |= reference_where(
+        reference_ones_mark(n, lambda s: s == n - k),
+        reference_mark(statistic_plane("all-zeroes blocks", n, l), lambda z: z == k // l),
+    )
+    return keep | {(1 << n) - 1}
+
+
+REFERENCE_PARETO_SETS = {
+    "omm": lambda n, k, l: set(range(1 << n)),
+    "lotz": reference_prefixes,
+    "ojzj": lambda n, k, l: reference_where(
+        reference_ones_mark(n, lambda s: s in (0, n) or k <= s <= n - k)
+    ),
+    "cocz": lambda n, k, l: {((1 << n // 2) - 1) << n // 2 | low for low in range(1 << n // 2)},
+    "orzr": reference_completed,
+    "omtz": reference_prefixes,
+    "omzj": lambda n, k, l: reference_where(reference_ones_mark(n, lambda s: s == 0 or s >= k)),
+    "omzr": reference_completed,
+    "lozj": lambda n, k, l: {0}
+    | {i for i in reference_prefixes(n, k, l) if i.bit_count() >= k},
+    "lozr": lambda n, k, l: {
+        i for i in reference_prefixes(n, k, l) if i.bit_count() % l == 0
+    },
+    "ojzr": reference_ojzr_pareto_set,
+}
+
+REFERENCE_LOCAL_OPTIMA = {
+    "orzr": lambda n, k, l: reference_where(reference_mark(
+        reference_block_automaton(n, l, partial(_orzr_move, l)), lambda state: state == 1
+    )),
+    "lozj": lambda n, k, l: reference_where(
+        reference_ones_mark(n, lambda s: s == k),
+        reference_mark(statistic_plane("leading ones", n, l), lambda lead: lead < k),
+    ),
+    "lozr": lambda n, k, l: reference_where(reference_mark(
+        reference_block_automaton(n, l, partial(_lozr_move, l)), lambda state: state == 2
+    )),
+    "ojzr": lambda n, k, l: reference_where(
+        reference_ones_mark(n, lambda s: s == n - k),
+        reference_mark(statistic_plane("all-zeroes blocks", n, l), lambda z: z < k // l),
+    ),
+}
+
+
+def reference_set_claim(name, must_match, claimed, actual, describe):
+    extra = sorted(claimed - actual)
+    missing = sorted(actual - claimed)
+    examples = [f"claimed but wrong: {describe(v)}" for v in extra[:5]]
+    examples += [f"missing from claim: {describe(v)}" for v in missing[:5]]
+    return ClaimResult(
+        name, must_match, not extra and not missing,
+        f"claimed={len(claimed)} actual={len(actual)}", tuple(examples),
+    )
+
+
+def reference_verify(inst):
+    """verify() with its three set claims diffed as index sets; the ratio
+    claims and notes, which read no set, are verify()'s own."""
+    report = enumerate_landscape(inst)
+    n, k, l = inst.n, inst.k, inst.l
+    must = inst.info.exact
+    pareto = REFERENCE_PARETO_SETS[inst.family](n, k, l)
+    local = REFERENCE_LOCAL_OPTIMA.get(inst.family, lambda n, k, l: set())(n, k, l)
+    f1, f2 = report.planes
+
+    def show(i):
+        return f"{format(i, f'0{n}b')} -> ({f1[i]}, {f2[i]})"
+
+    claims = (
+        reference_set_claim("pareto_set", must, pareto, set(report.pareto_set_indices), show),
+        reference_set_claim(
+            "local_optima", must, local, set(report.local_optima_indices), show
+        ),
+        reference_set_claim(
+            "claimed_front", must, set(claimed_front_tuples(inst)),
+            {(f1[i], f2[i]) for i in pareto}, str,
+        ),
+    )
+    new = verify(inst)
+    return VerificationReport(inst, claims + new.claims[3:], new.notes)
+
+
+SMALL_GRID = grid_instances(None, range(1, 17))
+
+
+class TestMasksMatchTheSetReferences:
+    def test_masks_equal_the_reference_sets(self):
+        assert len(SMALL_GRID) == 434
+        for inst in SMALL_GRID:
+            n, k, l = inst.n, inst.k, inst.l
+            pareto = inst.info.pareto_set(n, k, l)
+            assert members(pareto, n) == REFERENCE_PARETO_SETS[inst.family](n, k, l), inst
+            local = inst.info.local_optima(n, k, l)
+            expected = REFERENCE_LOCAL_OPTIMA.get(inst.family, lambda n, k, l: set())(n, k, l)
+            assert members(local, n) == expected, inst.descriptor
+
+    def test_rendered_verification_equals_the_reference(self):
+        # Among them are the ojzr instances whose informational claims
+        # mismatch, with their counterexample lines.
+        mismatched = 0
+        for inst in SMALL_GRID:
+            report = verify(inst)
+            text = render_verification(report)
+            assert text == render_verification(reference_verify(inst)), inst.descriptor
+            mismatched += not all(claim.matched for claim in report.claims)
+        assert mismatched == 117
+
+    def test_block_automaton_planes_match_the_reference(self):
+        for n in range(2, 17):
+            for l in range(1, n // 2 + 1):
+                if n % l == 0:
+                    for move in (_orzr_move, _lozr_move):
+                        plane = _block_automaton(n, l, partial(move, l))
+                        assert plane == reference_block_automaton(n, l, partial(move, l)), (n, l)
 
 
 class TestRatioOjzj:
@@ -342,8 +534,26 @@ class TestVerify:
         )
         assert len(by_name["pareto_set"].counterexamples) == 5
 
+    def test_packed_claims_compare_members_not_sizes(self):
+        claim = _bits_claim("s", True, 0b10110, 0b01101, str)
+        assert not claim.matched
+        assert claim.detail == "claimed=3 actual=3"
+        assert claim.counterexamples == (
+            "claimed but wrong: 1",
+            "claimed but wrong: 4",
+            "missing from claim: 0",
+            "missing from claim: 3",
+        )
+        wide = _bits_claim("s", True, (1 << 300) - 1, 1 << 300, str)
+        assert wide.counterexamples == (
+            *(f"claimed but wrong: {i}" for i in range(5)),
+            "missing from claim: 300",
+        )
+
     def test_whole_grid_must_match(self):
-        for inst in grid_instances(n_values=(6, 8)):
+        # Even and odd sizes: DEFAULT_GRID_SIZES are all even, so `bibench
+        # verify all` never checks odd n.
+        for inst in SMALL_GRID:
             assert verify(inst).must_match_ok, inst.descriptor
 
     def test_odd_sizes_must_match(self):
@@ -352,6 +562,34 @@ class TestVerify:
         assert len(instances) == 74
         for inst in instances:
             assert verify(inst).must_match_ok, inst.descriptor
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "omm:n=18",
+            "lotz:n=18",
+            "ojzj:n=18,k=4",
+            "cocz:n=18",
+            "orzr:n=18,l=3",
+            "omtz:n=18",
+            "omzj:n=18,k=4",
+            "omzr:n=18,l=3",
+            "lozj:n=18,k=4",
+            "lozr:n=18,l=3",
+            "ojzr:n=18,k=7,l=3",
+        ],
+    )
+    def test_verification_memory_is_a_third_of_the_budget(self, descriptor):
+        # The report is enumerated first, so the peak is verify's own.
+        inst = parse_descriptor(descriptor)
+        enumerate_landscape(inst)
+        tracemalloc.start()
+        try:
+            verify(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (BYTES_PER_STRING // 3) << inst.n
 
 
 class TestRenderVerification:
