@@ -15,12 +15,13 @@ accidental huge requests fail fast with a clear error.
 from __future__ import annotations
 
 import os
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 
 from .bitstring import BitString
@@ -33,9 +34,9 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 249 MB, 15.6 bytes per string (see README); the
-# budget stays at 24, since 16 would raise MAX_CAP, the largest n whose
-# estimate fits MEMORY_LIMIT, from 29 to 30.
+# the families at n = 24 is 197 MB, 12.3 bytes per string (see README); the
+# budget stays at 24, since 16 or less would raise MAX_CAP, the largest n
+# whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
 MEMORY_LIMIT = 16 << 30
 MAX_CAP = (MEMORY_LIMIT // BYTES_PER_STRING).bit_length() - 1
@@ -132,10 +133,14 @@ class CharacteristicProfile:
 
 @dataclass(frozen=True)
 class LandscapeReport:
+    """Exact analysis of one instance. The Pareto set is kept as the packed
+    bits `member_bits`; its index array is built on first access (4 bytes
+    per member), since only its size, the bit count, is read on the way to
+    the report text and the profile."""
+
     instance: ProblemInstance
     # planes[j][i] is objective j+1 at the string with index i.
     planes: tuple[bytes, bytes] = field(repr=False, compare=False)
-    pareto_set_indices: array
     front_counts: tuple[tuple[ObjectiveVector, int], ...]
     levels: tuple[tuple[ObjectiveVector, ...], ...]
     # Image vector to its number of strings, in ascending (f1, f2) order.
@@ -143,7 +148,7 @@ class LandscapeReport:
     local_optima_indices: array
     # Bit i of each is set when string i is in the Pareto set, or is a
     # non-global local optimum.
-    member_bits: int = field(repr=False, compare=False)
+    member_bits: int = field(repr=False)
     local_optima_bits: int = field(repr=False, compare=False)
     local_front_counts: tuple[tuple[ObjectiveVector, int], ...]
     component_count: int
@@ -153,6 +158,11 @@ class LandscapeReport:
     @property
     def n(self) -> int:
         return self.instance.n
+
+    @cached_property
+    def pareto_set_indices(self) -> array:
+        """The indices of the Pareto set, ascending."""
+        return _indices(_unpack_bits(self.member_bits, 1 << self.n))
 
     @property
     def pareto_set(self) -> tuple[BitString, ...]:
@@ -373,13 +383,13 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     member_bits = _pack_bits(member)
     local_bits = _local_optima(f1, f2, member_bits, n)
     local = _indices(_unpack_bits(local_bits, size))
-    ps = _indices(member)
+    members = member_bits.bit_count()
     lo_counter = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
 
     # Whole-cube floods cost a pass over the cube per sweep and component;
     # the byte flood costs a step per member. Sparse Pareto sets, with their
     # many isolated members (orzr, ojzr), take the byte flood.
-    if len(ps) > size >> 4:
+    if members > size >> 4:
         components = _bit_component_count(member_bits, n)
     else:
         components = _component_count(bytearray(member), n)
@@ -410,7 +420,6 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     return LandscapeReport(
         instance=inst,
         planes=(f1, f2),
-        pareto_set_indices=ps,
         front_counts=front_counts,
         levels=assignment.levels,
         vector_counts=vector_counts,
@@ -419,7 +428,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         local_optima_bits=local_bits,
         local_front_counts=local_front_counts,
         component_count=components,
-        ratio=Fraction(len(ps), size),
+        ratio=Fraction(members, size),
         ones_tables=ones_tables,
     )
 
@@ -432,24 +441,24 @@ def is_completely_conflicting(inst: ProblemInstance) -> bool:
     return len(enumerate_landscape(inst).levels) == 1
 
 
-def _mirror_pairs(n: int) -> list[tuple[int, int]]:
-    """Transpositions of index bits whose product reverses an n-bit index."""
-    return [(b, n - 1 - b) for b in range(n // 2)]
+def _bit_reversed(k: int) -> list[int]:
+    """0 to 2^k - 1, each with its k bits reversed, in order."""
+    order = [0]
+    for _ in range(k):
+        order = [x << 1 for x in order] + [x << 1 | 1 for x in order]
+    return order
 
 
 def _mirror(plane: bytes, n: int) -> bytes:
     """The plane with byte i moved to byte rev(i), where rev reverses the n
-    bits of an index. Each transposition of index bits b < c is one delta
-    swap: the lanes with bit b set and bit c clear trade places with the
-    lanes 2^c - 2^b above them."""
-    size = 1 << n
-    x = int.from_bytes(plane, "little")
-    for b, c in _mirror_pairs(n):
-        shift = 8 * ((1 << c) - (1 << b))
-        period = (bytes(1 << b) + b"\xff" * (1 << b)) * (1 << (c - b - 1)) + bytes(1 << c)
-        t = (x ^ x >> shift) & int.from_bytes(period * (size >> (c + 1)), "little")
-        x ^= t ^ t << shift
-    return x.to_bytes(size, "little")
+    bits of an index. Reversing is a transpose of the matrix whose rows are
+    the high n - n//2 index bits and whose columns are the low n//2: the
+    rows are joined in bit-reversed order, then the columns are read out,
+    one strided slice each, in bit-reversed order (Carter and Gatlin, 1998)."""
+    width = 1 << n // 2
+    view = memoryview(plane)
+    rows = b"".join([view[r * width : (r + 1) * width] for r in _bit_reversed(n - n // 2)])
+    return b"".join([rows[c::width] for c in _bit_reversed(n // 2)])
 
 
 def is_symmetric_pair(inst: ProblemInstance) -> bool:
@@ -588,17 +597,36 @@ def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
     )
 
 
+# _DIGITS[k] maps a byte to the ASCII digit of its bit k.
+_DIGITS = [bytes(48 | v >> k & 1 for v in range(256)) for k in range(8)]
+
+
+def _binary_lines(indices: array, n: int) -> str:
+    """Each index as n binary digits, most significant first, one line each
+    with its newline. Built as one (n + 1)-column byte matrix: for index bit
+    b, the byte lane of the array that holds b is translated to digits and
+    assigned into column n - 1 - b."""
+    width = indices.itemsize
+    raw = indices.tobytes()
+    lines = bytearray(b"\n" * ((n + 1) * len(indices)))
+    for b in range(n):
+        lane = b >> 3 if sys.byteorder == "little" else width - 1 - (b >> 3)
+        lines[n - 1 - b :: n + 1] = raw[lane::width].translate(_DIGITS[b & 7])
+    return lines.decode("ascii")
+
+
 def _fmt_counts(pairs) -> str:
     return ";".join(f"{v}:{c}" for v, c in pairs)
 
 
 def render_report(report: LandscapeReport) -> str:
-    """Stable plain-text serialization of a landscape report."""
+    """Stable plain-text serialization of a landscape report. The local
+    optima are written by _binary_lines, all at once."""
     n = report.n
-    lines = [
+    head = [
         f"instance: {report.instance.descriptor}",
         f"search_space: {1 << n}",
-        f"pareto_set: {len(report.pareto_set_indices)}",
+        f"pareto_set: {report.member_bits.bit_count()}",
         f"pareto_front: {len(report.front_counts)}",
         f"ratio: {report.ratio.numerator}/{report.ratio.denominator}",
         f"components: {report.component_count}",
@@ -607,23 +635,22 @@ def render_report(report: LandscapeReport) -> str:
         "front:",
         "f1,f2,count",
     ]
-    lines.extend(f"{a},{b},{c}" for (a, b), c in report.front_counts)
-    lines.append("local_optima_strings:")
-    lines.extend(map(f"{{:0{n}b}}".format, report.local_optima_indices))
-    lines.append("ones_tables:")
-    lines.append("ones,f1_value:count,f2_value:count,level:count")
+    head.extend(f"{a},{b},{c}" for (a, b), c in report.front_counts)
+    head.append("local_optima_strings:")
+    tail = ["ones_tables:", "ones,f1_value:count,f2_value:count,level:count"]
     for ones, summary in report.ones_tables:
-        lines.append(
+        tail.append(
             f"{ones},{_fmt_counts(summary.f1_counts)},"
             f"{_fmt_counts(summary.f2_counts)},{_fmt_counts(summary.level_counts)}"
         )
-    return "\n".join(lines) + "\n"
+    strings = _binary_lines(report.local_optima_indices, n)
+    return "".join(("\n".join(head), "\n", strings, "\n".join(tail), "\n"))
 
 
 def summary_line(report: LandscapeReport) -> str:
     """One-line overview used by the command line tool."""
     return (
-        f"|PS|={len(report.pareto_set_indices)}"
+        f"|PS|={report.member_bits.bit_count()}"
         f" ratio={report.ratio.numerator}/{report.ratio.denominator}"
         f" components={report.component_count}"
         f" |LO|={len(report.local_optima_indices)}"

@@ -3,8 +3,10 @@ characteristic flags, separability, symmetry, front shapes, caps and the
 one-slot report memo, plus brute-force references for the enumeration
 core's plane helpers."""
 
+import dataclasses
 import math
 import random
+import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -31,8 +33,8 @@ from bibench.landscape import (
     _component_count,
     _indices,
     _local_optima,
+    _binary_lines,
     _mirror,
-    _mirror_pairs,
     _pack_bits,
     _report,
     _turns,
@@ -561,7 +563,7 @@ class TestFlatHelpers:
         samples.update((i * 0x9E3779B97F4A7C15) & top for i in range(1, 200))
         for i in samples:
             j = i
-            for b, c in _mirror_pairs(n):
+            for b, c in mirror_pairs(n):
                 if (j >> b ^ j >> c) & 1:
                     j ^= 1 << b | 1 << c
             assert j == int(format(i, f"0{n}b")[::-1], 2), (n, i)
@@ -574,6 +576,148 @@ class TestFlatHelpers:
                 out = _mirror(plane, n)
                 for i in range(size):
                     assert out[int(format(i, f"0{n}b")[::-1], 2)] == plane[i], (n, i)
+
+
+def mirror_pairs(n):
+    """Transpositions of index bits whose product reverses an n-bit index."""
+    return [(b, n - 1 - b) for b in range(n // 2)]
+
+
+def reference_mirror(plane, n):
+    """The former plane mirror: each transposition of index bits b < c is
+    one delta swap on the plane as a big int, so the lanes with bit b set
+    and bit c clear trade places with the lanes 2^c - 2^b above them."""
+    size = 1 << n
+    x = int.from_bytes(plane, "little")
+    for b, c in mirror_pairs(n):
+        shift = 8 * ((1 << c) - (1 << b))
+        period = (bytes(1 << b) + b"\xff" * (1 << b)) * (1 << (c - b - 1)) + bytes(1 << c)
+        t = (x ^ x >> shift) & int.from_bytes(period * (size >> (c + 1)), "little")
+        x ^= t ^ t << shift
+    return x.to_bytes(size, "little")
+
+
+def reference_render(report):
+    """The former render_report: one str.format per local optimum, and the
+    Pareto set's size from its index array."""
+    n = report.n
+    lines = [
+        f"instance: {report.instance.descriptor}",
+        f"search_space: {1 << n}",
+        f"pareto_set: {len(report.pareto_set_indices)}",
+        f"pareto_front: {len(report.front_counts)}",
+        f"ratio: {report.ratio.numerator}/{report.ratio.denominator}",
+        f"components: {report.component_count}",
+        f"local_optima: {len(report.local_optima_indices)}",
+        f"levels: {len(report.levels)}",
+        "front:",
+        "f1,f2,count",
+    ]
+    lines.extend(f"{a},{b},{c}" for (a, b), c in report.front_counts)
+    lines.append("local_optima_strings:")
+    lines.extend(map(f"{{:0{n}b}}".format, report.local_optima_indices))
+    lines.append("ones_tables:")
+    lines.append("ones,f1_value:count,f2_value:count,level:count")
+    for ones, summary in report.ones_tables:
+        lines.append(
+            f"{ones},{';'.join(f'{v}:{c}' for v, c in summary.f1_counts)},"
+            f"{';'.join(f'{v}:{c}' for v, c in summary.f2_counts)},"
+            f"{';'.join(f'{v}:{c}' for v, c in summary.level_counts)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+GRID = grid_instances(None, range(1, 17))
+
+
+class TestMirror:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_block_transpose_matches_the_delta_swaps(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            plane = rng.randbytes(1 << n)
+            assert _mirror(plane, n) == reference_mirror(plane, n)
+
+    def test_grid_planes_and_symmetry_match_the_delta_swaps(self):
+        for inst in GRID:
+            f1, f2 = enumerate_landscape(inst).planes
+            for plane in (f1, f2):
+                assert _mirror(plane, inst.n) == reference_mirror(plane, inst.n), inst.descriptor
+            symmetric = reference_mirror(f1[::-1], inst.n) == f2
+            assert is_symmetric_pair(inst) == symmetric, inst.descriptor
+
+
+class TestBinaryLines:
+    @pytest.mark.parametrize("n", range(1, 30))
+    def test_lines_match_format(self, n):
+        # n = 8, 9, 16, 17, 24 and 25 put the top bit at a lane's edge.
+        rng = random.Random(n)
+        top = (1 << n) - 1
+        picked = {0, top, 1, top >> 1, 1 << (n - 1)}
+        picked.update(rng.randrange(top + 1) for _ in range(300))
+        indices = array("I", sorted(picked))
+        expected = "\n".join(f"{i:0{n}b}" for i in indices) + "\n"
+        assert _binary_lines(indices, n) == expected
+        assert _binary_lines(array("I", [top]), n) == "1" * n + "\n"
+        assert _binary_lines(array("I"), n) == ""
+
+    def test_grid_reports_match_the_format_renderer(self):
+        for inst in GRID:
+            report = enumerate_landscape(inst)
+            assert render_report(report) == reference_render(report), inst.descriptor
+
+
+class TestLazyParetoIndices:
+    @pytest.mark.parametrize(
+        "descriptor", ["omm:n=8", "ojzj:n=10,k=3", "orzr:n=8,l=4", "ojzr:n=12,k=5,l=3"]
+    )
+    def test_built_on_first_access(self, descriptor):
+        _report.cache_clear()
+        inst = parse_descriptor(descriptor)
+        report = enumerate_landscape(inst)
+        characteristic_profile(inst)
+        render_report(report)
+        summary_line(report)
+        assert "pareto_set_indices" not in vars(report)
+        f1, f2 = report.planes
+        front = {v for v, _ in report.front_counts}
+        mask = bytes((a, b) in front for a, b in zip(f1, f2))
+        indices = report.pareto_set_indices
+        assert indices == array("I", compress(range(1 << inst.n), mask))
+        assert len(indices) == report.member_bits.bit_count()
+        assert vars(report)["pareto_set_indices"] is indices
+
+    def test_reports_differing_in_the_pareto_set_are_unequal(self):
+        report = report_for("ojzj:n=8,k=2")
+        assert dataclasses.replace(report) == report
+        assert dataclasses.replace(report, member_bits=report.member_bits ^ 1) != report
+
+
+def peak_bytes_per_string(call, n):
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (1 << n)
+
+
+class TestMemory:
+    """Peaks of the predicates and the text after enumeration, so each is
+    the call's own."""
+
+    @pytest.mark.parametrize("descriptor", ["omm:n=18", "lozr:n=18,l=3"])
+    def test_symmetry_check_peaks_below_five_bytes_per_string(self, descriptor):
+        inst = parse_descriptor(descriptor)
+        enumerate_landscape(inst)
+        assert peak_bytes_per_string(lambda: is_symmetric_pair(inst), inst.n) <= 4.5
+
+    def test_render_peaks_below_eight_bytes_per_string(self):
+        # 31,644 local optima, 19 bytes of text each.
+        inst = parse_descriptor("ojzr:n=18,k=7,l=3")
+        report = enumerate_landscape(inst)
+        assert peak_bytes_per_string(lambda: render_report(report), inst.n) <= 8
 
 
 def reference_local_optima(f1, f2, members, n):
