@@ -4,9 +4,12 @@ seven characteristic flags, all computed exactly by enumeration.
 Enumeration works on byte planes: 2^n bytes whose byte i is a value of the
 string with index i. Every stage is a whole-plane operation (bytes.translate,
 slicing, compress, big-int arithmetic on byte lanes or on bit planes, whose
-bit i belongs to string i), so no Python loop runs per string. The image, its multiplicities and the ones tables are not read
-from the planes at all: they come from the (f1, f2, ones) histogram that
-problems.image_counts counts by a DP over the index bits.
+bit i belongs to string i), so no Python loop runs per string. A set of
+strings, such as the Pareto set or the local optima, is held as packed
+bits: an int whose bit i is set when string i is in the set. The image, its
+multiplicities and the ones tables are not read from the planes at all:
+they come from the (f1, f2, ones) histogram that problems.image_counts
+counts by a DP over the index bits.
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -27,14 +30,14 @@ from itertools import compress
 from .bitstring import BitString
 from .dominance import ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
-from .problems import ProblemInstance, image_counts, objective_planes
+from .problems import ProblemInstance, _mark, image_counts, objective_planes
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 197 MB, 12.3 bytes per string (see README); the
+# the families at n = 24 is 168 MB, 10.5 bytes per string (see README); the
 # budget stays at 24, since 16 or less would raise MAX_CAP, the largest n
 # whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
@@ -133,10 +136,12 @@ class CharacteristicProfile:
 
 @dataclass(frozen=True)
 class LandscapeReport:
-    """Exact analysis of one instance. The Pareto set is kept as the packed
-    bits `member_bits`; its index array is built on first access (4 bytes
-    per member), since only its size, the bit count, is read on the way to
-    the report text and the profile."""
+    """Exact analysis of one instance. The Pareto set and the local optima
+    are kept once each, as packed bits (`member_bits`, `local_optima_bits`).
+    Their index arrays (4 bytes per member) and the local optima's image are
+    built on first access: the report text reads the local optima's
+    indices, the objective-space figure their image, and everything else
+    only sizes, the bit counts."""
 
     instance: ProblemInstance
     # planes[j][i] is objective j+1 at the string with index i.
@@ -145,24 +150,39 @@ class LandscapeReport:
     levels: tuple[tuple[ObjectiveVector, ...], ...]
     # Image vector to its number of strings, in ascending (f1, f2) order.
     vector_counts: dict[ObjectiveVector, int]
-    local_optima_indices: array
     # Bit i of each is set when string i is in the Pareto set, or is a
     # non-global local optimum.
     member_bits: int = field(repr=False)
-    local_optima_bits: int = field(repr=False, compare=False)
-    local_front_counts: tuple[tuple[ObjectiveVector, int], ...]
+    local_optima_bits: int = field(repr=False)
     component_count: int
-    ratio: Fraction
     ones_tables: tuple[tuple[int, OnesSummary], ...]
 
     @property
     def n(self) -> int:
         return self.instance.n
 
+    @property
+    def ratio(self) -> Fraction:
+        """The Pareto set's share of the search space."""
+        return Fraction(self.member_bits.bit_count(), 1 << self.n)
+
     @cached_property
     def pareto_set_indices(self) -> array:
         """The indices of the Pareto set, ascending."""
-        return _indices(_unpack_bits(self.member_bits, 1 << self.n))
+        return _set_indices(self.member_bits, self.n)
+
+    @cached_property
+    def local_optima_indices(self) -> array:
+        """The indices of the non-global local optima, ascending."""
+        return _set_indices(self.local_optima_bits, self.n)
+
+    @cached_property
+    def local_front_counts(self) -> tuple[tuple[ObjectiveVector, int], ...]:
+        """The local optima's image vectors, ascending, with their counts."""
+        f1, f2 = self.planes
+        local = self.local_optima_indices
+        counts = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
+        return tuple(sorted(counts.items()))
 
     @property
     def pareto_set(self) -> tuple[BitString, ...]:
@@ -231,14 +251,6 @@ def _bit_component_count(members: int, n: int) -> int:
                 grown |= ((grown & low) << step | (grown >> step) & low) & members
         members ^= grown
     return components
-
-
-def _pack_bits(flags: bytes) -> int:
-    """The int whose bit i is byte i of flags, every byte 0 or 1."""
-    packed = 0
-    for k in range(8):
-        packed |= int.from_bytes(flags[k::8], "little") << k
-    return packed
 
 
 # _BITS[k] maps a byte to its bit k.
@@ -339,8 +351,9 @@ def _indices(mask: bytes) -> array:
     return indices
 
 
-# Byte 0 maps to 1, every other byte to 0.
-_IS_ZERO = b"\x01" + bytes(255)
+def _set_indices(bits: int, n: int) -> array:
+    """The indices of the set bits of packed bits over 2^n strings, ascending."""
+    return _indices(_unpack_bits(bits, 1 << n))
 
 
 def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
@@ -378,24 +391,18 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     for a, b in front:
         front_f2[a] = b
     paired = int.from_bytes(f1.translate(front_f2), "little") ^ int.from_bytes(f2, "little")
-    member = paired.to_bytes(size, "little").translate(_IS_ZERO)
+    member_bits = _mark(paired.to_bytes(size, "little"), (0,))
     del paired
-    member_bits = _pack_bits(member)
-    local_bits = _local_optima(f1, f2, member_bits, n)
-    local = _indices(_unpack_bits(local_bits, size))
-    members = member_bits.bit_count()
-    lo_counter = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
 
     # Whole-cube floods cost a pass over the cube per sweep and component;
     # the byte flood costs a step per member. Sparse Pareto sets, with their
     # many isolated members (orzr, ojzr), take the byte flood.
-    if members > size >> 4:
+    if member_bits.bit_count() > size >> 4:
         components = _bit_component_count(member_bits, n)
     else:
-        components = _component_count(bytearray(member), n)
+        components = _component_count(_unpack_bits(member_bits, size), n)
 
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
-    local_front_counts = tuple((v, lo_counter[v]) for v in sorted(lo_counter))
 
     ones_f1 = [Counter() for _ in range(n + 1)]
     ones_f2 = [Counter() for _ in range(n + 1)]
@@ -423,12 +430,9 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         front_counts=front_counts,
         levels=assignment.levels,
         vector_counts=vector_counts,
-        local_optima_indices=local,
         member_bits=member_bits,
-        local_optima_bits=local_bits,
-        local_front_counts=local_front_counts,
+        local_optima_bits=_local_optima(f1, f2, member_bits, n),
         component_count=components,
-        ratio=Fraction(members, size),
         ones_tables=ones_tables,
     )
 
@@ -471,6 +475,10 @@ def is_symmetric_pair(inst: ProblemInstance) -> bool:
     return _mirror(f1[::-1], inst.n) == f2
 
 
+# _SHIFTS[d : d + 256] maps each byte v to (v + d) mod 256, for d in 0..255.
+_SHIFTS = bytes(range(256)) * 2
+
+
 def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityReport:
     """Check one objective for full separability (bitwise additive form).
 
@@ -491,11 +499,10 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
     # upper half adds index bit b's delta to the lower half. Mod 256 is
     # exact: a flip delta and a context-0 delta both lie in -127..127, so
     # they are equal when congruent.
-    shifts = bytes(range(256)) * 2
     predicted = bytes([base])
     for delta in reversed(deltas):
         d = delta % 256
-        predicted += predicted.translate(shifts[d : d + 256])
+        predicted += predicted.translate(_SHIFTS[d : d + 256])
     if predicted == plane:
         contributions = [(0, d) for d in deltas]
         contributions[0] = (base, base + deltas[0])
@@ -510,27 +517,24 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
     return _separability_witness(plane, n, objective)
 
 
-def _lanes(size: int, byte: int) -> int:
-    """size byte lanes, each holding byte."""
-    return int.from_bytes(bytes([byte]) * size, "little")
-
-
 def _separability_witness(plane: bytes, n: int, objective: int) -> SeparabilityReport:
     """The report of an objective that is not separable: the first position
     whose flip delta differs between context 0 and some other context, and
     the first such context."""
     size = 1 << n
     p = int.from_bytes(plane, "little")
-    guard = _lanes(size, 0x80)
     for position in range(1, n + 1):
         b = n - position
         step = 1 << b
-        # Context 0 comes first; lane i of `offset` is 128 plus the flip
-        # delta at context i, xor 128 plus the delta at context 0, so on the
-        # contexts (bit b clear) it is zero where the two deltas agree.
+        # Context 0 comes first; lane i of `offset` is the value at context
+        # i plus the flip delta at context 0, xor the value at context i
+        # with bit b set, so on the contexts (bit b clear) it is zero where
+        # the two deltas agree. Mod 256 is exact, as for the prediction.
         first = plane[step] - plane[0]
         contexts = int.from_bytes((b"\xff" * step + bytes(step)) * (size >> (b + 1)), "little")
-        offset = (((p >> 8 * step | guard) - p) ^ _lanes(size, 128 + first)) & contexts
+        d = first % 256
+        offset = int.from_bytes(plane.translate(_SHIFTS[d : d + 256]), "little")
+        offset = (offset ^ p >> 8 * step) & contexts
         if offset:
             i = ((offset & -offset).bit_length() - 1) >> 3
             return SeparabilityReport(
@@ -589,11 +593,11 @@ def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
         not_fully_separable=not (sep1.separable and sep2.separable),
         low_ratio_witness=report.ratio <= LOW_RATIO_THRESHOLD,
         nonlinear_front=shape is FrontShape.NONLINEAR_CONCAVE,
-        has_local_optima=bool(report.local_optima_indices),
+        has_local_optima=bool(report.local_optima_bits),
         component_count=report.component_count,
         ratio=report.ratio,
         front_shape=shape,
-        local_optima_count=len(report.local_optima_indices),
+        local_optima_count=report.local_optima_bits.bit_count(),
     )
 
 
@@ -630,7 +634,7 @@ def render_report(report: LandscapeReport) -> str:
         f"pareto_front: {len(report.front_counts)}",
         f"ratio: {report.ratio.numerator}/{report.ratio.denominator}",
         f"components: {report.component_count}",
-        f"local_optima: {len(report.local_optima_indices)}",
+        f"local_optima: {report.local_optima_bits.bit_count()}",
         f"levels: {len(report.levels)}",
         "front:",
         "f1,f2,count",
@@ -653,5 +657,5 @@ def summary_line(report: LandscapeReport) -> str:
         f"|PS|={report.member_bits.bit_count()}"
         f" ratio={report.ratio.numerator}/{report.ratio.denominator}"
         f" components={report.component_count}"
-        f" |LO|={len(report.local_optima_indices)}"
+        f" |LO|={report.local_optima_bits.bit_count()}"
     )

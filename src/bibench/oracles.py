@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
-from itertools import compress
 
 from .bitstring import BitString
 from .dominance import ObjectiveVector, nondominated_sort
 from .errors import ValidationError
-from .landscape import _pack_bits, enumerate_landscape
+from .landscape import _set_indices, enumerate_landscape
 from .problems import (
     FAMILY_NAMES,
     JUMP_OBJECTIVES,
@@ -221,21 +220,19 @@ def verify(inst: ProblemInstance) -> VerificationReport:
     def show(i: int) -> str:
         return f"{BitString(n, i)} -> ({f1[i]}, {f2[i]})"
 
-    pareto_claim = _bits_claim("pareto_set", must, _pack_bits(pareto), report.member_bits, show)
+    pareto_claim = _bits_claim("pareto_set", must, pareto, report.member_bits, show)
     # The image of the enumerated Pareto set is the front.
     if pareto_claim.matched:
         image = {v for v, _ in report.front_counts}
     else:
-        image = set(zip(compress(f1, pareto), compress(f2, pareto)))
-    # The byte mask is done with; the local optima build their own.
-    del pareto
+        image = {(f1[i], f2[i]) for i in _set_indices(pareto, n)}
     front = set(claimed_front_tuples(inst))
     claims = [
         pareto_claim,
         _bits_claim(
             "local_optima",
             must,
-            _pack_bits(inst.info.local_optima(n, inst.k, inst.l)),
+            inst.info.local_optima(n, inst.k, inst.l),
             report.local_optima_bits,
             show,
         ),

@@ -246,46 +246,47 @@ def _block_length(n, k, l):
     return None
 
 
-# The closed forms below give masks: 2^n bytes whose byte i is 1 when the
-# string with index i is in the set, else 0. They are built by whole-plane
+# The closed forms below give packed bits: an int whose bit i is set when
+# the string with index i is in the set. They are built by whole-plane
 # operations only: marks of statistic planes, their AND and OR, doubling and
 # runs of ones; the few strings of a prefix family are set one by one.
 
 
-def _completed(n, k, l) -> bytes:
+def _pack_bits(flags: bytes) -> int:
+    """The int whose bit i is byte i of flags, every byte 0 or 1."""
+    packed = 0
+    for k in range(8):
+        packed |= int.from_bytes(flags[k::8], "little") << k
+    return packed
+
+
+def _completed(n, k, l) -> int:
     """The strings whose blocks are each all-ones or all-zeroes. Each block
-    added at the high end of the index repeats the mask at block values 0
+    added at the high end of the index repeats the set at block values 0
     and 2^l - 1."""
-    mask = b"\x01"
+    mask = width = 1
     for _ in range(n // l):
-        mask += bytes(len(mask) * ((1 << l) - 2)) + mask
+        mask |= mask << (width * ((1 << l) - 1))
+        width <<= l
     return mask
 
 
-def _prefixes(n, counts) -> bytearray:
+def _prefixes(n, counts) -> int:
     """The strings of leading ones then zeroes with each of the given numbers
     of ones."""
-    mask = bytearray(1 << n)
+    mask = 0
     for c in counts:
-        mask[((1 << c) - 1) << (n - c)] = 1
+        mask |= 1 << (((1 << c) - 1) << (n - c))
     return mask
 
 
-def _mark(plane: bytes, values) -> bytes:
-    """The mask of the indices whose byte in the plane is one of the values:
-    one bytes.translate, by a table set at those values alone."""
+def _mark(plane: bytes, values) -> int:
+    """The indices whose byte in the plane is one of the values: one
+    bytes.translate, by a table set at those values alone, then packed."""
     table = bytearray(256)
     for v in values:
         table[v] = 1
-    return plane.translate(table)
-
-
-def _where(*marks: bytes) -> bytes:
-    """The mask of the indices marked in every one of the marks."""
-    both = int.from_bytes(marks[0], "little")
-    for mark in marks[1:]:
-        both &= int.from_bytes(mark, "little")
-    return both.to_bytes(len(marks[0]), "little")
+    return _pack_bits(plane.translate(table))
 
 
 def _block_automaton(n, l, move) -> bytes:
@@ -307,13 +308,9 @@ def _ojzr_pareto_set(n, k, l):
     # A completed string with n - k ones has exactly k // l zero blocks, so
     # the two sets overlap only when l divides k.
     ones = statistic_plane("ones", n, l)
-    completed = _where(_completed(n, k, l), _mark(ones, (*range(n - k + 1), n)))
-    middle = _where(
-        _mark(ones, (n - k,)),
-        _mark(statistic_plane("all-zeroes blocks", n, l), (k // l,)),
-    )
-    either = int.from_bytes(completed, "little") | int.from_bytes(middle, "little")
-    return either.to_bytes(1 << n, "little")
+    completed = _completed(n, k, l) & _mark(ones, (*range(n - k + 1), n))
+    middle = _mark(ones, (n - k,)) & _mark(statistic_plane("all-zeroes blocks", n, l), (k // l,))
+    return completed | middle
 
 
 def _orzr_move(l, state, ones):
@@ -337,9 +334,8 @@ def _lozr_move(l, state, ones):
 
 
 def _ojzr_local_optima(n, k, l):
-    return _where(
-        _mark(statistic_plane("ones", n, l), (n - k,)),
-        _mark(statistic_plane("all-zeroes blocks", n, l), range(k // l)),
+    return _mark(statistic_plane("ones", n, l), (n - k,)) & _mark(
+        statistic_plane("all-zeroes blocks", n, l), range(k // l)
     )
 
 
@@ -371,9 +367,9 @@ class FamilyInfo:
     `objectives` name its two scalar objectives, keys of OBJECTIVES;
     `rule(n, k, l)` returns why parameters of the right kinds are invalid,
     or None, and `constraints` states it for people. The closed forms take
-    (n, k, l): `pareto_set` and `local_optima` give masks of 2^n bytes, byte
-    i 1 when the string with index i is in the set and 0 otherwise, and
-    `front` gives the front as printed. They are exact oracles unless
+    (n, k, l): `pareto_set` and `local_optima` give packed bits, an int whose
+    bit i is set when the string with index i is in the set, and `front`
+    gives the front as printed. They are exact oracles unless
     `exact` is False.
     """
 
@@ -381,16 +377,16 @@ class FamilyInfo:
     objectives: tuple[str, str]
     params: tuple[str, ...]
     constraints: str
-    pareto_set: Callable[..., bytes]
+    pareto_set: Callable[..., int]
     front: Callable[..., set[ObjectiveVector]]
     rule: Callable[..., str | None] = lambda n, k, l: None
-    local_optima: Callable[..., bytes] = lambda n, k, l: bytes(1 << n)
+    local_optima: Callable[..., int] = lambda n, k, l: 0
     exact: bool = True
 
 
 _CATALOG = (
     FamilyInfo("omm", ("ones", "zeroes"), (), "1 <= n <= 63",
-               pareto_set=lambda n, k, l: b"\x01" * (1 << n), front=_diagonal_front),
+               pareto_set=lambda n, k, l: (1 << (1 << n)) - 1, front=_diagonal_front),
     FamilyInfo("lotz", ("leading ones", "trailing zeroes"), (), "1 <= n <= 63",
                pareto_set=lambda n, k, l: _prefixes(n, range(n + 1)), front=_diagonal_front),
     FamilyInfo("ojzj", ("one-jump", "zero-jump"), ("k",), "1 <= k < n/2",
@@ -404,8 +400,8 @@ _CATALOG = (
     # 2^(n/2) indices.
     FamilyInfo("cocz", ("ones", "ones in first half plus zeroes in second half"), (), "n even",
                rule=lambda n, k, l: "n must be even" if n % 2 else None,
-               pareto_set=lambda n, k, l: bytes((1 << n) - (1 << n // 2))
-               + b"\x01" * (1 << n // 2),
+               pareto_set=lambda n, k, l: ((1 << (1 << n // 2)) - 1)
+               << ((1 << n) - (1 << n // 2)),
                front=lambda n, k, l: {(n // 2 + j, n - j) for j in range(n // 2 + 1)}),
     FamilyInfo("orzr", ("all-ones blocks", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
                rule=_block_length, pareto_set=_completed,
@@ -426,10 +422,8 @@ _CATALOG = (
     FamilyInfo("lozj", ("leading ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
                pareto_set=lambda n, k, l: _prefixes(n, (0, *range(k, n + 1))),
-               local_optima=lambda n, k, l: _where(
-                   _mark(statistic_plane("ones", n, l), (k,)),
-                   _mark(statistic_plane("leading ones", n, l), range(k)),
-               ),
+               local_optima=lambda n, k, l: _mark(statistic_plane("ones", n, l), (k,))
+               & _mark(statistic_plane("leading ones", n, l), range(k)),
                front=_zero_jump_front),
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
                rule=_block_length, pareto_set=lambda n, k, l: _prefixes(n, range(0, n + 1, l)),

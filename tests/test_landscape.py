@@ -35,7 +35,6 @@ from bibench.landscape import (
     _local_optima,
     _binary_lines,
     _mirror,
-    _pack_bits,
     _report,
     _turns,
     _unpack_bits,
@@ -50,7 +49,7 @@ from bibench.landscape import (
     summary_line,
 )
 from bibench.oracles import grid_instances, verify
-from bibench.problems import evaluate, parse_descriptor, validate
+from bibench.problems import _pack_bits, evaluate, parse_descriptor, validate
 
 
 def report_for(descriptor):
@@ -357,6 +356,26 @@ class TestSeparability:
                 rep.witness_deltas,
             )
             assert found == expected, (descriptor, objective)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_witness_after_a_separable_position(self, n):
+        # Index bit n - 1, position 1, only adds 63, so the witness lies at
+        # a later position, and lanes outside the contexts must not count.
+        rng = random.Random(n)
+        low = [rng.randrange(64) for _ in range(1 << (n - 1))]
+        plane = bytes(low + [v + 63 for v in low])
+        expected = None
+        for position in range(2, n + 1):
+            bit = 1 << (n - position)
+            contexts = [i for i in range(1 << n) if not i & bit]
+            deltas = [plane[i | bit] - plane[i] for i in contexts]
+            odd = next((i for i, d in zip(contexts, deltas) if d != deltas[0]), None)
+            if odd is not None:
+                expected = (position, odd, (deltas[0], plane[odd | bit] - plane[odd]))
+                break
+        assert expected is not None
+        rep = landscape._separability_witness(plane, n, 1)
+        assert (rep.witness_position, rep.witness[1].index, rep.witness_deltas) == expected
 
     def test_one_pass_check_matches_the_scan(self):
         instances = grid_instances(None, range(1, 17))
@@ -693,6 +712,44 @@ class TestLazyParetoIndices:
         assert dataclasses.replace(report, member_bits=report.member_bits ^ 1) != report
 
 
+def reference_local_views(report):
+    """Reference for the lazy views: the local optima's index array and
+    image counts, built eagerly from the neighbour check's mask."""
+    f1, f2 = report.planes
+    mask = reference_local_optima(f1, f2, set(report.pareto_set_indices), report.n)
+    local = array("I", compress(range(1 << report.n), mask))
+    counts = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
+    return local, tuple((v, counts[v]) for v in sorted(counts))
+
+
+class TestLazyLocalOptima:
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["omm:n=8", "orzr:n=8,l=4", "lozj:n=10,k=3", "lozr:n=12,l=3", "ojzr:n=12,k=5,l=3"],
+    )
+    def test_built_on_first_access(self, descriptor):
+        _report.cache_clear()
+        inst = parse_descriptor(descriptor)
+        report = enumerate_landscape(inst)
+        verify(inst)
+        profile = characteristic_profile(inst)
+        summary_line(report)
+        assert "local_optima_indices" not in vars(report)
+        assert "local_front_counts" not in vars(report)
+        local, local_front = reference_local_views(report)
+        assert report.local_optima_indices == local
+        assert report.local_front_counts == local_front
+        assert profile.local_optima_count == len(local) == report.local_optima_bits.bit_count()
+        assert vars(report)["local_optima_indices"] is report.local_optima_indices
+        assert vars(report)["local_front_counts"] is report.local_front_counts
+
+    def test_reports_differing_in_the_local_optima_are_unequal(self):
+        report = report_for("lozr:n=8,l=2")
+        assert report.local_optima_bits
+        changed = report.local_optima_bits ^ (report.local_optima_bits & -report.local_optima_bits)
+        assert dataclasses.replace(report, local_optima_bits=changed) != report
+
+
 def peak_bytes_per_string(call, n):
     tracemalloc.start()
     try:
@@ -718,6 +775,13 @@ class TestMemory:
         inst = parse_descriptor("ojzr:n=18,k=7,l=3")
         report = enumerate_landscape(inst)
         assert peak_bytes_per_string(lambda: render_report(report), inst.n) <= 8
+
+    @pytest.mark.parametrize("descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "lozr:n=18,l=3"])
+    def test_witness_scan_peaks_below_six_bytes_per_string(self, descriptor):
+        inst = parse_descriptor(descriptor)
+        enumerate_landscape(inst)
+        assert not is_fully_separable(inst, 1).separable
+        assert peak_bytes_per_string(lambda: is_fully_separable(inst, 1), inst.n) <= 6
 
 
 def reference_local_optima(f1, f2, members, n):
