@@ -37,7 +37,6 @@ from .problems import (
     evaluate,
     family_catalog,
     parse_descriptor,
-    validate,
 )
 
 __version__ = "0.1.0"

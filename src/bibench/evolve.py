@@ -42,7 +42,7 @@ ALGORITHMS = ("semo", "gsemo")
 
 @dataclass(frozen=True)
 class Target:
-    """Stopping target for a run.
+    """Stopping target for a run, checked when built.
 
     kind "full_front": every Pareto-front vector present in the archive.
     kind "front_point": one named front vector present.
@@ -53,40 +53,63 @@ class Target:
     vector: ObjectiveVector | None = None
     fraction: Fraction | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("full_front", "front_point", "coverage"):
+            raise ValidationError(f"unknown target kind {self.kind!r}")
+        if self.kind == "front_point" and not (
+            isinstance(self.vector, tuple)
+            and len(self.vector) == 2
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in self.vector)
+        ):
+            raise ValidationError(f"front point must be two ints, got {self.vector!r}")
+        if self.kind == "coverage" and (
+            isinstance(self.fraction, bool)
+            or not isinstance(self.fraction, numbers.Rational)
+            or not 0 < self.fraction <= 1
+        ):
+            raise ValidationError(f"coverage fraction must be in (0, 1], got {self.fraction!r}")
+        if (self.vector is not None) + (self.fraction is not None) > (self.kind != "full_front"):
+            raise ValidationError(f"a {self.kind} target sets only its own field, got {self!r}")
+
     @classmethod
     def full_front(cls) -> "Target":
         return cls("full_front")
 
     @classmethod
     def front_point(cls, vector: ObjectiveVector) -> "Target":
-        if len(vector) != 2 or any(not isinstance(c, int) or isinstance(c, bool) for c in vector):
-            raise ValidationError(f"front point must be two ints, got {vector!r}")
-        return cls("front_point", vector=tuple(vector))
+        return cls("front_point", vector=tuple(vector) if isinstance(vector, Sequence) else vector)
 
     @classmethod
     def coverage(cls, fraction) -> "Target":
         """Target a fraction in (0, 1], given as an int, a Fraction or a float."""
-        # NaN fails the range test, as does every infinity.
-        if (
-            isinstance(fraction, bool)
-            or not isinstance(fraction, (numbers.Rational, float))
-            or not 0 < fraction <= 1
-        ):
-            raise ValidationError(f"coverage fraction must be in (0, 1], got {fraction!r}")
-        # Floats go through str() so 0.95 means the decimal 95/100, not the
-        # binary double slightly above it.
-        frac = Fraction(str(fraction)) if isinstance(fraction, float) else Fraction(fraction)
-        return cls("coverage", fraction=frac)
+        # Floats in (0, 1] go through str() so 0.95 means the decimal 95/100, not
+        # the binary double above it; anything else, NaN included, is left to the check.
+        if isinstance(fraction, float) and 0 < fraction <= 1:
+            fraction = Fraction(str(fraction))
+        return cls("coverage", fraction=fraction)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One seeded run, checked when built."""
+
     algorithm: str
     instance: ProblemInstance
     seed: int
     budget: int
     target: Target = Target.full_front()
     check_archive: bool = False
+
+    def __post_init__(self) -> None:
+        if self.algorithm not in ALGORITHMS:
+            raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+        if not isinstance(self.instance, ProblemInstance):
+            raise ValidationError(f"instance must be a ProblemInstance, got {self.instance!r}")
+        if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 1:
+            raise ValidationError(f"budget must be a positive int, got {self.budget!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            # random.Random seeds with |seed|: seed -5 would repeat seed 5's run.
+            raise ValidationError(f"seed must be a non-negative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -123,17 +146,6 @@ def _needed_count(target: Target, front_size: int) -> int:
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute one seeded run until the target is hit or the budget is spent."""
-    if cfg.algorithm not in ALGORITHMS:
-        raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {cfg.algorithm!r}")
-    if not isinstance(cfg.budget, int) or isinstance(cfg.budget, bool) or cfg.budget < 1:
-        raise ValidationError(f"budget must be a positive int, got {cfg.budget!r}")
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
-        # random.Random seeds with |seed|, so a negative seed would repeat
-        # the run of its absolute value.
-        raise ValidationError(f"seed must be a non-negative int, got {cfg.seed!r}")
-    if cfg.target.kind not in ("full_front", "front_point", "coverage"):
-        raise ValidationError(f"unknown target kind {cfg.target.kind!r}")
-
     inst = cfg.instance
     n = inst.n
     ev = index_evaluator(inst)

@@ -24,7 +24,6 @@ from .problems import (
     ProblemInstance,
     family_catalog,
     image_counts,
-    validate,
 )
 
 DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
@@ -310,7 +309,7 @@ def grid_instances(
         for n in n_values:
             ks = range(1, n + 1) if "k" in info.params else (None,)
             ls = range(1, n + 1) if "l" in info.params else (None,)
-            out.extend(validate(info.name, n, k, l)
+            out.extend(ProblemInstance(info.name, n, k, l)
                        for k in ks for l in ls if info.rule(n, k, l) is None)
     return out
 

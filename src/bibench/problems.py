@@ -1,10 +1,10 @@
-"""Bi-objective problem families, instance validation, and evaluation.
+"""Bi-objective problem families, their instances, and evaluation.
 
 Each family composes two scalar objectives into a maximized pair and is
 defined by one record in the catalog: its objectives, parameter rule and
-closed forms. Instances are value objects; a compact text descriptor
-("ojzr:n=12,k=5,l=3") names an instance uniquely and round-trips through
-parse_descriptor/descriptor.
+closed forms. Instances are value objects, checked when built; a compact
+text descriptor ("ojzr:n=12,k=5,l=3") names an instance uniquely and
+round-trips through parse_descriptor/descriptor.
 """
 
 from __future__ import annotations
@@ -25,6 +25,24 @@ class ProblemInstance:
     n: int
     k: int | None = None
     l: int | None = None
+
+    def __post_init__(self) -> None:
+        family, n, k, l = self.family, self.n, self.k, self.l
+        info = _BY_NAME.get(family) if isinstance(family, str) else None
+        if info is None:
+            raise ValidationError(f"unknown family {family!r}; valid: {', '.join(FAMILY_NAMES)}")
+        for label, value in (("n", n), ("k", k), ("l", l)):
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                _fail(family, n, k, l, f"{label} must be an integer")
+        if n is None or not 1 <= n <= MAX_LENGTH:
+            _fail(family, n, k, l, f"n must be in [1, {MAX_LENGTH}]")
+        for label, value in (("k", k), ("l", l)):
+            if (label in info.params) != (value is not None):
+                verb = "requires" if label in info.params else "does not take"
+                _fail(family, n, k, l, f"{verb} parameter {label}")
+        reason = info.rule(n, k, l)
+        if reason is not None:
+            _fail(family, n, k, l, reason)
 
     @property
     def descriptor(self) -> str:
@@ -458,29 +476,6 @@ def _fail(family: str, n: int, k: int | None, l: int | None, reason: str) -> Non
     raise ValidationError(f"{family}: {reason} (got {given})")
 
 
-def validate(family: str, n: int, k: int | None = None, l: int | None = None) -> ProblemInstance:
-    """Check all family constraints and return the instance, or raise ValidationError."""
-    name = family.lower()
-    info = _BY_NAME.get(name)
-    if info is None:
-        raise ValidationError(
-            f"unknown family {family!r}; valid: {', '.join(FAMILY_NAMES)}"
-        )
-    for label, value in (("n", n), ("k", k), ("l", l)):
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            _fail(name, n, k, l, f"{label} must be an integer")
-    if not 1 <= n <= MAX_LENGTH:
-        _fail(name, n, k, l, f"n must be in [1, {MAX_LENGTH}]")
-    for label, value in (("k", k), ("l", l)):
-        if (label in info.params) != (value is not None):
-            verb = "requires" if label in info.params else "does not take"
-            _fail(name, n, k, l, f"{verb} parameter {label}")
-    reason = info.rule(n, k, l)
-    if reason is not None:
-        _fail(name, n, k, l, reason)
-    return ProblemInstance(name, n, k, l)
-
-
 def parse_descriptor(text: str) -> ProblemInstance:
     """Parse "family:n=..,k=..,l=.." (family and keys case-insensitive)."""
     head, sep, tail = text.partition(":")
@@ -500,7 +495,7 @@ def parse_descriptor(text: str) -> ProblemInstance:
             raise DescriptorError(f"parameter {key!r} needs an integer, got {value!r}") from None
     if "n" not in params:
         raise DescriptorError(f"descriptor must set n, got {text!r}")
-    return validate(head.strip().lower(), params["n"], params.get("k"), params.get("l"))
+    return ProblemInstance(head.strip().lower(), params["n"], params.get("k"), params.get("l"))
 
 
 @lru_cache(maxsize=128)

@@ -29,7 +29,7 @@ from bibench.oracles import (
     ratio_ojzr,
     verify,
 )
-from bibench.problems import parse_descriptor, validate
+from bibench.problems import ProblemInstance, parse_descriptor
 
 
 @contextmanager
@@ -89,13 +89,13 @@ def test_criterion_2_characteristic_profiles(capsys):
         # an interior strictly between empty and full, i.e. beyond width 3.
         for n in (6, 8, 10, 12, 14, 16):
             for l in (l for l in range(1, n // 2 + 1) if n % l == 0):
-                inst = validate("orzr", n=n, l=l)
+                inst = ProblemInstance("orzr", n=n, l=l)
                 has_lo = bool(enumerate_landscape(inst).local_optima_indices)
                 assert has_lo == (l > 3), inst.descriptor
         # The gap threshold is a guarantee, not an equivalence: at n=8 it
         # only certifies k=1, yet k=2 still keeps most of the cube optimal.
         assert ojzj_threshold_k(8) == 1
-        assert enumerate_landscape(validate("ojzj", n=8, k=2)).ratio == Fraction(15, 16)
+        assert enumerate_landscape(ProblemInstance("ojzj", n=8, k=2)).ratio == Fraction(15, 16)
         # The ojzr front bends exactly when the budget is not a whole number
         # of blocks and blocks fit inside the gap; everywhere else on the
         # grid it stays linear.
@@ -164,7 +164,7 @@ def test_criterion_6_ojzr_share_and_bound(capsys):
         # With blocks shorter than the gap the formula is exact and within
         # the bound.
         for n, k, l in ((12, 4, 3), (12, 5, 3), (12, 5, 4)):
-            inst = validate("ojzr", n=n, k=k, l=l)
+            inst = ProblemInstance("ojzr", n=n, k=k, l=l)
             assert ratio_ojzr(n, k, l) == enumerate_landscape(inst).ratio
             assert ojzr_within_bound(n, k, l)
         # With blocks longer than the gap the formula overcounts; every such
@@ -188,7 +188,7 @@ def test_criterion_6_ojzr_share_and_bound(capsys):
         # Width-two blocks force an odd gap; the third count collapses to
         # one closed product and the share stays at or below one half.
         for n, k in ((8, 3), (10, 3), (12, 3), (12, 5), (14, 3), (14, 5)):
-            inst = validate("ojzr", n=n, k=k, l=2)
+            inst = ProblemInstance("ojzr", n=n, k=k, l=2)
             ratio = ratio_ojzr(n, k, 2)
             assert ratio == enumerate_landscape(inst).ratio
             b = n // 2
@@ -205,9 +205,9 @@ def test_criterion_6_ojzr_share_and_bound(capsys):
 
 def test_criterion_7_front_shapes(capsys):
     with announce(capsys, 7, "front shape classification"):
-        assert front_shape(validate("ojzr", n=12, k=5, l=3)) is FrontShape.NONLINEAR_CONCAVE
-        assert front_shape(validate("ojzr", n=12, k=6, l=3)) is FrontShape.LINEAR
-        assert front_shape(validate("omm", n=8)) is FrontShape.LINEAR
+        assert front_shape(ProblemInstance("ojzr", n=12, k=5, l=3)) is FrontShape.NONLINEAR_CONCAVE
+        assert front_shape(ProblemInstance("ojzr", n=12, k=6, l=3)) is FrontShape.LINEAR
+        assert front_shape(ProblemInstance("omm", n=8)) is FrontShape.LINEAR
         for family in ("lotz", "orzr", "omzr"):
             for inst in grid_instances(families=(family,)):
                 assert front_shape(inst) is FrontShape.LINEAR, inst.descriptor
@@ -216,14 +216,14 @@ def test_criterion_7_front_shapes(capsys):
 def test_criterion_8_search_baselines(capsys):
     with announce(capsys, 8, "seeded search baselines"):
         # Bit-identical repeats.
-        cfg = RunConfig("gsemo", validate("lotz", n=10), seed=17, budget=200_000)
+        cfg = RunConfig("gsemo", ProblemInstance("lotz", n=10), seed=17, budget=200_000)
         assert run(cfg) == run(cfg)
         # Archive invariant audited on every step of a long mixed workload.
         audited = 0
         for algorithm, inst, budget in (
-            ("semo", validate("ojzj", n=14, k=6), 60_000),
-            ("semo", validate("orzr", n=12, l=4), 50_000),
-            ("gsemo", validate("lotz", n=10), 30_000),
+            ("semo", ProblemInstance("ojzj", n=14, k=6), 60_000),
+            ("semo", ProblemInstance("orzr", n=12, l=4), 50_000),
+            ("gsemo", ProblemInstance("lotz", n=10), 30_000),
         ):
             result = run(
                 RunConfig(algorithm, inst, seed=1, budget=budget, check_archive=True)
@@ -231,7 +231,7 @@ def test_criterion_8_search_baselines(capsys):
             audited += result.evaluations_used
         assert audited >= 100_000
         # The single-flip baseline covers the linear front reliably.
-        lotz = validate("lotz", n=10)
+        lotz = ProblemInstance("lotz", n=10)
         exp = hitting_time_experiment(
             RunConfig("semo", lotz, seed=0, budget=1_000_000),
             seeds=range(1, 51),
@@ -240,7 +240,7 @@ def test_criterion_8_search_baselines(capsys):
         assert exp.success_fraction >= Fraction(95, 100)
         # Royal-road plateaus: per-bit mutation crosses them, single bit
         # flips stall, because equal-vector newcomers are discarded.
-        orzr = validate("orzr", n=12, l=4)
+        orzr = ProblemInstance("orzr", n=12, l=4)
         semo = hitting_time_experiment(
             RunConfig("semo", orzr, seed=0, budget=100_000),
             seeds=range(1, 51),

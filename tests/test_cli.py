@@ -1,14 +1,21 @@
 """Tests for the command line interface and the figure-data exporters."""
 
+import concurrent.futures
+import contextlib
+import io
+import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bibench.cli import (
     FIGURE_KINDS,
@@ -22,7 +29,7 @@ from bibench.cli import (
 from bibench.errors import ValidationError
 from bibench.landscape import CAP_ENV_VAR, MAX_CAP, enumerate_landscape, render_report
 from bibench.oracles import ClaimResult, VerificationReport
-from bibench.problems import parse_descriptor
+from bibench.problems import FAMILY_NAMES, parse_descriptor
 
 
 def run_main(capsys, argv):
@@ -367,6 +374,16 @@ class TestRunCommand:
         rc, _, err = run_main(capsys, argv)
         assert (rc, err) == (1, "error: threads must be a positive integer, got 0\n")
 
+    def test_bad_budget_starts_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        argv = ["run", "semo", "omm:n=4", "--seeds", "1..4", "--budget", "0", "--threads", "2"]
+        rc, out, err = run_main(capsys, argv)
+        assert (rc, out, err) == (1, "", "error: budget must be a positive int, got 0\n")
+
     def test_bad_budget(self, capsys):
         rc, _, err = run_main(
             capsys, ["run", "semo", "omm:n=4", "--seeds", "1", "--budget", "0.5"]
@@ -485,6 +502,128 @@ class TestUsageErrors:
         assert (rc, stdout) == (1, "")
         assert err.startswith("error:")
         assert not out.exists()
+
+
+# Argument grammar of the boundary property test. Each command is a list of
+# slots (flag or None for a positional, good values, bad values); a drawn
+# argv gives bad values to at most one slot, or appends a stray argument.
+# A value of None leaves its flag out. Bad values are malformed, out of
+# range, huge, negative or non-ASCII. No argv starts a pool (--threads is 1
+# or invalid), runs more than three seeds of 1000 evaluations, or asks for
+# help, and --out paths start with "{dir}", the directory to write in.
+TEXT = st.text(max_size=6)
+BAD_NUMBERS = st.sampled_from(
+    ["-1", "0", "64", "4097", str(10**30), str(-(10**30)), "", "x", "1.5", "1e3", "\u0664"]
+)
+GOOD_DESCRIPTORS = st.sampled_from(
+    ["omm:n=4", "lotz:n=6", "ojzj:n=8,k=2", "cocz:n=6", "orzr:n=8,l=2", "ojzr:n=8,k=2,l=2",
+     "omzj:n=8,k=3", "lotz:n=40", "OJZR:N=8,K=2,L=2"]
+)
+BAD_DESCRIPTORS = st.one_of(
+    st.sampled_from(
+        ["orzr:n=10,l=3", "lozr:n=12,l=5", "omm:n=8,k=3", "nope:n=5", "\u00f6mm:n=4",
+         "omm:n=0", "ojzj:n=8", "omm:n=8,n=9", "omm:k=2", "omm", "omm:n=1e3", "omm:n=\u0664"]
+    ),
+    st.builds(
+        lambda family, params: family + ":" + ",".join(f"{key}={value}" for key, value in params),
+        st.sampled_from(FAMILY_NAMES) | TEXT,
+        st.lists(st.tuples(st.sampled_from(["n", "k", "l", "N", "m"]), BAD_NUMBERS), max_size=3),
+    ),
+    TEXT,
+)
+DESCRIPTOR = (None, GOOD_DESCRIPTORS, BAD_DESCRIPTORS)
+GOOD_OUT = st.sampled_from(["{dir}/out.txt", "{dir}/\u00fcml\u00e4ut.csv"])
+BAD_OUT = st.sampled_from([None, "{dir}/no/out.txt", "{dir}"])
+OPTIONAL_OUT = ("--out", st.none() | GOOD_OUT, BAD_OUT.filter(lambda out: out is not None))
+THREADS = ("--threads", st.sampled_from([None, "1"]), st.sampled_from(["0", "-2", "x", "1.5", ""]))
+COMMANDS = {
+    "eval": [DESCRIPTOR, (None, st.text("01", min_size=4, max_size=8), TEXT)],
+    "landscape": [DESCRIPTOR, ("--out", GOOD_OUT, BAD_OUT)],
+    "verify": [
+        (None, st.sampled_from([*FAMILY_NAMES, "all"]), st.sampled_from(["nope", "ALL", ""])),
+        ("--n-max", st.sampled_from([None, "6", "8"]), BAD_NUMBERS),
+        THREADS,
+        OPTIONAL_OUT,
+    ],
+    "ratio": [
+        (None, st.sampled_from(["ojzj", "ojzr"]), st.sampled_from(["omm", "OJZJ"])),
+        ("--n", st.integers(5, 40).map(str), BAD_NUMBERS | st.none()),
+        ("--k", st.integers(1, 12).map(str), BAD_NUMBERS | st.none()),
+        ("--l", st.sampled_from([None, "1", "2", "3", "4"]), BAD_NUMBERS),
+    ],
+    "figure": [
+        DESCRIPTOR,
+        ("--kind", st.sampled_from(FIGURE_KINDS), st.sampled_from([None, "bogus", ""])),
+        ("--out", GOOD_OUT, BAD_OUT),
+    ],
+    "run": [
+        (None, st.sampled_from(["semo", "gsemo"]), st.sampled_from(["nsga2", "SEMO"]) | TEXT),
+        DESCRIPTOR,
+        (
+            "--seeds",
+            st.lists(st.integers(0, 2**70), min_size=1, max_size=3).map(
+                lambda seeds: ",".join(map(str, seeds))
+            )
+            | st.sampled_from(["0..2", "5..6", "7"]),
+            st.sampled_from(
+                [None, "", "x", "-1", "4,-2", "-3..3", "5..1", "1..", "1,,2", "0..1000000000000"]
+            ),
+        ),
+        (
+            "--budget",
+            st.integers(1, 1000).map(str) | st.sampled_from(["1e3", "2e2"]),
+            st.sampled_from([None, "0", "-5", "2.5", "0.0", "1e400", "nan", "x", ""]),
+        ),
+        (
+            "--target",
+            st.sampled_from(
+                [None, "full_front", "front_point=4,0", "coverage=0.5", "coverage=3/5"]
+            ),
+            st.sampled_from(
+                ["front_point=1,2", "front_point=a,b", "front_point=1", "coverage=0",
+                 "coverage=2", "coverage=1/0", "coverage=nan", "most", ""]
+            )
+            | TEXT,
+        ),
+        THREADS,
+        OPTIONAL_OUT,
+    ],
+    "families": [],
+}
+STRAYS = st.sampled_from(["--bogus", "--n", "--out", "-x", "\u00e9"]) | TEXT.filter(
+    lambda arg: arg not in ("-h", "--help")
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from([*COMMANDS, "nope", ""]))
+    slots = COMMANDS.get(command, [])
+    broken = draw(st.integers(-2, len(slots)))
+    argv = [command]
+    for index, (flag, good, bad) in enumerate(slots):
+        value = draw(bad if index == broken else good)
+        if value is not None:
+            argv += [value] if flag is None else [flag, value]
+    if broken == len(slots):
+        argv.append(draw(STRAYS))
+    return argv
+
+
+class TestBoundaryProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(cli_argv())
+    def test_any_argv_exits_cleanly_with_at_most_one_error_line(self, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as out_dir:
+            argv = [arg.replace("{dir}", out_dir) for arg in argv]
+            with mock.patch.dict(os.environ, {CAP_ENV_VAR: "8"}):
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    rc = main(argv)
+        err = stderr.getvalue()
+        assert rc in (0, 1, 2)
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+        assert "Traceback" not in err
 
 
 def readme_commands() -> list[str]:

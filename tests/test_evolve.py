@@ -1,5 +1,6 @@
 """Tests for the SEMO/GSEMO archive search and the experiment harness."""
 
+import concurrent.futures
 import os
 import random
 from fractions import Fraction
@@ -21,11 +22,11 @@ from bibench.evolve import (
     worker_count,
 )
 from bibench.oracles import reference_front
-from bibench.problems import index_evaluator, validate
+from bibench.problems import ProblemInstance, index_evaluator
 
-OMM10 = validate("omm", n=10)
-LOTZ8 = validate("lotz", n=8)
-OJZJ14 = validate("ojzj", n=14, k=6)
+OMM10 = ProblemInstance("omm", n=10)
+LOTZ8 = ProblemInstance("lotz", n=8)
+OJZJ14 = ProblemInstance("ojzj", n=14, k=6)
 
 
 class TestTargets:
@@ -42,11 +43,30 @@ class TestTargets:
 
     def test_front_point_coerces_ints(self):
         assert Target.front_point((3, 5)).vector == (3, 5)
+        assert Target.front_point([3, 5]).vector == (3, 5)
 
-    @pytest.mark.parametrize("vector", [(1.5, 4.9), (3, 5.0), (True, 5), ("3", 5), (3, 5, 0)])
+    @pytest.mark.parametrize(
+        "vector", [(1.5, 4.9), (3, 5.0), (True, 5), ("3", 5), (3, 5, 0), 5, None]
+    )
     def test_front_point_needs_two_ints(self, vector):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^front point must be two ints, got "):
             Target.front_point(vector)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kind": "coverage"},
+            {"kind": "front_point"},
+            {"kind": "full_front", "vector": (1, 2)},
+            {"kind": "full_front", "fraction": Fraction(1, 2)},
+            {"kind": "coverage", "fraction": Fraction(1, 2), "vector": (1, 2)},
+            {"kind": "front_point", "vector": (1, 2), "fraction": Fraction(1, 2)},
+            {"kind": "coverage", "fraction": 0.5},
+        ],
+    )
+    def test_a_target_sets_exactly_its_own_field(self, kwargs):
+        with pytest.raises(ValidationError):
+            Target(**kwargs)
 
     def test_front_point_must_be_on_the_front(self):
         cfg = RunConfig("semo", LOTZ8, seed=1, budget=100, target=Target.front_point((7, 7)))
@@ -55,25 +75,27 @@ class TestTargets:
 
 
 class TestRunValidation:
+    """A RunConfig checks itself when built, so a bad one never reaches run()."""
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValidationError):
-            run(RunConfig("nsga2", OMM10, seed=1, budget=100))
+            RunConfig("nsga2", OMM10, seed=1, budget=100)
         assert ALGORITHMS == ("semo", "gsemo")
 
     def test_bad_budget(self):
         with pytest.raises(ValidationError):
-            run(RunConfig("semo", OMM10, seed=1, budget=0))
+            RunConfig("semo", OMM10, seed=1, budget=0)
         with pytest.raises(ValidationError):
-            run(RunConfig("semo", OMM10, seed=1, budget="100"))
+            RunConfig("semo", OMM10, seed=1, budget="100")
         with pytest.raises(ValidationError):
-            run(RunConfig("semo", OMM10, seed=1, budget=True))
+            RunConfig("semo", OMM10, seed=1, budget=True)
 
     @pytest.mark.parametrize("seed", [-5, -1, None, True, False, 1.0, "x"])
     def test_seed_must_be_a_non_negative_int(self, seed):
         # random.Random seeds with |seed|, so seed -5 would repeat seed 5's run,
         # and None would draw an unseeded stream.
         with pytest.raises(ValidationError):
-            run(RunConfig("gsemo", OMM10, seed=seed, budget=100))
+            RunConfig("gsemo", OMM10, seed=seed, budget=100)
 
     def test_seed_zero_and_large_seeds_run(self):
         for seed in (0, 2**80):
@@ -81,7 +103,11 @@ class TestRunValidation:
 
     def test_unknown_target_kind(self):
         with pytest.raises(ValidationError):
-            run(RunConfig("semo", OMM10, seed=1, budget=100, target=Target("bogus")))
+            RunConfig("semo", OMM10, seed=1, budget=100, target=Target("bogus"))
+
+    def test_instance_must_be_a_problem_instance(self):
+        with pytest.raises(ValidationError, match="instance must be a ProblemInstance"):
+            RunConfig("gsemo", "omm:n=4", 1, 10)
 
 
 class TestDeterminism:
@@ -111,7 +137,7 @@ class TestArchive:
     def test_archive_is_mutually_nondominating(self):
         for seed in range(5):
             result = run(
-                RunConfig("gsemo", validate("lozr", n=8, l=2), seed=seed, budget=2000)
+                RunConfig("gsemo", ProblemInstance("lozr", n=8, l=2), seed=seed, budget=2000)
             )
             vectors = [vec for _, vec in result.archive]
             assert vectors
@@ -189,6 +215,19 @@ class TestExperiment:
             with pytest.raises(ValidationError):
                 hitting_time_experiment(template, seeds=(1,), threads=bad)
 
+    @pytest.mark.parametrize(
+        "budget, seeds", [(0, (1, 2, 3, 4)), (100, (1, -1, 2, 3)), (100, (1, True, 2, 3))]
+    )
+    def test_bad_template_or_seed_starts_no_pool(self, monkeypatch, budget, seeds):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValidationError):
+            template = RunConfig("semo", LOTZ8, seed=0, budget=budget)
+            hitting_time_experiment(template, seeds=seeds, threads=2)
+
     def test_worker_count_is_capped_by_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert worker_count(1, 10) == 1
@@ -234,7 +273,7 @@ class TestExperiment:
 
     def test_render_golden(self):
         exp = hitting_time_experiment(
-            RunConfig("gsemo", validate("omm", n=4), seed=0, budget=1000), seeds=(1, 2)
+            RunConfig("gsemo", ProblemInstance("omm", n=4), seed=0, budget=1000), seeds=(1, 2)
         )
         assert render_experiment(exp) == (
             "seed,hit,hitting_time,evaluations_used\n"
@@ -307,17 +346,17 @@ def _reference_run(cfg):
 # One small instance per family, plus n=1, where SEMO's flip position and a
 # one-member archive's parent take no random draw.
 EQUIVALENCE_INSTANCES = (
-    validate("omm", n=1),
-    validate("lotz", n=5),
-    validate("ojzj", n=7, k=2),
-    validate("cocz", n=6),
-    validate("orzr", n=6, l=2),
-    validate("omtz", n=5),
-    validate("omzj", n=8, k=2),
-    validate("omzr", n=6, l=3),
-    validate("lozj", n=8, k=3),
-    validate("lozr", n=6, l=2),
-    validate("ojzr", n=6, k=2, l=2),
+    ProblemInstance("omm", n=1),
+    ProblemInstance("lotz", n=5),
+    ProblemInstance("ojzj", n=7, k=2),
+    ProblemInstance("cocz", n=6),
+    ProblemInstance("orzr", n=6, l=2),
+    ProblemInstance("omtz", n=5),
+    ProblemInstance("omzj", n=8, k=2),
+    ProblemInstance("omzr", n=6, l=3),
+    ProblemInstance("lozj", n=8, k=3),
+    ProblemInstance("lozr", n=6, l=2),
+    ProblemInstance("ojzr", n=6, k=2, l=2),
 )
 
 
@@ -352,5 +391,5 @@ class TestEquivalence:
             ("ojzj", {"n": 12, "k": 3}, 25075),
             ("lotz", {"n": 30}, 15954),
         ):
-            result = run(RunConfig("gsemo", validate(family, **params), 1, 10**7))
+            result = run(RunConfig("gsemo", ProblemInstance(family, **params), 1, 10**7))
             assert (result.hit, result.hitting_time) == (True, hitting_time)

@@ -1,9 +1,11 @@
 """Every imported name is referenced by the module that imports it, the
 package imports nothing outside the standard library, every private
-top-level name of the package is referenced somewhere in it, and no
-top-level name is defined in two modules of the package."""
+top-level name of the package is referenced somewhere in it, no
+top-level name is defined in two modules of the package, and every module
+parses as the oldest Python that pyproject.toml admits."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -77,3 +79,22 @@ def test_each_top_level_name_is_defined_once():
             for name in top_level_names(ast.parse(path.read_text(encoding="utf-8"))):
                 owners.setdefault(name, set()).add(path.name)
     assert {name: sorted(paths) for name, paths in owners.items() if len(paths) > 1} == {}
+
+
+OLDEST_PYTHON = tuple(
+    int(part)
+    for part in re.search(
+        r'^requires-python = ">=(\d+)\.(\d+)"$',
+        (ROOT / "pyproject.toml").read_text(encoding="utf-8"),
+        re.MULTILINE,
+    ).groups()
+)
+
+
+@pytest.mark.parametrize(
+    "path",
+    SOURCES + sorted((ROOT / "tests").glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_parses_as_the_oldest_supported_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=OLDEST_PYTHON)

@@ -49,7 +49,7 @@ from bibench.landscape import (
     summary_line,
 )
 from bibench.oracles import grid_instances, verify
-from bibench.problems import _pack_bits, evaluate, parse_descriptor, validate
+from bibench.problems import ProblemInstance, _pack_bits, evaluate, parse_descriptor
 
 
 def report_for(descriptor):
@@ -203,7 +203,7 @@ class TestCharacteristicFlags:
         assert profile.flags == expected
 
     def test_flags_property_matches_fields(self):
-        p = characteristic_profile(validate("lotz", 6))
+        p = characteristic_profile(ProblemInstance("lotz", 6))
         assert p.flags == (
             p.non_symmetric,
             p.non_completely_conflicting,
@@ -215,9 +215,9 @@ class TestCharacteristicFlags:
         )
 
     def test_low_ratio_threshold_is_inclusive(self):
-        half = characteristic_profile(validate("cocz", 2))
+        half = characteristic_profile(ProblemInstance("cocz", 2))
         assert half.ratio == Fraction(1, 2) and half.low_ratio_witness
-        high = characteristic_profile(validate("ojzj", 8, k=2))
+        high = characteristic_profile(ProblemInstance("ojzj", 8, k=2))
         assert high.ratio == Fraction(15, 16) and not high.low_ratio_witness
 
 
@@ -229,7 +229,7 @@ class TestPredicates:
             assert not is_symmetric_pair(parse_descriptor(descriptor)), descriptor
 
     def test_completely_conflicting_only_for_omm(self):
-        assert is_completely_conflicting(validate("omm", 8))
+        assert is_completely_conflicting(ProblemInstance("omm", 8))
         for descriptor in ["lotz:n=8", "cocz:n=8", "ojzj:n=8,k=2", "omtz:n=8"]:
             assert not is_completely_conflicting(parse_descriptor(descriptor))
 
@@ -319,7 +319,7 @@ class TestSeparability:
                 assert total == evaluate(inst, x)[objective - 1]
 
     def test_witness_really_breaks_constancy(self):
-        inst = validate("lotz", 6)
+        inst = ProblemInstance("lotz", 6)
         rep = is_fully_separable(inst, 1)
         a, b = rep.witness
         pos = rep.witness_position
@@ -388,15 +388,15 @@ class TestSeparability:
 
     def test_objective_selector_is_validated(self):
         with pytest.raises(ValidationError):
-            is_fully_separable(validate("omm", 4), 3)
+            is_fully_separable(ProblemInstance("omm", 4), 3)
         with pytest.raises(ValidationError):
-            is_fully_separable(validate("omm", 4), True)
+            is_fully_separable(ProblemInstance("omm", 4), True)
 
 
 class TestFrontShape:
     def test_ojzr_pair(self):
-        assert front_shape(validate("ojzr", 12, k=5, l=3)) is FrontShape.NONLINEAR_CONCAVE
-        assert front_shape(validate("ojzr", 12, k=6, l=3)) is FrontShape.LINEAR
+        assert front_shape(ProblemInstance("ojzr", 12, k=5, l=3)) is FrontShape.NONLINEAR_CONCAVE
+        assert front_shape(ProblemInstance("ojzr", 12, k=6, l=3)) is FrontShape.LINEAR
 
     @pytest.mark.parametrize(
         "descriptor",
@@ -446,7 +446,7 @@ class TestCaps:
         monkeypatch.setenv(CAP_ENV_VAR, "10")
         assert enumeration_cap() == 10
         with pytest.raises(EnumerationCapError):
-            enumerate_landscape(validate("omm", 12))
+            enumerate_landscape(ProblemInstance("omm", 12))
 
     def test_env_var_must_be_a_positive_integer(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "ten")
@@ -468,17 +468,17 @@ class TestCaps:
     def test_cap_error_states_the_memory_estimate(self, monkeypatch):
         monkeypatch.setenv(CAP_ENV_VAR, "10")
         with pytest.raises(EnumerationCapError, match="would need about 96 KiB"):
-            enumerate_landscape(validate("omm", 12))
+            enumerate_landscape(ProblemInstance("omm", 12))
 
 
 class TestReportMemo:
     def test_only_the_latest_report_is_kept(self):
-        enumerate_landscape(validate("omm", 6))
-        enumerate_landscape(validate("lotz", 6))
+        enumerate_landscape(ProblemInstance("omm", 6))
+        enumerate_landscape(ProblemInstance("lotz", 6))
         assert _report.cache_info().currsize == 1
 
     def test_profile_and_verify_reuse_the_report(self):
-        inst = validate("ojzr", 12, k=5, l=3)
+        inst = ProblemInstance("ojzr", 12, k=5, l=3)
         enumerate_landscape(inst)
         misses = _report.cache_info().misses
         characteristic_profile(inst)
@@ -1001,7 +1001,7 @@ class TestPlanesOnly:
             monkeypatch.setitem(problems.STATISTICS, name, refuse)
         problems.index_evaluator.cache_clear()
         _report.cache_clear()
-        inst = validate("ojzr", 12, k=5, l=3)
+        inst = ProblemInstance("ojzr", 12, k=5, l=3)
         assert summary_line(enumerate_landscape(inst)) == (
             "|PS|=156 ratio=39/1024 components=120 |LO|=648"
         )

@@ -31,13 +31,13 @@ from bibench.oracles import (
 )
 from bibench.problems import (
     FAMILY_NAMES,
+    ProblemInstance,
     _block_automaton,
     _lozr_move,
     _orzr_move,
     index_evaluator,
     parse_descriptor,
     statistic_plane,
-    validate,
 )
 
 EIGHT_BIT_DESCRIPTORS = (
@@ -94,7 +94,7 @@ class TestOracleSetsMatchEnumeration:
 
     def test_ojzr_oracle_is_exact_when_blocks_are_shorter_than_the_gap(self):
         for n, k, l in ((12, 4, 3), (12, 5, 3), (12, 5, 4), (8, 3, 2)):
-            inst = validate("ojzr", n=n, k=k, l=l)
+            inst = ProblemInstance("ojzr", n=n, k=k, l=l)
             report = enumerate_landscape(inst)
             assert members(inst.info.pareto_set(n, k, l), n) == set(report.pareto_set_indices)
             assert members(inst.info.local_optima(n, k, l), n) == set(
@@ -277,7 +277,7 @@ class TestRatioOjzj:
 
     def test_matches_enumeration(self):
         for n, k in ((6, 1), (6, 2), (8, 3), (10, 4), (12, 5), (7, 3), (9, 4), (11, 5)):
-            inst = validate("ojzj", n=n, k=k)
+            inst = ProblemInstance("ojzj", n=n, k=k)
             assert ratio_ojzj(n, k) == enumerate_landscape(inst).ratio
 
     def test_domain(self):
@@ -346,11 +346,11 @@ class TestRatioOjzr:
 
     def test_exact_when_blocks_are_shorter_than_the_gap(self):
         for n, k, l in ((12, 4, 3), (12, 5, 3), (12, 5, 4), (8, 3, 2), (14, 5, 2)):
-            inst = validate("ojzr", n=n, k=k, l=l)
+            inst = ProblemInstance("ojzr", n=n, k=k, l=l)
             assert ratio_ojzr(n, k, l) == enumerate_landscape(inst).ratio
 
     def test_overcounts_when_blocks_are_longer_than_the_gap(self):
-        inst = validate("ojzr", n=6, k=2, l=3)
+        inst = ProblemInstance("ojzr", n=6, k=2, l=3)
         assert ratio_ojzr(6, 2, 3) == Fraction(19, 64)
         assert enumerate_landscape(inst).ratio == Fraction(1, 16)
 
@@ -423,11 +423,11 @@ class TestOjzrBound:
 
 class TestClaimedFronts:
     def test_omm(self):
-        inst = validate("omm", n=4)
+        inst = ProblemInstance("omm", n=4)
         assert claimed_front_tuples(inst) == ((0, 4), (1, 3), (2, 2), (3, 1), (4, 0))
 
     def test_ojzj_peaks_and_middle(self):
-        inst = validate("ojzj", n=8, k=2)
+        inst = ProblemInstance("ojzj", n=8, k=2)
         assert claimed_front_tuples(inst) == (
             (2, 10),
             (4, 8),
@@ -439,7 +439,7 @@ class TestClaimedFronts:
         )
 
     def test_ojzr_truncation_is_kept_literal(self):
-        inst = validate("ojzr", n=12, k=3, l=3)
+        inst = ProblemInstance("ojzr", n=12, k=3, l=3)
         assert claimed_front_tuples(inst) == ((3, 12), (6, 9), (15, 0))
         assert closed_form_front(inst) == ((3, 12), (6, 9), (9, 6), (12, 3), (15, 0))
 
@@ -451,7 +451,7 @@ class TestClaimedFronts:
 
 class TestReferenceFront:
     def test_ojzr_front_is_not_the_printed_one(self):
-        inst = validate("ojzr", n=6, k=2, l=3)
+        inst = ProblemInstance("ojzr", n=6, k=2, l=3)
         assert reference_front(inst) == ((2, 6), (5, 3), (8, 0))
         assert reference_front(inst) != claimed_front_tuples(inst)
 
@@ -463,16 +463,16 @@ class TestReferenceFront:
             assert reference_front(inst) == enumerated, inst.descriptor
 
     def test_ojzr_front_works_beyond_the_enumeration_cap(self):
-        front = reference_front(validate("ojzr", n=30, k=5, l=3))
+        front = reference_front(ProblemInstance("ojzr", n=30, k=5, l=3))
         assert front == tuple(sorted(front))
         assert all(a < b and c > d for (a, c), (b, d) in zip(front, front[1:]))
 
     def test_other_families_use_the_closed_form(self):
-        inst = validate("omm", n=8)
+        inst = ProblemInstance("omm", n=8)
         assert reference_front(inst) == claimed_front_tuples(inst)
 
     def test_closed_form_works_beyond_the_enumeration_cap(self):
-        inst = validate("lotz", n=32)
+        inst = ProblemInstance("lotz", n=32)
         front = reference_front(inst)
         assert len(front) == 33
         assert front == claimed_front_tuples(inst)
@@ -487,7 +487,7 @@ class TestVerify:
             assert all(claim.must_match for claim in report.claims)
 
     def test_ojzj_claim_names(self):
-        report = verify(validate("ojzj", n=8, k=2))
+        report = verify(ProblemInstance("ojzj", n=8, k=2))
         names = [claim.name for claim in report.claims]
         assert names == [
             "pareto_set",
@@ -499,7 +499,7 @@ class TestVerify:
         assert any("shifted" in note for note in report.notes)
 
     def test_plain_family_claim_names(self):
-        report = verify(validate("lotz", n=6))
+        report = verify(ProblemInstance("lotz", n=6))
         assert [claim.name for claim in report.claims] == [
             "pareto_set",
             "local_optima",
@@ -508,7 +508,7 @@ class TestVerify:
         assert report.notes == ()
 
     def test_ojzr_mismatches_are_informational(self):
-        report = verify(validate("ojzr", n=6, k=2, l=3))
+        report = verify(ProblemInstance("ojzr", n=6, k=2, l=3))
         assert report.must_match_ok
         by_name = {claim.name: claim for claim in report.claims}
         assert not by_name["pareto_set"].matched
@@ -521,11 +521,11 @@ class TestVerify:
         assert all(not claim.must_match for claim in report.claims)
 
     def test_ojzr_formula_claim_absent_outside_its_domain(self):
-        report = verify(validate("ojzr", n=12, k=3, l=3))
+        report = verify(ProblemInstance("ojzr", n=12, k=3, l=3))
         assert "ratio_formula" not in [claim.name for claim in report.claims]
 
     def test_counterexamples_show_strings_and_vectors(self):
-        report = verify(validate("ojzr", n=6, k=2, l=3))
+        report = verify(ProblemInstance("ojzr", n=6, k=2, l=3))
         by_name = {claim.name: claim for claim in report.claims}
         assert by_name["pareto_set"].counterexamples[0] == (
             "claimed but wrong: 001111 -> (6, 0)"
@@ -597,7 +597,7 @@ class TestVerify:
 
 class TestRenderVerification:
     def test_golden_lotz(self):
-        text = render_verification(verify(validate("lotz", n=6)))
+        text = render_verification(verify(ProblemInstance("lotz", n=6)))
         assert text == (
             "lotz:n=6\n"
             "  pareto_set: match (must-match) claimed=7 actual=7\n"
@@ -606,7 +606,7 @@ class TestRenderVerification:
         )
 
     def test_golden_ojzj(self):
-        text = render_verification(verify(validate("ojzj", n=8, k=2)))
+        text = render_verification(verify(ProblemInstance("ojzj", n=8, k=2)))
         assert text == (
             "ojzj:n=8,k=2\n"
             "  pareto_set: match (must-match) claimed=240 actual=240\n"
@@ -619,7 +619,7 @@ class TestRenderVerification:
         )
 
     def test_mismatches_render_counterexamples(self):
-        text = render_verification(verify(validate("ojzr", n=6, k=2, l=3)))
+        text = render_verification(verify(ProblemInstance("ojzr", n=6, k=2, l=3)))
         assert "pareto_set: MISMATCH (informational) claimed=19 actual=4" in text
         assert "    - claimed but wrong: 001111 -> (6, 0)" in text
 
@@ -684,7 +684,7 @@ class TestGrid:
                 for k in (None, *range(1, n + 1)):
                     for l in (None, *range(1, n + 1)):
                         try:
-                            expected.append(validate(family, n, k, l))
+                            expected.append(ProblemInstance(family, n, k, l))
                         except ValidationError:
                             pass
         assert grid_instances(n_values=range(1, 23)) == expected

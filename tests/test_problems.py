@@ -18,7 +18,6 @@ from bibench.problems import (
     objective_planes,
     parse_descriptor,
     statistic_plane,
-    validate,
 )
 
 
@@ -63,7 +62,7 @@ class TestDescriptors:
         assert parse_descriptor(inst.descriptor) == inst
 
     def test_case_insensitive(self):
-        assert parse_descriptor("OJZR:N=12,K=5,L=3") == validate("ojzr", 12, k=5, l=3)
+        assert parse_descriptor("OJZR:N=12,K=5,L=3") == ProblemInstance("ojzr", 12, k=5, l=3)
 
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
@@ -93,65 +92,80 @@ class TestDescriptors:
 class TestValidation:
     def test_n_bounds(self):
         with pytest.raises(ValidationError):
-            validate("omm", 0)
+            ProblemInstance("omm", 0)
         with pytest.raises(ValidationError):
-            validate("omm", 64)
-        assert validate("omm", 63).n == 63
+            ProblemInstance("omm", 64)
+        assert ProblemInstance("omm", 63).n == 63
+        with pytest.raises(ValidationError, match=r"n must be in \[1, 63\] \(got n=None\)"):
+            ProblemInstance("omm", None)
 
     def test_param_presence_is_exact(self):
         with pytest.raises(ValidationError):
-            validate("omm", 8, k=2)
+            ProblemInstance("omm", 8, k=2)
         with pytest.raises(ValidationError):
-            validate("ojzj", 8)
+            ProblemInstance("ojzj", 8)
         with pytest.raises(ValidationError):
-            validate("ojzr", 8, k=3)
+            ProblemInstance("ojzr", 8, k=3)
         with pytest.raises(ValidationError):
-            validate("ojzr", 8, l=2)
+            ProblemInstance("ojzr", 8, l=2)
+        with pytest.raises(ValidationError):
+            ProblemInstance("omm", 8, k=3)
 
     def test_cocz_needs_even_n(self):
         with pytest.raises(ValidationError):
-            validate("cocz", 7)
-        assert validate("cocz", 8).family == "cocz"
+            ProblemInstance("cocz", 7)
+        assert ProblemInstance("cocz", 8).family == "cocz"
 
     def test_ojzj_gap_bounds(self):
-        assert validate("ojzj", 8, k=1).k == 1
-        assert validate("ojzj", 8, k=3).k == 3
+        assert ProblemInstance("ojzj", 8, k=1).k == 1
+        assert ProblemInstance("ojzj", 8, k=3).k == 3
         with pytest.raises(ValidationError):
-            validate("ojzj", 8, k=0)
+            ProblemInstance("ojzj", 8, k=0)
         with pytest.raises(ValidationError):
-            validate("ojzj", 8, k=4)
+            ProblemInstance("ojzj", 8, k=4)
 
     @pytest.mark.parametrize("family", ["omzj", "lozj"])
     def test_mixed_jump_needs_k_above_one(self, family):
-        assert validate(family, 8, k=2).k == 2
+        assert ProblemInstance(family, 8, k=2).k == 2
         with pytest.raises(ValidationError):
-            validate(family, 8, k=1)
+            ProblemInstance(family, 8, k=1)
         with pytest.raises(ValidationError):
-            validate(family, 8, k=4)
+            ProblemInstance(family, 8, k=4)
 
     def test_ojzr_admits_k_equal_n_halves(self):
-        assert validate("ojzr", 12, k=6, l=3).k == 6
+        assert ProblemInstance("ojzr", 12, k=6, l=3).k == 6
         with pytest.raises(ValidationError):
-            validate("ojzr", 12, k=7, l=3)
+            ProblemInstance("ojzr", 12, k=7, l=3)
         with pytest.raises(ValidationError):
-            validate("ojzr", 12, k=1, l=3)
+            ProblemInstance("ojzr", 12, k=1, l=3)
 
     @pytest.mark.parametrize("family", ["orzr", "omzr", "lozr"])
     def test_royal_block_divisibility(self, family):
-        assert validate(family, 8, l=4).l == 4
-        assert validate(family, 8, l=1).l == 1
+        assert ProblemInstance(family, 8, l=4).l == 4
+        assert ProblemInstance(family, 8, l=1).l == 1
         with pytest.raises(ValidationError):
-            validate(family, 8, l=3)
+            ProblemInstance(family, 8, l=3)
         with pytest.raises(ValidationError):
-            validate(family, 8, l=8)
+            ProblemInstance(family, 8, l=8)
         with pytest.raises(ValidationError):
-            validate(family, 8, l=0)
+            ProblemInstance(family, 8, l=0)
+        divisor = r"l must be a positive divisor of n \(got n=10, l=3\)"
+        with pytest.raises(ValidationError, match=divisor):
+            ProblemInstance(family, 10, l=3)
+        with pytest.raises(ValidationError, match="l must be a positive divisor of n"):
+            ProblemInstance(family, 12, l=5)
 
     def test_non_integer_parameters(self):
         with pytest.raises(ValidationError):
-            validate("ojzj", 8, k="2")
+            ProblemInstance("ojzj", 8, k="2")
         with pytest.raises(ValidationError):
-            validate("omm", True)
+            ProblemInstance("omm", True)
+
+    @pytest.mark.parametrize("family", ["nope", 5, None, "OMM"])
+    def test_unknown_family_names_the_valid_ones(self, family):
+        valid = "valid: omm, lotz, ojzj, cocz, orzr, omtz, omzj, omzr, lozj, lozr, ojzr"
+        with pytest.raises(ValidationError, match=f"^unknown family {family!r}; {valid}$"):
+            ProblemInstance(family, 4)
 
 
 def naive_pair(inst, text):
@@ -200,28 +214,28 @@ def naive_pair(inst, text):
 
 
 EIGHT_BIT_INSTANCES = [
-    validate("omm", 8),
-    validate("lotz", 8),
-    validate("ojzj", 8, k=1),
-    validate("ojzj", 8, k=2),
-    validate("ojzj", 8, k=3),
-    validate("cocz", 8),
-    validate("orzr", 8, l=1),
-    validate("orzr", 8, l=2),
-    validate("orzr", 8, l=4),
-    validate("omtz", 8),
-    validate("omzj", 8, k=2),
-    validate("omzj", 8, k=3),
-    validate("omzr", 8, l=2),
-    validate("omzr", 8, l=4),
-    validate("lozj", 8, k=2),
-    validate("lozj", 8, k=3),
-    validate("lozr", 8, l=2),
-    validate("lozr", 8, l=4),
-    validate("ojzr", 8, k=2, l=2),
-    validate("ojzr", 8, k=3, l=2),
-    validate("ojzr", 8, k=4, l=2),
-    validate("ojzr", 8, k=3, l=4),
+    ProblemInstance("omm", 8),
+    ProblemInstance("lotz", 8),
+    ProblemInstance("ojzj", 8, k=1),
+    ProblemInstance("ojzj", 8, k=2),
+    ProblemInstance("ojzj", 8, k=3),
+    ProblemInstance("cocz", 8),
+    ProblemInstance("orzr", 8, l=1),
+    ProblemInstance("orzr", 8, l=2),
+    ProblemInstance("orzr", 8, l=4),
+    ProblemInstance("omtz", 8),
+    ProblemInstance("omzj", 8, k=2),
+    ProblemInstance("omzj", 8, k=3),
+    ProblemInstance("omzr", 8, l=2),
+    ProblemInstance("omzr", 8, l=4),
+    ProblemInstance("lozj", 8, k=2),
+    ProblemInstance("lozj", 8, k=3),
+    ProblemInstance("lozr", 8, l=2),
+    ProblemInstance("lozr", 8, l=4),
+    ProblemInstance("ojzr", 8, k=2, l=2),
+    ProblemInstance("ojzr", 8, k=3, l=2),
+    ProblemInstance("ojzr", 8, k=4, l=2),
+    ProblemInstance("ojzr", 8, k=3, l=4),
 ]
 
 
@@ -273,10 +287,10 @@ class TestEvaluation:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            evaluate(validate("omm", 8), BitString.from_text("101"))
+            evaluate(ProblemInstance("omm", 8), BitString.from_text("101"))
 
     def test_instances_are_value_objects(self):
-        a = validate("ojzr", 12, k=5, l=3)
+        a = ProblemInstance("ojzr", 12, k=5, l=3)
         b = ProblemInstance("ojzr", 12, 5, 3)
         assert a == b and hash(a) == hash(b)
 
