@@ -105,6 +105,8 @@ class RunConfig:
             raise ValidationError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not isinstance(self.instance, ProblemInstance):
             raise ValidationError(f"instance must be a ProblemInstance, got {self.instance!r}")
+        if not isinstance(self.target, Target):
+            raise ValidationError(f"target must be a Target, got {self.target!r}")
         if not isinstance(self.budget, int) or isinstance(self.budget, bool) or self.budget < 1:
             raise ValidationError(f"budget must be a positive int, got {self.budget!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:

@@ -487,7 +487,7 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
     per-position contribution pairs; on failure, two contexts whose deltas for
     the same position differ.
     """
-    if isinstance(objective, bool) or objective not in (1, 2):
+    if type(objective) is not int or objective not in (1, 2):
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
     n = inst.n
     plane = enumerate_landscape(inst).planes[objective - 1]

@@ -552,6 +552,8 @@ def image_counts(inst: ProblemInstance) -> dict[tuple[int, int, int], int]:
 
 def evaluate(inst: ProblemInstance, x: BitString) -> ObjectiveVector:
     """Objective pair of x under the instance's two objectives."""
+    if not isinstance(x, BitString):
+        raise ValidationError(f"x must be a BitString, got {x!r}")
     if x.n != inst.n:
         raise ValidationError(
             f"string length {x.n} does not match instance n={inst.n}"

@@ -1,48 +1,15 @@
-"""Dominance relations and non-dominated sorting, checked against a naive
-quadratic reference and the former peeling sort."""
+"""Dominance relations and non-dominated sorting, checked against the
+pairwise definitions in naive.py."""
 
 from hypothesis import given, strategies as st
 
+import naive
 from bibench.dominance import dominates, nondominated_sort, weakly_dominates
 
 vectors = st.tuples(
     st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=6)
 )
 vector_lists = st.lists(vectors, min_size=1, max_size=24)
-
-
-def naive_maximal(points):
-    distinct = set(points)
-    return {
-        p
-        for p in distinct
-        if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in distinct)
-    }
-
-
-def peeled_levels(points):
-    """The former nondominated_sort: peel the maximal vectors off, level by
-    level, each found by a (f1 desc, f2 desc) sweep."""
-
-    def maximal(distinct):
-        best = float("-inf")
-        found = set()
-        group_f1 = None
-        for vec in sorted(distinct, reverse=True):
-            if vec[0] != group_f1:
-                group_f1 = vec[0]
-                if vec[1] > best:
-                    found.add(vec)
-                    best = vec[1]
-        return found
-
-    remaining = set(points)
-    levels = []
-    while remaining:
-        front = maximal(remaining)
-        levels.append(tuple(sorted(front, reverse=True)))
-        remaining -= front
-    return tuple(levels)
 
 
 class TestRelations:
@@ -105,7 +72,9 @@ class TestSorting:
 
     @given(vector_lists)
     def test_matches_the_peeling_sort(self, points):
-        assert nondominated_sort(points).levels == peeled_levels(points)
+        assert nondominated_sort(points).levels == tuple(
+            tuple(sorted(level, reverse=True)) for level in naive.levels(points)
+        )
 
     @given(vector_lists)
     def test_levels_partition_distinct_vectors(self, points):
@@ -115,8 +84,8 @@ class TestSorting:
 
     @given(vector_lists)
     def test_level_one_is_the_filter(self, points):
-        assignment = nondominated_sort(points)
-        assert set(assignment.levels[0]) == naive_maximal(points)
+        maximal = {points[i] for i in naive.pareto_set(points)}
+        assert set(nondominated_sort(points).levels[0]) == maximal
 
     @given(vector_lists)
     def test_each_level_is_mutually_nondominated(self, points):

@@ -105,6 +105,11 @@ class TestRunValidation:
         with pytest.raises(ValidationError):
             RunConfig("semo", OMM10, seed=1, budget=100, target=Target("bogus"))
 
+    @pytest.mark.parametrize("target", ["full_front", None])
+    def test_target_must_be_a_target(self, target):
+        with pytest.raises(ValidationError, match="target must be a Target"):
+            RunConfig("semo", ProblemInstance("omm", 4), 1, 10, target=target)
+
     def test_instance_must_be_a_problem_instance(self):
         with pytest.raises(ValidationError, match="instance must be a ProblemInstance"):
             RunConfig("gsemo", "omm:n=4", 1, 10)

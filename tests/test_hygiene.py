@@ -1,8 +1,10 @@
 """Every imported name is referenced by the module that imports it, the
 package imports nothing outside the standard library, every private
 top-level name of the package is referenced somewhere in it, no
-top-level name is defined in two modules of the package, and every module
-parses as the oldest Python that pyproject.toml admits."""
+top-level name is defined in two modules of the package, the naive model
+in tests/naive.py is independent of the package and wholly used by the
+tests, and every module parses as the oldest Python that pyproject.toml
+admits."""
 
 import ast
 import re
@@ -32,11 +34,13 @@ def test_no_unused_imports(path):
 
 
 SOURCES = sorted((ROOT / "src" / "bibench").glob("*.py"))
+NAIVE = ROOT / "tests" / "naive.py"
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + [NAIVE], ids=lambda p: p.name)
 def test_imports_only_the_standard_library(path):
-    # pyproject.toml declares no dependencies, so nothing may need one.
+    # pyproject.toml declares no dependencies, so nothing may need one. The
+    # naive model imports nothing from the package it checks.
     tree = ast.parse(path.read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):
@@ -45,7 +49,8 @@ def test_imports_only_the_standard_library(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules.add(node.module)
     tops = {module.split(".")[0] for module in modules}
-    assert sorted(tops - sys.stdlib_module_names - {"bibench"}) == []
+    allowed = sys.stdlib_module_names | ({"bibench"} if path in SOURCES else set())
+    assert sorted(tops - allowed) == []
 
 
 def top_level_names(tree):
@@ -79,6 +84,17 @@ def test_each_top_level_name_is_defined_once():
             for name in top_level_names(ast.parse(path.read_text(encoding="utf-8"))):
                 owners.setdefault(name, set()).add(path.name)
     assert {name: sorted(paths) for name, paths in owners.items() if len(paths) > 1} == {}
+
+
+def test_every_naive_name_is_used_by_a_test():
+    naive = ast.parse(NAIVE.read_text(encoding="utf-8"))
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in (ROOT / "tests").glob("test_*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(set(top_level_names(naive)) - used) == []
 
 
 OLDEST_PYTHON = tuple(

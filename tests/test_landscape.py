@@ -1,7 +1,7 @@
 """Exhaustive landscape analysis: frozen exact counts per family, the seven
 characteristic flags, separability, symmetry, front shapes, caps and the
-one-slot report memo, plus brute-force references for the enumeration
-core's plane helpers."""
+one-slot report memo. The report, the predicates and the enumeration
+core's plane helpers are checked against the definitions in naive.py."""
 
 import dataclasses
 import math
@@ -11,12 +11,14 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import naive
 from bibench import landscape, problems
 from bibench.bitstring import BitString
 from bibench.errors import EnumerationCapError, ValidationError
@@ -36,7 +38,6 @@ from bibench.landscape import (
     _binary_lines,
     _mirror,
     _report,
-    _turns,
     _unpack_bits,
     characteristic_profile,
     enumerate_landscape,
@@ -54,37 +55,6 @@ from bibench.problems import ProblemInstance, _pack_bits, evaluate, parse_descri
 
 def report_for(descriptor):
     return enumerate_landscape(parse_descriptor(descriptor))
-
-
-def flip(x, position):
-    return BitString(x.n, x.index ^ (1 << (x.n - position)))
-
-
-def neighbors(x):
-    return [flip(x, position) for position in range(1, x.n + 1)]
-
-
-def below_upper_hull(points):
-    """The former front_shape test: whether some point lies strictly under
-    the upper convex hull of points sorted by f1 with all f1 distinct."""
-    hull = []
-    for p in points:
-        while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-            if cross >= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    for p in points:
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            if x1 <= p[0] <= x2:
-                cross = (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1)
-                if cross < 0:
-                    return True
-                break
-    return False
 
 
 class TestFrozenCounts:
@@ -154,12 +124,10 @@ class TestFrozenCounts:
         inst = parse_descriptor("lozj:n=8,k=3")
         rep = enumerate_landscape(inst)
         front = {v for v, _ in rep.front_counts}
+        vecs = naive.vectors(inst)
         for x in rep.local_optima:
-            vec = evaluate(inst, x)
-            assert vec not in front
-            for y in neighbors(x):
-                w = evaluate(inst, y)
-                assert not (w != vec and w[0] >= vec[0] and w[1] >= vec[1])
+            assert vecs[x.index] not in front
+            assert not any(naive.dominates(vecs[x.index ^ 1 << b], vecs[x.index]) for b in range(8))
 
 
 class TestOnesTables:
@@ -234,7 +202,7 @@ class TestPredicates:
             assert not is_completely_conflicting(parse_descriptor(descriptor))
 
     def test_complete_conflict_matches_the_consecutive_pair_scan(self):
-        """One non-dominated level against the former check: consecutive
+        """One non-dominated level against the definition: consecutive
         distinct vectors never share f1, and f2 strictly falls."""
         for inst in grid_instances(None, range(1, 13)):
             distinct = sorted(enumerate_landscape(inst).vector_counts)
@@ -244,43 +212,16 @@ class TestPredicates:
             assert is_completely_conflicting(inst) == scan, inst.descriptor
 
 
-def scan_separability(inst, objective):
-    """The former is_fully_separable: a whole-plane scan of every position
-    for a context whose flip delta differs from context 0's."""
-    n = inst.n
-    size = 1 << n
-    plane = enumerate_landscape(inst).planes[objective - 1]
-    p = int.from_bytes(plane, "little")
-    guard = int.from_bytes(b"\x80" * size, "little")
-    deltas = []
-    for position in range(1, n + 1):
-        b = n - position
-        step = 1 << b
-        first = plane[step] - plane[0]
-        contexts = int.from_bytes((b"\xff" * step + bytes(step)) * (size >> (b + 1)), "little")
-        lanes = int.from_bytes(bytes([128 + first]) * size, "little")
-        offset = (((p >> 8 * step | guard) - p) ^ lanes) & contexts
-        if offset:
-            i = ((offset & -offset).bit_length() - 1) >> 3
-            return SeparabilityReport(
-                objective=objective,
-                separable=False,
-                contributions=None,
-                witness_position=position,
-                witness=(BitString(n, 0), BitString(n, i)),
-                witness_deltas=(first, plane[i + step] - plane[i]),
-            )
-        deltas.append(first)
-    base = plane[0]
-    contributions = [(0, d) for d in deltas]
-    contributions[0] = (base, base + deltas[0])
+def naive_report(values, n, objective):
+    """The report that naive.separability gives for one objective's values."""
+    witness, contributions = naive.separability(values, n)
     return SeparabilityReport(
         objective=objective,
-        separable=True,
-        contributions=tuple(contributions),
-        witness_position=None,
-        witness=None,
-        witness_deltas=None,
+        separable=witness is None,
+        contributions=contributions,
+        witness_position=witness and witness[0],
+        witness=witness and (BitString(n, 0), BitString(n, witness[1])),
+        witness_deltas=witness and witness[2],
     )
 
 
@@ -322,9 +263,9 @@ class TestSeparability:
         inst = ProblemInstance("lotz", 6)
         rep = is_fully_separable(inst, 1)
         a, b = rep.witness
-        pos = rep.witness_position
-        da = evaluate(inst, flip(a, pos))[0] - evaluate(inst, a)[0]
-        db = evaluate(inst, flip(b, pos))[0] - evaluate(inst, b)[0]
+        bit = 1 << (inst.n - rep.witness_position)
+        da = evaluate(inst, BitString(6, a.index ^ bit))[0] - evaluate(inst, a)[0]
+        db = evaluate(inst, BitString(6, b.index ^ bit))[0] - evaluate(inst, b)[0]
         assert (da, db) == rep.witness_deltas
         assert da != db
 
@@ -334,28 +275,11 @@ class TestSeparability:
     def test_witness_is_the_first_context_that_differs(self, descriptor):
         # Positions in order 1..n; within one, contexts by index, context 0 first.
         inst = parse_descriptor(descriptor)
-        n = inst.n
+        vecs = naive.vectors(inst)
         for objective in (1, 2):
-            expected = None
-            for position in range(1, n + 1):
-                bit = 1 << (n - position)
-                contexts = [i for i in range(1 << n) if not i & bit]
-                deltas = [
-                    evaluate(inst, BitString(n, i | bit))[objective - 1]
-                    - evaluate(inst, BitString(n, i))[objective - 1]
-                    for i in contexts
-                ]
-                odd = next((c for c, d in zip(contexts, deltas) if d != deltas[0]), None)
-                if odd is not None:
-                    expected = (position, (0, odd), (deltas[0], deltas[contexts.index(odd)]))
-                    break
-            rep = is_fully_separable(inst, objective)
-            found = None if rep.separable else (
-                rep.witness_position,
-                tuple(x.index for x in rep.witness),
-                rep.witness_deltas,
-            )
-            assert found == expected, (descriptor, objective)
+            values = [v[objective - 1] for v in vecs]
+            expected = naive_report(values, inst.n, objective)
+            assert is_fully_separable(inst, objective) == expected, (descriptor, objective)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_witness_after_a_separable_position(self, n):
@@ -364,33 +288,25 @@ class TestSeparability:
         rng = random.Random(n)
         low = [rng.randrange(64) for _ in range(1 << (n - 1))]
         plane = bytes(low + [v + 63 for v in low])
-        expected = None
-        for position in range(2, n + 1):
-            bit = 1 << (n - position)
-            contexts = [i for i in range(1 << n) if not i & bit]
-            deltas = [plane[i | bit] - plane[i] for i in contexts]
-            odd = next((i for i, d in zip(contexts, deltas) if d != deltas[0]), None)
-            if odd is not None:
-                expected = (position, odd, (deltas[0], plane[odd | bit] - plane[odd]))
-                break
-        assert expected is not None
-        rep = landscape._separability_witness(plane, n, 1)
-        assert (rep.witness_position, rep.witness[1].index, rep.witness_deltas) == expected
+        expected = naive_report(plane, n, 1)
+        assert expected.witness_position >= 2
+        assert landscape._separability_witness(plane, n, 1) == expected
 
     def test_one_pass_check_matches_the_scan(self):
         instances = grid_instances(None, range(1, 17))
         assert len(instances) == 434
         for inst in instances:
+            planes = enumerate_landscape(inst).planes
             for objective in (1, 2):
-                assert is_fully_separable(inst, objective) == scan_separability(
-                    inst, objective
-                ), (inst.descriptor, objective)
+                expected = naive_report(planes[objective - 1], inst.n, objective)
+                assert is_fully_separable(inst, objective) == expected, (inst.descriptor, objective)
 
     def test_objective_selector_is_validated(self):
         with pytest.raises(ValidationError):
             is_fully_separable(ProblemInstance("omm", 4), 3)
-        with pytest.raises(ValidationError):
-            is_fully_separable(ProblemInstance("omm", 4), True)
+        for selector in (True, 1.0, Fraction(2)):
+            with pytest.raises(ValidationError, match="objective selector must be 1 or 2"):
+                is_fully_separable(ProblemInstance("omm", 4), selector)
 
 
 class TestFrontShape:
@@ -426,15 +342,16 @@ class TestFrontShape:
     )
     @settings(max_examples=500)
     def test_turns_match_the_upper_hull(self, points):
+        # front_shape reads only the report's front; a front that bends the
+        # other way is not classified.
         points = sorted(points)
-        turns = _turns(points)
-        o = points[0]
-        collinear = all(
-            (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) == 0
-            for a, b in zip(points[1:], points[2:])
-        )
-        assert (not any(turns)) == collinear
-        assert (max(turns, default=0) > 0) == below_upper_hull(points)
+        report = SimpleNamespace(front_counts=[(p, 1) for p in points])
+        with mock.patch.object(landscape, "enumerate_landscape", return_value=report):
+            try:
+                shape = front_shape(ProblemInstance("omm", 2)).value
+            except ValidationError:
+                shape = None
+        assert shape == naive.front_shape(points)
 
 
 class TestCaps:
@@ -530,27 +447,6 @@ class TestRendering:
         )
 
 
-def reference_component_count(members: set[int], n: int) -> int:
-    """Connected components of the Hamming-1 graph on members: a set-based
-    DFS, the naive reference for the mask flood."""
-    seen: set[int] = set()
-    components = 0
-    for start in members:
-        if start in seen:
-            continue
-        components += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            cur = stack.pop()
-            for b in range(n):
-                nb = cur ^ (1 << b)
-                if nb in members and nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    return components
-
-
 cube_subsets = st.integers(min_value=1, max_value=10).flatmap(
     lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1)))
 )
@@ -564,7 +460,7 @@ class TestFlatHelpers:
         mask = bytearray(1 << n)
         for i in members:
             mask[i] = 1
-        assert _component_count(mask, n) == reference_component_count(members, n)
+        assert _component_count(mask, n) == naive.components(members, n)
         assert not any(mask)
 
     @given(cube_subsets)
@@ -572,48 +468,25 @@ class TestFlatHelpers:
     def test_bit_component_count_matches_reference(self, case):
         n, members = case
         bits = sum(1 << i for i in members)
-        assert _bit_component_count(bits, n) == reference_component_count(members, n)
+        assert _bit_component_count(bits, n) == naive.components(members, n)
 
     @pytest.mark.parametrize("n", range(1, 64))
-    def test_bit_reverser_matches_string_reversal(self, n):
-        # The mirror's index-bit transpositions reverse every n-bit string.
-        top = (1 << n) - 1
-        samples = {0, 1, top, top >> 1, 1 << (n - 1), 0x5555555555555555 & top}
-        samples.update((i * 0x9E3779B97F4A7C15) & top for i in range(1, 200))
-        for i in samples:
-            j = i
-            for b, c in mirror_pairs(n):
-                if (j >> b ^ j >> c) & 1:
-                    j ^= 1 << b | 1 << c
-            assert j == int(format(i, f"0{n}b")[::-1], 2), (n, i)
-        # The plane mirror moves the byte of index i to its reversal; two
-        # planes carry the low and the high byte of each index.
+    def test_bit_reverser_matches_string_reversal(self, n, monkeypatch):
+        # The mirror of an n-bit plane reads one bit-reversal table per half
+        # of the index. Beyond MAX_CAP no plane is built, so no mirror runs.
+        if n > MAX_CAP:
+            monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+            with pytest.raises(EnumerationCapError):
+                enumerate_landscape(ProblemInstance("omm", n))
+            return
+        for k in (n - n // 2, n // 2):
+            assert landscape._bit_reversed(k) == naive.reversed_indices(k), (n, k)
+        # Two planes carry the low and the high byte of each index, so the
+        # plane mirror must move every index to its reversal.
         if n <= 16:
-            size = 1 << n
             for shift in (0, 8):
-                plane = bytes((i >> shift) & 0xFF for i in range(size))
-                out = _mirror(plane, n)
-                for i in range(size):
-                    assert out[int(format(i, f"0{n}b")[::-1], 2)] == plane[i], (n, i)
-
-
-def mirror_pairs(n):
-    """Transpositions of index bits whose product reverses an n-bit index."""
-    return [(b, n - 1 - b) for b in range(n // 2)]
-
-
-def reference_mirror(plane, n):
-    """The former plane mirror: each transposition of index bits b < c is
-    one delta swap on the plane as a big int, so the lanes with bit b set
-    and bit c clear trade places with the lanes 2^c - 2^b above them."""
-    size = 1 << n
-    x = int.from_bytes(plane, "little")
-    for b, c in mirror_pairs(n):
-        shift = 8 * ((1 << c) - (1 << b))
-        period = (bytes(1 << b) + b"\xff" * (1 << b)) * (1 << (c - b - 1)) + bytes(1 << c)
-        t = (x ^ x >> shift) & int.from_bytes(period * (size >> (c + 1)), "little")
-        x ^= t ^ t << shift
-    return x.to_bytes(size, "little")
+                plane = bytes((i >> shift) & 0xFF for i in range(1 << n))
+                assert _mirror(plane, n) == naive.mirror(plane, n), n
 
 
 def reference_render(report):
@@ -655,14 +528,14 @@ class TestMirror:
         rng = random.Random(n)
         for _ in range(3):
             plane = rng.randbytes(1 << n)
-            assert _mirror(plane, n) == reference_mirror(plane, n)
+            assert _mirror(plane, n) == naive.mirror(plane, n)
 
     def test_grid_planes_and_symmetry_match_the_delta_swaps(self):
         for inst in GRID:
             f1, f2 = enumerate_landscape(inst).planes
             for plane in (f1, f2):
-                assert _mirror(plane, inst.n) == reference_mirror(plane, inst.n), inst.descriptor
-            symmetric = reference_mirror(f1[::-1], inst.n) == f2
+                assert _mirror(plane, inst.n) == naive.mirror(plane, inst.n), inst.descriptor
+            symmetric = naive.mirror(f1[::-1], inst.n) == f2
             assert is_symmetric_pair(inst) == symmetric, inst.descriptor
 
 
@@ -712,16 +585,6 @@ class TestLazyParetoIndices:
         assert dataclasses.replace(report, member_bits=report.member_bits ^ 1) != report
 
 
-def reference_local_views(report):
-    """Reference for the lazy views: the local optima's index array and
-    image counts, built eagerly from the neighbour check's mask."""
-    f1, f2 = report.planes
-    mask = reference_local_optima(f1, f2, set(report.pareto_set_indices), report.n)
-    local = array("I", compress(range(1 << report.n), mask))
-    counts = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
-    return local, tuple((v, counts[v]) for v in sorted(counts))
-
-
 class TestLazyLocalOptima:
     @pytest.mark.parametrize(
         "descriptor",
@@ -736,9 +599,10 @@ class TestLazyLocalOptima:
         summary_line(report)
         assert "local_optima_indices" not in vars(report)
         assert "local_front_counts" not in vars(report)
-        local, local_front = reference_local_views(report)
-        assert report.local_optima_indices == local
-        assert report.local_front_counts == local_front
+        vecs = list(zip(*report.planes))
+        local = sorted(naive.local_optima(vecs, naive.pareto_set(vecs)))
+        assert report.local_optima_indices == array("I", local)
+        assert report.local_front_counts == tuple(sorted(Counter(vecs[i] for i in local).items()))
         assert profile.local_optima_count == len(local) == report.local_optima_bits.bit_count()
         assert vars(report)["local_optima_indices"] is report.local_optima_indices
         assert vars(report)["local_front_counts"] is report.local_front_counts
@@ -784,20 +648,6 @@ class TestMemory:
         assert peak_bytes_per_string(lambda: is_fully_separable(inst, 1), inst.n) <= 6
 
 
-def reference_local_optima(f1, f2, members, n):
-    """Byte i is 1 when string i is not a member and no neighbour strictly
-    dominates it: a check of every neighbour of every string."""
-    flips = [1 << b for b in range(n)]
-    out = bytearray(1 << n)
-    for i in range(1 << n):
-        a, c = f1[i], f2[i]
-        out[i] = i not in members and not any(
-            f1[i ^ m] >= a and f2[i ^ m] >= c and (f1[i ^ m], f2[i ^ m]) != (a, c)
-            for m in flips
-        )
-    return out
-
-
 def mask_from_runs(runs):
     return b"".join(bytes([value]) * length for value, length in runs)
 
@@ -814,9 +664,10 @@ class TestBitSlicedKernels:
         for inst in grid_instances(None, range(1, 13)):
             report = enumerate_landscape(inst)
             f1, f2 = report.planes
-            members = set(report.pareto_set_indices)
+            vecs = list(zip(f1, f2))
+            members = naive.pareto_set(vecs)
             packed = sum(1 << i for i in members)
-            expected = _pack_bits(reference_local_optima(f1, f2, members, inst.n))
+            expected = sum(1 << i for i in naive.local_optima(vecs, members))
             assert _local_optima(f1, f2, packed, inst.n) == expected, inst.descriptor
             assert report.member_bits == packed, inst.descriptor
             assert report.local_optima_bits == expected, inst.descriptor
@@ -867,13 +718,9 @@ class TestBitSlicedKernels:
         assert _indices(mask) == array("I", compress(range(len(mask)), mask))
 
 
-def _dominates(a, b):
-    return a != b and a[0] >= b[0] and a[1] >= b[1]
-
-
 class TestBruteForceCrossCheck:
-    """Pareto set, local optima, components and ones tables of the report
-    against a reference built from evaluate, pairwise dominance and BFS."""
+    """Planes, levels, Pareto set, local optima, components and ones tables
+    of the report against naive.py, from the strings up."""
 
     INSTANCES = [
         "omm:n=8",
@@ -892,61 +739,18 @@ class TestBruteForceCrossCheck:
     @pytest.mark.parametrize("descriptor", INSTANCES)
     def test_report_matches_reference(self, descriptor):
         inst = parse_descriptor(descriptor)
-        n = inst.n
-        vec = {x: evaluate(inst, x) for x in (BitString(n, i) for i in range(1 << n))}
-
-        level = {}
-        remaining = set(vec.values())
-        depth = 0
-        while remaining:
-            depth += 1
-            top = {v for v in remaining if not any(_dominates(w, v) for w in remaining)}
-            level.update(dict.fromkeys(top, depth))
-            remaining -= top
-
-        pareto = {x for x, v in vec.items() if level[v] == 1}
-        local = {
-            x
-            for x, v in vec.items()
-            if x not in pareto and not any(_dominates(vec[y], v) for y in neighbors(x))
-        }
-
-        unseen = set(pareto)
-        components = 0
-        while unseen:
-            components += 1
-            queue = [unseen.pop()]
-            while queue:
-                x = queue.pop(0)
-                for y in neighbors(x):
-                    if y in unseen:
-                        unseen.remove(y)
-                        queue.append(y)
-
-        tables = []
-        for ones in range(n + 1):
-            row = [v for x, v in vec.items() if str(x).count("1") == ones]
-            tables.append(
-                (
-                    ones,
-                    (
-                        tuple(sorted(Counter(a for a, _ in row).items())),
-                        tuple(sorted(Counter(b for _, b in row).items())),
-                        tuple(sorted(Counter(level[v] for v in row).items())),
-                    ),
-                )
-            )
-
+        vecs = naive.vectors(inst)
+        pareto = naive.pareto_set(vecs)
         rep = enumerate_landscape(inst)
-        f1, f2 = rep.planes
-        assert all((f1[x.index], f2[x.index]) == v for x, v in vec.items())
-        assert tuple(rep.pareto_set_indices) == tuple(sorted(x.index for x in pareto))
-        assert tuple(rep.local_optima_indices) == tuple(sorted(x.index for x in local))
-        assert rep.component_count == components
+        assert list(zip(*rep.planes)) == vecs
+        assert rep.levels == tuple(tuple(sorted(l, reverse=True)) for l in naive.levels(vecs))
+        assert list(rep.pareto_set_indices) == sorted(pareto)
+        assert list(rep.local_optima_indices) == sorted(naive.local_optima(vecs, pareto))
+        assert rep.component_count == naive.components(pareto, inst.n)
+        assert [ones for ones, _ in rep.ones_tables] == list(range(inst.n + 1))
         assert [
-            (ones, (t.f1_counts, t.f2_counts, t.level_counts))
-            for ones, t in rep.ones_tables
-        ] == tables
+            (t.f1_counts, t.f2_counts, t.level_counts) for _, t in rep.ones_tables
+        ] == naive.ones_tables(vecs)
 
 
 small_instances = st.sampled_from(grid_instances(n_values=range(1, 11)))

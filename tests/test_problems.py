@@ -1,7 +1,9 @@
-"""Family catalog, descriptors, validation bounds, and evaluation parity."""
+"""Family catalog, descriptors, validation bounds, and evaluation parity with
+naive.py."""
 
 import pytest
 
+import naive
 from bibench.bitstring import BitString
 from bibench.errors import DescriptorError, ValidationError
 from bibench.landscape import MAX_CAP
@@ -36,6 +38,7 @@ class TestCatalog:
             "lozr",
             "ojzr",
         )
+        assert tuple(naive.FAMILIES) == FAMILY_NAMES
 
     def test_parameter_requirements(self):
         params = {info.name: info.params for info in family_catalog()}
@@ -168,51 +171,6 @@ class TestValidation:
             ProblemInstance(family, 4)
 
 
-def naive_pair(inst, text):
-    """String-level reimplementation of every family, for parity checks."""
-    n = inst.n
-    ones = text.count("1")
-    zeroes = text.count("0")
-    lead = len(text) - len(text.lstrip("1"))
-    trail = len(text) - len(text.rstrip("0"))
-
-    def jump(count):
-        return inst.k + count if (count <= n - inst.k or count == n) else n - count
-
-    def royal(want):
-        step = inst.l
-        return step * sum(
-            1
-            for i in range(0, n, step)
-            if text[i : i + step] == want * step
-        )
-
-    if inst.family == "omm":
-        return (ones, zeroes)
-    if inst.family == "lotz":
-        return (lead, trail)
-    if inst.family == "ojzj":
-        return (jump(ones), jump(zeroes))
-    if inst.family == "cocz":
-        half = n // 2
-        return (ones, text[:half].count("1") + text[half:].count("0"))
-    if inst.family == "orzr":
-        return (royal("1"), royal("0"))
-    if inst.family == "omtz":
-        return (ones, trail)
-    if inst.family == "omzj":
-        return (ones, jump(zeroes))
-    if inst.family == "omzr":
-        return (ones, royal("0"))
-    if inst.family == "lozj":
-        return (lead, jump(zeroes))
-    if inst.family == "lozr":
-        return (lead, royal("0"))
-    if inst.family == "ojzr":
-        return (jump(ones), royal("0"))
-    raise AssertionError(inst.family)
-
-
 EIGHT_BIT_INSTANCES = [
     ProblemInstance("omm", 8),
     ProblemInstance("lotz", 8),
@@ -265,8 +223,8 @@ class TestEvaluation:
         "inst", EIGHT_BIT_INSTANCES + grid_instances(None, (7, 9, 10)), ids=lambda i: i.descriptor
     )
     def test_evaluate_matches_naive_exhaustively(self, inst):
-        for x in (BitString(inst.n, i) for i in range(1 << inst.n)):
-            assert evaluate(inst, x) == naive_pair(inst, str(x))
+        strings = (BitString(inst.n, i) for i in range(1 << inst.n))
+        assert [evaluate(inst, x) for x in strings] == naive.vectors(inst)
 
     def test_value_tables_fit_one_byte(self):
         # Every objective value is at most n + k < 128, so it fits one byte with
@@ -288,6 +246,10 @@ class TestEvaluation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             evaluate(ProblemInstance("omm", 8), BitString.from_text("101"))
+
+    def test_non_bit_string_rejected(self):
+        with pytest.raises(ValidationError, match="x must be a BitString, got '0101'"):
+            evaluate(ProblemInstance("omm", 4), "0101")
 
     def test_instances_are_value_objects(self):
         a = ProblemInstance("ojzr", 12, k=5, l=3)
