@@ -2,14 +2,16 @@
 seven characteristic flags, all computed exactly by enumeration.
 
 Enumeration works on byte planes: 2^n bytes whose byte i is a value of the
-string with index i. Every stage is a whole-plane operation (bytes.translate,
-slicing, compress, big-int arithmetic on byte lanes or on bit planes, whose
-bit i belongs to string i), so no Python loop runs per string. A set of
-strings, such as the Pareto set or the local optima, is held as packed
-bits: an int whose bit i is set when string i is in the set. The image, its
-multiplicities and the ones tables are not read from the planes at all:
-they come from the (f1, f2, ones) histogram that problems.image_counts
-counts by a DP over the index bits.
+string with index i. Every stage is a whole-plane operation
+(bytes.translate, slicing, compress, big-int arithmetic on byte lanes or on
+bit planes, whose bit i belongs to string i), so no Python loop runs per
+string but one: the few non-members of a Pareto set that fills almost all of
+the cube are checked for local optimality one by one. A set of strings, such
+as the Pareto set or the local optima, is held as packed bits: an int whose
+bit i is set when string i is in the set. The image, its multiplicities and
+the ones tables are not read from the planes at all: they come from the
+(f1, f2, ones) histogram that problems.image_counts counts by a DP over the
+index bits.
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -30,14 +32,14 @@ from itertools import compress
 from .bitstring import BitString
 from .dominance import ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
-from .problems import ProblemInstance, _mark, image_counts, objective_planes
+from .problems import ProblemInstance, _mark, _pack_bits, image_counts, objective_planes
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 168 MB, 10.5 bytes per string (see README); the
+# the families at n = 24 is 127 MB, 7.9 bytes per string (see README); the
 # budget stays at 24, since 16 or less would raise MAX_CAP, the largest n
 # whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
@@ -331,6 +333,23 @@ def _local_optima(f1: bytes, f2: bytes, member: int, n: int) -> int:
     return marked ^ ((1 << size) - 1)
 
 
+def _local_optima_by_string(f1: bytes, f2: bytes, member: int, n: int) -> int:
+    """The same set as _local_optima, found by checking each non-member
+    against its n neighbours: a step per non-member and neighbour, against
+    the scan's whole-cube passes, so it pays for a dense Pareto set."""
+    flags = bytearray(1 << n)
+    bits = [1 << b for b in range(n)]
+    for i in _set_indices(member ^ ((1 << (1 << n)) - 1), n):
+        a, b = f1[i], f2[i]
+        for bit in bits:
+            c, d = f1[i ^ bit], f2[i ^ bit]
+            if c >= a and d >= b and (c > a or d > b):
+                break
+        else:
+            flags[i] = 1
+    return _pack_bits(flags)
+
+
 # Zero bytes that end a run of a mask. Compressing a shorter gap costs less
 # than the find and the call that skipping it takes.
 _GAP = bytes(64)
@@ -396,11 +415,15 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
 
     # Whole-cube floods cost a pass over the cube per sweep and component;
     # the byte flood costs a step per member. Sparse Pareto sets, with their
-    # many isolated members (orzr, ojzr), take the byte flood.
-    if member_bits.bit_count() > size >> 4:
+    # many isolated members (orzr, ojzr), take the byte flood. Likewise the
+    # local-optimum scan and the per-string check break even near 6% of the
+    # cube outside the Pareto set (n = 18); the check takes 1/32 or less.
+    members = member_bits.bit_count()
+    if members > size >> 4:
         components = _bit_component_count(member_bits, n)
     else:
         components = _component_count(_unpack_bits(member_bits, size), n)
+    local_optima = _local_optima_by_string if size - members <= size >> 5 else _local_optima
 
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
 
@@ -431,7 +454,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         levels=assignment.levels,
         vector_counts=vector_counts,
         member_bits=member_bits,
-        local_optima_bits=_local_optima(f1, f2, member_bits, n),
+        local_optima_bits=local_optima(f1, f2, member_bits, n),
         component_count=components,
         ones_tables=ones_tables,
     )
@@ -491,8 +514,24 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
     n = inst.n
     plane = enumerate_landscape(inst).planes[objective - 1]
+    deltas = _additive_deltas(plane, n)
+    if deltas is None:
+        return _separability_witness(plane, n, objective)
+    contributions = [(0, d) for d in deltas]
+    contributions[0] = (plane[0], plane[0] + deltas[0])
+    return SeparabilityReport(
+        objective=objective,
+        separable=True,
+        contributions=tuple(contributions),
+        witness_position=None,
+        witness=None,
+        witness_deltas=None,
+    )
+
+
+def _additive_deltas(plane: bytes, n: int) -> list[int] | None:
+    """The context-0 flip deltas of positions 1 to n if the plane is separable, else None."""
     base = plane[0]
-    # deltas[position - 1] is the flip delta of that position in context 0.
     deltas = [plane[1 << (n - position)] - base for position in range(1, n + 1)]
     # The objective is separable exactly when it equals its additive
     # prediction, built by doubling the way the statistic planes are: the
@@ -503,18 +542,7 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
     for delta in reversed(deltas):
         d = delta % 256
         predicted += predicted.translate(_SHIFTS[d : d + 256])
-    if predicted == plane:
-        contributions = [(0, d) for d in deltas]
-        contributions[0] = (base, base + deltas[0])
-        return SeparabilityReport(
-            objective=objective,
-            separable=True,
-            contributions=tuple(contributions),
-            witness_position=None,
-            witness=None,
-            witness_deltas=None,
-        )
-    return _separability_witness(plane, n, objective)
+    return deltas if predicted == plane else None
 
 
 def _separability_witness(plane: bytes, n: int, objective: int) -> SeparabilityReport:
@@ -583,14 +611,13 @@ def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
     """All seven characteristic flags for one instance, computed exactly."""
     report = enumerate_landscape(inst)
     shape = front_shape(inst)
-    sep1 = is_fully_separable(inst, 1)
-    sep2 = is_fully_separable(inst, 2)
+    separable = all(_additive_deltas(plane, inst.n) is not None for plane in report.planes)
     return CharacteristicProfile(
         instance=inst,
         non_symmetric=not is_symmetric_pair(inst),
         non_completely_conflicting=not is_completely_conflicting(inst),
         disjoint_optima=report.component_count > 1,
-        not_fully_separable=not (sep1.separable and sep2.separable),
+        not_fully_separable=not separable,
         low_ratio_witness=report.ratio <= LOW_RATIO_THRESHOLD,
         nonlinear_front=shape is FrontShape.NONLINEAR_CONCAVE,
         has_local_optima=bool(report.local_optima_bits),

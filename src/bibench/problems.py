@@ -525,9 +525,11 @@ def _objective_tables(inst: ProblemInstance):
 def objective_planes(inst: ProblemInstance) -> tuple[bytes, bytes]:
     """Both objectives as byte planes: byte i of each is that objective's
     value at index i, the values index_evaluator gives."""
-    return tuple(
-        _translate(_state_plane(tables), final) for tables, final in _objective_tables(inst)
-    )
+    (tables1, final1), (tables2, final2) = _objective_tables(inst)
+    # Objectives of one statistic (omm, ojzj) share its state plane.
+    states = _state_plane(tables1)
+    other = states if tables2 == tables1 else _state_plane(tables2)
+    return _translate(states, final1), _translate(other, final2)
 
 
 def image_counts(inst: ProblemInstance) -> dict[tuple[int, int, int], int]:

@@ -35,6 +35,7 @@ from bibench.landscape import (
     _component_count,
     _indices,
     _local_optima,
+    _local_optima_by_string,
     _binary_lines,
     _mirror,
     _report,
@@ -300,6 +301,21 @@ class TestSeparability:
             for objective in (1, 2):
                 expected = naive_report(planes[objective - 1], inst.n, objective)
                 assert is_fully_separable(inst, objective) == expected, (inst.descriptor, objective)
+
+    def test_profile_reads_the_same_separability(self):
+        instances = grid_instances(None, range(1, 17))
+        assert len(instances) == 434
+        for inst in instances:
+            both = is_fully_separable(inst, 1).separable and is_fully_separable(inst, 2).separable
+            assert characteristic_profile(inst).not_fully_separable is not both, inst.descriptor
+
+    @pytest.mark.parametrize("descriptor", ["lotz:n=12", "ojzj:n=12,k=3", "ojzr:n=12,k=5,l=3"])
+    def test_profile_runs_no_witness_scan(self, descriptor):
+        inst = parse_descriptor(descriptor)
+        with mock.patch.object(
+            landscape, "_separability_witness", side_effect=AssertionError("witness scan")
+        ):
+            assert characteristic_profile(inst).not_fully_separable
 
     def test_objective_selector_is_validated(self):
         with pytest.raises(ValidationError):
@@ -640,6 +656,14 @@ class TestMemory:
         report = enumerate_landscape(inst)
         assert peak_bytes_per_string(lambda: render_report(report), inst.n) <= 8
 
+    @pytest.mark.parametrize(
+        "descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "lozr:n=18,l=3", "omzj:n=18,k=4"]
+    )
+    def test_profile_peaks_below_five_bytes_per_string(self, descriptor):
+        inst = parse_descriptor(descriptor)
+        enumerate_landscape(inst)
+        assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 4.5
+
     @pytest.mark.parametrize("descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "lozr:n=18,l=3"])
     def test_witness_scan_peaks_below_six_bytes_per_string(self, descriptor):
         inst = parse_descriptor(descriptor)
@@ -660,8 +684,12 @@ run_masks = st.lists(
 
 class TestBitSlicedKernels:
     def test_local_optima_match_the_neighbour_check(self):
-        # n = 1 and 2 pad the planes to one 8-byte word.
-        for inst in grid_instances(None, range(1, 13)):
+        # Both paths on every instance; n = 1 and 2 pad the planes to one
+        # 8-byte word. The two n=16 instances have dense Pareto sets.
+        instances = grid_instances(None, range(1, 13))
+        assert len(instances) == 248
+        dense = [parse_descriptor(d) for d in ("ojzj:n=16,k=3", "omzj:n=16,k=4")]
+        for inst in instances + dense:
             report = enumerate_landscape(inst)
             f1, f2 = report.planes
             vecs = list(zip(f1, f2))
@@ -669,8 +697,27 @@ class TestBitSlicedKernels:
             packed = sum(1 << i for i in members)
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
             assert _local_optima(f1, f2, packed, inst.n) == expected, inst.descriptor
+            assert _local_optima_by_string(f1, f2, packed, inst.n) == expected, inst.descriptor
             assert report.member_bits == packed, inst.descriptor
             assert report.local_optima_bits == expected, inst.descriptor
+
+    @pytest.mark.parametrize(
+        "descriptor, taken, refused",
+        [
+            ("ojzj:n=18,k=4", "_local_optima_by_string", "_local_optima"),
+            ("lotz:n=18", "_local_optima", "_local_optima_by_string"),
+        ],
+    )
+    def test_pareto_density_selects_the_local_optimum_path(self, descriptor, taken, refused):
+        # ojzj's Pareto set leaves 1,974 strings out; lotz's holds 19.
+        inst = parse_descriptor(descriptor)
+        _report.cache_clear()
+        with mock.patch.object(
+            landscape, refused, side_effect=AssertionError(refused)
+        ), mock.patch.object(landscape, taken, wraps=getattr(landscape, taken)) as path:
+            enumerate_landscape(inst)
+        _report.cache_clear()
+        path.assert_called_once()
 
     @given(st.lists(st.integers(0, 127), min_size=1, max_size=80).map(bytes))
     @settings(max_examples=200)
