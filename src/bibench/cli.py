@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bitstring import BitString
 from .errors import DomainError, ValidationError
-from .evolve import RunConfig, Target, hitting_time_experiment, parallel_map, render_experiment
+from .evolve import MAX_SEEDS, RunConfig, Target, hitting_time_experiment, render_experiment
 from .landscape import (
     LandscapeReport,
     enumerate_landscape,
@@ -48,12 +48,6 @@ class FigureDataset:
         lines = [",".join(self.header)]
         lines.extend(",".join(str(cell) for cell in row) for row in self.rows)
         return "\n".join(lines) + "\n"
-
-
-# Each seed is one run and one output row; the bound is checked before any list is built.
-MAX_SEEDS = 100_000
-
-FIGURE_KINDS = ("objectives_vs_ones", "objective_space", "levels_vs_ones")
 
 
 def figure_objectives_vs_ones(report: LandscapeReport) -> FigureDataset:
@@ -97,15 +91,18 @@ def figure_levels_vs_ones(report: LandscapeReport) -> FigureDataset:
     return FigureDataset("levels_vs_ones", ("ones", "level", "count"), tuple(rows))
 
 
+_FIGURE_BUILDERS = {
+    "objectives_vs_ones": figure_objectives_vs_ones,
+    "objective_space": figure_objective_space,
+    "levels_vs_ones": figure_levels_vs_ones,
+}
+FIGURE_KINDS = tuple(_FIGURE_BUILDERS)
+
+
 def build_figure(report: LandscapeReport, kind: str) -> FigureDataset:
-    builders = {
-        "objectives_vs_ones": figure_objectives_vs_ones,
-        "objective_space": figure_objective_space,
-        "levels_vs_ones": figure_levels_vs_ones,
-    }
-    if kind not in builders:
+    if kind not in _FIGURE_BUILDERS:
         raise ValidationError(f"unknown figure kind {kind!r}; valid: {', '.join(FIGURE_KINDS)}")
-    return builders[kind](report)
+    return _FIGURE_BUILDERS[kind](report)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -209,24 +206,17 @@ def cmd_landscape(args) -> int:
     return 0
 
 
-def _verify_one(inst):
-    report = verify(inst)
-    return render_verification(report), report.must_match_ok, any(
-        not c.matched for c in report.claims
-    )
-
-
 def cmd_verify(args) -> int:
     sizes = tuple(s for s in DEFAULT_GRID_SIZES if s <= args.n_max)
     if not sizes:
         raise ValidationError(f"--n-max {args.n_max} leaves no grid sizes {DEFAULT_GRID_SIZES}")
     families = None if args.scope == "all" else (args.scope,)
-    outcomes = parallel_map(_verify_one, grid_instances(families, sizes), args.threads)
-    failures = sum(1 for _, ok, _ in outcomes if not ok)
-    informational = sum(1 for _, ok, mism in outcomes if ok and mism)
-    body = "".join(text for text, _, _ in outcomes)
+    reports = [verify(inst) for inst in grid_instances(families, sizes)]
+    failures = sum(not r.must_match_ok for r in reports)
+    informational = sum(r.must_match_ok and not all(c.matched for c in r.claims) for r in reports)
+    body = "".join(map(render_verification, reports))
     summary = (
-        f"instances={len(outcomes)} must_match_failures={failures}"
+        f"instances={len(reports)} must_match_failures={failures}"
         f" informational_mismatches={informational}"
     )
     if args.out:
@@ -315,7 +305,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="closed forms vs enumeration on the size grid")
     p.add_argument("scope", choices=FAMILY_NAMES + ("all",))
     p.add_argument("--n-max", type=int, default=max(DEFAULT_GRID_SIZES))
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

@@ -29,6 +29,7 @@ import random
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .bitstring import BitString
@@ -38,6 +39,9 @@ from .oracles import reference_front
 from .problems import ProblemInstance, index_evaluator
 
 ALGORITHMS = ("semo", "gsemo")
+
+# Each seed is one run and one output row; the bound is checked before any config is built.
+MAX_SEEDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -240,20 +244,6 @@ def worker_count(threads: int, tasks: int) -> int:
     return min(threads, os.cpu_count() or 1, tasks)
 
 
-def parallel_map(fn, items: Sequence, threads: int) -> list:
-    """[fn(item) for item in items], in item order. With threads > 1 the
-    calls run in worker processes, which inherit the environment, so the
-    enumeration cap set there holds in them too. Like multiprocessing's
-    Pool.map, each worker is sent its share of items in about four chunks."""
-    workers = worker_count(threads, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     template: RunConfig
@@ -268,13 +258,27 @@ def hitting_time_experiment(
 ) -> ExperimentResult:
     """Run the template once per seed and summarize the hitting times.
 
-    Runs are independent; with threads > 1 they execute in worker processes.
-    Results are collected in seed order either way, so the outcome does not
-    depend on the degree of parallelism.
+    Runs are independent; with threads > 1 they execute in worker processes,
+    each sent its share of runs in about four chunks, as multiprocessing's
+    Pool.map does. Results are collected in seed order either way, so the
+    outcome does not depend on the degree of parallelism. More than
+    MAX_SEEDS seeds are rejected before any run config is built.
     """
+    seeds = list(islice(seeds, MAX_SEEDS + 1))
     if not seeds:
         raise ValidationError("experiment needs at least one seed")
-    results = tuple(parallel_map(run, [replace(template, seed=seed) for seed in seeds], threads))
+    if len(seeds) > MAX_SEEDS:
+        raise ValidationError(f"at most {MAX_SEEDS} seeds per experiment, got more")
+    configs = [replace(template, seed=seed) for seed in seeds]
+    workers = worker_count(threads, len(configs))
+    if workers <= 1:
+        results = tuple(map(run, configs))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(configs) // (4 * workers))
+            results = tuple(pool.map(run, configs, chunksize=chunksize))
     times = [r.hitting_time for r in results if r.hit]
     return ExperimentResult(
         template=template,

@@ -175,7 +175,9 @@ class LandscapeReport:
 
     @cached_property
     def local_optima_indices(self) -> array:
-        """The indices of the non-global local optima, ascending."""
+        """The indices of the non-global Pareto local optima, ascending: no
+        neighbor strictly dominates them, yet they are not Pareto-optimal.
+        Equal-valued neighbors do not disqualify."""
         return _set_indices(self.local_optima_bits, self.n)
 
     @cached_property
@@ -185,17 +187,6 @@ class LandscapeReport:
         local = self.local_optima_indices
         counts = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
         return tuple(sorted(counts.items()))
-
-    @property
-    def pareto_set(self) -> tuple[BitString, ...]:
-        return tuple(BitString(self.n, i) for i in self.pareto_set_indices)
-
-    @property
-    def local_optima(self) -> tuple[BitString, ...]:
-        """Non-global Pareto local optima: no neighbor strictly dominates
-        them, yet they are not Pareto-optimal. Equal-valued neighbors do not
-        disqualify."""
-        return tuple(BitString(self.n, i) for i in self.local_optima_indices)
 
 
 def _component_count(mask: bytearray, n: int) -> int:

@@ -266,10 +266,9 @@ class TestVerifyCommand:
         assert rc == 1
         assert err.startswith("error:")
 
-    def test_bad_thread_count_rejected(self, capsys):
-        for bad in ("0", "-4"):
-            rc, _, err = run_main(capsys, ["verify", "omm", "--threads", bad])
-            assert (rc, err) == (1, f"error: threads must be a positive integer, got {bad}\n")
+    def test_threads_is_not_a_verify_option(self, capsys):
+        rc, out, err = run_main(capsys, ["verify", "omm", "--threads", "2"])
+        assert (rc, out, err) == (1, "", "error: unrecognized arguments: --threads 2\n")
 
 
 class TestRunCommand:
@@ -466,11 +465,10 @@ class TestUsageErrors:
         "argv",
         [
             ["landscape", "omm:n=10", "--out", "{out}"],
-            ["verify", "omm", "--threads", "2"],
+            ["verify", "omm"],
         ],
     )
     def test_env_var_sets_the_cap(self, capsys, tmp_path, monkeypatch, argv):
-        # verify with two threads enumerates only in its worker processes.
         monkeypatch.setenv(CAP_ENV_VAR, "8")
         out = tmp_path / "x.txt"
         rc, stdout, err = run_main(capsys, [arg.format(out=out) for arg in argv])
@@ -508,9 +506,9 @@ class TestUsageErrors:
 # slots (flag or None for a positional, good values, bad values); a drawn
 # argv gives bad values to at most one slot, or appends a stray argument.
 # A value of None leaves its flag out. Bad values are malformed, out of
-# range, huge, negative or non-ASCII. No argv starts a pool (--threads is 1
-# or invalid), runs more than three seeds of 1000 evaluations, or asks for
-# help, and --out paths start with "{dir}", the directory to write in.
+# range, huge, negative or non-ASCII. No argv starts a pool (run's --threads
+# is 1 or invalid), runs more than three seeds of 1000 evaluations, or asks
+# for help, and --out paths start with "{dir}", the directory to write in.
 TEXT = st.text(max_size=6)
 BAD_NUMBERS = st.sampled_from(
     ["-1", "0", "64", "4097", str(10**30), str(-(10**30)), "", "x", "1.5", "1e3", "\u0664"]
@@ -535,14 +533,12 @@ DESCRIPTOR = (None, GOOD_DESCRIPTORS, BAD_DESCRIPTORS)
 GOOD_OUT = st.sampled_from(["{dir}/out.txt", "{dir}/\u00fcml\u00e4ut.csv"])
 BAD_OUT = st.sampled_from([None, "{dir}/no/out.txt", "{dir}"])
 OPTIONAL_OUT = ("--out", st.none() | GOOD_OUT, BAD_OUT.filter(lambda out: out is not None))
-THREADS = ("--threads", st.sampled_from([None, "1"]), st.sampled_from(["0", "-2", "x", "1.5", ""]))
 COMMANDS = {
     "eval": [DESCRIPTOR, (None, st.text("01", min_size=4, max_size=8), TEXT)],
     "landscape": [DESCRIPTOR, ("--out", GOOD_OUT, BAD_OUT)],
     "verify": [
         (None, st.sampled_from([*FAMILY_NAMES, "all"]), st.sampled_from(["nope", "ALL", ""])),
         ("--n-max", st.sampled_from([None, "6", "8"]), BAD_NUMBERS),
-        THREADS,
         OPTIONAL_OUT,
     ],
     "ratio": [
@@ -585,7 +581,7 @@ COMMANDS = {
             )
             | TEXT,
         ),
-        THREADS,
+        ("--threads", st.sampled_from([None, "1"]), st.sampled_from(["0", "-2", "x", "1.5", ""])),
         OPTIONAL_OUT,
     ],
     "families": [],

@@ -7,12 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from bibench import evolve
 from bibench.bitstring import BitString
 from bibench.dominance import dominates, weakly_dominates
 from bibench.errors import ValidationError
 from bibench.evolve import (
     ALGORITHMS,
+    MAX_SEEDS,
     RunConfig,
+    RunResult,
     Target,
     _check_step,
     _needed_count,
@@ -232,6 +235,30 @@ class TestExperiment:
         with pytest.raises(ValidationError):
             template = RunConfig("semo", LOTZ8, seed=0, budget=budget)
             hitting_time_experiment(template, seeds=seeds, threads=2)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [range(MAX_SEEDS + 1), [7] * (MAX_SEEDS + 1), range(10**20)],
+        ids=["range", "list", "range-beyond-len"],
+    )
+    def test_too_many_seeds_start_no_config_run_or_pool(self, monkeypatch, seeds):
+        # range(10**20) is too long for len(); building its configs would not end.
+        def fail(*args, **kwargs):
+            raise AssertionError("a config, a run or a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+        monkeypatch.setattr(evolve, "replace", fail)
+        monkeypatch.setattr(evolve, "run", fail)
+        template = RunConfig("semo", LOTZ8, seed=0, budget=100)
+        with pytest.raises(ValidationError, match=f"^at most {MAX_SEEDS} seeds per experiment"):
+            hitting_time_experiment(template, seeds=seeds, threads=2)
+
+    def test_the_seed_bound_admits_max_seeds(self, monkeypatch):
+        monkeypatch.setattr(evolve, "run", lambda cfg: RunResult(cfg, False, None, 1, ()))
+        template = RunConfig("semo", LOTZ8, seed=0, budget=100)
+        exp = hitting_time_experiment(template, seeds=range(MAX_SEEDS))
+        assert [r.config.seed for r in exp.results] == list(range(MAX_SEEDS))
 
     def test_worker_count_is_capped_by_cpus_and_tasks(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)

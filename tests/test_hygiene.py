@@ -1,10 +1,10 @@
 """Every imported name is referenced by the module that imports it, the
 package imports nothing outside the standard library, every private
 top-level name of the package is referenced somewhere in it, no
-top-level name is defined in two modules of the package, the naive model
-in tests/naive.py is independent of the package and wholly used by the
-tests, and every module parses as the oldest Python that pyproject.toml
-admits."""
+top-level name is defined in two modules of the package, only the search
+harness starts worker processes, the naive model in tests/naive.py is
+independent of the package and wholly used by the tests, and every module
+parses as the oldest Python that pyproject.toml admits."""
 
 import ast
 import re
@@ -84,6 +84,13 @@ def test_each_top_level_name_is_defined_once():
             for name in top_level_names(ast.parse(path.read_text(encoding="utf-8"))):
                 owners.setdefault(name, set()).add(path.name)
     assert {name: sorted(paths) for name, paths in owners.items() if len(paths) > 1} == {}
+
+
+def test_only_the_search_harness_names_a_process_pool():
+    # hitting_time_experiment is the one caller that needs workers; every
+    # other command runs in one process.
+    naming = [p.name for p in SOURCES if "ProcessPoolExecutor" in p.read_text(encoding="utf-8")]
+    assert naming == ["evolve.py"]
 
 
 def test_every_naive_name_is_used_by_a_test():

@@ -91,7 +91,7 @@ class TestFrozenCounts:
         rep = report_for("lotz:n=8")
         assert [v for v, _ in rep.front_counts] == [(i, 8 - i) for i in range(9)]
         assert all(count == 1 for _, count in rep.front_counts)
-        assert {str(x) for x in rep.pareto_set} == {
+        assert {str(BitString(8, i)) for i in rep.pareto_set_indices} == {
             "1" * i + "0" * (8 - i) for i in range(9)
         }
 
@@ -116,7 +116,7 @@ class TestFrozenCounts:
     def test_pareto_set_strings_are_mutually_nondominated(self):
         inst = parse_descriptor("lozr:n=8,l=2")
         rep = enumerate_landscape(inst)
-        values = [evaluate(inst, x) for x in rep.pareto_set]
+        values = [evaluate(inst, BitString(8, i)) for i in rep.pareto_set_indices]
         for a in values:
             for b in values:
                 assert not (a != b and a[0] >= b[0] and a[1] >= b[1])
@@ -126,9 +126,9 @@ class TestFrozenCounts:
         rep = enumerate_landscape(inst)
         front = {v for v, _ in rep.front_counts}
         vecs = naive.vectors(inst)
-        for x in rep.local_optima:
-            assert vecs[x.index] not in front
-            assert not any(naive.dominates(vecs[x.index ^ 1 << b], vecs[x.index]) for b in range(8))
+        for i in rep.local_optima_indices:
+            assert vecs[i] not in front
+            assert not any(naive.dominates(vecs[i ^ 1 << b], vecs[i]) for b in range(8))
 
 
 class TestOnesTables:
