@@ -18,7 +18,9 @@ child equal to its parent (GSEMO flipping no bit) skips the objective call
 too; both still count as evaluations. The skips make no random draw and the
 archive changes exactly as before, so results and RNG consumption are those
 of offering every child. The seen set holds at most 128^2 vectors, since
-every objective value is in 0..127.
+every objective value is in 0..127. tests/audited_loop.py holds that plain
+loop; it asserts the archive invariants after every archive change, and the
+tests check that run() equals it draw for draw.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ class RunConfig:
     seed: int
     budget: int
     target: Target = Target.full_front()
-    check_archive: bool = False
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -127,27 +128,21 @@ class RunResult:
     archive: tuple[tuple[BitString, ObjectiveVector], ...]
 
 
-def _check_step(archive: list[tuple[int, ObjectiveVector]], vec: ObjectiveVector) -> None:
-    """Audit after a step: the archive is mutually non-dominated, and some
-    held vector weakly dominates the child's vector, which is what lets a
-    later child with that vector skip the archive."""
-    vectors = [held for _, held in archive]
-    for i, a in enumerate(vectors):
-        for j, b in enumerate(vectors):
-            if i != j and weakly_dominates(a, b):
-                raise AssertionError(f"archive invariant violated: {a} vs {b}")
-    if not any(weakly_dominates(held, vec) for held in vectors):
-        raise AssertionError(f"offered vector {vec} is not weakly dominated by the archive")
-
-
-def _needed_count(target: Target, front_size: int) -> int:
-    if target.kind == "full_front":
-        return front_size
+def _resolve_target(cfg: RunConfig) -> tuple[set[ObjectiveVector], int]:
+    """The front vectors that count toward the config's target, and how many
+    of them the archive must hold. Raises ValidationError for a front point
+    that is not on the front."""
+    inst, target = cfg.instance, cfg.target
+    front = set(reference_front(inst))
+    if target.kind == "front_point":
+        if target.vector not in front:
+            raise ValidationError(
+                f"target vector {target.vector} is not on the Pareto front of {inst.descriptor}"
+            )
+        return {target.vector}, 1
     if target.kind == "coverage":
-        num = target.fraction.numerator * front_size
-        den = target.fraction.denominator
-        return -(-num // den)
-    return 1
+        return front, -(-target.fraction.numerator * len(front) // target.fraction.denominator)
+    return front, len(front)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -155,22 +150,12 @@ def run(cfg: RunConfig) -> RunResult:
     inst = cfg.instance
     n = inst.n
     ev = index_evaluator(inst)
-    front = set(reference_front(inst))
-    if cfg.target.kind == "front_point":
-        if cfg.target.vector not in front:
-            raise ValidationError(
-                f"target vector {cfg.target.vector} is not on the Pareto front of {inst.descriptor}"
-            )
-        wanted = {cfg.target.vector}
-    else:
-        wanted = front
-    needed = _needed_count(cfg.target, len(wanted))
+    wanted, needed = _resolve_target(cfg)
 
     rng = random.Random(cfg.seed)
     getrandbits = rng.getrandbits
     rand = rng.random
     gsemo = cfg.algorithm == "gsemo"
-    check = cfg.check_archive
     flip_p = 1.0 / n
     masks = [1 << b for b in range(n)]
     flip_bits = (n - 1).bit_length()
@@ -225,8 +210,6 @@ def run(cfg: RunConfig) -> RunResult:
                             if have >= needed:
                                 hit = True
                                 hitting_time = evaluations
-            if check:
-                _check_step(archive, ev(child))
             if hit:
                 break
 
@@ -234,14 +217,6 @@ def run(cfg: RunConfig) -> RunResult:
         (BitString(n, idx), vec) for idx, vec in sorted(archive, key=lambda item: item[1])
     )
     return RunResult(cfg, hit, hitting_time, evaluations, final)
-
-
-def worker_count(threads: int, tasks: int) -> int:
-    """Worker processes for `tasks` jobs: `threads`, capped at one per CPU and
-    per task, since a pool starts all its workers up front."""
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
-    return min(threads, os.cpu_count() or 1, tasks)
 
 
 @dataclass(frozen=True)
@@ -262,15 +237,20 @@ def hitting_time_experiment(
     each sent its share of runs in about four chunks, as multiprocessing's
     Pool.map does. Results are collected in seed order either way, so the
     outcome does not depend on the degree of parallelism. More than
-    MAX_SEEDS seeds are rejected before any run config is built.
+    MAX_SEEDS seeds, a bad thread count and a front point off the front are
+    rejected before any run config is built.
     """
     seeds = list(islice(seeds, MAX_SEEDS + 1))
     if not seeds:
         raise ValidationError("experiment needs at least one seed")
     if len(seeds) > MAX_SEEDS:
         raise ValidationError(f"at most {MAX_SEEDS} seeds per experiment, got more")
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
+        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
+    _resolve_target(template)
     configs = [replace(template, seed=seed) for seed in seeds]
-    workers = worker_count(threads, len(configs))
+    # A pool starts all its workers up front, so use no more than one per CPU and per run.
+    workers = min(threads, os.cpu_count() or 1, len(configs))
     if workers <= 1:
         results = tuple(map(run, configs))
     else:

@@ -10,6 +10,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+from audited_loop import audited_run
+
 from bibench.cli import build_figure, figure_levels_vs_ones, figure_objective_space
 from bibench.errors import ValidationError
 from bibench.evolve import RunConfig, hitting_time_experiment, run
@@ -225,9 +227,9 @@ def test_criterion_8_search_baselines(capsys):
             ("semo", ProblemInstance("orzr", n=12, l=4), 50_000),
             ("gsemo", ProblemInstance("lotz", n=10), 30_000),
         ):
-            result = run(
-                RunConfig(algorithm, inst, seed=1, budget=budget, check_archive=True)
-            )
+            cfg = RunConfig(algorithm, inst, seed=1, budget=budget)
+            result = run(cfg)
+            assert result == audited_run(cfg)
             audited += result.evaluations_used
         assert audited >= 100_000
         # The single-flip baseline covers the linear front reliably.

@@ -383,6 +383,18 @@ class TestRunCommand:
         rc, out, err = run_main(capsys, argv)
         assert (rc, out, err) == (1, "", "error: budget must be a positive int, got 0\n")
 
+    def test_off_front_target_starts_no_pool(self, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        argv = ["run", "semo", "omm:n=4", "--seeds", "1..4", "--budget", "10", "--threads", "2",
+                "--target", "front_point=9,9"]
+        rc, out, err = run_main(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err == "error: target vector (9, 9) is not on the Pareto front of omm:n=4\n"
+
     def test_bad_budget(self, capsys):
         rc, _, err = run_main(
             capsys, ["run", "semo", "omm:n=4", "--seeds", "1", "--budget", "0.5"]

@@ -2,14 +2,13 @@
 
 import concurrent.futures
 import os
-import random
 from fractions import Fraction
 
 import pytest
+from audited_loop import audit, audited_run
 
 from bibench import evolve
-from bibench.bitstring import BitString
-from bibench.dominance import dominates, weakly_dominates
+from bibench.dominance import weakly_dominates
 from bibench.errors import ValidationError
 from bibench.evolve import (
     ALGORITHMS,
@@ -17,15 +16,12 @@ from bibench.evolve import (
     RunConfig,
     RunResult,
     Target,
-    _check_step,
-    _needed_count,
     hitting_time_experiment,
     render_experiment,
     run,
-    worker_count,
 )
 from bibench.oracles import reference_front
-from bibench.problems import ProblemInstance, index_evaluator
+from bibench.problems import ProblemInstance
 
 OMM10 = ProblemInstance("omm", n=10)
 LOTZ8 = ProblemInstance("lotz", n=8)
@@ -153,19 +149,19 @@ class TestArchive:
                 for j, b in enumerate(vectors):
                     assert i == j or not weakly_dominates(a, b)
 
-    def test_internal_invariant_checker_accepts_real_runs(self):
-        result = run(
-            RunConfig("gsemo", LOTZ8, seed=2, budget=3000, check_archive=True)
-        )
-        assert result.evaluations_used >= 1
+    def test_audited_loop_accepts_real_runs(self):
+        cfg = RunConfig("gsemo", LOTZ8, seed=2, budget=3000)
+        assert audited_run(cfg) == run(cfg)
 
     def test_step_audit_rejects_a_broken_archive(self):
-        _check_step([(0, (2, 1)), (1, (1, 2))], (1, 1))
+        audit([(2, 1), (1, 2)], [(2, 1), (1, 1), (0, 2)])
+        # A dominated member.
         with pytest.raises(AssertionError, match="archive invariant"):
-            _check_step([(0, (2, 1)), (1, (1, 1))], (1, 1))
-        # A vector no held vector weakly dominates must not skip the archive.
+            audit([(2, 1), (1, 1)], [(1, 1)])
+        # An offered vector that no held vector weakly dominates would wrongly
+        # skip the archive when offered again.
         with pytest.raises(AssertionError, match="not weakly dominated"):
-            _check_step([(0, (2, 1)), (1, (1, 2))], (2, 2))
+            audit([(2, 1), (1, 2)], [(1, 1), (2, 2)])
 
     def test_archive_members_evaluate_to_their_vector(self):
         from bibench.problems import evaluate
@@ -217,23 +213,46 @@ class TestExperiment:
         with pytest.raises(ValidationError):
             hitting_time_experiment(RunConfig("semo", LOTZ8, seed=0, budget=100), seeds=())
 
-    def test_bad_thread_count_rejected_before_any_run(self):
-        template = RunConfig("semo", LOTZ8, seed=0, budget=100)
-        for bad in (0, -2, True):
-            with pytest.raises(ValidationError):
-                hitting_time_experiment(template, seeds=(1,), threads=bad)
-
-    @pytest.mark.parametrize(
-        "budget, seeds", [(0, (1, 2, 3, 4)), (100, (1, -1, 2, 3)), (100, (1, True, 2, 3))]
-    )
-    def test_bad_template_or_seed_starts_no_pool(self, monkeypatch, budget, seeds):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+    def test_bad_thread_count_rejected_before_any_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a config, a run or a process pool was started")
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        with pytest.raises(ValidationError):
-            template = RunConfig("semo", LOTZ8, seed=0, budget=budget)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+        monkeypatch.setattr(evolve, "replace", fail)
+        monkeypatch.setattr(evolve, "run", fail)
+        template = RunConfig("semo", LOTZ8, seed=0, budget=100)
+        for bad in (0, -1, -2, True, False, 2.0, "2"):
+            with pytest.raises(ValidationError, match="^threads must be a positive integer, got "):
+                hitting_time_experiment(template, seeds=(1, 2), threads=bad)
+
+    @pytest.mark.parametrize(
+        "inst, budget, seeds, target, message",
+        [
+            (LOTZ8, 0, (1, 2, 3, 4), Target.full_front(), "budget must be a positive int"),
+            (LOTZ8, 100, (1, -1, 2, 3), Target.full_front(), "seed must be a non-negative int"),
+            (LOTZ8, 100, (1, True, 2, 3), Target.full_front(), "seed must be a non-negative int"),
+            (
+                ProblemInstance("omm", n=4),
+                10,
+                (1, 2, 3, 4),
+                Target.front_point((9, 9)),
+                r"target vector \(9, 9\) is not on the Pareto front of omm:n=4$",
+            ),
+        ],
+        ids=["0-seeds0", "100-seeds1", "100-seeds2", "off-front-target"],
+    )
+    def test_bad_template_or_seed_starts_no_pool(
+        self, monkeypatch, inst, budget, seeds, target, message
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("a run or a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+        monkeypatch.setattr(evolve, "run", fail)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            template = RunConfig("semo", inst, seed=0, budget=budget, target=target)
             hitting_time_experiment(template, seeds=seeds, threads=2)
 
     @pytest.mark.parametrize(
@@ -261,16 +280,39 @@ class TestExperiment:
         assert [r.config.seed for r in exp.results] == list(range(MAX_SEEDS))
 
     def test_worker_count_is_capped_by_cpus_and_tasks(self, monkeypatch):
+        pools = []
+
+        class FakePool:
+            # Runs serially in this process and records the pool size asked for.
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize):
+                return map(fn, iterable)
+
+        def workers(threads, tasks):
+            """The pool size the experiment asks for, or None if it runs serially."""
+            pools.clear()
+            exp = hitting_time_experiment(template, seeds=range(tasks), threads=threads)
+            assert [r.config.seed for r in exp.results] == list(range(tasks))
+            return pools[0] if pools else None
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(evolve, "run", lambda cfg: RunResult(cfg, False, None, 1, ()))
+        template = RunConfig("semo", LOTZ8, seed=0, budget=100)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert worker_count(1, 10) == 1
-        assert worker_count(3, 10) == 3
-        assert worker_count(10**9, 10) == 4
-        assert worker_count(10**9, 2) == 2
+        assert workers(1, 10) is None
+        assert workers(3, 10) == 3
+        assert workers(10**9, 10) == 4
+        assert workers(10**9, 2) == 2
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert worker_count(8, 10) == 1
-        for bad in (0, -1, True, False, 2.0, "2"):
-            with pytest.raises(ValidationError):
-                worker_count(bad, 10)
+        assert workers(8, 10) is None
 
     def test_results_follow_seed_order(self):
         exp = hitting_time_experiment(
@@ -323,58 +365,6 @@ class TestExperiment:
         assert "success=0/1 median_hitting_time=- mean_hitting_time=-" in text
 
 
-def _rand_below(rng, bound):
-    bits = (bound - 1).bit_length()
-    if bound == 1:
-        return 0
-    while True:
-        value = rng.getrandbits(bits)
-        if value < bound:
-            return value
-
-
-def _reference_run(cfg):
-    """The plain step loop: every child is evaluated and offered to the
-    archive, which is scanned in full each time. Returns what run() reports."""
-    n = cfg.instance.n
-    ev = index_evaluator(cfg.instance)
-    front = set(reference_front(cfg.instance))
-    wanted = {cfg.target.vector} if cfg.target.kind == "front_point" else front
-    needed = _needed_count(cfg.target, len(wanted))
-    rng = random.Random(cfg.seed)
-    archive = []
-    have = 0
-
-    def consider(idx, vec):
-        nonlocal have
-        for _, held in archive:
-            if weakly_dominates(held, vec):
-                return
-        archive[:] = [(i, v) for i, v in archive if not dominates(vec, v)]
-        archive.append((idx, vec))
-        have += vec in wanted
-
-    start = rng.getrandbits(n)
-    evaluations = 1
-    consider(start, ev(start))
-    hitting_time = evaluations if have >= needed else None
-    while hitting_time is None and evaluations < cfg.budget:
-        parent = archive[_rand_below(rng, len(archive))][0]
-        if cfg.algorithm == "gsemo":
-            child = parent
-            for b in range(n):
-                if rng.random() < 1.0 / n:
-                    child ^= 1 << b
-        else:
-            child = parent ^ (1 << _rand_below(rng, n))
-        evaluations += 1
-        consider(child, ev(child))
-        if have >= needed:
-            hitting_time = evaluations
-    final = tuple((BitString(n, i), v) for i, v in sorted(archive, key=lambda item: item[1]))
-    return hitting_time is not None, hitting_time, evaluations, final
-
-
 # One small instance per family, plus n=1, where SEMO's flip position and a
 # one-member archive's parent take no random draw.
 EQUIVALENCE_INSTANCES = (
@@ -404,17 +394,8 @@ class TestEquivalence:
             for budget in (1, 2, 7, 300, 20_000):
                 for seed in (0, 1, 2):
                     for target in targets:
-                        cfg = RunConfig(
-                            algorithm, inst, seed, budget, target, check_archive=seed == 1
-                        )
-                        result = run(cfg)
-                        got = (
-                            result.hit,
-                            result.hitting_time,
-                            result.evaluations_used,
-                            result.archive,
-                        )
-                        assert got == _reference_run(cfg), cfg
+                        cfg = RunConfig(algorithm, inst, seed, budget, target)
+                        assert run(cfg) == audited_run(cfg), cfg
 
     def test_search_workload_hitting_times(self):
         # The seed-1 GSEMO runs on the benchmark's search instances, as the
