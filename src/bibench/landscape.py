@@ -11,7 +11,9 @@ as the Pareto set or the local optima, is held as packed bits: an int whose
 bit i is set when string i is in the set. The image, its multiplicities and
 the ones tables are not read from the planes at all: they come from the
 (f1, f2, ones) histogram that problems.image_counts counts by a DP over the
-index bits.
+index bits. Nor are the Pareto set and the bit planes of the local-optimum
+scan: they are unions of the packed index sets that reach each state of the
+objectives' automata (problems._objective_cells).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -22,24 +24,31 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import compress
+from operator import or_
 
 from .bitstring import BitString
 from .dominance import ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
-from .problems import ProblemInstance, _mark, _pack_bits, image_counts, objective_planes
+from .problems import (
+    ProblemInstance,
+    _objective_cells,
+    _pack_bits,
+    image_counts,
+    objective_planes,
+)
 
 DEFAULT_CAP = 24
 CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 127 MB, 7.9 bytes per string (see README); the
+# the families at n = 24 is 124 MB, 7.7 bytes per string (see README); the
 # budget stays at 24, since 16 or less would raise MAX_CAP, the largest n
 # whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
@@ -260,48 +269,62 @@ def _unpack_bits(packed: int, size: int) -> bytearray:
     return flags
 
 
-# Delta swaps (shift, mask of one 64-bit word) that transpose the 8x8 bit
-# matrix in every word: bit k of byte t trades places with bit t of byte k.
-_TRANSPOSE = ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
-# Bytes transposed at a time, a multiple of 8.
-_CHUNK = 1 << 16
+def _union(sets) -> int:
+    """The union of packed sets."""
+    return reduce(or_, sets, 0)
 
 
-def _bit_planes(plane: bytes) -> list[int]:
-    """Bit planes 0 to 6 of a plane whose values are at most 127: bit i of
-    the plane for bit k is bit k of byte i. An 8x8 bit transpose of every
-    8 bytes gathers bit k of their 8 strings into byte k, and a strided
-    slice collects those bytes; chunks keep the big ints small."""
-    raw = plane + bytes(-len(plane) % 8)
-    chunk = min(len(raw), _CHUNK)
-    swaps = [
-        (shift, int.from_bytes(mask.to_bytes(8, "little") * (chunk >> 3), "little"))
-        for shift, mask in _TRANSPOSE
+def _join(blocks, n: int) -> int:
+    """The packed set over the cube whose r-th block of 2^n / len(blocks)
+    indices is blocks[r]. Several blocks each span a whole number of bytes."""
+    if len(blocks) == 1:
+        return blocks[0]
+    width = (1 << n) // len(blocks) >> 3
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in blocks]), "little")
+
+
+def _member_bits(cells, front, n: int) -> int:
+    """The Pareto set as packed bits, from both objectives' cells (see
+    problems._objective_cells). A front vector is the only one on the front
+    with its f1, so in each block of the cube the members are, for each set
+    of f1 whose value is the f1 of a front vector (a, b), the indices it
+    shares with the sets of f2 whose value is b."""
+    (sets1, ends1), (sets2, ends2) = cells
+    front_f2 = dict(front)
+    blocks = []
+    for e1, e2 in zip(ends1, ends2):
+        by_f2 = defaultdict(list)
+        for y, b in zip(sets2, e2):
+            by_f2[b].append(y)
+        blocks.append(_union(
+            x & y for x, a in zip(sets1, e1) if a in front_f2 for y in by_f2[front_f2[a]]
+        ))
+    return _join(blocks, n)
+
+
+def _bit_planes(cells, n: int) -> list[int]:
+    """The bit planes of one objective, from its cells: bit i of the plane
+    for value bit k is bit k of the objective at string i. In each block of
+    the cube, that is the union of the sets whose value has bit k set."""
+    sets, ends = cells
+    width = max(map(max, ends)).bit_length()
+    return [
+        _join([_union(compress(sets, e.translate(_BITS[k]))) for e in ends], n)
+        for k in range(width)
     ]
-    rows = [[] for _ in range(7)]
-    for start in range(0, len(raw), chunk):
-        x = int.from_bytes(raw[start : start + chunk], "little")
-        for shift, mask in swaps:
-            t = (x ^ x >> shift) & mask
-            x ^= t ^ t << shift
-        block = x.to_bytes(chunk, "little")
-        for k, row in enumerate(rows):
-            row.append(block[k::8])
-    return [int.from_bytes(b"".join(row), "little") for row in rows]
 
 
-def _local_optima(f1: bytes, f2: bytes, member: int, n: int) -> int:
+def _local_optima(sliced, member: int, n: int) -> int:
     """The int whose bit i is set exactly when string i is a non-global
     local optimum: not a member (bit i of member) and no neighbour strictly
     dominates it (an equal-valued neighbour does not count).
 
-    Bit-sliced: each plane becomes its 7 bit planes, so bit i of every int
-    below belongs to string i. For index bit b, the strings with bit b clear
-    meet their neighbours 2^b bits up. Bit planes 0 to 6 in turn tell, per
-    objective, whether the two values differ and which is greater at the
-    highest bit where they do."""
+    Bit-sliced: sliced holds each objective's bit planes (_bit_planes), low
+    value bit first, so bit i of every int below belongs to string i. For
+    index bit b, the strings with bit b clear meet their neighbours 2^b bits
+    up. The bit planes in turn tell, per objective, whether the two values
+    differ and which is greater at the highest bit where they do."""
     size = 1 << n
-    sliced = (_bit_planes(f1), _bit_planes(f2))
     marked = member
     for b in range(n):
         step = 1 << b
@@ -395,14 +418,8 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     level_by_vector = assignment.level_by_vector
     front = assignment.levels[0]
 
-    # A front vector is the only one on the front with its f1, so string i
-    # is a member when its f2 is the front's f2 at its f1.
-    front_f2 = bytearray(b"\xff" * 256)
-    for a, b in front:
-        front_f2[a] = b
-    paired = int.from_bytes(f1.translate(front_f2), "little") ^ int.from_bytes(f2, "little")
-    member_bits = _mark(paired.to_bytes(size, "little"), (0,))
-    del paired
+    cells = _objective_cells(inst)
+    member_bits = _member_bits(cells, front, n)
 
     # Whole-cube floods cost a pass over the cube per sweep and component;
     # the byte flood costs a step per member. Sparse Pareto sets, with their
@@ -414,7 +431,10 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         components = _bit_component_count(member_bits, n)
     else:
         components = _component_count(_unpack_bits(member_bits, size), n)
-    local_optima = _local_optima_by_string if size - members <= size >> 5 else _local_optima
+    if size - members <= size >> 5:
+        local_optima_bits = _local_optima_by_string(f1, f2, member_bits, n)
+    else:
+        local_optima_bits = _local_optima([_bit_planes(c, n) for c in cells], member_bits, n)
 
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
 
@@ -445,7 +465,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         levels=assignment.levels,
         vector_counts=vector_counts,
         member_bits=member_bits,
-        local_optima_bits=local_optima(f1, f2, member_bits, n),
+        local_optima_bits=local_optima_bits,
         component_count=components,
         ones_tables=ones_tables,
     )

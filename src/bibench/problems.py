@@ -75,8 +75,10 @@ class ProblemInstance:
 # m and bit value, one table indexed by state, filled over the states that
 # can occur before bit m and padded to 256 bytes where bytes.translate reads
 # it. The same tables build a statistic's byte plane by doubling
-# (statistic_plane) and count the image of an instance by a DP over the
-# index bits (image_counts).
+# (statistic_plane), count the image of an instance by a DP over the index
+# bits (image_counts), and, run over packed bits instead of bytes, give the
+# set of indices that reaches each state (_index_sets), whose unions are the
+# Pareto set and the bit planes of the local-optimum scan.
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
@@ -530,6 +532,49 @@ def objective_planes(inst: ProblemInstance) -> tuple[bytes, bytes]:
     states = _state_plane(tables1)
     other = states if tables2 == tables1 else _state_plane(tables2)
     return _translate(states, final1), _translate(other, final2)
+
+
+# The index sets span at most the first 2^16 indices, 8 KiB a set; a larger
+# cube is read as blocks of that many indices. So the sets of every state
+# stay small beside the planes (sets over half the cube at n = 24 raised the
+# peak resident memory of a landscape analysis by up to a fifth), and, like
+# the step tables, they can be kept for the instances of one size.
+_SET_BITS = 16
+
+
+@lru_cache(maxsize=64)
+def _index_sets(tables) -> tuple[int, ...]:
+    """The automaton run over packed bits: per state it can reach after the
+    given bits' tables, m = 0 to j - 1, the packed set of the indices below
+    2^j whose bits lead there, 0 for a state that none reaches. Reading bit
+    m sends state s's set x to t0[s] as it is and to t1[s] as x << 2^m, the
+    same indices with bit m set."""
+    sets = [1]
+    for m, (t0, t1) in enumerate(tables):
+        after = [0] * (max(t0 + t1) + 1)
+        for x, a, b in zip(sets, t0, t1):
+            after[a] |= x
+            after[b] |= x << (1 << m)
+        sets = after
+    return tuple(sets)
+
+
+def _objective_cells(inst: ProblemInstance) -> list[tuple[tuple[int, ...], list[bytes]]]:
+    """Per objective, its statistic's index sets and the value tables of the
+    cube's blocks of 2^low indices, low = min(n, _SET_BITS): sets[s] is the
+    packed set of the indices below 2^low whose bits lead the automaton to
+    state s, and ends[r][s] is the objective at those indices plus r * 2^low.
+    Objectives of one statistic (omm, ojzj) share their sets."""
+    low = min(inst.n, _SET_BITS)
+    cells = []
+    for tables, final in _objective_tables(inst):
+        sets = _index_sets(tables[:low])
+        # The state after the block's high bits, by doubling.
+        ends = [bytes(range(len(sets)))]
+        for t0, t1 in tables[low:]:
+            ends = [_translate(e, t0) for e in ends] + [_translate(e, t1) for e in ends]
+        cells.append((sets, [_translate(e, final) for e in ends]))
+    return cells
 
 
 def image_counts(inst: ProblemInstance) -> dict[tuple[int, int, int], int]:

@@ -3,6 +3,7 @@ characteristic flags, separability, symmetry, front shapes, caps and the
 one-slot report memo. The report, the predicates and the enumeration
 core's plane helpers are checked against the definitions in naive.py."""
 
+import contextlib
 import dataclasses
 import math
 import random
@@ -37,8 +38,11 @@ from bibench.landscape import (
     _local_optima,
     _local_optima_by_string,
     _binary_lines,
+    _member_bits,
     _mirror,
     _report,
+    _set_indices,
+    _union,
     _unpack_bits,
     characteristic_profile,
     enumerate_landscape,
@@ -641,8 +645,8 @@ def peak_bytes_per_string(call, n):
 
 
 class TestMemory:
-    """Peaks of the predicates and the text after enumeration, so each is
-    the call's own."""
+    """Peaks of enumeration, and of the predicates and the text after it, so
+    each is the call's own."""
 
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "lozr:n=18,l=3"])
     def test_symmetry_check_peaks_below_five_bytes_per_string(self, descriptor):
@@ -664,6 +668,23 @@ class TestMemory:
         enumerate_landscape(inst)
         assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 4.5
 
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            "omm:n=18", "lotz:n=18", "ojzj:n=18,k=4", "cocz:n=18", "orzr:n=18,l=3",
+            "omtz:n=18", "omzj:n=18,k=4", "omzr:n=18,l=3", "lozj:n=18,k=4",
+            "lozr:n=18,l=3", "ojzr:n=18,k=7,l=3",
+        ],
+    )
+    def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
+        # Enumeration's own peak, from no cached report or index sets; the
+        # budget covers it together with the profile's.
+        inst = parse_descriptor(descriptor)
+        _report.cache_clear()
+        problems._index_sets.cache_clear()
+        peak = peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n)
+        assert peak <= BYTES_PER_STRING // 3
+
     @pytest.mark.parametrize("descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "lozr:n=18,l=3"])
     def test_witness_scan_peaks_below_six_bytes_per_string(self, descriptor):
         inst = parse_descriptor(descriptor)
@@ -682,24 +703,62 @@ run_masks = st.lists(
 ).map(mask_from_runs)
 
 
+def sliced_planes(inst):
+    """Both objectives' bit planes, as enumeration hands them to the scan."""
+    return [_bit_planes(cells, inst.n) for cells in problems._objective_cells(inst)]
+
+
 class TestBitSlicedKernels:
+    # Every grid instance up to n = 12, where the n = 1 and n = 2 planes are
+    # shorter than a byte; the two n=16 instances have dense Pareto sets.
+    KERNEL_INSTANCES = grid_instances(None, range(1, 13)) + [
+        parse_descriptor(d) for d in ("ojzj:n=16,k=3", "omzj:n=16,k=4")
+    ]
+
     def test_local_optima_match_the_neighbour_check(self):
-        # Both paths on every instance; n = 1 and 2 pad the planes to one
-        # 8-byte word. The two n=16 instances have dense Pareto sets.
-        instances = grid_instances(None, range(1, 13))
-        assert len(instances) == 248
-        dense = [parse_descriptor(d) for d in ("ojzj:n=16,k=3", "omzj:n=16,k=4")]
-        for inst in instances + dense:
+        # Both paths on every instance.
+        assert len(self.KERNEL_INSTANCES) == 248 + 2
+        for inst in self.KERNEL_INSTANCES:
             report = enumerate_landscape(inst)
             f1, f2 = report.planes
             vecs = list(zip(f1, f2))
             members = naive.pareto_set(vecs)
             packed = sum(1 << i for i in members)
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
-            assert _local_optima(f1, f2, packed, inst.n) == expected, inst.descriptor
+            assert _local_optima(sliced_planes(inst), packed, inst.n) == expected, inst.descriptor
             assert _local_optima_by_string(f1, f2, packed, inst.n) == expected, inst.descriptor
             assert report.member_bits == packed, inst.descriptor
             assert report.local_optima_bits == expected, inst.descriptor
+
+    # Sets over 8 and 16 indices split every cube from n = 4 and n = 5 into
+    # blocks; at the default span no kernel instance is split.
+    @pytest.mark.parametrize("set_bits", [3, 4, problems._SET_BITS])
+    def test_index_sets_rebuild_the_planes(self, set_bits):
+        for inst in self.KERNEL_INSTANCES:
+            n = inst.n
+            report = enumerate_landscape(inst)
+            low = min(n, set_bits)
+            with mock.patch.object(problems, "_SET_BITS", set_bits):
+                cells = problems._objective_cells(inst)
+            for (sets, ends), plane in zip(cells, report.planes):
+                # The sets partition the first 2^low indices; the blocks
+                # cover the cube.
+                assert _union(sets) == (1 << (1 << low)) - 1, inst.descriptor
+                assert sum(x.bit_count() for x in sets) == 1 << low, inst.descriptor
+                assert len(ends) << low == 1 << n, inst.descriptor
+                states = bytearray(1 << low)
+                for s, x in enumerate(sets):
+                    for i in _set_indices(x, low):
+                        states[i] = s
+                rebuilt = b"".join(states.translate(end.ljust(256, b"\0")) for end in ends)
+                assert rebuilt == plane, inst.descriptor
+                planes = _bit_planes((sets, ends), n)
+                assert len(planes) == max(plane).bit_length(), inst.descriptor
+                for k, bits in enumerate(planes):
+                    assert bits == _pack_bits(plane.translate(landscape._BITS[k])), inst.descriptor
+            assert _member_bits(cells, report.levels[0], n) == report.member_bits, inst.descriptor
+            sliced = [_bit_planes(c, n) for c in cells]
+            assert _local_optima(sliced, report.member_bits, n) == report.local_optima_bits
 
     @pytest.mark.parametrize(
         "descriptor, taken, refused",
@@ -709,29 +768,22 @@ class TestBitSlicedKernels:
         ],
     )
     def test_pareto_density_selects_the_local_optimum_path(self, descriptor, taken, refused):
-        # ojzj's Pareto set leaves 1,974 strings out; lotz's holds 19.
+        # ojzj's Pareto set leaves 1,974 strings out; lotz's holds 19. The
+        # per-string check reads the byte planes, so no bit plane is built.
         inst = parse_descriptor(descriptor)
+        refuse = [refused, "_bit_planes"] if taken == "_local_optima_by_string" else [refused]
         _report.cache_clear()
-        with mock.patch.object(
-            landscape, refused, side_effect=AssertionError(refused)
-        ), mock.patch.object(landscape, taken, wraps=getattr(landscape, taken)) as path:
+        with contextlib.ExitStack() as stack:
+            for name in refuse:
+                stack.enter_context(
+                    mock.patch.object(landscape, name, side_effect=AssertionError(name))
+                )
+            path = stack.enter_context(
+                mock.patch.object(landscape, taken, wraps=getattr(landscape, taken))
+            )
             enumerate_landscape(inst)
         _report.cache_clear()
         path.assert_called_once()
-
-    @given(st.lists(st.integers(0, 127), min_size=1, max_size=80).map(bytes))
-    @settings(max_examples=200)
-    def test_bit_planes_rebuild_the_plane(self, plane):
-        # Small chunks make several, the last one short.
-        for chunk in (8, 24, landscape._CHUNK):
-            with mock.patch.object(landscape, "_CHUNK", chunk):
-                planes = _bit_planes(plane)
-            assert len(planes) == 7
-            assert all(p >> len(plane) == 0 for p in planes)
-            rebuilt = bytes(
-                sum((p >> i & 1) << k for k, p in enumerate(planes)) for i in range(len(plane))
-            )
-            assert rebuilt == plane, chunk
 
     @given(cube_subsets)
     @settings(max_examples=100)
