@@ -28,17 +28,17 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import compress
-from operator import or_
 
 from .bitstring import BitString
 from .dominance import ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
 from .problems import (
     ProblemInstance,
+    _join,
     _objective_cells,
-    _pack_bits,
+    _union,
     image_counts,
     objective_planes,
 )
@@ -149,10 +149,11 @@ class CharacteristicProfile:
 class LandscapeReport:
     """Exact analysis of one instance. The Pareto set and the local optima
     are kept once each, as packed bits (`member_bits`, `local_optima_bits`).
-    Their index arrays (4 bytes per member) and the local optima's image are
-    built on first access: the report text reads the local optima's
-    indices, the objective-space figure their image, and everything else
-    only sizes, the bit counts."""
+    Their index arrays (4 bytes per member), the local optima's image and
+    the Pareto set's component count are computed on first access: the
+    report text reads the local optima's indices, the objective-space
+    figure their image, the report text, the summary line and the profile
+    the component count, and verify only sizes, the bit counts."""
 
     instance: ProblemInstance
     # planes[j][i] is objective j+1 at the string with index i.
@@ -165,7 +166,6 @@ class LandscapeReport:
     # non-global local optimum.
     member_bits: int = field(repr=False)
     local_optima_bits: int = field(repr=False)
-    component_count: int
     ones_tables: tuple[tuple[int, OnesSummary], ...]
 
     @property
@@ -176,6 +176,17 @@ class LandscapeReport:
     def ratio(self) -> Fraction:
         """The Pareto set's share of the search space."""
         return Fraction(self.member_bits.bit_count(), 1 << self.n)
+
+    @cached_property
+    def component_count(self) -> int:
+        """The Pareto set's connected components under Hamming-1 moves.
+        Whole-cube floods cost a pass over the cube per sweep and component;
+        the byte flood costs a step per member. Sparse Pareto sets, with
+        their many isolated members (orzr, ojzr), take the byte flood."""
+        n, members = self.n, self.member_bits
+        if members.bit_count() > (1 << n) >> 4:
+            return _bit_component_count(members, n)
+        return _component_count(_unpack_bits(members, 1 << n), n)
 
     @cached_property
     def pareto_set_indices(self) -> array:
@@ -259,6 +270,14 @@ def _bit_component_count(members: int, n: int) -> int:
 _BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
 
 
+def _pack_bits(flags: bytes) -> int:
+    """The int whose bit i is byte i of flags, every byte 0 or 1."""
+    packed = 0
+    for k in range(8):
+        packed |= int.from_bytes(flags[k::8], "little") << k
+    return packed
+
+
 def _unpack_bits(packed: int, size: int) -> bytearray:
     """The size bytes whose byte i is bit i of packed."""
     raw = packed.to_bytes(-(-size // 8), "little")
@@ -267,20 +286,6 @@ def _unpack_bits(packed: int, size: int) -> bytearray:
         flags[k::8] = raw.translate(table)
     del flags[size:]
     return flags
-
-
-def _union(sets) -> int:
-    """The union of packed sets."""
-    return reduce(or_, sets, 0)
-
-
-def _join(blocks, n: int) -> int:
-    """The packed set over the cube whose r-th block of 2^n / len(blocks)
-    indices is blocks[r]. Several blocks each span a whole number of bytes."""
-    if len(blocks) == 1:
-        return blocks[0]
-    width = (1 << n) // len(blocks) >> 3
-    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in blocks]), "little")
 
 
 def _member_bits(cells, front, n: int) -> int:
@@ -421,17 +426,9 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     cells = _objective_cells(inst)
     member_bits = _member_bits(cells, front, n)
 
-    # Whole-cube floods cost a pass over the cube per sweep and component;
-    # the byte flood costs a step per member. Sparse Pareto sets, with their
-    # many isolated members (orzr, ojzr), take the byte flood. Likewise the
-    # local-optimum scan and the per-string check break even near 6% of the
-    # cube outside the Pareto set (n = 18); the check takes 1/32 or less.
-    members = member_bits.bit_count()
-    if members > size >> 4:
-        components = _bit_component_count(member_bits, n)
-    else:
-        components = _component_count(_unpack_bits(member_bits, size), n)
-    if size - members <= size >> 5:
+    # The local-optimum scan and the per-string check break even near 6% of
+    # the cube outside the Pareto set (n = 18); the check takes 1/32 or less.
+    if size - member_bits.bit_count() <= size >> 5:
         local_optima_bits = _local_optima_by_string(f1, f2, member_bits, n)
     else:
         local_optima_bits = _local_optima([_bit_planes(c, n) for c in cells], member_bits, n)
@@ -466,7 +463,6 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         vector_counts=vector_counts,
         member_bits=member_bits,
         local_optima_bits=local_optima_bits,
-        component_count=components,
         ones_tables=ones_tables,
     )
 

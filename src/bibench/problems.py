@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from itertools import compress
+from operator import or_
 from typing import Callable, NamedTuple
 
 from .bitstring import MAX_LENGTH, BitString
@@ -74,11 +76,12 @@ class ProblemInstance:
 # Whole-cube work runs the automata through their step tables: per index bit
 # m and bit value, one table indexed by state, filled over the states that
 # can occur before bit m and padded to 256 bytes where bytes.translate reads
-# it. The same tables build a statistic's byte plane by doubling
-# (statistic_plane), count the image of an instance by a DP over the index
+# it. The same tables build the objectives' byte planes by doubling
+# (objective_planes), count the image of an instance by a DP over the index
 # bits (image_counts), and, run over packed bits instead of bytes, give the
-# set of indices that reaches each state (_index_sets), whose unions are the
-# Pareto set and the bit planes of the local-optimum scan.
+# set of indices that reaches each state (_index_sets). Unions of those sets
+# are the enumerated Pareto set, the bit planes of the local-optimum scan and
+# every closed-form set of strings (_where).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
@@ -167,6 +170,11 @@ AUTOMATA = {
     "all-zeroes blocks": partial(_blocks_automaton, False),
 }
 
+# The statistics that read l.
+_BLOCK_STATISTICS = ("all-ones blocks", "all-zeroes blocks")
+_ONES = AUTOMATA["ones"]
+_ZERO_BLOCKS = AUTOMATA["all-zeroes blocks"]
+
 
 def _automaton_tables(automaton: Automaton, n: int):
     """The automaton as tables indexed by state: for each bit read, m = 0 to
@@ -190,12 +198,13 @@ def _automaton_tables(automaton: Automaton, n: int):
     return tuple(tables), bytes(values)
 
 
-# Instances of one size share their statistics' tables, so a grid of
-# instances builds few of them.
-@lru_cache(maxsize=64)
-def _step_tables(statistic: str, n: int, l: int | None):
-    """The step and value tables of the statistic's automaton."""
-    return _automaton_tables(AUTOMATA[statistic](n, l), n)
+# Instances of one size share their automata's tables, so a grid of
+# instances builds few of them; an automaton that does not read l is asked
+# for with l None. The verification grid asks for 88.
+@lru_cache(maxsize=128)
+def _step_tables(automaton: Callable[..., Automaton], n: int, l: int | None):
+    """The step and value tables of the automaton automaton(n, l)."""
+    return _automaton_tables(automaton(n, l), n)
 
 
 def _translate(plane: bytes, table: bytes) -> bytes:
@@ -203,28 +212,13 @@ def _translate(plane: bytes, table: bytes) -> bytes:
     return plane.translate(table.ljust(256, b"\0"))
 
 
-def _state_plane(tables, downward: bool = False) -> bytes:
+def _state_plane(tables) -> bytes:
     """Byte i is the automaton's state after reading every bit of index i,
-    from bit 0 upward: each bit read becomes the new high bit of the index.
-    Downward, each bit read becomes the new low bit, so the first bit read
-    is index bit n-1."""
+    from bit 0 upward: each bit read becomes the new high bit of the index."""
     p = b"\0"
     for t0, t1 in tables:
-        if downward:
-            q = bytearray(2 * len(p))
-            q[::2] = _translate(p, t0)
-            q[1::2] = _translate(p, t1)
-            p = q
-        else:
-            p = _translate(p, t0) + _translate(p, t1)
+        p = _translate(p, t0) + _translate(p, t1)
     return p
-
-
-def statistic_plane(statistic: str, n: int, l: int | None) -> bytes:
-    """The statistic as a byte plane: 2^n bytes whose byte i is the
-    statistic at index i."""
-    tables, values = _step_tables(statistic, n, l)
-    return _translate(_state_plane(tables), values)
 
 
 def _identity(n, k, l):
@@ -267,17 +261,9 @@ def _block_length(n, k, l):
 
 
 # The closed forms below give packed bits: an int whose bit i is set when
-# the string with index i is in the set. They are built by whole-plane
-# operations only: marks of statistic planes, their AND and OR, doubling and
-# runs of ones; the few strings of a prefix family are set one by one.
-
-
-def _pack_bits(flags: bytes) -> int:
-    """The int whose bit i is byte i of flags, every byte 0 or 1."""
-    packed = 0
-    for k in range(8):
-        packed |= int.from_bytes(flags[k::8], "little") << k
-    return packed
+# the string with index i is in the set. They are built from the automata's
+# index sets (_where), by AND and OR, doubling and runs of ones; the few
+# strings of a prefix family are set one by one.
 
 
 def _completed(n, k, l) -> int:
@@ -300,63 +286,57 @@ def _prefixes(n, counts) -> int:
     return mask
 
 
-def _mark(plane: bytes, values) -> int:
-    """The indices whose byte in the plane is one of the values: one
-    bytes.translate, by a table set at those values alone, then packed."""
-    table = bytearray(256)
-    for v in values:
-        table[v] = 1
-    return _pack_bits(plane.translate(table))
+def _ojzr_pareto_set(n, k, l):
+    # A completed string with n - k ones has exactly k // l zero blocks, so
+    # the two sets overlap only when l divides k.
+    completed = _completed(n, k, l) & _where(_ONES, n, None, (*range(n - k + 1), n))
+    middle = _where(_ONES, n, None, (n - k,)) & _where(_ZERO_BLOCKS, n, l, (k // l,))
+    return completed | middle
 
 
-def _block_automaton(n, l, move) -> bytes:
-    """Plane of the state an automaton reaches from state 0 by reading the
-    blocks left to right; move(state, ones) is its step on a block with that
-    many ones. It runs bit by bit from index bit n-1 down, on the state
-    (l + 1) * (state before the open block) + (ones in the open block)."""
+def _block_moves(move, n, l):
+    # The automaton that reads the blocks right to left, as the statistics'
+    # automata read bits, with move(l, state, ones) its step on a block with
+    # that many ones: state (l + 1) * (state before the open block) + (ones
+    # in the open block), and the state before the open block as value.
     width = l + 1
 
     def step(s, bit, m):
         s += bit
-        return s if (m + 1) % l else move(s // width, s % width) * width
+        return s if (m + 1) % l else move(l, s // width, s % width) * width
 
-    tables, values = _automaton_tables(Automaton(step, lambda s: s // width), n)
-    return _translate(_state_plane(tables, downward=True), values)
-
-
-def _ojzr_pareto_set(n, k, l):
-    # A completed string with n - k ones has exactly k // l zero blocks, so
-    # the two sets overlap only when l divides k.
-    ones = statistic_plane("ones", n, l)
-    completed = _completed(n, k, l) & _mark(ones, (*range(n - k + 1), n))
-    middle = _mark(ones, (n - k,)) & _mark(statistic_plane("all-zeroes blocks", n, l), (k // l,))
-    return completed | middle
+    return Automaton(step, lambda s: s // width)
 
 
 def _orzr_move(l, state, ones):
     # State 0: every block so far all-ones or all-zeroes; 1: some block
-    # open with 2 to l - 2 ones, none with 1 or l - 1; 2: one with 1 or l - 1.
+    # with 2 to l - 2 ones, none with 1 or l - 1; 2: one with 1 or l - 1.
+    # The order of the blocks does not matter.
     if ones in (0, l):
         return state
     return max(state, 1) if 2 <= ones <= l - 2 else 2
 
 
 def _lozr_move(l, state, ones):
-    # Full blocks, then an all-zero block, then blocks none of which holds
-    # exactly one 1, not all zero (those strings are block prefixes).
-    # State 0: only full blocks so far; 1: then a zero block and zero blocks;
-    # 2: then some block with two or more ones; 3: rejected.
-    if state == 0:
-        return 0 if ones == l else 1 if ones == 0 else 3
-    if state == 3 or ones == 1:
-        return 3
-    return 1 if state == 1 and ones == 0 else 2
+    # Read right to left, the strings are: blocks none of which holds
+    # exactly one 1, not all zero (those strings are block prefixes), then
+    # an all-zero block, then full blocks. State 4: a block with exactly one
+    # 1 was read. 0: only zero blocks so far. 2: a block with two or more
+    # ones, later a zero block, read last; 3: only full blocks since that
+    # zero block. 1: any other blocks. 2 and 3 accept.
+    if state == 4 or ones == 1:
+        return 4
+    if ones == 0:
+        return 0 if state == 0 else 2
+    return 3 if ones == l and state >= 2 else 1
+
+
+_ORZR_OPTIMA = partial(_block_moves, _orzr_move)
+_LOZR_OPTIMA = partial(_block_moves, _lozr_move)
 
 
 def _ojzr_local_optima(n, k, l):
-    return _mark(statistic_plane("ones", n, l), (n - k,)) & _mark(
-        statistic_plane("all-zeroes blocks", n, l), range(k // l)
-    )
+    return _where(_ONES, n, None, (n - k,)) & _where(_ZERO_BLOCKS, n, l, range(k // l))
 
 
 def _diagonal_front(n, k, l):
@@ -411,9 +391,7 @@ _CATALOG = (
                pareto_set=lambda n, k, l: _prefixes(n, range(n + 1)), front=_diagonal_front),
     FamilyInfo("ojzj", ("one-jump", "zero-jump"), ("k",), "1 <= k < n/2",
                rule=lambda n, k, l: None if 1 <= k and 2 * k < n else "requires 1 <= k < n/2",
-               pareto_set=lambda n, k, l: _mark(
-                   statistic_plane("ones", n, l), (0, *range(k, n - k + 1), n)
-               ),
+               pareto_set=lambda n, k, l: _where(_ONES, n, None, (0, *range(k, n - k + 1), n)),
                front=lambda n, k, l: {(k, n + k), (n + k, k)}
                | {(k + s, n + k - s) for s in range(k, n - k + 1)}),
     # The Pareto set is the strings whose first half is all ones: the last
@@ -425,31 +403,25 @@ _CATALOG = (
                front=lambda n, k, l: {(n // 2 + j, n - j) for j in range(n // 2 + 1)}),
     FamilyInfo("orzr", ("all-ones blocks", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
                rule=_block_length, pareto_set=_completed,
-               local_optima=lambda n, k, l: _mark(
-                   _block_automaton(n, l, partial(_orzr_move, l)), (1,)
-               ),
+               local_optima=lambda n, k, l: _where(_ORZR_OPTIMA, n, l, (1,)),
                front=_block_front),
     FamilyInfo("omtz", ("ones", "trailing zeroes"), (), "1 <= n <= 63",
                pareto_set=lambda n, k, l: _prefixes(n, range(n + 1)), front=_diagonal_front),
     FamilyInfo("omzj", ("ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
-               pareto_set=lambda n, k, l: _mark(
-                   statistic_plane("ones", n, l), (0, *range(k, n + 1))
-               ),
+               pareto_set=lambda n, k, l: _where(_ONES, n, None, (0, *range(k, n + 1))),
                front=_zero_jump_front),
     FamilyInfo("omzr", ("ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
                rule=_block_length, pareto_set=_completed, front=_block_front),
     FamilyInfo("lozj", ("leading ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
                pareto_set=lambda n, k, l: _prefixes(n, (0, *range(k, n + 1))),
-               local_optima=lambda n, k, l: _mark(statistic_plane("ones", n, l), (k,))
-               & _mark(statistic_plane("leading ones", n, l), range(k)),
+               local_optima=lambda n, k, l: _where(_ONES, n, None, (k,))
+               & _where(AUTOMATA["leading ones"], n, None, range(k)),
                front=_zero_jump_front),
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
                rule=_block_length, pareto_set=lambda n, k, l: _prefixes(n, range(0, n + 1, l)),
-               local_optima=lambda n, k, l: _mark(
-                   _block_automaton(n, l, partial(_lozr_move, l)), (2,)
-               ),
+               local_optima=lambda n, k, l: _where(_LOZR_OPTIMA, n, l, (2, 3)),
                front=_block_front),
     # The ojzr closed forms assume the block length is below the gap, which
     # not every valid instance satisfies, so they are informational.
@@ -519,7 +491,8 @@ def _objective_tables(inst: ProblemInstance):
     state after the last bit to the objective value."""
     out = []
     for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives):
-        tables, values = _step_tables(statistic, inst.n, inst.l)
+        l = inst.l if statistic in _BLOCK_STATISTICS else None
+        tables, values = _step_tables(AUTOMATA[statistic], inst.n, l)
         out.append((tables, _translate(values, bytes(table(inst.n, inst.k, inst.l)))))
     return out
 
@@ -538,11 +511,12 @@ def objective_planes(inst: ProblemInstance) -> tuple[bytes, bytes]:
 # cube is read as blocks of that many indices. So the sets of every state
 # stay small beside the planes (sets over half the cube at n = 24 raised the
 # peak resident memory of a landscape analysis by up to a fifth), and, like
-# the step tables, they can be kept for the instances of one size.
+# the step tables, they can be kept for the instances of one size: at most
+# 137 KiB an automaton at n = 24, 350 KiB for the whole verification grid.
 _SET_BITS = 16
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _index_sets(tables) -> tuple[int, ...]:
     """The automaton run over packed bits: per state it can reach after the
     given bits' tables, m = 0 to j - 1, the packed set of the indices below
@@ -559,22 +533,51 @@ def _index_sets(tables) -> tuple[int, ...]:
     return tuple(sets)
 
 
+def _cells(tables, final: bytes) -> tuple[tuple[int, ...], list[bytes]]:
+    """The automaton's index sets and the value tables of the cube's blocks
+    of 2^low indices, low = min(n, _SET_BITS): sets[s] is the packed set of
+    the indices below 2^low whose bits lead the automaton to state s, and
+    ends[r][s] is final at the state it ends in from those indices plus
+    r * 2^low."""
+    low = min(len(tables), _SET_BITS)
+    sets = _index_sets(tables[:low])
+    # The state after the block's high bits, by doubling.
+    ends = [bytes(range(len(sets)))]
+    for t0, t1 in tables[low:]:
+        ends = [_translate(e, t0) for e in ends] + [_translate(e, t1) for e in ends]
+    return sets, [_translate(e, final) for e in ends]
+
+
 def _objective_cells(inst: ProblemInstance) -> list[tuple[tuple[int, ...], list[bytes]]]:
-    """Per objective, its statistic's index sets and the value tables of the
-    cube's blocks of 2^low indices, low = min(n, _SET_BITS): sets[s] is the
-    packed set of the indices below 2^low whose bits lead the automaton to
-    state s, and ends[r][s] is the objective at those indices plus r * 2^low.
-    Objectives of one statistic (omm, ojzj) share their sets."""
-    low = min(inst.n, _SET_BITS)
-    cells = []
-    for tables, final in _objective_tables(inst):
-        sets = _index_sets(tables[:low])
-        # The state after the block's high bits, by doubling.
-        ends = [bytes(range(len(sets)))]
-        for t0, t1 in tables[low:]:
-            ends = [_translate(e, t0) for e in ends] + [_translate(e, t1) for e in ends]
-        cells.append((sets, [_translate(e, final) for e in ends]))
-    return cells
+    """Per objective, the cells of its statistic's automaton with the
+    objective as final value (_cells). Objectives of one statistic (omm,
+    ojzj) share their sets."""
+    return [_cells(tables, final) for tables, final in _objective_tables(inst)]
+
+
+def _union(sets) -> int:
+    """The union of packed sets."""
+    return reduce(or_, sets, 0)
+
+
+def _join(blocks, n: int) -> int:
+    """The packed set over the cube whose r-th block of 2^n / len(blocks)
+    indices is blocks[r]. Several blocks each span a whole number of bytes."""
+    if len(blocks) == 1:
+        return blocks[0]
+    width = (1 << n) // len(blocks) >> 3
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in blocks]), "little")
+
+
+def _where(automaton: Callable[..., Automaton], n: int, l: int | None, values) -> int:
+    """The packed set of the indices at which automaton(n, l) ends with one
+    of the values: in each block of the cube, the union of the index sets of
+    the states whose value is one of them."""
+    wanted = bytearray(256)
+    for v in values:
+        wanted[v] = 1
+    sets, ends = _cells(*_step_tables(automaton, n, l))
+    return _join([_union(compress(sets, e.translate(wanted))) for e in ends], n)
 
 
 def image_counts(inst: ProblemInstance) -> dict[tuple[int, int, int], int]:
@@ -583,7 +586,7 @@ def image_counts(inst: ProblemInstance) -> dict[tuple[int, int, int], int]:
     objectives' statistics and of the ones count, each with the number of
     index prefixes that reach it."""
     (tables1, final1), (tables2, final2) = _objective_tables(inst)
-    ones_tables, ones = _step_tables("ones", inst.n, None)
+    ones_tables, ones = _step_tables(_ONES, inst.n, None)
     counts = {(0, 0, 0): 1}
     for (a0, a1), (b0, b1), (c0, c1) in zip(tables1, tables2, ones_tables):
         after = defaultdict(int)

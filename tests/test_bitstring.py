@@ -1,6 +1,5 @@
-"""Bit strings: the value type, its conventions, and the bit operations the
-library keeps (the plane mirror, which reverses strings, and the block
-automaton, which reads blocks left to right)."""
+"""Bit strings: the value type, its conventions, and the bit operation the
+library keeps (the plane mirror, which reverses strings)."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +7,6 @@ from hypothesis import given, strategies as st
 from bibench.bitstring import BitString
 from bibench.errors import ValidationError
 from bibench.landscape import _mirror
-from bibench.problems import _block_automaton
 
 
 def bits(text):
@@ -70,15 +68,6 @@ class TestAccessors:
 
     def test_reverse(self):
         assert mirrored(4, 0b1100) == 0b0011
-
-    def test_blocks_left_to_right(self):
-        # An automaton that appends each block's ones count as a base-(l+1)
-        # digit reads the block profile back, leftmost block first.
-        x = bits("11010000")
-        digits = _block_automaton(8, 2, lambda s, ones: min(3 * s + ones, 255))
-        assert digits[x.index] == int("2100", 3)
-        digits = _block_automaton(8, 4, lambda s, ones: min(5 * s + ones, 255))
-        assert digits[x.index] == int("30", 5)
 
 
 class TestInvolutions:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -228,6 +229,18 @@ class TestFigureDatasets:
 
 
 class TestVerifyCommand:
+    def test_verify_all_golden(self, capsys):
+        # Every family on the default grid: 191 instances, the 57
+        # informational mismatches all ojzr's.
+        rc, out, err = run_main(capsys, ["verify", "all"])
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[-1] == (
+            "instances=191 must_match_failures=0 informational_mismatches=57"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0a53c8cfde75f766c131b8b9ba4d2494b5cb9721e26a9a4b4d0a51bcd24c661a"
+        )
+
     def test_family_scope_golden_summary(self, capsys):
         rc, out, err = run_main(capsys, ["verify", "lotz"])
         assert rc == 0

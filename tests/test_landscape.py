@@ -40,6 +40,7 @@ from bibench.landscape import (
     _binary_lines,
     _member_bits,
     _mirror,
+    _pack_bits,
     _report,
     _set_indices,
     _union,
@@ -54,8 +55,8 @@ from bibench.landscape import (
     render_report,
     summary_line,
 )
-from bibench.oracles import grid_instances, verify
-from bibench.problems import ProblemInstance, _pack_bits, evaluate, parse_descriptor
+from bibench.oracles import grid_instances, render_verification, verify
+from bibench.problems import ProblemInstance, evaluate, parse_descriptor
 
 
 def report_for(descriptor):
@@ -634,6 +635,36 @@ class TestLazyLocalOptima:
         assert dataclasses.replace(report, local_optima_bits=changed) != report
 
 
+class TestLazyComponentCount:
+    # One instance per family, n <= 12.
+    INSTANCES = [
+        "omm:n=8", "lotz:n=8", "ojzj:n=8,k=2", "cocz:n=8", "orzr:n=8,l=4", "omtz:n=8",
+        "omzj:n=8,k=3", "omzr:n=8,l=2", "lozj:n=8,k=3", "lozr:n=8,l=2", "ojzr:n=12,k=5,l=3",
+    ]
+
+    @pytest.mark.parametrize("descriptor", INSTANCES)
+    def test_verify_counts_no_components(self, descriptor):
+        inst = parse_descriptor(descriptor)
+        _report.cache_clear()
+        with contextlib.ExitStack() as stack:
+            for name in ("_component_count", "_bit_component_count"):
+                stack.enter_context(
+                    mock.patch.object(landscape, name, side_effect=AssertionError(name))
+                )
+            render_verification(verify(inst))
+        assert "component_count" not in vars(enumerate_landscape(inst))
+        vecs = naive.vectors(inst)
+        expected = naive.components(naive.pareto_set(vecs), inst.n)
+        assert characteristic_profile(inst).component_count == expected
+        _report.cache_clear()
+
+    def test_count_leaves_repr_and_equality(self):
+        report = report_for("ojzj:n=8,k=2")
+        assert "component_count" not in repr(report)
+        assert dataclasses.replace(report) == report
+        assert report.component_count == 3
+
+
 def peak_bytes_per_string(call, n):
     tracemalloc.start()
     try:
@@ -684,6 +715,23 @@ class TestMemory:
         problems._index_sets.cache_clear()
         peak = peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n)
         assert peak <= BYTES_PER_STRING // 3
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["ojzr:n=18,k=7,l=3", "ojzj:n=18,k=4", "lozj:n=18,k=4", "orzr:n=18,l=3", "lozr:n=18,l=3"],
+    )
+    def test_closed_forms_peak_below_one_byte_per_string(self, descriptor):
+        # The sets are packed, 1/8 byte a string; the closed forms build no
+        # byte plane.
+        inst = parse_descriptor(descriptor)
+        enumerate_landscape(inst)
+        n, k, l = inst.n, inst.k, inst.l
+
+        def closed_forms():
+            inst.info.pareto_set(n, k, l)
+            inst.info.local_optima(n, k, l)
+
+        assert peak_bytes_per_string(closed_forms, n) <= 1
 
     @pytest.mark.parametrize("descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "lozr:n=18,l=3"])
     def test_witness_scan_peaks_below_six_bytes_per_string(self, descriptor):
@@ -880,10 +928,15 @@ class TestReportProperties:
 
 class TestImageCounts:
     def test_counted_image_matches_the_planes(self):
-        """The DP histogram against a count over the planes themselves."""
+        """The DP histogram against a count over the planes themselves, the
+        ones plane from its index form."""
+        ones_planes = {}
         for inst in grid_instances(None, range(1, 17)):
             f1, f2 = enumerate_landscape(inst).planes
-            ones = problems.statistic_plane("ones", inst.n, None)
+            if inst.n not in ones_planes:
+                ones_count = problems.STATISTICS["ones"](inst.n, None)
+                ones_planes[inst.n] = bytes(map(ones_count, range(1 << inst.n)))
+            ones = ones_planes[inst.n]
             assert problems.image_counts(inst) == Counter(zip(f1, f2, ones)), inst.descriptor
 
     def test_vector_counts_ascend(self):

@@ -4,7 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import compress
 
 import pytest
@@ -31,13 +31,11 @@ from bibench.oracles import (
 )
 from bibench.problems import (
     FAMILY_NAMES,
+    STATISTICS,
     ProblemInstance,
-    _block_automaton,
-    _lozr_move,
     _orzr_move,
     index_evaluator,
     parse_descriptor,
-    statistic_plane,
 )
 
 EIGHT_BIT_DESCRIPTORS = (
@@ -120,8 +118,29 @@ def reference_where(*marks):
     return set(compress(range(len(both)), both))
 
 
+@lru_cache(maxsize=None)
+def reference_plane(statistic, n, l):
+    """The statistic's byte plane, string by string from its index form."""
+    return bytes(map(STATISTICS[statistic](n, l), range(1 << n)))
+
+
+def reference_lozr_move(l, state, ones):
+    # The lozr local optima read left to right: full blocks, then an
+    # all-zero block, then blocks none of which holds exactly one 1, not all
+    # zero (those strings are block prefixes). State 0: only full blocks so
+    # far; 1: then a zero block and zero blocks; 2: then some block with two
+    # or more ones; 3: rejected.
+    if state == 0:
+        return 0 if ones == l else 1 if ones == 0 else 3
+    if state == 3 or ones == 1:
+        return 3
+    return 1 if state == 1 and ones == 0 else 2
+
+
 def reference_block_automaton(n, l, move):
-    """The block automaton run block by block, 256 states per table."""
+    """The plane of the state an automaton reaches by reading the blocks
+    left to right, move(state, ones) its step on a block with that many
+    ones, run block by block, 256 states per table."""
     width = 1 << l
     by_ones = [bytes(move(s, ones) for s in range(256)) for ones in range(l + 1)]
     moves = [by_ones[v.bit_count()] for v in range(width)]
@@ -147,14 +166,14 @@ def reference_prefixes(n, k, l):
 
 
 def reference_ones_mark(n, test):
-    return reference_mark(statistic_plane("ones", n, None), test)
+    return reference_mark(reference_plane("ones", n, None), test)
 
 
 def reference_ojzr_pareto_set(n, k, l):
     keep = {i for i in reference_completed(n, k, l) if i.bit_count() <= n - k}
     keep |= reference_where(
         reference_ones_mark(n, lambda s: s == n - k),
-        reference_mark(statistic_plane("all-zeroes blocks", n, l), lambda z: z == k // l),
+        reference_mark(reference_plane("all-zeroes blocks", n, l), lambda z: z == k // l),
     )
     return keep | {(1 << n) - 1}
 
@@ -184,14 +203,14 @@ REFERENCE_LOCAL_OPTIMA = {
     )),
     "lozj": lambda n, k, l: reference_where(
         reference_ones_mark(n, lambda s: s == k),
-        reference_mark(statistic_plane("leading ones", n, l), lambda lead: lead < k),
+        reference_mark(reference_plane("leading ones", n, None), lambda lead: lead < k),
     ),
     "lozr": lambda n, k, l: reference_where(reference_mark(
-        reference_block_automaton(n, l, partial(_lozr_move, l)), lambda state: state == 2
+        reference_block_automaton(n, l, partial(reference_lozr_move, l)), lambda state: state == 2
     )),
     "ojzr": lambda n, k, l: reference_where(
         reference_ones_mark(n, lambda s: s == n - k),
-        reference_mark(statistic_plane("all-zeroes blocks", n, l), lambda z: z < k // l),
+        reference_mark(reference_plane("all-zeroes blocks", n, l), lambda z: z < k // l),
     ),
 }
 
@@ -259,13 +278,21 @@ class TestMasksMatchTheSetReferences:
             mismatched += not all(claim.matched for claim in report.claims)
         assert mismatched == 117
 
-    def test_block_automaton_planes_match_the_reference(self):
-        for n in range(2, 17):
+    def test_block_marks_equal_the_left_to_right_reference(self):
+        # The closed forms read the blocks right to left, from index bit 0;
+        # the reference reads them left to right.
+        for n in (*range(2, 17), 18, 20):
             for l in range(1, n // 2 + 1):
                 if n % l == 0:
-                    for move in (_orzr_move, _lozr_move):
-                        plane = _block_automaton(n, l, partial(move, l))
-                        assert plane == reference_block_automaton(n, l, partial(move, l)), (n, l)
+                    for family, move, accept in (
+                        ("orzr", _orzr_move, 1), ("lozr", reference_lozr_move, 2)
+                    ):
+                        plane = reference_block_automaton(n, l, partial(move, l))
+                        mark = reference_mark(plane, lambda state: state == accept)
+                        # Bit i of the mask is byte i of the mark.
+                        expected = int(mark[::-1].translate(b"01".ljust(256)), 2)
+                        local = ProblemInstance(family, n, l=l).info.local_optima(n, None, l)
+                        assert local == expected, (family, n, l)
 
 
 class TestRatioOjzj:

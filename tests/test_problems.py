@@ -1,9 +1,12 @@
 """Family catalog, descriptors, validation bounds, and evaluation parity with
 naive.py."""
 
+from unittest import mock
+
 import pytest
 
 import naive
+from bibench import problems
 from bibench.bitstring import BitString
 from bibench.errors import DescriptorError, ValidationError
 from bibench.landscape import MAX_CAP
@@ -14,12 +17,12 @@ from bibench.problems import (
     OBJECTIVES,
     STATISTICS,
     ProblemInstance,
+    _where,
     evaluate,
     family_catalog,
     index_evaluator,
     objective_planes,
     parse_descriptor,
-    statistic_plane,
 )
 
 
@@ -271,10 +274,21 @@ class TestPlanes:
 
     @pytest.mark.parametrize("name", list(STATISTICS))
     def test_statistic_planes_match_the_index_form(self, name):
+        # The plane as the set of indices at each value, the form the closed
+        # forms read (_where). Sets over 8 and 16 indices split every cube
+        # from n = 4 and n = 5 into blocks; at the default span none of these
+        # cubes is split.
         for n in range(1, 13):
             for l in block_lengths(name, n):
-                expected = bytes(map(STATISTICS[name](n, l), range(1 << n)))
-                assert statistic_plane(name, n, l) == expected, (name, n, l)
+                statistic = STATISTICS[name](n, l)
+                expected = [0] * (n + 1)
+                for i in range(1 << n):
+                    expected[statistic(i)] |= 1 << i
+                for set_bits in (3, 4, problems._SET_BITS):
+                    with mock.patch.object(problems, "_SET_BITS", set_bits):
+                        for v, indices in enumerate(expected):
+                            mark = _where(AUTOMATA[name], n, l, (v,))
+                            assert mark == indices, (name, n, l, v, set_bits)
 
     @pytest.mark.parametrize("name", list(STATISTICS))
     def test_automaton_states_fit_a_byte(self, name):
