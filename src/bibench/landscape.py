@@ -13,7 +13,8 @@ the ones tables are not read from the planes at all: they come from the
 (f1, f2, ones) histogram that problems.image_counts counts by a DP over the
 index bits. Nor are the Pareto set and the bit planes of the local-optimum
 scan: they are unions of the packed index sets that reach each state of the
-objectives' automata (problems._objective_cells).
+objectives' automata (problems._objective_cells), per front vector for the
+Pareto set and per value bit for a bit plane (problems._select).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -38,6 +39,7 @@ from .problems import (
     ProblemInstance,
     _join,
     _objective_cells,
+    _select,
     _union,
     image_counts,
     objective_planes,
@@ -270,14 +272,6 @@ def _bit_component_count(members: int, n: int) -> int:
 _BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
 
 
-def _pack_bits(flags: bytes) -> int:
-    """The int whose bit i is byte i of flags, every byte 0 or 1."""
-    packed = 0
-    for k in range(8):
-        packed |= int.from_bytes(flags[k::8], "little") << k
-    return packed
-
-
 def _unpack_bits(packed: int, size: int) -> bytearray:
     """The size bytes whose byte i is bit i of packed."""
     raw = packed.to_bytes(-(-size // 8), "little")
@@ -307,29 +301,23 @@ def _member_bits(cells, front, n: int) -> int:
     return _join(blocks, n)
 
 
-def _bit_planes(cells, n: int) -> list[int]:
-    """The bit planes of one objective, from its cells: bit i of the plane
-    for value bit k is bit k of the objective at string i. In each block of
-    the cube, that is the union of the sets whose value has bit k set."""
-    sets, ends = cells
-    width = max(map(max, ends)).bit_length()
-    return [
-        _join([_union(compress(sets, e.translate(_BITS[k]))) for e in ends], n)
-        for k in range(width)
-    ]
-
-
-def _local_optima(sliced, member: int, n: int) -> int:
+def _local_optima(cells, member: int, n: int) -> int:
     """The int whose bit i is set exactly when string i is a non-global
     local optimum: not a member (bit i of member) and no neighbour strictly
     dominates it (an equal-valued neighbour does not count).
 
-    Bit-sliced: sliced holds each objective's bit planes (_bit_planes), low
-    value bit first, so bit i of every int below belongs to string i. For
-    index bit b, the strings with bit b clear meet their neighbours 2^b bits
-    up. The bit planes in turn tell, per objective, whether the two values
-    differ and which is greater at the highest bit where they do."""
+    Bit-sliced: from each objective's cells (problems._objective_cells), the
+    objective's bit planes, low value bit first: the plane for value bit k
+    is the set of strings whose value has bit k set (_select), so bit i of
+    every int below belongs to string i. For index bit b, the strings with
+    bit b clear meet their neighbours 2^b bits up. The bit planes in turn
+    tell, per objective, whether the two values differ and which is greater
+    at the highest bit where they do."""
     size = 1 << n
+    sliced = [
+        [_select(c, table, n) for table in _BITS[: max(map(max, c[1])).bit_length()]]
+        for c in cells
+    ]
     marked = member
     for b in range(n):
         step = 1 << b
@@ -356,7 +344,7 @@ def _local_optima_by_string(f1: bytes, f2: bytes, member: int, n: int) -> int:
     """The same set as _local_optima, found by checking each non-member
     against its n neighbours: a step per non-member and neighbour, against
     the scan's whole-cube passes, so it pays for a dense Pareto set."""
-    flags = bytearray(1 << n)
+    packed = bytearray((1 << n) + 7 >> 3)
     bits = [1 << b for b in range(n)]
     for i in _set_indices(member ^ ((1 << (1 << n)) - 1), n):
         a, b = f1[i], f2[i]
@@ -365,8 +353,8 @@ def _local_optima_by_string(f1: bytes, f2: bytes, member: int, n: int) -> int:
             if c >= a and d >= b and (c > a or d > b):
                 break
         else:
-            flags[i] = 1
-    return _pack_bits(flags)
+            packed[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(packed, "little")
 
 
 # Zero bytes that end a run of a mask. Compressing a shorter gap costs less
@@ -431,7 +419,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     if size - member_bits.bit_count() <= size >> 5:
         local_optima_bits = _local_optima_by_string(f1, f2, member_bits, n)
     else:
-        local_optima_bits = _local_optima([_bit_planes(c, n) for c in cells], member_bits, n)
+        local_optima_bits = _local_optima(cells, member_bits, n)
 
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
 

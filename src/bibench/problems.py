@@ -79,9 +79,10 @@ class ProblemInstance:
 # it. The same tables build the objectives' byte planes by doubling
 # (objective_planes), count the image of an instance by a DP over the index
 # bits (image_counts), and, run over packed bits instead of bytes, give the
-# set of indices that reaches each state (_index_sets). Unions of those sets
-# are the enumerated Pareto set, the bit planes of the local-optimum scan and
-# every closed-form set of strings (_where).
+# set of indices that reaches each state (_index_sets), over blocks of at
+# most 2^_SET_BITS indices (_cells). Unions of those sets are the enumerated
+# Pareto set and, selected by a value table (_select), the bit planes of the
+# local-optimum scan and every closed-form set of strings (_where).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
@@ -212,10 +213,11 @@ def _translate(plane: bytes, table: bytes) -> bytes:
     return plane.translate(table.ljust(256, b"\0"))
 
 
-def _state_plane(tables) -> bytes:
+def _state_plane(tables, p: bytes = b"\0") -> bytes:
     """Byte i is the automaton's state after reading every bit of index i,
-    from bit 0 upward: each bit read becomes the new high bit of the index."""
-    p = b"\0"
+    from bit 0 upward: each bit read becomes the new high bit of the index.
+    From a start plane p of states, byte r * len(p) + j is the state reached
+    from p[j] by reading the bits of r."""
     for t0, t1 in tables:
         p = _translate(p, t0) + _translate(p, t1)
     return p
@@ -262,19 +264,8 @@ def _block_length(n, k, l):
 
 # The closed forms below give packed bits: an int whose bit i is set when
 # the string with index i is in the set. They are built from the automata's
-# index sets (_where), by AND and OR, doubling and runs of ones; the few
-# strings of a prefix family are set one by one.
-
-
-def _completed(n, k, l) -> int:
-    """The strings whose blocks are each all-ones or all-zeroes. Each block
-    added at the high end of the index repeats the set at block values 0
-    and 2^l - 1."""
-    mask = width = 1
-    for _ in range(n // l):
-        mask |= mask << (width * ((1 << l) - 1))
-        width <<= l
-    return mask
+# index sets (_where), by AND and OR and runs of ones; the few strings of a
+# prefix family are set one by one.
 
 
 def _prefixes(n, counts) -> int:
@@ -297,15 +288,21 @@ def _ojzr_pareto_set(n, k, l):
 def _block_moves(move, n, l):
     # The automaton that reads the blocks right to left, as the statistics'
     # automata read bits, with move(l, state, ones) its step on a block with
-    # that many ones: state (l + 1) * (state before the open block) + (ones
-    # in the open block), and the state before the open block as value.
-    width = l + 1
-
+    # that many ones: state 9 * (state before the open block) + 3 * ones +
+    # zeroes, the open block's ones and zeroes each capped at 2, and the
+    # state before the open block as value. The moves tell apart only 0, 1,
+    # 2..l-2, l-1 and l ones, so a closed block passes 0, l, 1, l-1 or 2.
     def step(s, bit, m):
-        s += bit
-        return s if (m + 1) % l else move(l, s // width, s % width) * width
+        ones, zeroes = min(s // 3 % 3 + bit, 2), min(s % 3 + 1 - bit, 2)
+        if (m + 1) % l:
+            return s // 9 * 9 + 3 * ones + zeroes
+        if ones and zeroes:
+            ones = 1 if ones == 1 else l - 1 if zeroes == 1 else 2
+        elif ones:
+            ones = l
+        return move(l, s // 9, ones) * 9
 
-    return Automaton(step, lambda s: s // width)
+    return Automaton(step, lambda s: s // 9)
 
 
 def _orzr_move(l, state, ones):
@@ -333,6 +330,12 @@ def _lozr_move(l, state, ones):
 
 _ORZR_OPTIMA = partial(_block_moves, _orzr_move)
 _LOZR_OPTIMA = partial(_block_moves, _lozr_move)
+
+
+def _completed(n, k, l) -> int:
+    """The strings whose blocks are each all-ones or all-zeroes: orzr's
+    block state 0."""
+    return _where(_ORZR_OPTIMA, n, l, (0,))
 
 
 def _ojzr_local_optima(n, k, l):
@@ -541,11 +544,10 @@ def _cells(tables, final: bytes) -> tuple[tuple[int, ...], list[bytes]]:
     r * 2^low."""
     low = min(len(tables), _SET_BITS)
     sets = _index_sets(tables[:low])
-    # The state after the block's high bits, by doubling.
-    ends = [bytes(range(len(sets)))]
-    for t0, t1 in tables[low:]:
-        ends = [_translate(e, t0) for e in ends] + [_translate(e, t1) for e in ends]
-    return sets, [_translate(e, final) for e in ends]
+    # The state after the block's high bits, from each state after its low.
+    width = len(sets)
+    ends = _translate(_state_plane(tables[low:], bytes(range(width))), final)
+    return sets, [ends[r : r + width] for r in range(0, len(ends), width)]
 
 
 def _objective_cells(inst: ProblemInstance) -> list[tuple[tuple[int, ...], list[bytes]]]:
@@ -569,15 +571,21 @@ def _join(blocks, n: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in blocks]), "little")
 
 
+def _select(cells, table: bytes, n: int) -> int:
+    """The packed set of the indices whose final value v has table[v] set,
+    table 256 bytes of 0 or 1, from the cells (_cells): in each block of the
+    cube, the union of the index sets of the states it marks."""
+    sets, ends = cells
+    return _join([_union(compress(sets, e.translate(table))) for e in ends], n)
+
+
 def _where(automaton: Callable[..., Automaton], n: int, l: int | None, values) -> int:
     """The packed set of the indices at which automaton(n, l) ends with one
-    of the values: in each block of the cube, the union of the index sets of
-    the states whose value is one of them."""
+    of the values."""
     wanted = bytearray(256)
     for v in values:
         wanted[v] = 1
-    sets, ends = _cells(*_step_tables(automaton, n, l))
-    return _join([_union(compress(sets, e.translate(wanted))) for e in ends], n)
+    return _select(_cells(*_step_tables(automaton, n, l)), wanted, n)
 
 
 def image_counts(inst: ProblemInstance) -> dict[tuple[int, int, int], int]:

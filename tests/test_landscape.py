@@ -32,7 +32,6 @@ from bibench.landscape import (
     FrontShape,
     SeparabilityReport,
     _bit_component_count,
-    _bit_planes,
     _component_count,
     _indices,
     _local_optima,
@@ -40,7 +39,6 @@ from bibench.landscape import (
     _binary_lines,
     _member_bits,
     _mirror,
-    _pack_bits,
     _report,
     _set_indices,
     _union,
@@ -718,11 +716,14 @@ class TestMemory:
 
     @pytest.mark.parametrize(
         "descriptor",
-        ["ojzr:n=18,k=7,l=3", "ojzj:n=18,k=4", "lozj:n=18,k=4", "orzr:n=18,l=3", "lozr:n=18,l=3"],
+        [
+            "ojzr:n=18,k=7,l=3", "ojzj:n=18,k=4", "lozj:n=18,k=4", "orzr:n=18,l=3",
+            "lozr:n=18,l=3", "orzr:n=18,l=9", "lozr:n=18,l=9",
+        ],
     )
     def test_closed_forms_peak_below_one_byte_per_string(self, descriptor):
         # The sets are packed, 1/8 byte a string; the closed forms build no
-        # byte plane.
+        # byte plane, and the block automata's states do not grow with l.
         inst = parse_descriptor(descriptor)
         enumerate_landscape(inst)
         n, k, l = inst.n, inst.k, inst.l
@@ -751,9 +752,9 @@ run_masks = st.lists(
 ).map(mask_from_runs)
 
 
-def sliced_planes(inst):
-    """Both objectives' bit planes, as enumeration hands them to the scan."""
-    return [_bit_planes(cells, inst.n) for cells in problems._objective_cells(inst)]
+def pack_bits(flags):
+    """The int whose bit i is byte i of flags, every byte 0 or 1."""
+    return int(bytes(flags)[::-1].translate(b"01".ljust(256)), 2)
 
 
 class TestBitSlicedKernels:
@@ -773,7 +774,8 @@ class TestBitSlicedKernels:
             members = naive.pareto_set(vecs)
             packed = sum(1 << i for i in members)
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
-            assert _local_optima(sliced_planes(inst), packed, inst.n) == expected, inst.descriptor
+            cells = problems._objective_cells(inst)
+            assert _local_optima(cells, packed, inst.n) == expected, inst.descriptor
             assert _local_optima_by_string(f1, f2, packed, inst.n) == expected, inst.descriptor
             assert report.member_bits == packed, inst.descriptor
             assert report.local_optima_bits == expected, inst.descriptor
@@ -800,13 +802,12 @@ class TestBitSlicedKernels:
                         states[i] = s
                 rebuilt = b"".join(states.translate(end.ljust(256, b"\0")) for end in ends)
                 assert rebuilt == plane, inst.descriptor
-                planes = _bit_planes((sets, ends), n)
-                assert len(planes) == max(plane).bit_length(), inst.descriptor
-                for k, bits in enumerate(planes):
-                    assert bits == _pack_bits(plane.translate(landscape._BITS[k])), inst.descriptor
+                # Selected by each value bit, they rebuild the bit planes.
+                for table in landscape._BITS:
+                    bits = problems._select((sets, ends), table, n)
+                    assert bits == pack_bits(plane.translate(table)), inst.descriptor
             assert _member_bits(cells, report.levels[0], n) == report.member_bits, inst.descriptor
-            sliced = [_bit_planes(c, n) for c in cells]
-            assert _local_optima(sliced, report.member_bits, n) == report.local_optima_bits
+            assert _local_optima(cells, report.member_bits, n) == report.local_optima_bits
 
     @pytest.mark.parametrize(
         "descriptor, taken, refused",
@@ -819,7 +820,7 @@ class TestBitSlicedKernels:
         # ojzj's Pareto set leaves 1,974 strings out; lotz's holds 19. The
         # per-string check reads the byte planes, so no bit plane is built.
         inst = parse_descriptor(descriptor)
-        refuse = [refused, "_bit_planes"] if taken == "_local_optima_by_string" else [refused]
+        refuse = [refused, "_select"] if taken == "_local_optima_by_string" else [refused]
         _report.cache_clear()
         with contextlib.ExitStack() as stack:
             for name in refuse:
@@ -840,7 +841,7 @@ class TestBitSlicedKernels:
         size, packed = 1 << n, sum(1 << i for i in members)
         flags = _unpack_bits(packed, size)
         assert len(flags) == size and set(flags) <= {0, 1}
-        assert _pack_bits(flags) == packed
+        assert pack_bits(flags) == packed
 
     @pytest.mark.parametrize(
         "mask",

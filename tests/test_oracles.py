@@ -6,11 +6,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bibench import problems
 from bibench.errors import ValidationError
 from bibench.landscape import BYTES_PER_STRING, enumerate_landscape
 from bibench.oracles import (
@@ -33,6 +35,7 @@ from bibench.problems import (
     FAMILY_NAMES,
     STATISTICS,
     ProblemInstance,
+    _completed,
     _orzr_move,
     index_evaluator,
     parse_descriptor,
@@ -277,6 +280,17 @@ class TestMasksMatchTheSetReferences:
             assert text == render_verification(reference_verify(inst)), inst.descriptor
             mismatched += not all(claim.matched for claim in report.claims)
         assert mismatched == 117
+
+    @pytest.mark.parametrize("set_bits", [3, 4, problems._SET_BITS])
+    def test_completed_equals_the_reference(self, set_bits):
+        # orzr's block state 0, over blocks of the cube split from n = 4 and
+        # n = 5 on.
+        with mock.patch.object(problems, "_SET_BITS", set_bits):
+            for n in range(2, 13):
+                for l in range(1, n // 2 + 1):
+                    if n % l == 0:
+                        expected = reference_completed(n, None, l)
+                        assert members(_completed(n, None, l), n) == expected, (n, l)
 
     def test_block_marks_equal_the_left_to_right_reference(self):
         # The closed forms read the blocks right to left, from index bit 0;
