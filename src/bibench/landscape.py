@@ -10,11 +10,12 @@ the cube are checked for local optimality one by one. A set of strings, such
 as the Pareto set or the local optima, is held as packed bits: an int whose
 bit i is set when string i is in the set. The image, its multiplicities and
 the ones tables are not read from the planes at all: they come from the
-(f1, f2, ones) histogram that problems.image_counts counts by a DP over the
-index bits. Nor are the Pareto set and the bit planes of the local-optimum
-scan: they are unions of the packed index sets that reach each state of the
-objectives' automata (problems._objective_cells), per front vector for the
-Pareto set and per value bit for a bit plane (problems._select).
+packed ones counts per image vector that problems.image_polys counts by one
+DP over the index bits, the ones tables on first read. Nor are the Pareto
+set and the bit planes of the local-optimum scan: they are unions of the
+packed index sets that reach each state of the objectives' automata
+(problems._objective_cells), per front vector for the Pareto set and per
+value bit for a bit plane (problems._select).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -33,7 +34,7 @@ from functools import cached_property, lru_cache
 from itertools import compress
 
 from .bitstring import BitString
-from .dominance import ObjectiveVector, nondominated_sort
+from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
 from .problems import (
     ProblemInstance,
@@ -41,7 +42,7 @@ from .problems import (
     _objective_cells,
     _select,
     _union,
-    image_counts,
+    image_polys,
     objective_planes,
 )
 
@@ -151,11 +152,12 @@ class CharacteristicProfile:
 class LandscapeReport:
     """Exact analysis of one instance. The Pareto set and the local optima
     are kept once each, as packed bits (`member_bits`, `local_optima_bits`).
-    Their index arrays (4 bytes per member), the local optima's image and
-    the Pareto set's component count are computed on first access: the
-    report text reads the local optima's indices, the objective-space
-    figure their image, the report text, the summary line and the profile
-    the component count, and verify only sizes, the bit counts."""
+    Their index arrays (4 bytes per member), the local optima's image, the
+    Pareto set's component count and the ones tables are computed on first
+    access: the report text reads the local optima's indices, the
+    objective-space figure their image, the report text, the summary line
+    and the profile the component count, the report text and the ones
+    figures the ones tables, and verify only sizes, the bit counts."""
 
     instance: ProblemInstance
     # planes[j][i] is objective j+1 at the string with index i.
@@ -168,7 +170,8 @@ class LandscapeReport:
     # non-global local optimum.
     member_bits: int = field(repr=False)
     local_optima_bits: int = field(repr=False)
-    ones_tables: tuple[tuple[int, OnesSummary], ...]
+    # Image vector to its packed ones counts (problems.image_polys).
+    image_polys: dict[ObjectiveVector, int] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -189,6 +192,28 @@ class LandscapeReport:
         if members.bit_count() > (1 << n) >> 4:
             return _bit_component_count(members, n)
         return _component_count(_unpack_bits(members, 1 << n), n)
+
+    @cached_property
+    def ones_tables(self) -> tuple[tuple[int, OnesSummary], ...]:
+        """For each number of ones, ascending, the counts of the f1 values,
+        the f2 values and the levels of the strings with that many ones,
+        each sorted by value: the digits of the packed ones counts."""
+        n = self.n
+        mask = (1 << n + 1) - 1
+        level_by_vector = LevelAssignment(self.levels).level_by_vector
+        tables = [(Counter(), Counter(), Counter()) for _ in range(n + 1)]
+        for (a, b), poly in self.image_polys.items():
+            level = level_by_vector[a, b]
+            for f1, f2, by_level in tables:
+                if count := poly & mask:
+                    f1[a] += count
+                    f2[b] += count
+                    by_level[level] += count
+                poly >>= n + 1
+        return tuple(
+            (ones, OnesSummary(*(tuple(sorted(c.items())) for c in counters)))
+            for ones, counters in enumerate(tables)
+        )
 
     @cached_property
     def pareto_set_indices(self) -> array:
@@ -401,14 +426,14 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     size = 1 << n
     f1, f2 = objective_planes(inst)
 
-    # The image with its multiplicities and the ones tables come from the
-    # counted (f1, f2, ones) histogram, whose keys sort by (f1, f2).
-    image = sorted(image_counts(inst).items())
-    vector_counts: dict[ObjectiveVector, int] = {}
-    for (a, b, _), count in image:
-        vector_counts[a, b] = vector_counts.get((a, b), 0) + count
+    # The image with its multiplicities comes from the packed ones counts of
+    # image_polys, in ascending (f1, f2) order. A vector's count is the sum
+    # of its digits, and since 2^(n+1) is 1 modulo 2^(n+1) - 1, that sum is
+    # the packed int's remainder: it cannot wrap, as it is at most 2^n.
+    polys = image_polys(inst)
+    modulus = (1 << n + 1) - 1
+    vector_counts = {v: poly % modulus for v, poly in polys.items()}
     assignment = nondominated_sort(vector_counts)
-    level_by_vector = assignment.level_by_vector
     front = assignment.levels[0]
 
     cells = _objective_cells(inst)
@@ -423,26 +448,6 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
 
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
 
-    ones_f1 = [Counter() for _ in range(n + 1)]
-    ones_f2 = [Counter() for _ in range(n + 1)]
-    ones_level = [Counter() for _ in range(n + 1)]
-    for (a, b, ones), count in image:
-        ones_f1[ones][a] += count
-        ones_f2[ones][b] += count
-        ones_level[ones][level_by_vector[a, b]] += count
-
-    ones_tables = tuple(
-        (
-            ones,
-            OnesSummary(
-                tuple(sorted(ones_f1[ones].items())),
-                tuple(sorted(ones_f2[ones].items())),
-                tuple(sorted(ones_level[ones].items())),
-            ),
-        )
-        for ones in range(n + 1)
-    )
-
     return LandscapeReport(
         instance=inst,
         planes=(f1, f2),
@@ -451,7 +456,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         vector_counts=vector_counts,
         member_bits=member_bits,
         local_optima_bits=local_optima_bits,
-        ones_tables=ones_tables,
+        image_polys=polys,
     )
 
 

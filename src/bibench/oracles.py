@@ -23,7 +23,7 @@ from .problems import (
     JUMP_OBJECTIVES,
     ProblemInstance,
     family_catalog,
-    image_counts,
+    image_polys,
 )
 
 DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
@@ -143,12 +143,11 @@ def reference_front(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
 
     For the ten families whose closed forms are verified, the printed front
     is exact. The ojzr closed form is unreliable, so its front is the first
-    non-dominated level of the image that image_counts counts. Neither
+    non-dominated level of the image that image_polys counts. Neither
     enumerates the cube, so targets work beyond the cap.
     """
     if not inst.info.exact:
-        image = (vector[:2] for vector in image_counts(inst))
-        return tuple(sorted(nondominated_sort(image).levels[0]))
+        return tuple(sorted(nondominated_sort(image_polys(inst)).levels[0]))
     return claimed_front_tuples(inst)
 
 

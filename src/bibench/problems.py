@@ -77,12 +77,13 @@ class ProblemInstance:
 # m and bit value, one table indexed by state, filled over the states that
 # can occur before bit m and padded to 256 bytes where bytes.translate reads
 # it. The same tables build the objectives' byte planes by doubling
-# (objective_planes), count the image of an instance by a DP over the index
-# bits (image_counts), and, run over packed bits instead of bytes, give the
-# set of indices that reaches each state (_index_sets), over blocks of at
-# most 2^_SET_BITS indices (_cells). Unions of those sets are the enumerated
-# Pareto set and, selected by a value table (_select), the bit planes of the
-# local-optimum scan and every closed-form set of strings (_where).
+# (objective_planes), count the image of an instance by ones count in one DP
+# over the index bits on pairs of both objectives' states (image_polys), and,
+# run over packed bits instead of bytes, give the set of indices that reaches
+# each state (_index_sets), over blocks of at most 2^_SET_BITS indices
+# (_cells). Unions of those sets are the enumerated Pareto set and, selected
+# by a value table (_select), the bit planes of the local-optimum scan and
+# every closed-form set of strings (_where).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
@@ -588,24 +589,27 @@ def _where(automaton: Callable[..., Automaton], n: int, l: int | None, values) -
     return _select(_cells(*_step_tables(automaton, n, l)), wanted, n)
 
 
-def image_counts(inst: ProblemInstance) -> dict[tuple[int, int, int], int]:
-    """How many strings have each (f1, f2, ones): a DP over the index bits,
-    from bit 0 upward, on the triples of automaton states of both
-    objectives' statistics and of the ones count, each with the number of
-    index prefixes that reach it."""
+def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:
+    """How many strings have each image vector (f1, f2), by ones count, in
+    ascending (f1, f2) order: each vector's value is a packed int whose
+    digit j, n + 1 bits wide, counts the strings with j ones. A DP over the
+    index bits, from bit 0 upward, on the pairs of both objectives' automaton
+    states, each with the same packed count of the index prefixes that reach
+    it: reading a 0 keeps a prefix's ones count, reading a 1 moves it up a
+    digit."""
+    width = inst.n + 1
     (tables1, final1), (tables2, final2) = _objective_tables(inst)
-    ones_tables, ones = _step_tables(_ONES, inst.n, None)
-    counts = {(0, 0, 0): 1}
-    for (a0, a1), (b0, b1), (c0, c1) in zip(tables1, tables2, ones_tables):
+    polys = {(0, 0): 1}
+    for (a0, a1), (b0, b1) in zip(tables1, tables2):
         after = defaultdict(int)
-        for (a, b, c), count in counts.items():
-            after[a0[a], b0[b], c0[c]] += count
-            after[a1[a], b1[b], c1[c]] += count
-        counts = after
+        for (a, b), poly in polys.items():
+            after[a0[a], b0[b]] += poly
+            after[a1[a], b1[b]] += poly << width
+        polys = after
     image = defaultdict(int)
-    for (a, b, c), count in counts.items():
-        image[final1[a], final2[b], ones[c]] += count
-    return dict(image)
+    for (a, b), poly in polys.items():
+        image[final1[a], final2[b]] += poly
+    return dict(sorted(image.items()))
 
 
 def evaluate(inst: ProblemInstance, x: BitString) -> ObjectiveVector:

@@ -663,6 +663,28 @@ class TestLazyComponentCount:
         assert report.component_count == 3
 
 
+class TestLazyOnesTables:
+    @pytest.mark.parametrize("descriptor", TestLazyComponentCount.INSTANCES)
+    def test_verify_builds_no_ones_tables(self, descriptor):
+        inst = parse_descriptor(descriptor)
+        _report.cache_clear()
+        render_verification(verify(inst))
+        report = enumerate_landscape(inst)
+        assert "ones_tables" not in vars(report)
+        assert [
+            (t.f1_counts, t.f2_counts, t.level_counts) for _, t in report.ones_tables
+        ] == naive.ones_tables(naive.vectors(inst))
+        _report.cache_clear()
+
+    def test_tables_leave_repr_and_equality(self):
+        report = report_for("ojzj:n=8,k=2")
+        assert report.ones_tables[0][1].f1_counts == ((2, 1),)
+        assert "ones_tables" in vars(report)
+        assert "ones_tables" not in repr(report)
+        assert "image_polys" not in repr(report)
+        assert dataclasses.replace(report, image_polys={}) == report
+
+
 def peak_bytes_per_string(call, n):
     tracemalloc.start()
     try:
@@ -927,9 +949,20 @@ class TestReportProperties:
                 assert sum(c for _, c in counts) == math.comb(n, ones)
 
 
+def unpacked(polys, n):
+    """The (f1, f2, ones) histogram held in the digits of image_polys."""
+    mask = (1 << n + 1) - 1
+    return {
+        (a, b, j): count
+        for (a, b), poly in polys.items()
+        for j in range(n + 1)
+        if (count := poly >> j * (n + 1) & mask)
+    }
+
+
 class TestImageCounts:
     def test_counted_image_matches_the_planes(self):
-        """The DP histogram against a count over the planes themselves, the
+        """The DP's digits against a count over the planes themselves, the
         ones plane from its index form."""
         ones_planes = {}
         for inst in grid_instances(None, range(1, 17)):
@@ -938,7 +971,27 @@ class TestImageCounts:
                 ones_count = problems.STATISTICS["ones"](inst.n, None)
                 ones_planes[inst.n] = bytes(map(ones_count, range(1 << inst.n)))
             ones = ones_planes[inst.n]
-            assert problems.image_counts(inst) == Counter(zip(f1, f2, ones)), inst.descriptor
+            polys = problems.image_polys(inst)
+            assert unpacked(polys, inst.n) == Counter(zip(f1, f2, ones)), inst.descriptor
+
+    def test_digits_and_remainders_beyond_the_planes(self):
+        """For n = 17..24, without the planes: the digits summed over the
+        vectors are the binomials, each vector's remainder modulo
+        2^(n+1) - 1 is its digit sum, and the counts fill the cube."""
+        instances = grid_instances(None, range(17, 25))
+        assert len(instances) == 562
+        for inst in instances:
+            n = inst.n
+            polys = problems.image_polys(inst)
+            per_vector = Counter()
+            per_ones = Counter()
+            for (a, b, j), count in unpacked(polys, n).items():
+                per_vector[a, b] += count
+                per_ones[j] += count
+            assert per_ones == {j: math.comb(n, j) for j in range(n + 1)}, inst.descriptor
+            modulus = (1 << n + 1) - 1
+            assert {v: p % modulus for v, p in polys.items()} == per_vector, inst.descriptor
+            assert sum(per_vector.values()) == 1 << n, inst.descriptor
 
     def test_vector_counts_ascend(self):
         for descriptor in ["lotz:n=8", "ojzj:n=10,k=3", "ojzr:n=12,k=5,l=3"]:
