@@ -1,5 +1,8 @@
 """Exhaustive landscape analysis: Pareto structure, local optima, and the
-seven characteristic flags, all computed exactly by enumeration.
+seven characteristic flags, all computed exactly. Symmetry and separability
+are decided on the objectives' automata (problems._objective_tables), with
+no enumeration, so they answer at every n up to 63; the rest enumerates
+the cube.
 
 Enumeration works on byte planes: 2^n bytes whose byte i is a value of the
 string with index i. Every stage is a whole-plane operation
@@ -40,7 +43,9 @@ from .problems import (
     ProblemInstance,
     _join,
     _objective_cells,
+    _objective_tables,
     _select,
+    _translate,
     _union,
     image_polys,
     objective_planes,
@@ -51,7 +56,7 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 124 MB, 7.7 bytes per string (see README); the
+# the families at n = 24 is 118 MB, 7.4 bytes per string (see README); the
 # budget stays at 24, since 16 or less would raise MAX_CAP, the largest n
 # whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
@@ -468,38 +473,22 @@ def is_completely_conflicting(inst: ProblemInstance) -> bool:
     return len(enumerate_landscape(inst).levels) == 1
 
 
-def _bit_reversed(k: int) -> list[int]:
-    """0 to 2^k - 1, each with its k bits reversed, in order."""
-    order = [0]
-    for _ in range(k):
-        order = [x << 1 for x in order] + [x << 1 | 1 for x in order]
-    return order
-
-
-def _mirror(plane: bytes, n: int) -> bytes:
-    """The plane with byte i moved to byte rev(i), where rev reverses the n
-    bits of an index. Reversing is a transpose of the matrix whose rows are
-    the high n - n//2 index bits and whose columns are the low n//2: the
-    rows are joined in bit-reversed order, then the columns are read out,
-    one strided slice each, in bit-reversed order (Carter and Gatlin, 1998)."""
-    width = 1 << n // 2
-    view = memoryview(plane)
-    rows = b"".join([view[r * width : (r + 1) * width] for r in _bit_reversed(n - n // 2)])
-    return b"".join([rows[c::width] for c in _bit_reversed(n // 2)])
-
-
 def is_symmetric_pair(inst: ProblemInstance) -> bool:
     """True when complementing plus mirroring every string swaps the two
     objectives everywhere."""
-    # Complementing and mirroring is an involution, so f1 after it equal to
-    # f2 everywhere also gives f2 after it equal to f1. Complementing an
-    # index reverses the plane.
-    f1, f2 = enumerate_landscape(inst).planes
-    return _mirror(f1[::-1], inst.n) == f2
-
-
-# _SHIFTS[d : d + 256] maps each byte v to (v + d) mod 256, for d in 0..255.
-_SHIFTS = bytes(range(256)) * 2
+    # Complementing and mirroring is an involution, so f1 equal to f2 after
+    # it everywhere also gives f2 equal to f1 after it. Index bit n - 1 - j
+    # of the mirror is bit j of x complemented, so f2 reads x's bits
+    # downward. One DP reads them upward on pairs of f1's state and g, the
+    # table from f2's state before it reads bit j's mirror to f2's final
+    # value: reading bit c of x puts f2's step on 1 - c in front of g. Each
+    # g is an element of the transition monoid of f2's reversed automaton,
+    # so the pairs stay few.
+    (tables1, final1), (tables2, final2) = _objective_tables(inst)
+    pairs = {(0, final2)}
+    for (t0, t1), (u0, u1) in zip(tables1, reversed(tables2)):
+        pairs = {(t[s], _translate(u, g)) for s, g in pairs for t, u in ((t0, u1), (t1, u0))}
+    return all(final1[s] == g[0] for s, g in pairs)
 
 
 def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityReport:
@@ -512,13 +501,60 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
     """
     if type(objective) is not int or objective not in (1, 2):
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
-    n = inst.n
-    plane = enumerate_landscape(inst).planes[objective - 1]
-    deltas = _additive_deltas(plane, n)
-    if deltas is None:
-        return _separability_witness(plane, n, objective)
-    contributions = [(0, d) for d in deltas]
-    contributions[0] = (plane[0], plane[0] + deltas[0])
+    tables, final = _objective_tables(inst)[objective - 1]
+    return _separability(tables, final, objective)
+
+
+def _separability(tables, final, objective: int) -> SeparabilityReport:
+    """The report of is_fully_separable for the objective whose automaton
+    has the given step tables and final values. On failure it names the
+    first position, index bit b from n - 1 down, whose flip delta differs
+    between context 0 and some context (an index with bit b clear), and the
+    smallest such context.
+
+    Per bit b, a DP over the index bits from bit 0 upward on the pairs of
+    the automaton's states on a context and on the context with bit b set,
+    which also follows context 0's own pair. The final pairs with another
+    delta than context 0's are bad. A walk from the top bit down then keeps,
+    bit by bit, the lower bit value from which some reached pair still
+    leads into a bad pair, and which one."""
+    n = len(tables)
+    contributions = []
+    for b in reversed(range(n)):
+        # Per index bit, the pair's moves on each bit value of the context;
+        # at bit b the context reads 0 and its flip 1.
+        moves = [
+            ((t0, t1),) if m == b else ((t0, t0), (t1, t1)) for m, (t0, t1) in enumerate(tables)
+        ]
+        zero = (0, 0)
+        reached = [{zero}]
+        for pair_moves in moves:
+            reached.append({(u[s], v[r]) for s, r in reached[-1] for u, v in pair_moves})
+            u, v = pair_moves[0]
+            zero = u[zero[0]], v[zero[1]]
+        base, top = final[zero[0]], final[zero[1]]
+        # Each pair that leads into a bad final pair maps to that pair.
+        bad = {(s, r): (s, r) for s, r in reached.pop() if final[r] - final[s] != top - base}
+        if bad:
+            i = 0
+            for m in reversed(range(n)):
+                for c, (u, v) in enumerate(moves[m]):
+                    before = {(s, r): end for s, r in reached[m] if (end := bad.get((u[s], v[r])))}
+                    if before:
+                        i |= c << m
+                        bad = before
+                        break
+            s, r = bad[0, 0]
+            return SeparabilityReport(
+                objective=objective,
+                separable=False,
+                contributions=None,
+                witness_position=n - b,
+                witness=(BitString(n, 0), BitString(n, i)),
+                witness_deltas=(top - base, final[r] - final[s]),
+            )
+        contributions.append((0, top - base))
+    contributions[0] = (base, base + contributions[0][1])
     return SeparabilityReport(
         objective=objective,
         separable=True,
@@ -527,53 +563,6 @@ def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityRep
         witness=None,
         witness_deltas=None,
     )
-
-
-def _additive_deltas(plane: bytes, n: int) -> list[int] | None:
-    """The context-0 flip deltas of positions 1 to n if the plane is separable, else None."""
-    base = plane[0]
-    deltas = [plane[1 << (n - position)] - base for position in range(1, n + 1)]
-    # The objective is separable exactly when it equals its additive
-    # prediction, built by doubling the way the statistic planes are: the
-    # upper half adds index bit b's delta to the lower half. Mod 256 is
-    # exact: a flip delta and a context-0 delta both lie in -127..127, so
-    # they are equal when congruent.
-    predicted = bytes([base])
-    for delta in reversed(deltas):
-        d = delta % 256
-        predicted += predicted.translate(_SHIFTS[d : d + 256])
-    return deltas if predicted == plane else None
-
-
-def _separability_witness(plane: bytes, n: int, objective: int) -> SeparabilityReport:
-    """The report of an objective that is not separable: the first position
-    whose flip delta differs between context 0 and some other context, and
-    the first such context."""
-    size = 1 << n
-    p = int.from_bytes(plane, "little")
-    for position in range(1, n + 1):
-        b = n - position
-        step = 1 << b
-        # Context 0 comes first; lane i of `offset` is the value at context
-        # i plus the flip delta at context 0, xor the value at context i
-        # with bit b set, so on the contexts (bit b clear) it is zero where
-        # the two deltas agree. Mod 256 is exact, as for the prediction.
-        first = plane[step] - plane[0]
-        contexts = int.from_bytes((b"\xff" * step + bytes(step)) * (size >> (b + 1)), "little")
-        d = first % 256
-        offset = int.from_bytes(plane.translate(_SHIFTS[d : d + 256]), "little")
-        offset = (offset ^ p >> 8 * step) & contexts
-        if offset:
-            i = ((offset & -offset).bit_length() - 1) >> 3
-            return SeparabilityReport(
-                objective=objective,
-                separable=False,
-                contributions=None,
-                witness_position=position,
-                witness=(BitString(n, 0), BitString(n, i)),
-                witness_deltas=(first, plane[i + step] - plane[i]),
-            )
-    raise AssertionError("a plane that differs from its additive prediction has a witness")
 
 
 def _turns(points: list[ObjectiveVector]) -> list[int]:
@@ -611,7 +600,7 @@ def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
     """All seven characteristic flags for one instance, computed exactly."""
     report = enumerate_landscape(inst)
     shape = front_shape(inst)
-    separable = all(_additive_deltas(plane, inst.n) is not None for plane in report.planes)
+    separable = all(is_fully_separable(inst, objective).separable for objective in (1, 2))
     return CharacteristicProfile(
         instance=inst,
         non_symmetric=not is_symmetric_pair(inst),

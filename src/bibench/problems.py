@@ -83,7 +83,10 @@ class ProblemInstance:
 # each state (_index_sets), over blocks of at most 2^_SET_BITS indices
 # (_cells). Unions of those sets are the enumerated Pareto set and, selected
 # by a value table (_select), the bit planes of the local-optimum scan and
-# every closed-form set of strings (_where).
+# every closed-form set of strings (_where). Read as they are, with no cube,
+# the tables also decide symmetry, by a DP that reads f2's tables in reverse,
+# and separability, by DPs on pairs of one objective's states
+# (landscape.is_symmetric_pair, landscape.is_fully_separable).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.

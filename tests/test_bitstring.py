@@ -1,23 +1,15 @@
-"""Bit strings: the value type, its conventions, and the bit operation the
-library keeps (the plane mirror, which reverses strings)."""
+"""Bit strings: the value type and its conventions."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+import naive
 from bibench.bitstring import BitString
 from bibench.errors import ValidationError
-from bibench.landscape import _mirror
 
 
 def bits(text):
     return BitString.from_text(text)
-
-
-def mirrored(n, index):
-    """Where the plane mirror moves the byte of one index."""
-    plane = bytearray(1 << n)
-    plane[index] = 1
-    return _mirror(bytes(plane), n).index(1)
 
 
 short = st.integers(min_value=1, max_value=12).flatmap(
@@ -66,20 +58,14 @@ class TestAccessors:
         x = bits("100110")
         assert [(x.index >> (6 - p)) & 1 for p in range(1, 7)] == [1, 0, 0, 1, 1, 0]
 
-    def test_reverse(self):
-        assert mirrored(4, 0b1100) == 0b0011
+    @given(short)
+    def test_model_reversal_reverses_the_text(self, x):
+        # The symmetry checks mirror planes by the model's reversal.
+        reversed_index = naive.reversed_indices(x.n)[x.index]
+        assert str(BitString(x.n, reversed_index)) == str(x)[::-1]
 
 
 class TestInvolutions:
-    @given(short)
-    def test_reverse_involution(self, x):
-        assert mirrored(x.n, mirrored(x.n, x.index)) == x.index
-
-    @given(short)
-    def test_complement_and_reverse_commute(self, x):
-        top = (1 << x.n) - 1
-        assert mirrored(x.n, x.index ^ top) == mirrored(x.n, x.index) ^ top
-
     @given(short)
     def test_text_round_trip(self, x):
         assert BitString.from_text(str(x)) == x
