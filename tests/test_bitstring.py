@@ -12,6 +12,14 @@ def bits(text):
     return BitString.from_text(text)
 
 
+def mirrored(n, index):
+    """Where the model's plane mirror, which the symmetry checks compare
+    against, moves the byte of one index."""
+    plane = bytearray(1 << n)
+    plane[index] = 1
+    return naive.mirror(bytes(plane), n).index(1)
+
+
 short = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.integers(min_value=0, max_value=(1 << n) - 1).map(
         lambda i: BitString(n, i)
@@ -64,8 +72,20 @@ class TestAccessors:
         reversed_index = naive.reversed_indices(x.n)[x.index]
         assert str(BitString(x.n, reversed_index)) == str(x)[::-1]
 
+    def test_reverse(self):
+        assert mirrored(4, 0b1100) == 0b0011
+
 
 class TestInvolutions:
+    @given(short)
+    def test_reverse_involution(self, x):
+        assert mirrored(x.n, mirrored(x.n, x.index)) == x.index
+
+    @given(short)
+    def test_complement_and_reverse_commute(self, x):
+        top = (1 << x.n) - 1
+        assert mirrored(x.n, x.index ^ top) == mirrored(x.n, x.index) ^ top
+
     @given(short)
     def test_text_round_trip(self, x):
         assert BitString.from_text(str(x)) == x

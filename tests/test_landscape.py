@@ -548,6 +548,31 @@ class TestFlatHelpers:
         bits = sum(1 << i for i in members)
         assert _bit_component_count(bits, n) == naive.components(members, n)
 
+    @pytest.mark.parametrize("n", range(1, 64))
+    def test_bit_reverser_matches_string_reversal(self, n, monkeypatch):
+        # The symmetry check reads f2's steps from the last index bit back,
+        # so it must agree with complementing and reversing the text of each
+        # string: exhaustively up to n = 12, and on sampled strings beyond.
+        # Beyond MAX_CAP no plane is built, yet the check still answers.
+        if n > MAX_CAP:
+            monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+            with pytest.raises(EnumerationCapError):
+                enumerate_landscape(ProblemInstance("omm", n))
+        rng = random.Random(n)
+        top = (1 << n) - 1
+        if n <= 12:
+            picked = range(top + 1)
+        else:
+            picked = {0, top, *(rng.randrange(top + 1) for _ in range(200))}
+        for name in ("lotz", "omtz"):
+            inst = ProblemInstance(name, n)
+            swapped = all(
+                evaluate(inst, BitString(n, i))
+                == evaluate(inst, BitString.from_text(f"{i ^ top:0{n}b}"[::-1]))[::-1]
+                for i in picked
+            )
+            assert is_symmetric_pair(inst) == swapped, (name, n)
+
 
 def reference_render(report):
     """The former render_report: one str.format per local optimum, and the
