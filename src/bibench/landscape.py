@@ -4,21 +4,22 @@ are decided on the objectives' automata (problems._objective_tables), with
 no enumeration, so they answer at every n up to 63; the rest enumerates
 the cube.
 
-Enumeration works on byte planes: 2^n bytes whose byte i is a value of the
-string with index i. Every stage is a whole-plane operation
-(bytes.translate, slicing, compress, big-int arithmetic on byte lanes or on
-bit planes, whose bit i belongs to string i), so no Python loop runs per
-string but one: the few non-members of a Pareto set that fills almost all of
-the cube are checked for local optimality one by one. A set of strings, such
-as the Pareto set or the local optima, is held as packed bits: an int whose
-bit i is set when string i is in the set. The image, its multiplicities and
-the ones tables are not read from the planes at all: they come from the
-packed ones counts per image vector that problems.image_polys counts by one
-DP over the index bits, the ones tables on first read. Nor are the Pareto
-set and the bit planes of the local-optimum scan: they are unions of the
-packed index sets that reach each state of the objectives' automata
-(problems._objective_cells), per front vector for the Pareto set and per
-value bit for a bit plane (problems._select).
+Enumeration holds a set of strings, such as the Pareto set or the local
+optima, as packed bits: an int whose bit i is set when string i is in the
+set. Every stage is a whole-cube operation (bytes.translate, slicing,
+compress, big-int arithmetic on packed bits or on bit planes, whose bit i
+belongs to string i), so no Python loop runs per string but one: the few
+non-members of a Pareto set that fills almost all of the cube are checked
+for local optimality one by one. That check is the one stage of enumeration
+that reads byte planes (problems.objective_planes: 2^n bytes whose byte i is
+an objective's value at the string with index i); the report keeps none.
+The image, its multiplicities and the ones tables come from the packed ones
+counts per image vector that problems.image_polys counts by one DP over the
+index bits, the ones tables on first read. The Pareto set and the bit
+planes of the local-optimum scan are unions of the packed index sets that
+reach each state of the objectives' automata (problems._objective_cells),
+per front vector for the Pareto set and per value bit for a bit plane
+(problems._select).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -56,7 +57,8 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 118 MB, 7.4 bytes per string (see README); the
+# the families at n = 24 is 85 MB, 5.3 bytes per string, on a dense Pareto
+# set, whose local-optimum check reads the byte planes (see README); the
 # budget stays at 24, since 16 or less would raise MAX_CAP, the largest n
 # whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
@@ -162,11 +164,11 @@ class LandscapeReport:
     access: the report text reads the local optima's indices, the
     objective-space figure their image, the report text, the summary line
     and the profile the component count, the report text and the ones
-    figures the ones tables, and verify only sizes, the bit counts."""
+    figures the ones tables, and verify only sizes, the bit counts. No byte
+    plane is kept: the local optima's image builds the planes
+    (objective_planes) and drops them."""
 
     instance: ProblemInstance
-    # planes[j][i] is objective j+1 at the string with index i.
-    planes: tuple[bytes, bytes] = field(repr=False, compare=False)
     front_counts: tuple[tuple[ObjectiveVector, int], ...]
     levels: tuple[tuple[ObjectiveVector, ...], ...]
     # Image vector to its number of strings, in ascending (f1, f2) order.
@@ -235,7 +237,7 @@ class LandscapeReport:
     @cached_property
     def local_front_counts(self) -> tuple[tuple[ObjectiveVector, int], ...]:
         """The local optima's image vectors, ascending, with their counts."""
-        f1, f2 = self.planes
+        f1, f2 = objective_planes(self.instance)
         local = self.local_optima_indices
         counts = Counter(zip(map(f1.__getitem__, local), map(f2.__getitem__, local)))
         return tuple(sorted(counts.items()))
@@ -429,7 +431,6 @@ def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
 def _report(inst: ProblemInstance) -> LandscapeReport:
     n = inst.n
     size = 1 << n
-    f1, f2 = objective_planes(inst)
 
     # The image with its multiplicities comes from the packed ones counts of
     # image_polys, in ascending (f1, f2) order. A vector's count is the sum
@@ -447,7 +448,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     # The local-optimum scan and the per-string check break even near 6% of
     # the cube outside the Pareto set (n = 18); the check takes 1/32 or less.
     if size - member_bits.bit_count() <= size >> 5:
-        local_optima_bits = _local_optima_by_string(f1, f2, member_bits, n)
+        local_optima_bits = _local_optima_by_string(*objective_planes(inst), member_bits, n)
     else:
         local_optima_bits = _local_optima(cells, member_bits, n)
 
@@ -455,7 +456,6 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
 
     return LandscapeReport(
         instance=inst,
-        planes=(f1, f2),
         front_counts=front_counts,
         levels=assignment.levels,
         vector_counts=vector_counts,

@@ -24,6 +24,7 @@ from .problems import (
     ProblemInstance,
     family_catalog,
     image_polys,
+    index_evaluator,
 )
 
 DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
@@ -213,17 +214,17 @@ def verify(inst: ProblemInstance) -> VerificationReport:
     n = inst.n
     must = inst.info.exact
     pareto = inst.info.pareto_set(n, inst.k, inst.l)
-    f1, f2 = report.planes
+    ev = index_evaluator(inst)
 
     def show(i: int) -> str:
-        return f"{BitString(n, i)} -> ({f1[i]}, {f2[i]})"
+        return f"{BitString(n, i)} -> {ev(i)}"
 
     pareto_claim = _bits_claim("pareto_set", must, pareto, report.member_bits, show)
     # The image of the enumerated Pareto set is the front.
     if pareto_claim.matched:
         image = {v for v, _ in report.front_counts}
     else:
-        image = {(f1[i], f2[i]) for i in _set_indices(pareto, n)}
+        image = set(map(ev, _set_indices(pareto, n)))
     front = set(claimed_front_tuples(inst))
     claims = [
         pareto_claim,

@@ -181,13 +181,17 @@ _ONES = AUTOMATA["ones"]
 _ZERO_BLOCKS = AUTOMATA["all-zeroes blocks"]
 
 
-def _automaton_tables(automaton: Automaton, n: int):
-    """The automaton as tables indexed by state: for each bit read, m = 0 to
-    n - 1, the pair of tables of its step on bit 0 and on bit 1, filled over
-    the states that can occur before that bit and zero elsewhere. Also
-    returns the value table, over the states that can occur after the last
-    bit."""
-    step, value = automaton
+# Instances of one size share their automata's tables, so a grid of
+# instances builds few of them; an automaton that does not read l is asked
+# for with l None. The verification grid asks for 88.
+@lru_cache(maxsize=128)
+def _step_tables(automaton: Callable[..., Automaton], n: int, l: int | None):
+    """The automaton automaton(n, l) as tables indexed by state: for each
+    bit read, m = 0 to n - 1, the pair of tables of its step on bit 0 and
+    on bit 1, filled over the states that can occur before that bit and
+    zero elsewhere. Also returns the value table, over the states that can
+    occur after the last bit."""
+    step, value = automaton(n, l)
     states = {0}
     tables = []
     for m in range(n):
@@ -201,15 +205,6 @@ def _automaton_tables(automaton: Automaton, n: int):
     for s in states:
         values[s] = value(s)
     return tuple(tables), bytes(values)
-
-
-# Instances of one size share their automata's tables, so a grid of
-# instances builds few of them; an automaton that does not read l is asked
-# for with l None. The verification grid asks for 88.
-@lru_cache(maxsize=128)
-def _step_tables(automaton: Callable[..., Automaton], n: int, l: int | None):
-    """The step and value tables of the automaton automaton(n, l)."""
-    return _automaton_tables(automaton(n, l), n)
 
 
 def _translate(plane: bytes, table: bytes) -> bytes:

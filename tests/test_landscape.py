@@ -54,6 +54,7 @@ from bibench.landscape import (
 )
 from bibench.oracles import grid_instances, render_verification, verify
 from bibench.problems import ProblemInstance, evaluate, index_evaluator, parse_descriptor
+from test_acceptance import PROFILE_TABLE
 
 
 def report_for(descriptor):
@@ -149,25 +150,7 @@ class TestOnesTables:
 
 
 class TestCharacteristicFlags:
-    # flag order: non_symmetric, non_completely_conflicting, disjoint_optima,
-    # not_fully_separable, low_ratio_witness, nonlinear_front, has_local_optima
-    TABLE = [
-        ("omm:n=8", (False, False, False, False, False, False, False)),
-        ("lotz:n=8", (False, True, False, True, True, False, False)),
-        ("ojzj:n=8,k=2", (False, True, True, True, False, False, False)),
-        ("cocz:n=8", (True, True, False, False, True, False, False)),
-        ("orzr:n=8,l=4", (False, True, True, True, True, False, True)),
-        ("orzr:n=8,l=2", (False, True, True, True, True, False, False)),
-        ("omtz:n=8", (True, True, False, True, True, False, False)),
-        ("omzj:n=8,k=3", (True, True, True, True, False, False, False)),
-        ("omzr:n=8,l=2", (True, True, True, True, True, False, False)),
-        ("lozj:n=8,k=3", (True, True, True, True, True, False, True)),
-        ("lozr:n=8,l=2", (True, True, True, True, True, False, True)),
-        ("ojzr:n=12,k=5,l=3", (True, True, True, True, True, True, True)),
-        ("ojzr:n=12,k=6,l=3", (True, True, True, True, True, False, True)),
-    ]
-
-    @pytest.mark.parametrize("row", TABLE, ids=lambda r: r[0])
+    @pytest.mark.parametrize("row", PROFILE_TABLE, ids=lambda r: r[0])
     def test_flags(self, row):
         descriptor, expected = row
         profile = characteristic_profile(parse_descriptor(descriptor))
@@ -302,7 +285,7 @@ class TestSeparability:
         instances = grid_instances(None, range(1, 17))
         assert len(instances) == 434
         for inst in instances:
-            planes = enumerate_landscape(inst).planes
+            planes = problems.objective_planes(inst)
             for objective in (1, 2):
                 expected = naive_report(planes[objective - 1], inst.n, objective)
                 assert is_fully_separable(inst, objective) == expected, (inst.descriptor, objective)
@@ -481,9 +464,37 @@ class TestReportMemo:
         assert _report.cache_info().misses == misses
 
     def test_repr_omits_the_value_table(self):
+        # The report keeps no byte plane; objective_planes builds them.
         rep = report_for("omm:n=4")
-        assert [len(plane) for plane in rep.planes] == [16, 16]
+        assert not hasattr(rep, "planes")
         assert "planes=" not in repr(rep)
+        assert [len(plane) for plane in problems.objective_planes(rep.instance)] == [16, 16]
+
+    @pytest.mark.parametrize("descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "ojzr:n=18,k=7,l=3"])
+    def test_the_memo_holds_no_plane(self, descriptor):
+        # The dense path (ojzj) builds the byte planes, and verify shows an
+        # ojzr mismatch's strings with their values; neither leaves a plane
+        # in the memo. What clearing it frees is the packed bits, the index
+        # arrays read so far and the tables: 0.15 to 0.8 bytes per string,
+        # where the two planes alone would be 2.
+        inst = parse_descriptor(descriptor)
+        _report.cache_clear()
+
+        def read_everything():
+            report = enumerate_landscape(inst)
+            characteristic_profile(inst)
+            render_report(report)
+            verify(inst)
+
+        tracemalloc.start()
+        try:
+            read_everything()
+            held = tracemalloc.get_traced_memory()[0]
+            _report.cache_clear()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed <= 1 << inst.n
 
 
 class TestRendering:
@@ -610,7 +621,7 @@ GRID = grid_instances(None, range(1, 17))
 class TestMirror:
     def test_grid_planes_and_symmetry_match_the_delta_swaps(self):
         for inst in GRID:
-            f1, f2 = enumerate_landscape(inst).planes
+            f1, f2 = problems.objective_planes(inst)
             symmetric = naive.mirror(f1[::-1], inst.n) == f2
             assert is_symmetric_pair(inst) == symmetric, inst.descriptor
 
@@ -647,7 +658,7 @@ class TestLazyParetoIndices:
         render_report(report)
         summary_line(report)
         assert "pareto_set_indices" not in vars(report)
-        f1, f2 = report.planes
+        f1, f2 = problems.objective_planes(inst)
         front = {v for v, _ in report.front_counts}
         mask = bytes((a, b) in front for a, b in zip(f1, f2))
         indices = report.pareto_set_indices
@@ -675,7 +686,7 @@ class TestLazyLocalOptima:
         summary_line(report)
         assert "local_optima_indices" not in vars(report)
         assert "local_front_counts" not in vars(report)
-        vecs = list(zip(*report.planes))
+        vecs = list(zip(*problems.objective_planes(inst)))
         local = sorted(naive.local_optima(vecs, naive.pareto_set(vecs)))
         assert report.local_optima_indices == array("I", local)
         assert report.local_front_counts == tuple(sorted(Counter(vecs[i] for i in local).items()))
@@ -790,12 +801,14 @@ class TestMemory:
     )
     def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
         # Enumeration's own peak, from no cached report or index sets; the
-        # budget covers it together with the profile's.
+        # budget covers it together with the profile's. 3.3 to 4.3 bytes per
+        # string at n = 18, the top on the dense path (omm, ojzj, omzj),
+        # whose per-string check reads the byte planes.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._index_sets.cache_clear()
         peak = peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n)
-        assert peak <= BYTES_PER_STRING // 3
+        assert peak <= 5 < BYTES_PER_STRING // 3
 
     @pytest.mark.parametrize(
         "descriptor",
@@ -854,7 +867,7 @@ class TestBitSlicedKernels:
         assert len(self.KERNEL_INSTANCES) == 248 + 2
         for inst in self.KERNEL_INSTANCES:
             report = enumerate_landscape(inst)
-            f1, f2 = report.planes
+            f1, f2 = problems.objective_planes(inst)
             vecs = list(zip(f1, f2))
             members = naive.pareto_set(vecs)
             packed = sum(1 << i for i in members)
@@ -875,7 +888,7 @@ class TestBitSlicedKernels:
             low = min(n, set_bits)
             with mock.patch.object(problems, "_SET_BITS", set_bits):
                 cells = problems._objective_cells(inst)
-            for (sets, ends), plane in zip(cells, report.planes):
+            for (sets, ends), plane in zip(cells, problems.objective_planes(inst)):
                 # The sets partition the first 2^low indices; the blocks
                 # cover the cube.
                 assert _union(sets) == (1 << (1 << low)) - 1, inst.descriptor
@@ -952,8 +965,9 @@ class TestBitSlicedKernels:
 
 
 class TestBruteForceCrossCheck:
-    """Planes, levels, Pareto set, local optima, components and ones tables
-    of the report against naive.py, from the strings up."""
+    """The objective planes, and the report's levels, Pareto set, local
+    optima, components and ones tables, against naive.py, from the strings
+    up."""
 
     INSTANCES = [
         "omm:n=8",
@@ -975,7 +989,7 @@ class TestBruteForceCrossCheck:
         vecs = naive.vectors(inst)
         pareto = naive.pareto_set(vecs)
         rep = enumerate_landscape(inst)
-        assert list(zip(*rep.planes)) == vecs
+        assert list(zip(*problems.objective_planes(inst))) == vecs
         assert rep.levels == tuple(tuple(sorted(l, reverse=True)) for l in naive.levels(vecs))
         assert list(rep.pareto_set_indices) == sorted(pareto)
         assert list(rep.local_optima_indices) == sorted(naive.local_optima(vecs, pareto))
@@ -1029,7 +1043,7 @@ class TestImageCounts:
         ones plane from its index form."""
         ones_planes = {}
         for inst in grid_instances(None, range(1, 17)):
-            f1, f2 = enumerate_landscape(inst).planes
+            f1, f2 = problems.objective_planes(inst)
             if inst.n not in ones_planes:
                 ones_count = problems.STATISTICS["ones"](inst.n, None)
                 ones_planes[inst.n] = bytes(map(ones_count, range(1 << inst.n)))

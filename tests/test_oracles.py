@@ -237,7 +237,7 @@ def reference_verify(inst):
     must = inst.info.exact
     pareto = REFERENCE_PARETO_SETS[inst.family](n, k, l)
     local = REFERENCE_LOCAL_OPTIMA.get(inst.family, lambda n, k, l: set())(n, k, l)
-    f1, f2 = report.planes
+    f1, f2 = problems.objective_planes(inst)
 
     def show(i):
         return f"{format(i, f'0{n}b')} -> ({f1[i]}, {f2[i]})"
