@@ -76,8 +76,7 @@ class ProblemInstance:
 # Whole-cube work runs the automata through their step tables: per index bit
 # m and bit value, one table indexed by state, filled over the states that
 # can occur before bit m and padded to 256 bytes where bytes.translate reads
-# it. The same tables build the objectives' byte planes by doubling
-# (objective_planes), count the image of an instance by ones count in one DP
+# it. The same tables count the image of an instance by ones count in one DP
 # over the index bits on pairs of both objectives' states (image_polys), and,
 # run over packed bits instead of bytes, give the set of indices that reaches
 # each state (_index_sets), over blocks of at most 2^_SET_BITS indices
@@ -212,11 +211,10 @@ def _translate(plane: bytes, table: bytes) -> bytes:
     return plane.translate(table.ljust(256, b"\0"))
 
 
-def _state_plane(tables, p: bytes = b"\0") -> bytes:
-    """Byte i is the automaton's state after reading every bit of index i,
-    from bit 0 upward: each bit read becomes the new high bit of the index.
-    From a start plane p of states, byte r * len(p) + j is the state reached
-    from p[j] by reading the bits of r."""
+def _state_plane(tables, p: bytes) -> bytes:
+    """From a start plane p of states, byte r * len(p) + j is the
+    automaton's state reached from p[j] by reading the bits of r, from bit 0
+    upward: each bit read becomes the new high bit of r."""
     for t0, t1 in tables:
         p = _translate(p, t0) + _translate(p, t1)
     return p
@@ -499,22 +497,13 @@ def _objective_tables(inst: ProblemInstance):
     return out
 
 
-def objective_planes(inst: ProblemInstance) -> tuple[bytes, bytes]:
-    """Both objectives as byte planes: byte i of each is that objective's
-    value at index i, the values index_evaluator gives."""
-    (tables1, final1), (tables2, final2) = _objective_tables(inst)
-    # Objectives of one statistic (omm, ojzj) share its state plane.
-    states = _state_plane(tables1)
-    other = states if tables2 == tables1 else _state_plane(tables2)
-    return _translate(states, final1), _translate(other, final2)
-
-
 # The index sets span at most the first 2^16 indices, 8 KiB a set; a larger
 # cube is read as blocks of that many indices. So the sets of every state
-# stay small beside the planes (sets over half the cube at n = 24 raised the
-# peak resident memory of a landscape analysis by up to a fifth), and, like
-# the step tables, they can be kept for the instances of one size: at most
-# 137 KiB an automaton at n = 24, 350 KiB for the whole verification grid.
+# stay small beside a whole-cube set (sets over half the cube at n = 24
+# raised the peak resident memory of a landscape analysis by up to a fifth),
+# and, like the step tables, they can be kept for the instances of one size:
+# at most 137 KiB an automaton at n = 24, 350 KiB for the whole verification
+# grid.
 _SET_BITS = 16
 
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive
+from planes import objective_planes
 from bibench import landscape, problems
 from bibench.bitstring import BitString
 from bibench.errors import EnumerationCapError, ValidationError
@@ -285,7 +286,7 @@ class TestSeparability:
         instances = grid_instances(None, range(1, 17))
         assert len(instances) == 434
         for inst in instances:
-            planes = problems.objective_planes(inst)
+            planes = objective_planes(inst)
             for objective in (1, 2):
                 expected = naive_report(planes[objective - 1], inst.n, objective)
                 assert is_fully_separable(inst, objective) == expected, (inst.descriptor, objective)
@@ -418,7 +419,7 @@ class TestCaps:
         inst = parse_descriptor(descriptor)
         expected = characteristic_profile(inst)
         with contextlib.ExitStack() as stack:
-            for name in ("_report", "enumerate_landscape", "objective_planes"):
+            for name in ("_report", "enumerate_landscape"):
                 stack.enter_context(
                     mock.patch.object(landscape, name, side_effect=AssertionError(name))
                 )
@@ -464,19 +465,17 @@ class TestReportMemo:
         assert _report.cache_info().misses == misses
 
     def test_repr_omits_the_value_table(self):
-        # The report keeps no byte plane; objective_planes builds them.
         rep = report_for("omm:n=4")
         assert not hasattr(rep, "planes")
         assert "planes=" not in repr(rep)
-        assert [len(plane) for plane in problems.objective_planes(rep.instance)] == [16, 16]
 
     @pytest.mark.parametrize("descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "ojzr:n=18,k=7,l=3"])
     def test_the_memo_holds_no_plane(self, descriptor):
-        # The dense path (ojzj) builds the byte planes, and verify shows an
-        # ojzr mismatch's strings with their values; neither leaves a plane
-        # in the memo. What clearing it frees is the packed bits, the index
-        # arrays read so far and the tables: 0.15 to 0.8 bytes per string,
-        # where the two planes alone would be 2.
+        # The dense path (ojzj) evaluates its non-members, and verify shows
+        # an ojzr mismatch's strings with their values; neither leaves a
+        # plane in the memo. What clearing it frees is the packed bits, the
+        # index arrays read so far and the tables: 0.15 to 0.8 bytes per
+        # string, where the two planes alone would be 2.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
 
@@ -621,7 +620,7 @@ GRID = grid_instances(None, range(1, 17))
 class TestMirror:
     def test_grid_planes_and_symmetry_match_the_delta_swaps(self):
         for inst in GRID:
-            f1, f2 = problems.objective_planes(inst)
+            f1, f2 = objective_planes(inst)
             symmetric = naive.mirror(f1[::-1], inst.n) == f2
             assert is_symmetric_pair(inst) == symmetric, inst.descriptor
 
@@ -658,7 +657,7 @@ class TestLazyParetoIndices:
         render_report(report)
         summary_line(report)
         assert "pareto_set_indices" not in vars(report)
-        f1, f2 = problems.objective_planes(inst)
+        f1, f2 = objective_planes(inst)
         front = {v for v, _ in report.front_counts}
         mask = bytes((a, b) in front for a, b in zip(f1, f2))
         indices = report.pareto_set_indices
@@ -686,7 +685,7 @@ class TestLazyLocalOptima:
         summary_line(report)
         assert "local_optima_indices" not in vars(report)
         assert "local_front_counts" not in vars(report)
-        vecs = list(zip(*problems.objective_planes(inst)))
+        vecs = list(zip(*objective_planes(inst)))
         local = sorted(naive.local_optima(vecs, naive.pareto_set(vecs)))
         assert report.local_optima_indices == array("I", local)
         assert report.local_front_counts == tuple(sorted(Counter(vecs[i] for i in local).items()))
@@ -801,14 +800,35 @@ class TestMemory:
     )
     def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
         # Enumeration's own peak, from no cached report or index sets; the
-        # budget covers it together with the profile's. 3.3 to 4.3 bytes per
-        # string at n = 18, the top on the dense path (omm, ojzj, omzj),
-        # whose per-string check reads the byte planes.
+        # budget covers it together with the profile's. 2.0 to 4.1 bytes per
+        # string at n = 18, the top on the scan path (lozj 4.09, lotz 4.02).
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._index_sets.cache_clear()
         peak = peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n)
         assert peak <= 5 < BYTES_PER_STRING // 3
+
+    @pytest.mark.parametrize("descriptor", ["omm:n=18", "ojzj:n=18,k=4", "omzj:n=18,k=4"])
+    def test_dense_path_enumeration_builds_no_byte_plane(self, descriptor):
+        # The per-string check evaluates the few non-members and their
+        # neighbours one by one: 2.0 to 2.3 bytes per string at n = 18, the
+        # non-members' unpacked mask the largest part. The objectives' byte
+        # planes took the peak to 4.0 to 4.3.
+        inst = parse_descriptor(descriptor)
+        _report.cache_clear()
+        problems._index_sets.cache_clear()
+        assert peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n) <= 2.5
+
+    @pytest.mark.parametrize("descriptor", ["ojzj:n=18,k=4", "ojzr:n=18,k=7,l=3"])
+    def test_local_front_counts_build_no_byte_plane(self, descriptor):
+        # The local optima's index array, built on this first read, is the
+        # peak: 1.25 to 1.5 bytes per string at n = 18 with 0 and 31,644
+        # local optima, each evaluated once. Byte planes took 3.3 to 4.0.
+        inst = parse_descriptor(descriptor)
+        _report.cache_clear()
+        report = enumerate_landscape(inst)
+        assert "local_optima_indices" not in vars(report)
+        assert peak_bytes_per_string(lambda: report.local_front_counts, inst.n) <= 2
 
     @pytest.mark.parametrize(
         "descriptor",
@@ -867,14 +887,15 @@ class TestBitSlicedKernels:
         assert len(self.KERNEL_INSTANCES) == 248 + 2
         for inst in self.KERNEL_INSTANCES:
             report = enumerate_landscape(inst)
-            f1, f2 = problems.objective_planes(inst)
+            f1, f2 = objective_planes(inst)
             vecs = list(zip(f1, f2))
             members = naive.pareto_set(vecs)
             packed = sum(1 << i for i in members)
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
             cells = problems._objective_cells(inst)
             assert _local_optima(cells, packed, inst.n) == expected, inst.descriptor
-            assert _local_optima_by_string(f1, f2, packed, inst.n) == expected, inst.descriptor
+            by_string = _local_optima_by_string(index_evaluator(inst), packed, inst.n)
+            assert by_string == expected, inst.descriptor
             assert report.member_bits == packed, inst.descriptor
             assert report.local_optima_bits == expected, inst.descriptor
 
@@ -888,7 +909,7 @@ class TestBitSlicedKernels:
             low = min(n, set_bits)
             with mock.patch.object(problems, "_SET_BITS", set_bits):
                 cells = problems._objective_cells(inst)
-            for (sets, ends), plane in zip(cells, problems.objective_planes(inst)):
+            for (sets, ends), plane in zip(cells, objective_planes(inst)):
                 # The sets partition the first 2^low indices; the blocks
                 # cover the cube.
                 assert _union(sets) == (1 << (1 << low)) - 1, inst.descriptor
@@ -916,7 +937,7 @@ class TestBitSlicedKernels:
     )
     def test_pareto_density_selects_the_local_optimum_path(self, descriptor, taken, refused):
         # ojzj's Pareto set leaves 1,974 strings out; lotz's holds 19. The
-        # per-string check reads the byte planes, so no bit plane is built.
+        # per-string check evaluates those strings, so no bit plane is built.
         inst = parse_descriptor(descriptor)
         refuse = [refused, "_select"] if taken == "_local_optima_by_string" else [refused]
         _report.cache_clear()
@@ -931,6 +952,27 @@ class TestBitSlicedKernels:
             enumerate_landscape(inst)
         _report.cache_clear()
         path.assert_called_once()
+
+    @pytest.mark.parametrize("descriptor, non_members", [("ojzj:n=18,k=4", 1974), ("omm:n=18", 0)])
+    def test_per_string_check_evaluates_only_non_members_and_neighbours(
+        self, descriptor, non_members
+    ):
+        # Each non-member is evaluated, then its neighbours until one
+        # strictly dominates it: at most n + 1 calls a non-member.
+        inst = parse_descriptor(descriptor)
+        evaluate = index_evaluator(inst)
+        calls = []
+
+        def counted(i):
+            calls.append(i)
+            return evaluate(i)
+
+        _report.cache_clear()
+        with mock.patch.object(landscape, "index_evaluator", return_value=counted):
+            report = enumerate_landscape(inst)
+        _report.cache_clear()
+        assert (1 << inst.n) - report.member_bits.bit_count() == non_members
+        assert non_members <= len(calls) <= (inst.n + 1) * non_members
 
     @given(cube_subsets)
     @settings(max_examples=100)
@@ -989,7 +1031,7 @@ class TestBruteForceCrossCheck:
         vecs = naive.vectors(inst)
         pareto = naive.pareto_set(vecs)
         rep = enumerate_landscape(inst)
-        assert list(zip(*problems.objective_planes(inst))) == vecs
+        assert list(zip(*objective_planes(inst))) == vecs
         assert rep.levels == tuple(tuple(sorted(l, reverse=True)) for l in naive.levels(vecs))
         assert list(rep.pareto_set_indices) == sorted(pareto)
         assert list(rep.local_optima_indices) == sorted(naive.local_optima(vecs, pareto))
@@ -1043,7 +1085,7 @@ class TestImageCounts:
         ones plane from its index form."""
         ones_planes = {}
         for inst in grid_instances(None, range(1, 17)):
-            f1, f2 = problems.objective_planes(inst)
+            f1, f2 = objective_planes(inst)
             if inst.n not in ones_planes:
                 ones_count = problems.STATISTICS["ones"](inst.n, None)
                 ones_planes[inst.n] = bytes(map(ones_count, range(1 << inst.n)))
@@ -1078,7 +1120,8 @@ class TestImageCounts:
 
 class TestPlanesOnly:
     def test_enumeration_evaluates_no_string(self, monkeypatch):
-        """Enumeration and the profile read only planes: with every
+        """On the scan path (ojzr's Pareto set leaves most strings out),
+        enumeration and the profile read only the automata: with every
         index-level statistic raising, both still succeed."""
 
         def refuse(n, l):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planes import objective_planes
 from bibench import problems
 from bibench.errors import ValidationError
 from bibench.landscape import BYTES_PER_STRING, enumerate_landscape
@@ -237,7 +238,7 @@ def reference_verify(inst):
     must = inst.info.exact
     pareto = REFERENCE_PARETO_SETS[inst.family](n, k, l)
     local = REFERENCE_LOCAL_OPTIMA.get(inst.family, lambda n, k, l: set())(n, k, l)
-    f1, f2 = problems.objective_planes(inst)
+    f1, f2 = objective_planes(inst)
 
     def show(i):
         return f"{format(i, f'0{n}b')} -> ({f1[i]}, {f2[i]})"

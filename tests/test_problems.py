@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 import naive
+from planes import objective_planes
 from bibench import problems
 from bibench.bitstring import BitString
 from bibench.errors import DescriptorError, ValidationError
@@ -21,7 +22,6 @@ from bibench.problems import (
     evaluate,
     family_catalog,
     index_evaluator,
-    objective_planes,
     parse_descriptor,
 )
 
