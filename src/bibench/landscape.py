@@ -1,8 +1,9 @@
 """Exhaustive landscape analysis: Pareto structure, local optima, and the
 seven characteristic flags, all computed exactly. Symmetry and separability
-are decided on the objectives' automata (problems._objective_tables), with
-no enumeration, so they answer at every n up to 63; the rest enumerates
-the cube.
+are decided on the objectives' automata (problems._objective_tables), and
+complete conflict and the front's shape on the image they count
+(problems.image_polys), with no enumeration, so these answer at every n up
+to 63; the rest enumerates the cube.
 
 Enumeration holds a set of strings, such as the Pareto set or the local
 optima, as packed bits: an int whose bit i is set when string i is in the
@@ -423,7 +424,7 @@ def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
 
 
 # One slot suffices: callers ask for an instance's report and then for its
-# predicates, so only the most recent report is read again.
+# profile or its verification, so only the most recent report is read again.
 @lru_cache(maxsize=1)
 def _report(inst: ProblemInstance) -> LandscapeReport:
     n = inst.n
@@ -466,12 +467,18 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     )
 
 
+def _image_levels(inst: ProblemInstance) -> tuple[tuple[ObjectiveVector, ...], ...]:
+    """The non-dominated levels of the image that image_polys counts, with
+    no cube."""
+    return nondominated_sort(image_polys(inst)).levels
+
+
 def is_completely_conflicting(inst: ProblemInstance) -> bool:
     """True when any improvement in one objective forces a loss in the other:
     distinct image vectors never share a coordinate and are totally ordered
     with f2 strictly falling as f1 rises, that is, none dominates another
     and they all form one non-dominated level."""
-    return len(enumerate_landscape(inst).levels) == 1
+    return len(_image_levels(inst)) == 1
 
 
 def is_symmetric_pair(inst: ProblemInstance) -> bool:
@@ -566,26 +573,24 @@ def _separability(tables, final, objective: int) -> SeparabilityReport:
     )
 
 
-def _turns(points: list[ObjectiveVector]) -> list[int]:
-    """Exact cross product of each consecutive triple (o, a, p) of points
-    sorted by f1: positive exactly when a lies strictly below the chord from
-    o to p."""
-    return [
-        (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
-        for o, a, p in zip(points, points[1:], points[2:])
-    ]
-
-
 def front_shape(inst: ProblemInstance) -> FrontShape:
     """Classify the Pareto front: collinear, or bent below its upper hull.
 
     A one-point front is reported as degenerate rather than classified.
     """
-    report = enumerate_landscape(inst)
-    points = [v for v, _ in report.front_counts]
+    return _front_shape(inst, sorted(_image_levels(inst)[0]))
+
+
+def _front_shape(inst: ProblemInstance, points: list[ObjectiveVector]) -> FrontShape:
+    """front_shape of inst's front, given as its points sorted by f1. The
+    exact cross product of each consecutive triple (o, a, p) is positive
+    exactly when a lies strictly below the chord from o to p."""
     if len(points) == 1:
         return FrontShape.DEGENERATE
-    turns = _turns(points)
+    turns = [
+        (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0])
+        for o, a, p in zip(points, points[1:], points[2:])
+    ]
     if not any(turns):
         return FrontShape.LINEAR
     # A polyline with no point below its neighbours' chord is concave, so it
@@ -600,12 +605,12 @@ def front_shape(inst: ProblemInstance) -> FrontShape:
 def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
     """All seven characteristic flags for one instance, computed exactly."""
     report = enumerate_landscape(inst)
-    shape = front_shape(inst)
+    shape = _front_shape(inst, [v for v, _ in report.front_counts])
     separable = all(is_fully_separable(inst, objective).separable for objective in (1, 2))
     return CharacteristicProfile(
         instance=inst,
         non_symmetric=not is_symmetric_pair(inst),
-        non_completely_conflicting=not is_completely_conflicting(inst),
+        non_completely_conflicting=len(report.levels) > 1,
         disjoint_optima=report.component_count > 1,
         not_fully_separable=not separable,
         low_ratio_witness=report.ratio <= LOW_RATIO_THRESHOLD,

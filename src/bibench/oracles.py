@@ -15,15 +15,14 @@ from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 from .bitstring import BitString
-from .dominance import ObjectiveVector, nondominated_sort
+from .dominance import ObjectiveVector
 from .errors import ValidationError
-from .landscape import _set_indices, enumerate_landscape
+from .landscape import _image_levels, _set_indices, enumerate_landscape
 from .problems import (
     FAMILY_NAMES,
     JUMP_OBJECTIVES,
     ProblemInstance,
     family_catalog,
-    image_polys,
     index_evaluator,
 )
 
@@ -144,11 +143,11 @@ def reference_front(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
 
     For the ten families whose closed forms are verified, the printed front
     is exact. The ojzr closed form is unreliable, so its front is the first
-    non-dominated level of the image that image_polys counts. Neither
-    enumerates the cube, so targets work beyond the cap.
+    non-dominated level of the counted image, as front_shape reads it.
+    Neither enumerates the cube, so targets work beyond the cap.
     """
     if not inst.info.exact:
-        return tuple(sorted(nondominated_sort(image_polys(inst)).levels[0]))
+        return tuple(sorted(_image_levels(inst)[0]))
     return claimed_front_tuples(inst)
 
 

@@ -85,7 +85,9 @@ class ProblemInstance:
 # every closed-form set of strings (_where). Read as they are, with no cube,
 # the tables also decide symmetry, by a DP that reads f2's tables in reverse,
 # and separability, by DPs on pairs of one objective's states
-# (landscape.is_symmetric_pair, landscape.is_fully_separable).
+# (landscape.is_symmetric_pair, landscape.is_fully_separable), and the
+# image's levels decide complete conflict and the front's shape
+# (landscape._image_levels).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.

@@ -2,9 +2,10 @@
 package imports nothing outside the standard library, every private
 top-level name of the package is referenced somewhere in it, no
 top-level name is defined in two modules of the package, only the search
-harness starts worker processes, the naive model in tests/naive.py is
-independent of the package and wholly used by the tests, and every module
-parses as the oldest Python that pyproject.toml admits."""
+harness starts worker processes, only the profile, verify and the
+landscape and figure commands enumerate the cube, the naive model in
+tests/naive.py is independent of the package and wholly used by the tests,
+and every module parses as the oldest Python that pyproject.toml admits."""
 
 import ast
 import re
@@ -91,6 +92,20 @@ def test_only_the_search_harness_names_a_process_pool():
     # other command runs in one process.
     naming = [p.name for p in SOURCES if "ProcessPoolExecutor" in p.read_text(encoding="utf-8")]
     assert naming == ["evolve.py"]
+
+
+def test_only_the_profile_verify_and_two_commands_enumerate():
+    # Each enters enumeration once; the other predicates read the automata
+    # or the image they count, so they answer beyond the cap.
+    callers = {
+        func.name
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if getattr(node, "id", getattr(node, "attr", None)) == "enumerate_landscape"
+    }
+    assert callers == {"characteristic_profile", "verify", "cmd_landscape", "cmd_figure"}
 
 
 def test_every_naive_name_is_used_by_a_test():

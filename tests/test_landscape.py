@@ -12,7 +12,6 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import compress
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -34,6 +33,7 @@ from bibench.landscape import (
     SeparabilityReport,
     _bit_component_count,
     _component_count,
+    _front_shape,
     _indices,
     _local_optima,
     _local_optima_by_string,
@@ -365,15 +365,13 @@ class TestFrontShape:
     )
     @settings(max_examples=500)
     def test_turns_match_the_upper_hull(self, points):
-        # front_shape reads only the report's front; a front that bends the
-        # other way is not classified.
+        # The classifier reads only the front's points; a front that bends
+        # the other way is not classified.
         points = sorted(points)
-        report = SimpleNamespace(front_counts=[(p, 1) for p in points])
-        with mock.patch.object(landscape, "enumerate_landscape", return_value=report):
-            try:
-                shape = front_shape(ProblemInstance("omm", 2)).value
-            except ValidationError:
-                shape = None
+        try:
+            shape = _front_shape(ProblemInstance("omm", 2), points).value
+        except ValidationError:
+            shape = None
         assert shape == naive.front_shape(points)
 
 
@@ -389,28 +387,31 @@ class TestCaps:
             enumerate_landscape(ProblemInstance("omm", 12))
 
     # One instance per family at n = 63 (cocz at 62, as its n is even), with
-    # (symmetric, f1 separable, f2 separable): the n = 8 rows' flags.
+    # (symmetric, f1 separable, f2 separable), the n = 8 rows' flags, and
+    # (completely conflicting, front shape).
+    LINEAR, CONCAVE = FrontShape.LINEAR, FrontShape.NONLINEAR_CONCAVE
     BEYOND = [
-        ("omm:n=63", (True, True, True)),
-        ("lotz:n=63", (True, False, False)),
-        ("ojzj:n=63,k=4", (True, False, False)),
-        ("cocz:n=62", (False, True, True)),
-        ("orzr:n=63,l=3", (True, False, False)),
-        ("omtz:n=63", (False, True, False)),
-        ("omzj:n=63,k=4", (False, True, False)),
-        ("omzr:n=63,l=3", (False, True, False)),
-        ("lozj:n=63,k=4", (False, False, False)),
-        ("lozr:n=63,l=3", (False, False, False)),
-        ("ojzr:n=63,k=7,l=3", (False, False, False)),
+        ("omm:n=63", (True, True, True), (True, LINEAR)),
+        ("lotz:n=63", (True, False, False), (False, LINEAR)),
+        ("ojzj:n=63,k=4", (True, False, False), (False, LINEAR)),
+        ("cocz:n=62", (False, True, True), (False, LINEAR)),
+        ("orzr:n=63,l=3", (True, False, False), (False, LINEAR)),
+        ("omtz:n=63", (False, True, False), (False, LINEAR)),
+        ("omzj:n=63,k=4", (False, True, False), (False, LINEAR)),
+        ("omzr:n=63,l=3", (False, True, False), (False, LINEAR)),
+        ("lozj:n=63,k=4", (False, False, False), (False, LINEAR)),
+        ("lozr:n=63,l=3", (False, False, False), (False, LINEAR)),
+        ("ojzr:n=63,k=7,l=3", (False, False, False), (False, CONCAVE)),
     ]
 
     @pytest.mark.parametrize("row", BEYOND, ids=lambda r: r[0])
     def test_symmetry_and_separability_answer_beyond_the_cap(self, row, monkeypatch):
         monkeypatch.delenv(CAP_ENV_VAR, raising=False)
-        descriptor, expected = row
+        descriptor, expected, image = row
         inst = parse_descriptor(descriptor)
         flags = (is_symmetric_pair(inst), *(is_fully_separable(inst, o).separable for o in (1, 2)))
         assert flags == expected
+        assert (is_completely_conflicting(inst), front_shape(inst)) == image
         with pytest.raises(EnumerationCapError):
             characteristic_profile(inst)
 
@@ -425,6 +426,8 @@ class TestCaps:
                 )
             assert is_symmetric_pair(inst) is not expected.non_symmetric
             separable = all(is_fully_separable(inst, o).separable for o in (1, 2))
+            assert is_completely_conflicting(inst) is not expected.non_completely_conflicting
+            assert front_shape(inst) is expected.front_shape
         assert separable is not expected.not_fully_separable
 
     def test_env_var_must_be_a_positive_integer(self, monkeypatch):
@@ -448,6 +451,25 @@ class TestCaps:
         monkeypatch.setenv(CAP_ENV_VAR, "10")
         with pytest.raises(EnumerationCapError, match="would need about 96 KiB"):
             enumerate_landscape(ProblemInstance("omm", 12))
+
+
+class TestImagePredicates:
+    def test_profile_reads_the_image_predicates(self):
+        # The profile reads conflict and shape from its report, the
+        # predicates from the counted image.
+        assert len(GRID) == 434
+        for inst in GRID:
+            profile = characteristic_profile(inst)
+            assert profile.non_completely_conflicting is not is_completely_conflicting(inst)
+            assert profile.front_shape is front_shape(inst), inst.descriptor
+
+    def test_profile_enumerates_once(self):
+        inst = ProblemInstance("ojzr", 12, k=5, l=3)
+        with mock.patch.object(
+            landscape, "enumerate_landscape", wraps=enumerate_landscape
+        ) as enumerate_spy:
+            characteristic_profile(inst)
+        assert enumerate_spy.call_count == 1
 
 
 class TestReportMemo:
@@ -766,6 +788,20 @@ class TestMemory:
     """Peaks of enumeration, and of the predicates and the text after it, so
     each is the call's own."""
 
+    FAMILIES_AT_18 = [
+        "omm:n=18", "lotz:n=18", "ojzj:n=18,k=4", "cocz:n=18", "orzr:n=18,l=3",
+        "omtz:n=18", "omzj:n=18,k=4", "omzr:n=18,l=3", "lozj:n=18,k=4",
+        "lozr:n=18,l=3", "ojzr:n=18,k=7,l=3",
+    ]
+
+    @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
+    def test_image_predicates_peak_below_a_third_of_a_byte_per_string(self, descriptor):
+        # The image DP holds packed counts per pair of automaton states, not
+        # the cube: 0.017 to 0.24 bytes per string at n = 18, lotz the top.
+        inst = parse_descriptor(descriptor)
+        for predicate in (is_completely_conflicting, front_shape):
+            assert peak_bytes_per_string(lambda: predicate(inst), inst.n) <= 0.3
+
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "lozr:n=18,l=3"])
     def test_symmetry_check_peaks_below_five_bytes_per_string(self, descriptor):
         # The DP holds tables over the automata's states, not the cube:
@@ -790,14 +826,7 @@ class TestMemory:
         enumerate_landscape(inst)
         assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 3.5
 
-    @pytest.mark.parametrize(
-        "descriptor",
-        [
-            "omm:n=18", "lotz:n=18", "ojzj:n=18,k=4", "cocz:n=18", "orzr:n=18,l=3",
-            "omtz:n=18", "omzj:n=18,k=4", "omzr:n=18,l=3", "lozj:n=18,k=4",
-            "lozr:n=18,l=3", "ojzr:n=18,k=7,l=3",
-        ],
-    )
+    @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
     def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
         # Enumeration's own peak, from no cached report or index sets; the
         # budget covers it together with the profile's. 2.0 to 4.1 bytes per
