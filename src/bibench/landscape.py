@@ -7,19 +7,23 @@ to 63; the rest enumerates the cube.
 
 Enumeration holds a set of strings, such as the Pareto set or the local
 optima, as packed bits: an int whose bit i is set when string i is in the
-set. Every stage is a whole-cube operation (bytes.translate, slicing,
+set. Most stages are whole-cube operations (bytes.translate, slicing,
 compress, big-int arithmetic on packed bits or on bit planes, whose bit i
-belongs to string i), so no Python loop runs per string but one: the few
-non-members of a Pareto set that fills almost all of the cube, and their
-neighbours, are evaluated one by one (problems.index_evaluator) to check
-their local optimality. No objective is held as a byte plane. The image,
-its multiplicities and the ones tables come from the packed ones counts per
-image vector that problems.image_polys counts by one DP over the index
-bits, the ones tables on first read. The Pareto set and the bit
-planes of the local-optimum scan are unions of the packed index sets that
-reach each state of the objectives' automata (problems._objective_cells),
-per front vector for the Pareto set and per value bit for a bit plane
-(problems._select).
+belongs to string i). Three loop in Python per string: where at most 1/32
+of the cube lies outside the Pareto set, its non-members and their
+neighbours are evaluated one by one (problems.index_evaluator) to check
+their local optimality (_local_optima_by_string); where the Pareto set holds
+at most 1/16 of the cube, LandscapeReport.component_count floods it from
+member to member (_component_count); and LandscapeReport.local_front_counts,
+read only by the objective_space figure, evaluates every local optimum.
+
+No objective is held as a byte plane. The image, its multiplicities and
+the ones tables come from the packed ones counts per image vector that
+problems.image_polys counts by one DP over the index bits, the ones tables
+on first read. The Pareto set and the bit planes of the local-optimum scan
+are unions of the packed index sets that reach each state of the
+objectives' automata (problems._objective_cells), per front vector for the
+Pareto set and per value bit for a bit plane (problems._select).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.

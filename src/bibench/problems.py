@@ -63,43 +63,42 @@ class ProblemInstance:
 
 # Each scalar objective, all maximized, is a value table read at one integer
 # statistic of the string. A statistic maps a raw index in [0, 2^n) to a
-# count in 0..n (index bit n-1 is string position 1). It has two forms, each
-# built from the parameters (n, l):
+# count in 0..n (index bit n-1 is string position 1). Its record in
+# STATISTICS holds two forms, each built from the parameters (n, l), and
+# whether it reads l:
 #
-# - its index form in STATISTICS, a function of one index, which evaluation
-#   and search call string by string;
-# - its automaton in AUTOMATA, which reads the index bits from bit 0 upward.
-#   step(state, bit, m) is the state after index bit m, given the state after
-#   the bits below m (state 0 before any bit), and value(state) is the
-#   statistic once all n bits are read. Every state fits in a byte.
+# - its index form, a function of one index, which evaluation and search
+#   call string by string;
+# - its automaton, a step function that reads the index bits from bit 0
+#   upward: step(state, bit, m) is the state after index bit m, given the
+#   state after the bits below m (state 0 before any bit). The state after
+#   bit n-1 is the statistic, and every state fits in a byte.
 #
 # Whole-cube work runs the automata through their step tables: per index bit
 # m and bit value, one table indexed by state, filled over the states that
 # can occur before bit m and padded to 256 bytes where bytes.translate reads
-# it. The same tables count the image of an instance by ones count in one DP
-# over the index bits on pairs of both objectives' states (image_polys), and,
-# run over packed bits instead of bytes, give the set of indices that reaches
-# each state (_index_sets), over blocks of at most 2^_SET_BITS indices
-# (_cells). Unions of those sets are the enumerated Pareto set and, selected
-# by a value table (_select), the bit planes of the local-optimum scan and
-# every closed-form set of strings (_where). Read as they are, with no cube,
-# the tables also decide symmetry, by a DP that reads f2's tables in reverse,
-# and separability, by DPs on pairs of one objective's states
-# (landscape.is_symmetric_pair, landscape.is_fully_separable), and the
-# image's levels decide complete conflict and the front's shape
-# (landscape._image_levels).
+# it. After the last bit the objective's own value table (OBJECTIVES) maps
+# the state to the objective value. The same tables count the image of an
+# instance by ones count in one DP over the index bits on pairs of both
+# objectives' states (image_polys), and, run over packed bits instead of
+# bytes, give the set of indices that reaches each state (_index_sets), over
+# blocks of at most 2^_SET_BITS indices (_cells). Unions of those sets are
+# the enumerated Pareto set and, selected by a value table (_select), the
+# bit planes of the local-optimum scan and every closed-form set of strings
+# (_where). Read as they are, with no cube, the tables also decide symmetry,
+# by a DP that reads f2's tables in reverse, and separability, by DPs on
+# pairs of one objective's states (landscape.is_symmetric_pair,
+# landscape.is_fully_separable), and the image's levels decide complete
+# conflict and the front's shape (landscape._image_levels).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
 
 
-class Automaton(NamedTuple):
-    step: Callable[[int, int, int], int]
-    value: Callable[[int], int] = lambda state: state
-
-
-def _ones_automaton(n, l):
-    return Automaton(lambda s, bit, m: s + bit)
+class _Statistic(NamedTuple):
+    index: Callable[[int, int | None], Callable[[int], int]]
+    automaton: Callable[[int, int | None], Callable[[int, int, int], int]]
+    reads_l: bool = False
 
 
 def _leading_ones(n, l):
@@ -110,13 +109,13 @@ def _leading_ones(n, l):
 def _leading_ones_automaton(n, l):
     # The run of ones that ends at the latest bit read; after bit n-1 it is
     # the run that starts at string position 1.
-    return Automaton(lambda s, bit, m: s + 1 if bit else 0)
+    return lambda s, bit, m: s + 1 if bit else 0
 
 
 def _trailing_zeroes_automaton(n, l):
     # The zero bits below the lowest one bit: the state is m while every bit
     # below m is zero, and stays below m once a one has been read.
-    return Automaton(lambda s, bit, m: s + 1 if s == m and not bit else s)
+    return lambda s, bit, m: s + 1 if s == m and not bit else s
 
 
 def _half_mix(n, l):
@@ -128,7 +127,7 @@ def _half_mix(n, l):
 def _half_mix_automaton(n, l):
     # The low half of the index is the second half of the string.
     half = n // 2
-    return Automaton(lambda s, bit, m: s + (bit if m >= half else 1 - bit))
+    return lambda s, bit, m: s + (bit if m >= half else 1 - bit)
 
 
 def _blocks(want_ones: bool, n, l):
@@ -146,53 +145,49 @@ def _blocks(want_ones: bool, n, l):
 
 
 def _blocks_automaton(want_ones: bool, n, l):
-    # State 2c + d: c blocks closed with every bit the wanted one, and d = 1
-    # once the open block holds an unwanted bit. Bit m closes a block when
-    # m + 1 is a multiple of l.
-    want = int(want_ones)
+    # State c, the blocks closed with every bit the wanted one, while the
+    # open block holds none other, and c + b once it does, b above every
+    # count of blocks. Bit m closes a block when m + 1 is a multiple of l,
+    # and l divides n, so bit n-1 closes one.
+    want, b = int(want_ones), n // l + 1
 
     def step(s, bit, m):
-        s |= bit != want
-        return s if (m + 1) % l else (s >> 1) + 1 - (s & 1) << 1
+        c, dirty = s % b, s >= b or bit != want
+        return c + b * dirty if (m + 1) % l else c + (not dirty)
 
-    return Automaton(step, lambda s: s >> 1)
+    return step
 
 
 STATISTICS = {
-    "ones": lambda n, l: int.bit_count,
-    "leading ones": _leading_ones,
-    "trailing zeroes": lambda n, l: lambda i: n if i == 0 else (i & -i).bit_length() - 1,
-    "first-half ones plus second-half zeroes": _half_mix,
-    "all-ones blocks": partial(_blocks, True),
-    "all-zeroes blocks": partial(_blocks, False),
+    "ones": _Statistic(lambda n, l: int.bit_count, lambda n, l: lambda s, bit, m: s + bit),
+    "leading ones": _Statistic(_leading_ones, _leading_ones_automaton),
+    "trailing zeroes": _Statistic(
+        lambda n, l: lambda i: n if i == 0 else (i & -i).bit_length() - 1,
+        _trailing_zeroes_automaton,
+    ),
+    "first-half ones plus second-half zeroes": _Statistic(_half_mix, _half_mix_automaton),
+    "all-ones blocks": _Statistic(
+        partial(_blocks, True), partial(_blocks_automaton, True), reads_l=True
+    ),
+    "all-zeroes blocks": _Statistic(
+        partial(_blocks, False), partial(_blocks_automaton, False), reads_l=True
+    ),
 }
 
-AUTOMATA = {
-    "ones": _ones_automaton,
-    "leading ones": _leading_ones_automaton,
-    "trailing zeroes": _trailing_zeroes_automaton,
-    "first-half ones plus second-half zeroes": _half_mix_automaton,
-    "all-ones blocks": partial(_blocks_automaton, True),
-    "all-zeroes blocks": partial(_blocks_automaton, False),
-}
-
-# The statistics that read l.
-_BLOCK_STATISTICS = ("all-ones blocks", "all-zeroes blocks")
-_ONES = AUTOMATA["ones"]
-_ZERO_BLOCKS = AUTOMATA["all-zeroes blocks"]
+_ONES = STATISTICS["ones"].automaton
+_ZERO_BLOCKS = STATISTICS["all-zeroes blocks"].automaton
 
 
 # Instances of one size share their automata's tables, so a grid of
 # instances builds few of them; an automaton that does not read l is asked
 # for with l None. The verification grid asks for 88.
 @lru_cache(maxsize=128)
-def _step_tables(automaton: Callable[..., Automaton], n: int, l: int | None):
-    """The automaton automaton(n, l) as tables indexed by state: for each
-    bit read, m = 0 to n - 1, the pair of tables of its step on bit 0 and
-    on bit 1, filled over the states that can occur before that bit and
-    zero elsewhere. Also returns the value table, over the states that can
-    occur after the last bit."""
-    step, value = automaton(n, l)
+def _step_tables(automaton: Callable[..., Callable], n: int, l: int | None):
+    """The step function automaton(n, l) as tables indexed by state: for
+    each bit read, m = 0 to n - 1, the pair of tables of its step on bit 0
+    and on bit 1, filled over the states that can occur before that bit and
+    zero elsewhere."""
+    step = automaton(n, l)
     states = {0}
     tables = []
     for m in range(n):
@@ -202,10 +197,7 @@ def _step_tables(automaton: Callable[..., Automaton], n: int, l: int | None):
                 table[s] = step(s, bit, m)
         tables.append(tuple(map(bytes, pair)))
         states = {table[s] for table in pair for s in states}
-    values = bytearray(max(states) + 1)
-    for s in states:
-        values[s] = value(s)
-    return tuple(tables), bytes(values)
+    return tuple(tables)
 
 
 def _translate(plane: bytes, table: bytes) -> bytes:
@@ -286,22 +278,23 @@ def _ojzr_pareto_set(n, k, l):
 
 def _block_moves(move, n, l):
     # The automaton that reads the blocks right to left, as the statistics'
-    # automata read bits, with move(l, state, ones) its step on a block with
-    # that many ones: state 9 * (state before the open block) + 3 * ones +
-    # zeroes, the open block's ones and zeroes each capped at 2, and the
-    # state before the open block as value. The moves tell apart only 0, 1,
+    # automata read bits, with move(l, outer, ones) its step on a block with
+    # that many ones, outer below 5: state outer + 5 * (3 * ones + zeroes),
+    # outer the state before the open block and the open block's ones and
+    # zeroes each capped at 2. A closing bit returns the move, so the state
+    # after bit n-1 is the last block's. The moves tell apart only 0, 1,
     # 2..l-2, l-1 and l ones, so a closed block passes 0, l, 1, l-1 or 2.
     def step(s, bit, m):
-        ones, zeroes = min(s // 3 % 3 + bit, 2), min(s % 3 + 1 - bit, 2)
+        outer, ones, zeroes = s % 5, min(s // 15 + bit, 2), min(s // 5 % 3 + 1 - bit, 2)
         if (m + 1) % l:
-            return s // 9 * 9 + 3 * ones + zeroes
+            return outer + 5 * (3 * ones + zeroes)
         if ones and zeroes:
             ones = 1 if ones == 1 else l - 1 if zeroes == 1 else 2
         elif ones:
             ones = l
-        return move(l, s // 9, ones) * 9
+        return move(l, outer, ones)
 
-    return Automaton(step, lambda s: s // 9)
+    return step
 
 
 def _orzr_move(l, state, ones):
@@ -419,7 +412,7 @@ _CATALOG = (
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
                pareto_set=lambda n, k, l: _prefixes(n, (0, *range(k, n + 1))),
                local_optima=lambda n, k, l: _where(_ONES, n, None, (k,))
-               & _where(AUTOMATA["leading ones"], n, None, range(k)),
+               & _where(STATISTICS["leading ones"].automaton, n, None, range(k)),
                front=_zero_jump_front),
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
                rule=_block_length, pareto_set=lambda n, k, l: _prefixes(n, range(0, n + 1, l)),
@@ -482,20 +475,21 @@ def index_evaluator(inst: ProblemInstance):
     loops; it must agree with evaluate() everywhere (tests pin that).
     """
     (s1, t1), (s2, t2) = (
-        (STATISTICS[statistic](inst.n, inst.l), table(inst.n, inst.k, inst.l))
+        (STATISTICS[statistic].index(inst.n, inst.l), table(inst.n, inst.k, inst.l))
         for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives)
     )
     return lambda i: (t1[s1(i)], t2[s2(i)])
 
 
 def _objective_tables(inst: ProblemInstance):
-    """Per objective, the step tables of its statistic and the table from a
-    state after the last bit to the objective value."""
+    """Per objective, the step tables of its statistic's automaton and the
+    objective's value table, which maps the state after the last bit, the
+    statistic, to the objective value."""
     out = []
     for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives):
-        l = inst.l if statistic in _BLOCK_STATISTICS else None
-        tables, values = _step_tables(AUTOMATA[statistic], inst.n, l)
-        out.append((tables, _translate(values, bytes(table(inst.n, inst.k, inst.l)))))
+        record = STATISTICS[statistic]
+        tables = _step_tables(record.automaton, inst.n, inst.l if record.reads_l else None)
+        out.append((tables, bytes(table(inst.n, inst.k, inst.l))))
     return out
 
 
@@ -569,13 +563,13 @@ def _select(cells, table: bytes, n: int) -> int:
     return _join([_union(compress(sets, e.translate(table))) for e in ends], n)
 
 
-def _where(automaton: Callable[..., Automaton], n: int, l: int | None, values) -> int:
-    """The packed set of the indices at which automaton(n, l) ends with one
-    of the values."""
+def _where(automaton: Callable[..., Callable], n: int, l: int | None, states) -> int:
+    """The packed set of the indices at which automaton(n, l) ends in one of
+    the given states."""
     wanted = bytearray(256)
-    for v in values:
-        wanted[v] = 1
-    return _select(_cells(*_step_tables(automaton, n, l)), wanted, n)
+    for s in states:
+        wanted[s] = 1
+    return _select(_cells(_step_tables(automaton, n, l), bytes(range(256))), wanted, n)
 
 
 def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:

@@ -665,6 +665,25 @@ def test_readme_command_parses(line):
     _build_parser().parse_args(argv[1:])
 
 
+def test_readme_quick_start_prints_its_comments():
+    """The README's library quick start runs, one line per print call, and
+    each print whose line ends in a comment prints that comment, or its
+    part before an explaining ": "."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.DOTALL).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    calls = [line for line in block.splitlines() if line.startswith("print(")]
+    assert len(printed) == len(calls)
+    checked = [(call, line) for call, line in zip(calls, printed) if "  # " in call]
+    assert len(checked) >= 4
+    for call, line in checked:
+        comment = call.partition("  # ")[2]
+        assert comment == line or comment.startswith(line + ": "), (call, line)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         proc = subprocess.run(

@@ -1116,7 +1116,7 @@ class TestImageCounts:
         for inst in grid_instances(None, range(1, 17)):
             f1, f2 = objective_planes(inst)
             if inst.n not in ones_planes:
-                ones_count = problems.STATISTICS["ones"](inst.n, None)
+                ones_count = problems.STATISTICS["ones"].index(inst.n, None)
                 ones_planes[inst.n] = bytes(map(ones_count, range(1 << inst.n)))
             ones = ones_planes[inst.n]
             polys = problems.image_polys(inst)
@@ -1156,8 +1156,8 @@ class TestPlanesOnly:
         def refuse(n, l):
             raise AssertionError("index-level statistic called during enumeration")
 
-        for name in problems.STATISTICS:
-            monkeypatch.setitem(problems.STATISTICS, name, refuse)
+        for name, record in problems.STATISTICS.items():
+            monkeypatch.setitem(problems.STATISTICS, name, record._replace(index=refuse))
         problems.index_evaluator.cache_clear()
         _report.cache_clear()
         inst = ProblemInstance("ojzr", 12, k=5, l=3)

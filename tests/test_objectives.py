@@ -10,7 +10,7 @@ def scalar(name, x, k=None, l=None):
     """The library's value of one objective at the string x."""
     statistic, table = OBJECTIVES[name]
     n = len(x)
-    return table(n, k, l)[STATISTICS[statistic](n, l)(int(x, 2))]
+    return table(n, k, l)[STATISTICS[statistic].index(n, l)(int(x, 2))]
 
 
 strings = st.integers(min_value=2, max_value=14).flatmap(

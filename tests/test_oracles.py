@@ -125,7 +125,7 @@ def reference_where(*marks):
 @lru_cache(maxsize=None)
 def reference_plane(statistic, n, l):
     """The statistic's byte plane, string by string from its index form."""
-    return bytes(map(STATISTICS[statistic](n, l), range(1 << n)))
+    return bytes(map(STATISTICS[statistic].index(n, l), range(1 << n)))
 
 
 def reference_lozr_move(l, state, ones):

@@ -8,16 +8,15 @@ import pytest
 import naive
 from planes import objective_planes
 from bibench import problems
-from bibench.bitstring import BitString
+from bibench.bitstring import MAX_LENGTH, BitString
 from bibench.errors import DescriptorError, ValidationError
-from bibench.landscape import MAX_CAP
 from bibench.oracles import grid_instances
 from bibench.problems import (
-    AUTOMATA,
     FAMILY_NAMES,
     OBJECTIVES,
     STATISTICS,
     ProblemInstance,
+    _step_tables,
     _where,
     evaluate,
     family_catalog,
@@ -270,7 +269,19 @@ class TestPlanes:
     statistic's automaton, against the index-level form."""
 
     def test_every_statistic_has_a_plane(self):
-        assert AUTOMATA.keys() == STATISTICS.keys()
+        # Objectives share step tables across block lengths through the
+        # record's reads_l (_objective_tables): a statistic that does not
+        # read l builds the same tables at every block length, and a block
+        # statistic builds tables of its own for each.
+        for name, record in STATISTICS.items():
+            for n in range(1, 13):
+                divisors = [l for l in range(1, n + 1) if n % l == 0]
+                tables = {l: _step_tables(record.automaton, n, l) for l in divisors}
+                if record.reads_l:
+                    assert len(set(tables.values())) == len(divisors), (name, n)
+                else:
+                    assert set(tables.values()) == {tables[1]}, (name, n)
+                    assert _step_tables(record.automaton, n, None) == tables[1], (name, n)
 
     @pytest.mark.parametrize("name", list(STATISTICS))
     def test_statistic_planes_match_the_index_form(self, name):
@@ -280,27 +291,30 @@ class TestPlanes:
         # cubes is split.
         for n in range(1, 13):
             for l in block_lengths(name, n):
-                statistic = STATISTICS[name](n, l)
+                statistic = STATISTICS[name].index(n, l)
                 expected = [0] * (n + 1)
                 for i in range(1 << n):
                     expected[statistic(i)] |= 1 << i
                 for set_bits in (3, 4, problems._SET_BITS):
                     with mock.patch.object(problems, "_SET_BITS", set_bits):
                         for v, indices in enumerate(expected):
-                            mark = _where(AUTOMATA[name], n, l, (v,))
+                            mark = _where(STATISTICS[name].automaton, n, l, (v,))
                             assert mark == indices, (name, n, l, v, set_bits)
 
     @pytest.mark.parametrize("name", list(STATISTICS))
     def test_automaton_states_fit_a_byte(self, name):
-        # Every state reachable after each index bit, up to the largest
-        # size the enumeration cap admits.
-        for n in range(1, MAX_CAP + 1):
+        # Every state reachable after each index bit, up to the longest
+        # string, since symmetry, separability and the image run the
+        # automata at every length. After the last bit the states are the
+        # statistic's values: 0 to n, or to the number of blocks.
+        for n in range(1, MAX_LENGTH + 1):
             for l in block_lengths(name, n):
-                step, _ = AUTOMATA[name](n, l)
+                step = STATISTICS[name].automaton(n, l)
                 states = {0}
                 for m in range(n):
                     states = {step(s, bit, m) for s in states for bit in (0, 1)}
                     assert max(states) < 256, (name, n, l, m)
+                assert states == set(range((n // l if l else n) + 1)), (name, n, l)
 
     def test_objective_planes_match_index_evaluator(self):
         instances = grid_instances(None, range(1, 13))
