@@ -9,8 +9,8 @@ Enumeration holds a set of strings, such as the Pareto set or the local
 optima, as packed bits: an int whose bit i is set when string i is in the
 set. Most stages are whole-cube operations (bytes.translate, slicing,
 compress, big-int arithmetic on packed bits or on bit planes, whose bit i
-belongs to string i). Three loop in Python per string: where at most 1/32
-of the cube lies outside the Pareto set, its non-members and their
+belongs to string i). Three stages loop in Python per string: where at most
+1/32 of the cube lies outside the Pareto set, its non-members and their
 neighbours are evaluated one by one (problems.index_evaluator) to check
 their local optimality (_local_optima_by_string); where the Pareto set holds
 at most 1/16 of the cube, LandscapeReport.component_count floods it from
@@ -163,13 +163,13 @@ class CharacteristicProfile:
 class LandscapeReport:
     """Exact analysis of one instance. The Pareto set and the local optima
     are kept once each, as packed bits (`member_bits`, `local_optima_bits`).
-    Their index arrays (4 bytes per member), the local optima's image, the
-    Pareto set's component count and the ones tables are computed on first
-    access: the report text reads the local optima's indices, the
-    objective-space figure their image, the report text, the summary line
-    and the profile the component count, the report text and the ones
-    figures the ones tables, and verify only sizes, the bit counts. The
-    local optima's image evaluates each of them (index_evaluator)."""
+    Their index arrays (4 bytes per member) are built on each read and kept
+    by neither the report nor its memo (_report): no caller reads one twice.
+    The local optima's image, the Pareto set's component count and the ones
+    tables are computed on first access and kept: the objective-space
+    figure reads the image, the report text, the summary line and the
+    profile the component count, the report text and the ones figures the
+    ones tables, and verify only sizes, the bit counts."""
 
     instance: ProblemInstance
     front_counts: tuple[tuple[ObjectiveVector, int], ...]
@@ -225,12 +225,12 @@ class LandscapeReport:
             for ones, counters in enumerate(tables)
         )
 
-    @cached_property
+    @property
     def pareto_set_indices(self) -> array:
         """The indices of the Pareto set, ascending."""
         return _set_indices(self.member_bits, self.n)
 
-    @cached_property
+    @property
     def local_optima_indices(self) -> array:
         """The indices of the non-global Pareto local optima, ascending: no
         neighbor strictly dominates them, yet they are not Pareto-optimal.
@@ -413,6 +413,8 @@ def _indices(mask: bytes) -> array:
 
 def _set_indices(bits: int, n: int) -> array:
     """The indices of the set bits of packed bits over 2^n strings, ascending."""
+    if not bits:
+        return array("I")
     return _indices(_unpack_bits(bits, 1 << n))
 
 

@@ -3,6 +3,7 @@
 import concurrent.futures
 import contextlib
 import hashlib
+import importlib
 import io
 import os
 import re
@@ -693,3 +694,12 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout == "(4,4)\n"
+
+    def test_console_script_target(self, capsys):
+        # The installed `bibench` command calls the target pyproject.toml
+        # names (read by pattern: tomllib needs Python 3.11).
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+        module, attr = re.search(r'^bibench = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+        target = getattr(importlib.import_module(module), attr)
+        assert target(["families"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 11

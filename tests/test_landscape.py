@@ -8,6 +8,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+import types
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ import naive
 from planes import objective_planes
 from bibench import landscape, problems
 from bibench.bitstring import BitString
+from bibench.cli import FIGURE_KINDS, build_figure
 from bibench.errors import EnumerationCapError, ValidationError
 from bibench.landscape import (
     BYTES_PER_STRING,
@@ -60,6 +62,14 @@ from test_acceptance import PROFILE_TABLE
 
 def report_for(descriptor):
     return enumerate_landscape(parse_descriptor(descriptor))
+
+
+# One instance per family at n = 18.
+FAMILIES_AT_18 = [
+    "omm:n=18", "lotz:n=18", "ojzj:n=18,k=4", "cocz:n=18", "orzr:n=18,l=3",
+    "omtz:n=18", "omzj:n=18,k=4", "omzr:n=18,l=3", "lozj:n=18,k=4",
+    "lozr:n=18,l=3", "ojzr:n=18,k=7,l=3",
+]
 
 
 class TestFrozenCounts:
@@ -491,13 +501,14 @@ class TestReportMemo:
         assert not hasattr(rep, "planes")
         assert "planes=" not in repr(rep)
 
-    @pytest.mark.parametrize("descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "ojzr:n=18,k=7,l=3"])
+    @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
     def test_the_memo_holds_no_plane(self, descriptor):
-        # The dense path (ojzj) evaluates its non-members, and verify shows
-        # an ojzr mismatch's strings with their values; neither leaves a
-        # plane in the memo. What clearing it frees is the packed bits, the
-        # index arrays read so far and the tables: 0.15 to 0.8 bytes per
-        # string, where the two planes alone would be 2.
+        # The dense path (omm, ojzj, omzj) evaluates its non-members, and
+        # verify shows an ojzr mismatch's strings with their values; neither
+        # leaves a plane in the memo, and no read leaves an index array.
+        # What clearing it frees is the packed bits and the small tables:
+        # 0.15 to 0.41 bytes per string, where the two planes alone would
+        # be 2 and the two index arrays of a dense Pareto set 4.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
 
@@ -506,6 +517,10 @@ class TestReportMemo:
             characteristic_profile(inst)
             render_report(report)
             verify(inst)
+            len(report.pareto_set_indices)
+            len(report.local_optima_indices)
+            for kind in FIGURE_KINDS:
+                build_figure(report, kind)
 
         tracemalloc.start()
         try:
@@ -515,7 +530,7 @@ class TestReportMemo:
             freed = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert freed <= 1 << inst.n
+        assert freed <= (1 << inst.n) // 2
 
 
 class TestRendering:
@@ -660,6 +675,12 @@ class TestBinaryLines:
         assert _binary_lines(indices, n) == expected
         assert _binary_lines(array("I", [top]), n) == "1" * n + "\n"
         assert _binary_lines(array("I"), n) == ""
+        # On a big-endian host the array holds each index's bytes reversed,
+        # so the lane of index bit b counts from the other end.
+        swapped = array("I", indices)
+        swapped.byteswap()
+        with mock.patch.object(landscape, "sys", types.SimpleNamespace(byteorder="big")):
+            assert _binary_lines(swapped, n) == expected
 
     def test_grid_reports_match_the_format_renderer(self):
         for inst in GRID:
@@ -685,7 +706,8 @@ class TestLazyParetoIndices:
         indices = report.pareto_set_indices
         assert indices == array("I", compress(range(1 << inst.n), mask))
         assert len(indices) == report.member_bits.bit_count()
-        assert vars(report)["pareto_set_indices"] is indices
+        assert "pareto_set_indices" not in vars(report)
+        assert report.pareto_set_indices == indices
 
     def test_reports_differing_in_the_pareto_set_are_unequal(self):
         report = report_for("ojzj:n=8,k=2")
@@ -712,7 +734,8 @@ class TestLazyLocalOptima:
         assert report.local_optima_indices == array("I", local)
         assert report.local_front_counts == tuple(sorted(Counter(vecs[i] for i in local).items()))
         assert profile.local_optima_count == len(local) == report.local_optima_bits.bit_count()
-        assert vars(report)["local_optima_indices"] is report.local_optima_indices
+        assert "local_optima_indices" not in vars(report)
+        assert report.local_optima_indices == report.local_optima_indices
         assert vars(report)["local_front_counts"] is report.local_front_counts
 
     def test_reports_differing_in_the_local_optima_are_unequal(self):
@@ -788,12 +811,6 @@ class TestMemory:
     """Peaks of enumeration, and of the predicates and the text after it, so
     each is the call's own."""
 
-    FAMILIES_AT_18 = [
-        "omm:n=18", "lotz:n=18", "ojzj:n=18,k=4", "cocz:n=18", "orzr:n=18,l=3",
-        "omtz:n=18", "omzj:n=18,k=4", "omzr:n=18,l=3", "lozj:n=18,k=4",
-        "lozr:n=18,l=3", "ojzr:n=18,k=7,l=3",
-    ]
-
     @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
     def test_image_predicates_peak_below_a_third_of_a_byte_per_string(self, descriptor):
         # The image DP holds packed counts per pair of automaton states, not
@@ -840,19 +857,26 @@ class TestMemory:
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "ojzj:n=18,k=4", "omzj:n=18,k=4"])
     def test_dense_path_enumeration_builds_no_byte_plane(self, descriptor):
         # The per-string check evaluates the few non-members and their
-        # neighbours one by one: 2.0 to 2.3 bytes per string at n = 18, the
-        # non-members' unpacked mask the largest part. The objectives' byte
+        # neighbours one by one: 2.3 bytes per string at n = 18 on ojzj and
+        # omzj, the non-members' unpacked mask the largest part, and 1.1 on
+        # omm, which has no non-member to unpack. The objectives' byte
         # planes took the peak to 4.0 to 4.3.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._index_sets.cache_clear()
         assert peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n) <= 2.5
 
+    def test_an_empty_set_unpacks_no_mask(self):
+        # An empty set's indices come without the 2^n-byte mask (1 MiB here).
+        assert peak_bytes_per_string(lambda: _set_indices(0, 20), 20) < 1024 / (1 << 20)
+        assert _set_indices(0, 20) == array("I")
+
     @pytest.mark.parametrize("descriptor", ["ojzj:n=18,k=4", "ojzr:n=18,k=7,l=3"])
     def test_local_front_counts_build_no_byte_plane(self, descriptor):
-        # The local optima's index array, built on this first read, is the
-        # peak: 1.25 to 1.5 bytes per string at n = 18 with 0 and 31,644
-        # local optima, each evaluated once. Byte planes took 3.3 to 4.0.
+        # The local optima's index array, built by this read, is the
+        # peak: 1.5 bytes per string at n = 18 with 31,644 local optima,
+        # each evaluated once, and 0.02 with none. Byte planes took 3.3 to
+        # 4.0.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         report = enumerate_landscape(inst)
