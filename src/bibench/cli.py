@@ -183,9 +183,10 @@ def _parse_target(text: str) -> Target:
             raise ValidationError(f"front_point needs integers, got {tail!r}") from None
     if head == "coverage" and eq:
         try:
-            return Target.coverage(Fraction(tail))
+            fraction = Fraction(tail)
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"bad coverage fraction {tail!r}") from None
+        return Target.coverage(fraction)
     raise ValidationError(
         f"unknown target {text!r}; use full_front, front_point=f1,f2, or coverage=0.9"
     )

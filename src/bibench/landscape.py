@@ -22,8 +22,9 @@ the ones tables come from the packed ones counts per image vector that
 problems.image_polys counts by one DP over the index bits, the ones tables
 on first read. The Pareto set and the bit planes of the local-optimum scan
 are unions of the packed index sets that reach each state of the
-objectives' automata (problems._objective_cells), per front vector for the
-Pareto set and per value bit for a bit plane (problems._select).
+objectives' automata (problems._objective_cells): the Pareto set per front
+vector, as every Pareto closed form is built (problems._pair_bits), and a
+bit plane per value bit (problems._select).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -46,12 +47,11 @@ from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
 from .problems import (
     ProblemInstance,
-    _join,
     _objective_cells,
     _objective_tables,
+    _pair_bits,
     _select,
     _translate,
-    _union,
     image_polys,
     index_evaluator,
 )
@@ -315,25 +315,6 @@ def _unpack_bits(packed: int, size: int) -> bytearray:
     return flags
 
 
-def _member_bits(cells, front, n: int) -> int:
-    """The Pareto set as packed bits, from both objectives' cells (see
-    problems._objective_cells). A front vector is the only one on the front
-    with its f1, so in each block of the cube the members are, for each set
-    of f1 whose value is the f1 of a front vector (a, b), the indices it
-    shares with the sets of f2 whose value is b."""
-    (sets1, ends1), (sets2, ends2) = cells
-    front_f2 = dict(front)
-    blocks = []
-    for e1, e2 in zip(ends1, ends2):
-        by_f2 = defaultdict(list)
-        for y, b in zip(sets2, e2):
-            by_f2[b].append(y)
-        blocks.append(_union(
-            x & y for x, a in zip(sets1, e1) if a in front_f2 for y in by_f2[front_f2[a]]
-        ))
-    return _join(blocks, n)
-
-
 def _local_optima(cells, member: int, n: int) -> int:
     """The int whose bit i is set exactly when string i is a non-global
     local optimum: not a member (bit i of member) and no neighbour strictly
@@ -446,8 +427,9 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     assignment = nondominated_sort(vector_counts)
     front = assignment.levels[0]
 
+    # A front vector is the only one on the front with its f1.
     cells = _objective_cells(inst)
-    member_bits = _member_bits(cells, front, n)
+    member_bits = _pair_bits(cells, front, n)
 
     # On the grid's instances with n = 17..22, the per-string check beats
     # the local-optimum scan on each with under 2% of the cube outside the

@@ -83,8 +83,8 @@ class ProblemInstance:
 # objectives' states (image_polys), and, run over packed bits instead of
 # bytes, give the set of indices that reaches each state (_index_sets), over
 # blocks of at most 2^_SET_BITS indices (_cells). Unions of those sets are
-# the enumerated Pareto set and, selected by a value table (_select), the
-# bit planes of the local-optimum scan and every closed-form set of strings
+# every Pareto set, by pairs of final values (_pair_bits), and, by a value
+# table (_select), the local-optimum scan's bit planes and closed forms
 # (_where). Read as they are, with no cube, the tables also decide symmetry,
 # by a DP that reads f2's tables in reverse, and separability, by DPs on
 # pairs of one objective's states (landscape.is_symmetric_pair,
@@ -253,29 +253,6 @@ def _block_length(n, k, l):
     return None
 
 
-# The closed forms below give packed bits: an int whose bit i is set when
-# the string with index i is in the set. They are built from the automata's
-# index sets (_where), by AND and OR and runs of ones; the few strings of a
-# prefix family are set one by one.
-
-
-def _prefixes(n, counts) -> int:
-    """The strings of leading ones then zeroes with each of the given numbers
-    of ones."""
-    mask = 0
-    for c in counts:
-        mask |= 1 << (((1 << c) - 1) << (n - c))
-    return mask
-
-
-def _ojzr_pareto_set(n, k, l):
-    # A completed string with n - k ones has exactly k // l zero blocks, so
-    # the two sets overlap only when l divides k.
-    completed = _completed(n, k, l) & _where(_ONES, n, None, (*range(n - k + 1), n))
-    middle = _where(_ONES, n, None, (n - k,)) & _where(_ZERO_BLOCKS, n, l, (k // l,))
-    return completed | middle
-
-
 def _block_moves(move, n, l):
     # The automaton that reads the blocks right to left, as the statistics'
     # automata read bits, with move(l, outer, ones) its step on a block with
@@ -324,12 +301,6 @@ _ORZR_OPTIMA = partial(_block_moves, _orzr_move)
 _LOZR_OPTIMA = partial(_block_moves, _lozr_move)
 
 
-def _completed(n, k, l) -> int:
-    """The strings whose blocks are each all-ones or all-zeroes: orzr's
-    block state 0."""
-    return _where(_ORZR_OPTIMA, n, l, (0,))
-
-
 def _ojzr_local_optima(n, k, l):
     return _where(_ONES, n, None, (n - k,)) & _where(_ZERO_BLOCKS, n, l, range(k // l))
 
@@ -355,6 +326,18 @@ def _ojzr_front(n, k, l):
     return front
 
 
+def _block_pairs(n, k, l):
+    # s ones or leading ones, s a multiple of l, the other bits in zero blocks.
+    return [(s, (n - s) // l) for s in range(0, n + 1, l)]
+
+
+def _ojzr_pareto(n, k, l):
+    # The completed strings with at most n - k or n ones, and those with
+    # n - k ones and k // l zero blocks, a completed string when l divides k.
+    pairs = [(s, z) for s, z in _block_pairs(n, k, l) if s <= n - k or s == n]
+    return pairs + [(n - k, k // l)] if k % l else pairs
+
+
 @dataclass(frozen=True, slots=True)
 class FamilyInfo:
     """One family, defined in one place.
@@ -362,60 +345,71 @@ class FamilyInfo:
     `objectives` name its two scalar objectives, keys of OBJECTIVES;
     `rule(n, k, l)` returns why parameters of the right kinds are invalid,
     or None, and `constraints` states it for people. The closed forms take
-    (n, k, l): `pareto_set` and `local_optima` give packed bits, an int whose
-    bit i is set when the string with index i is in the set, and `front`
-    gives the front as printed. They are exact oracles unless
-    `exact` is False.
+    (n, k, l): `pareto` gives the Pareto set as pairs (s1, s2) of the two
+    objectives' statistics, no two with the same s1, and `local_optima` as
+    packed bits, an int whose bit i is set when the string with index i is
+    in the set, as pareto_set builds from the pairs; `front` gives the front
+    as printed. They are exact oracles unless `exact` is False.
     """
 
     name: str
     objectives: tuple[str, str]
     params: tuple[str, ...]
     constraints: str
-    pareto_set: Callable[..., int]
+    pareto: Callable[..., list[tuple[int, int]]]
     front: Callable[..., set[ObjectiveVector]]
     rule: Callable[..., str | None] = lambda n, k, l: None
     local_optima: Callable[..., int] = lambda n, k, l: 0
     exact: bool = True
 
+    def pareto_set(self, n: int, k: int | None, l: int | None) -> int:
+        """The strings of the pairs of `pareto`, as packed bits (_pair_bits)."""
+        tables = (_statistic_tables(name, n, l) for name in self.objectives)
+        return _pair_bits([_cells(t, bytes(range(256))) for t in tables], self.pareto(n, k, l), n)
+
 
 _CATALOG = (
     FamilyInfo("omm", ("ones", "zeroes"), (), "1 <= n <= 63",
-               pareto_set=lambda n, k, l: (1 << (1 << n)) - 1, front=_diagonal_front),
+               pareto=lambda n, k, l: [(s, s) for s in range(n + 1)], front=_diagonal_front),
+    # 1^a 0^(n-a): a leading ones and n - a trailing zeroes.
     FamilyInfo("lotz", ("leading ones", "trailing zeroes"), (), "1 <= n <= 63",
-               pareto_set=lambda n, k, l: _prefixes(n, range(n + 1)), front=_diagonal_front),
+               pareto=lambda n, k, l: [(a, n - a) for a in range(n + 1)], front=_diagonal_front),
     FamilyInfo("ojzj", ("one-jump", "zero-jump"), ("k",), "1 <= k < n/2",
                rule=lambda n, k, l: None if 1 <= k and 2 * k < n else "requires 1 <= k < n/2",
-               pareto_set=lambda n, k, l: _where(_ONES, n, None, (0, *range(k, n - k + 1), n)),
+               pareto=lambda n, k, l: [(s, s) for s in (0, *range(k, n - k + 1), n)],
                front=lambda n, k, l: {(k, n + k), (n + k, k)}
                | {(k + s, n + k - s) for s in range(k, n - k + 1)}),
-    # The Pareto set is the strings whose first half is all ones: the last
-    # 2^(n/2) indices.
+    # First half all ones: ones plus the mixed count, 2 (first-half ones) + n/2, is 3n/2.
     FamilyInfo("cocz", ("ones", "ones in first half plus zeroes in second half"), (), "n even",
                rule=lambda n, k, l: "n must be even" if n % 2 else None,
-               pareto_set=lambda n, k, l: ((1 << (1 << n // 2)) - 1)
-               << ((1 << n) - (1 << n // 2)),
+               pareto=lambda n, k, l: [(s, 3 * n // 2 - s) for s in range(n // 2, n + 1)],
                front=lambda n, k, l: {(n // 2 + j, n - j) for j in range(n // 2 + 1)}),
+    # The completed strings: each of the n/l blocks all ones or all zeroes.
     FamilyInfo("orzr", ("all-ones blocks", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
-               rule=_block_length, pareto_set=_completed,
+               rule=_block_length,
+               pareto=lambda n, k, l: [(c, n // l - c) for c in range(n // l + 1)],
                local_optima=lambda n, k, l: _where(_ORZR_OPTIMA, n, l, (1,)),
                front=_block_front),
+    # 1^a 0^(n-a): a ones, all before n - a trailing zeroes.
     FamilyInfo("omtz", ("ones", "trailing zeroes"), (), "1 <= n <= 63",
-               pareto_set=lambda n, k, l: _prefixes(n, range(n + 1)), front=_diagonal_front),
+               pareto=lambda n, k, l: [(a, n - a) for a in range(n + 1)], front=_diagonal_front),
     FamilyInfo("omzj", ("ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
-               pareto_set=lambda n, k, l: _where(_ONES, n, None, (0, *range(k, n + 1))),
+               pareto=lambda n, k, l: [(s, s) for s in (0, *range(k, n + 1))],
                front=_zero_jump_front),
+    # The completed strings: the blocks not all zero hold every one.
     FamilyInfo("omzr", ("ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
-               rule=_block_length, pareto_set=_completed, front=_block_front),
+               rule=_block_length, pareto=_block_pairs, front=_block_front),
+    # 1^a 0^(n-a) for a in {0, k..n}: a leading ones and a ones in all.
     FamilyInfo("lozj", ("leading ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
-               pareto_set=lambda n, k, l: _prefixes(n, (0, *range(k, n + 1))),
+               pareto=lambda n, k, l: [(a, a) for a in (0, *range(k, n + 1))],
                local_optima=lambda n, k, l: _where(_ONES, n, None, (k,))
                & _where(STATISTICS["leading ones"].automaton, n, None, range(k)),
                front=_zero_jump_front),
+    # 1^s 0^(n-s), s a multiple of l: s leading ones, every later block all zero.
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
-               rule=_block_length, pareto_set=lambda n, k, l: _prefixes(n, range(0, n + 1, l)),
+               rule=_block_length, pareto=_block_pairs,
                local_optima=lambda n, k, l: _where(_LOZR_OPTIMA, n, l, (2, 3)),
                front=_block_front),
     # The ojzr closed forms assume the block length is below the gap, which
@@ -424,7 +418,7 @@ _CATALOG = (
                "1 < k <= floor(n/2), l divides n, n/l > 1",
                rule=lambda n, k, l: _block_length(n, k, l) if 1 < k and 2 * k <= n
                else "requires 1 < k <= floor(n/2)",
-               pareto_set=_ojzr_pareto_set, local_optima=_ojzr_local_optima, front=_ojzr_front,
+               pareto=_ojzr_pareto, local_optima=_ojzr_local_optima, front=_ojzr_front,
                exact=False),
 )
 
@@ -481,16 +475,21 @@ def index_evaluator(inst: ProblemInstance):
     return lambda i: (t1[s1(i)], t2[s2(i)])
 
 
+def _statistic_tables(objective: str, n: int, l: int | None):
+    """The step tables of the automaton of the objective's statistic."""
+    record = STATISTICS[OBJECTIVES[objective][0]]
+    return _step_tables(record.automaton, n, l if record.reads_l else None)
+
+
 def _objective_tables(inst: ProblemInstance):
     """Per objective, the step tables of its statistic's automaton and the
     objective's value table, which maps the state after the last bit, the
     statistic, to the objective value."""
-    out = []
-    for statistic, table in (OBJECTIVES[name] for name in inst.info.objectives):
-        record = STATISTICS[statistic]
-        tables = _step_tables(record.automaton, inst.n, inst.l if record.reads_l else None)
-        out.append((tables, bytes(table(inst.n, inst.k, inst.l))))
-    return out
+    n, k, l = inst.n, inst.k, inst.l
+    return [
+        (_statistic_tables(name, n, l), bytes(OBJECTIVES[name][1](n, k, l)))
+        for name in inst.info.objectives
+    ]
 
 
 # The index sets span at most the first 2^16 indices, 8 KiB a set; a larger
@@ -561,6 +560,22 @@ def _select(cells, table: bytes, n: int) -> int:
     cube, the union of the index sets of the states it marks."""
     sets, ends = cells
     return _join([_union(compress(sets, e.translate(table))) for e in ends], n)
+
+
+def _pair_bits(cells, pairs, n: int) -> int:
+    """The packed set of the indices whose final values (a, b) in two
+    automata's cells (_cells) form one of the pairs, no two with the same a."""
+    (sets1, ends1), (sets2, ends2) = cells
+    pair_b = dict(pairs)
+    blocks = []
+    for e1, e2 in zip(ends1, ends2):
+        by_b = defaultdict(list)
+        for y, b in zip(sets2, e2):
+            by_b[b].append(y)
+        blocks.append(_union(
+            x & y for x, a in zip(sets1, e1) if a in pair_b for y in by_b[pair_b[a]]
+        ))
+    return _join(blocks, n)
 
 
 def _where(automaton: Callable[..., Callable], n: int, l: int | None, states) -> int:

@@ -47,6 +47,12 @@ class TestConstruction:
             BitString(64, 0)
         assert str(BitString(63, (1 << 63) - 1)) == "1" * 63
 
+    def test_rejects_a_length_or_index_that_is_not_an_int(self):
+        with pytest.raises(ValidationError):
+            BitString("4", 1)
+        with pytest.raises(ValidationError):
+            BitString(4, 1.0)
+
     def test_rejects_index_out_of_range(self):
         with pytest.raises(ValidationError):
             BitString(3, 8)

@@ -464,6 +464,23 @@ class TestUsageErrors:
         assert rc == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("front_point=1", "front_point needs 'f1,f2', got '1'"),
+            ("front_point=a,b", "front_point needs integers, got 'a,b'"),
+            ("coverage=x", "bad coverage fraction 'x'"),
+            ("coverage=1/0", "bad coverage fraction '1/0'"),
+            ("coverage=3/2", "coverage fraction must be in (0, 1], got Fraction(3, 2)"),
+            ("coverage=0", "coverage fraction must be in (0, 1], got Fraction(0, 1)"),
+        ],
+    )
+    def test_bad_target(self, capsys, target, message):
+        argv = ["run", "semo", "omm:n=4", "--seeds", "1", "--budget", "10", "--target", target]
+        rc, stdout, err = run_main(capsys, argv)
+        assert (rc, stdout) == (1, "")
+        assert err == f"error: {message}\n"
+
     def test_unwritable_out_path(self, capsys, tmp_path):
         target = str(tmp_path / "missing" / "report.txt")
         rc, _, err = run_main(capsys, ["landscape", "lotz:n=4", "--out", target])

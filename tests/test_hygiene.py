@@ -3,7 +3,8 @@ package imports nothing outside the standard library, every private
 top-level name of the package is referenced somewhere in it, no
 top-level name is defined in two modules of the package, only the search
 harness starts worker processes, only the profile, verify and the
-landscape and figure commands enumerate the cube, the naive model in
+landscape and figure commands enumerate the cube, only enumeration and
+the family records build a Pareto set, the naive model in
 tests/naive.py is independent of the package and wholly used by the tests,
 and every module parses as the oldest Python that pyproject.toml admits."""
 
@@ -106,6 +107,20 @@ def test_only_the_profile_verify_and_two_commands_enumerate():
         if getattr(node, "id", getattr(node, "attr", None)) == "enumerate_landscape"
     }
     assert callers == {"characteristic_profile", "verify", "cmd_landscape", "cmd_figure"}
+
+
+def test_only_enumeration_and_the_records_build_a_pareto_set():
+    # One kernel selects every Pareto set from statistic or objective pairs:
+    # enumeration's from the front, each record's from its pairs.
+    callers = {
+        func.name
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if getattr(node, "id", getattr(node, "attr", None)) == "_pair_bits"
+    }
+    assert callers == {"_report", "pareto_set"}
 
 
 def test_every_naive_name_is_used_by_a_test():

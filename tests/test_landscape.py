@@ -40,10 +40,8 @@ from bibench.landscape import (
     _local_optima,
     _local_optima_by_string,
     _binary_lines,
-    _member_bits,
     _report,
     _set_indices,
-    _union,
     _unpack_bits,
     characteristic_profile,
     enumerate_landscape,
@@ -56,7 +54,14 @@ from bibench.landscape import (
     summary_line,
 )
 from bibench.oracles import grid_instances, render_verification, verify
-from bibench.problems import ProblemInstance, evaluate, index_evaluator, parse_descriptor
+from bibench.problems import (
+    ProblemInstance,
+    _pair_bits,
+    _union,
+    evaluate,
+    index_evaluator,
+    parse_descriptor,
+)
 from test_acceptance import PROFILE_TABLE
 
 
@@ -978,7 +983,7 @@ class TestBitSlicedKernels:
                 for table in landscape._BITS:
                     bits = problems._select((sets, ends), table, n)
                     assert bits == pack_bits(plane.translate(table)), inst.descriptor
-            assert _member_bits(cells, report.levels[0], n) == report.member_bits, inst.descriptor
+            assert _pair_bits(cells, report.levels[0], n) == report.member_bits, inst.descriptor
             assert _local_optima(cells, report.member_bits, n) == report.local_optima_bits
 
     @pytest.mark.parametrize(

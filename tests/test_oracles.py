@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from planes import objective_planes
 from bibench import problems
 from bibench.errors import ValidationError
-from bibench.landscape import BYTES_PER_STRING, enumerate_landscape
+from bibench.landscape import BYTES_PER_STRING, _image_levels, enumerate_landscape
 from bibench.oracles import (
     ClaimResult,
     VerificationReport,
@@ -36,7 +36,6 @@ from bibench.problems import (
     FAMILY_NAMES,
     STATISTICS,
     ProblemInstance,
-    _completed,
     _orzr_move,
     index_evaluator,
     parse_descriptor,
@@ -284,14 +283,14 @@ class TestMasksMatchTheSetReferences:
 
     @pytest.mark.parametrize("set_bits", [3, 4, problems._SET_BITS])
     def test_completed_equals_the_reference(self, set_bits):
-        # orzr's block state 0, over blocks of the cube split from n = 4 and
-        # n = 5 on.
+        # Every record's pairs, the completed strings of orzr and omzr among
+        # them, selected over blocks of the cube split from n = 4 and n = 5
+        # on.
         with mock.patch.object(problems, "_SET_BITS", set_bits):
-            for n in range(2, 13):
-                for l in range(1, n // 2 + 1):
-                    if n % l == 0:
-                        expected = reference_completed(n, None, l)
-                        assert members(_completed(n, None, l), n) == expected, (n, l)
+            for inst in grid_instances(None, range(1, 13)):
+                n, k, l = inst.n, inst.k, inst.l
+                expected = REFERENCE_PARETO_SETS[inst.family](n, k, l)
+                assert members(inst.info.pareto_set(n, k, l), n) == expected, inst.descriptor
 
     def test_block_marks_equal_the_left_to_right_reference(self):
         # The closed forms read the blocks right to left, from index bit 0;
@@ -308,6 +307,69 @@ class TestMasksMatchTheSetReferences:
                         expected = int(mark[::-1].translate(b"01".ljust(256)), 2)
                         local = ProblemInstance(family, n, l=l).info.local_optima(n, None, l)
                         assert local == expected, (family, n, l)
+
+
+
+def statistic_pair_counts(inst):
+    """How many strings have each pair (s1, s2) of the two objectives'
+    statistics, with no cube: a DP over the index bits, from bit 0 upward,
+    on pairs of the statistics' automaton states, the state after the last
+    bit being the statistic (the transfer-matrix method, Stanley,
+    Enumerative Combinatorics I, 4.7)."""
+    tables1, tables2 = (
+        problems._statistic_tables(name, inst.n, inst.l) for name in inst.info.objectives
+    )
+    counts = {(0, 0): 1}
+    for (a0, a1), (b0, b1) in zip(tables1, tables2):
+        after = Counter()
+        for (a, b), count in counts.items():
+            after[a0[a], b0[b]] += count
+            after[a1[a], b1[b]] += count
+        counts = after
+    return counts
+
+
+def pair_disagreement(inst):
+    """How many strings the record's pairs and the true Pareto set disagree
+    on. A class (s1, s2) is claimed when it is one of the record's pairs,
+    and true when its objective vector lies on the counted image's first
+    level."""
+    n, k, l = inst.n, inst.k, inst.l
+    claimed = set(inst.info.pareto(n, k, l))
+    t1, t2 = (problems.OBJECTIVES[name][1](n, k, l) for name in inst.info.objectives)
+    front = set(_image_levels(inst)[0])
+    return sum(
+        count
+        for (a, b), count in statistic_pair_counts(inst).items()
+        if ((a, b) in claimed) != ((t1[a], t2[b]) in front)
+    )
+
+
+class TestPairsBeyondTheCap:
+    GRID = grid_instances(None, range(1, 33))
+
+    def test_pairs_have_distinct_first_values(self):
+        # _pair_bits reads the pairs as a dict, which would drop a repeat.
+        for inst in self.GRID:
+            firsts = [a for a, _ in inst.info.pareto(inst.n, inst.k, inst.l)]
+            assert len(set(firsts)) == len(firsts), inst.descriptor
+
+    def test_counted_disagreement(self):
+        # Zero on every exact family; the ojzr pairs assume a block length
+        # below the gap.
+        assert len(self.GRID) == 1772
+        disagreeing = Counter()
+        for inst in self.GRID:
+            if pair_disagreement(inst):
+                assert not inst.info.exact, inst.descriptor
+                disagreeing[inst.n <= 16] += 1
+        assert disagreeing == {True: 31, False: 155}
+
+    def test_counted_disagreement_matches_the_verified_claim(self):
+        for inst in SMALL_GRID:
+            claim = verify(inst).claims[0]
+            assert claim.name == "pareto_set"
+            assert bool(pair_disagreement(inst)) == (not claim.matched), inst.descriptor
 
 
 class TestRatioOjzj:
