@@ -22,9 +22,10 @@ the ones tables come from the packed ones counts per image vector that
 problems.image_polys counts by one DP over the index bits, the ones tables
 on first read. The Pareto set and the bit planes of the local-optimum scan
 are unions of the packed index sets that reach each state of the
-objectives' automata (problems._objective_cells): the Pareto set per front
-vector, as every Pareto closed form is built (problems._pair_bits), and a
-bit plane per value bit (problems._select).
+statistics' automata (problems._cells), selected by states: the Pareto set
+by the statistic pairs that the value tables send onto the front, as every
+Pareto closed form is built (problems._pair_bits), and a bit plane per
+value bit through the value table (problems._select).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -47,7 +48,7 @@ from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
 from .problems import (
     ProblemInstance,
-    _objective_cells,
+    _cells,
     _objective_tables,
     _pair_bits,
     _select,
@@ -315,22 +316,23 @@ def _unpack_bits(packed: int, size: int) -> bytearray:
     return flags
 
 
-def _local_optima(cells, member: int, n: int) -> int:
+def _local_optima(cells, finals, member: int, n: int) -> int:
     """The int whose bit i is set exactly when string i is a non-global
     local optimum: not a member (bit i of member) and no neighbour strictly
     dominates it (an equal-valued neighbour does not count).
 
-    Bit-sliced: from each objective's cells (problems._objective_cells), the
-    objective's bit planes, low value bit first: the plane for value bit k
-    is the set of strings whose value has bit k set (_select), so bit i of
-    every int below belongs to string i. For index bit b, the strings with
-    bit b clear meet their neighbours 2^b bits up. The bit planes in turn
-    tell, per objective, whether the two values differ and which is greater
-    at the highest bit where they do."""
+    Bit-sliced: from each objective's cells (problems._cells) and value
+    table, the objective's bit planes, low value bit first: the plane for
+    value bit k is the set of strings whose value has bit k set, the final
+    states that the value table composed with _BITS[k] marks (_select), so
+    bit i of every int below belongs to string i. For index bit b, the
+    strings with bit b clear meet their neighbours 2^b bits up. The bit
+    planes in turn tell, per objective, whether the two values differ and
+    which is greater at the highest bit where they do."""
     size = 1 << n
     sliced = [
-        [_select(c, table, n) for table in _BITS[: max(map(max, c[1])).bit_length()]]
-        for c in cells
+        [_select(c, _translate(final, table), n) for table in _BITS[: max(final).bit_length()]]
+        for c, final in zip(cells, finals)
     ]
     marked = member
     for b in range(n):
@@ -425,11 +427,13 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     modulus = (1 << n + 1) - 1
     vector_counts = {v: poly % modulus for v, poly in polys.items()}
     assignment = nondominated_sort(vector_counts)
-    front = assignment.levels[0]
+    front = set(assignment.levels[0])
 
-    # A front vector is the only one on the front with its f1.
-    cells = _objective_cells(inst)
-    member_bits = _pair_bits(cells, front, n)
+    # The statistic pairs that the value tables send onto the front.
+    (tables1, final1), (tables2, final2) = _objective_tables(inst)
+    pairs = [(a, b) for a, v in enumerate(final1) for b, w in enumerate(final2) if (v, w) in front]
+    cells = [_cells(tables1), _cells(tables2)]
+    member_bits = _pair_bits(cells, pairs, n)
 
     # On the grid's instances with n = 17..22, the per-string check beats
     # the local-optimum scan on each with under 2% of the cube outside the
@@ -440,7 +444,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     if size - member_bits.bit_count() <= size >> 5:
         local_optima_bits = _local_optima_by_string(index_evaluator(inst), member_bits, n)
     else:
-        local_optima_bits = _local_optima(cells, member_bits, n)
+        local_optima_bits = _local_optima(cells, [final1, final2], member_bits, n)
 
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
 

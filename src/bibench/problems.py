@@ -82,10 +82,12 @@ class ProblemInstance:
 # instance by ones count in one DP over the index bits on pairs of both
 # objectives' states (image_polys), and, run over packed bits instead of
 # bytes, give the set of indices that reaches each state (_index_sets), over
-# blocks of at most 2^_SET_BITS indices (_cells). Unions of those sets are
-# every Pareto set, by pairs of final values (_pair_bits), and, by a value
-# table (_select), the local-optimum scan's bit planes and closed forms
-# (_where). Read as they are, with no cube, the tables also decide symmetry,
+# blocks of at most 2^_SET_BITS indices with the state each block ends in
+# (_cells). The cells hold states only. Unions of their sets are selected by
+# pairs of final states, every Pareto set and two local-optimum closed forms
+# (_pair_bits), and by a table over final states (_select), the block closed
+# forms (_where) and, through the value tables, the local-optimum scan's bit
+# planes. Read as they are, with no cube, the tables also decide symmetry,
 # by a DP that reads f2's tables in reverse, and separability, by DPs on
 # pairs of one objective's states (landscape.is_symmetric_pair,
 # landscape.is_fully_separable), and the image's levels decide complete
@@ -173,9 +175,6 @@ STATISTICS = {
         partial(_blocks, False), partial(_blocks_automaton, False), reads_l=True
     ),
 }
-
-_ONES = STATISTICS["ones"].automaton
-_ZERO_BLOCKS = STATISTICS["all-zeroes blocks"].automaton
 
 
 # Instances of one size share their automata's tables, so a grid of
@@ -301,10 +300,6 @@ _ORZR_OPTIMA = partial(_block_moves, _orzr_move)
 _LOZR_OPTIMA = partial(_block_moves, _lozr_move)
 
 
-def _ojzr_local_optima(n, k, l):
-    return _where(_ONES, n, None, (n - k,)) & _where(_ZERO_BLOCKS, n, l, range(k // l))
-
-
 def _diagonal_front(n, k, l):
     return {(i, n - i) for i in range(n + 1)}
 
@@ -335,7 +330,7 @@ def _ojzr_pareto(n, k, l):
     # The completed strings with at most n - k or n ones, and those with
     # n - k ones and k // l zero blocks, a completed string when l divides k.
     pairs = [(s, z) for s, z in _block_pairs(n, k, l) if s <= n - k or s == n]
-    return pairs + [(n - k, k // l)] if k % l else pairs
+    return pairs + [(n - k, k // l)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,10 +341,10 @@ class FamilyInfo:
     `rule(n, k, l)` returns why parameters of the right kinds are invalid,
     or None, and `constraints` states it for people. The closed forms take
     (n, k, l): `pareto` gives the Pareto set as pairs (s1, s2) of the two
-    objectives' statistics, no two with the same s1, and `local_optima` as
-    packed bits, an int whose bit i is set when the string with index i is
-    in the set, as pareto_set builds from the pairs; `front` gives the front
-    as printed. They are exact oracles unless `exact` is False.
+    objectives' statistics, and `local_optima` as packed bits, an int whose
+    bit i is set when the string with index i is in the set, as pareto_set
+    builds from the pairs; `front` gives the front as printed. They are
+    exact oracles unless `exact` is False.
     """
 
     name: str
@@ -363,9 +358,8 @@ class FamilyInfo:
     exact: bool = True
 
     def pareto_set(self, n: int, k: int | None, l: int | None) -> int:
-        """The strings of the pairs of `pareto`, as packed bits (_pair_bits)."""
-        tables = (_statistic_tables(name, n, l) for name in self.objectives)
-        return _pair_bits([_cells(t, bytes(range(256))) for t in tables], self.pareto(n, k, l), n)
+        """The strings of the pairs of `pareto`, as packed bits."""
+        return _statistic_pairs(self.objectives, self.pareto(n, k, l), n, l)
 
 
 _CATALOG = (
@@ -404,8 +398,8 @@ _CATALOG = (
     FamilyInfo("lozj", ("leading ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
                pareto=lambda n, k, l: [(a, a) for a in (0, *range(k, n + 1))],
-               local_optima=lambda n, k, l: _where(_ONES, n, None, (k,))
-               & _where(STATISTICS["leading ones"].automaton, n, None, range(k)),
+               local_optima=lambda n, k, l: _statistic_pairs(
+                   ("leading ones", "zero-jump"), [(a, k) for a in range(k)], n, l),
                front=_zero_jump_front),
     # 1^s 0^(n-s), s a multiple of l: s leading ones, every later block all zero.
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
@@ -418,8 +412,9 @@ _CATALOG = (
                "1 < k <= floor(n/2), l divides n, n/l > 1",
                rule=lambda n, k, l: _block_length(n, k, l) if 1 < k and 2 * k <= n
                else "requires 1 < k <= floor(n/2)",
-               pareto=_ojzr_pareto, local_optima=_ojzr_local_optima, front=_ojzr_front,
-               exact=False),
+               pareto=_ojzr_pareto, front=_ojzr_front, exact=False,
+               local_optima=lambda n, k, l: _statistic_pairs(
+                   ("one-jump", "all-zeroes blocks"), [(n - k, z) for z in range(k // l)], n, l)),
 )
 
 _BY_NAME = {info.name: info for info in _CATALOG}
@@ -497,8 +492,8 @@ def _objective_tables(inst: ProblemInstance):
 # stay small beside a whole-cube set (sets over half the cube at n = 24
 # raised the peak resident memory of a landscape analysis by up to a fifth),
 # and, like the step tables, they can be kept for the instances of one size:
-# at most 137 KiB an automaton at n = 24, 350 KiB for the whole verification
-# grid.
+# at most 137 KiB an automaton at n = 24, 293 KiB for the 83 sets of the
+# whole verification grid.
 _SET_BITS = 16
 
 
@@ -519,25 +514,17 @@ def _index_sets(tables) -> tuple[int, ...]:
     return tuple(sets)
 
 
-def _cells(tables, final: bytes) -> tuple[tuple[int, ...], list[bytes]]:
-    """The automaton's index sets and the value tables of the cube's blocks
-    of 2^low indices, low = min(n, _SET_BITS): sets[s] is the packed set of
+def _cells(tables) -> tuple[tuple[int, ...], list[bytes]]:
+    """The automaton's index sets and the states the cube's blocks of 2^low
+    indices end in, low = min(n, _SET_BITS): sets[s] is the packed set of
     the indices below 2^low whose bits lead the automaton to state s, and
-    ends[r][s] is final at the state it ends in from those indices plus
-    r * 2^low."""
+    ends[r][s] is the state it ends in from those indices plus r * 2^low."""
     low = min(len(tables), _SET_BITS)
     sets = _index_sets(tables[:low])
     # The state after the block's high bits, from each state after its low.
     width = len(sets)
-    ends = _translate(_state_plane(tables[low:], bytes(range(width))), final)
+    ends = _state_plane(tables[low:], bytes(range(width)))
     return sets, [ends[r : r + width] for r in range(0, len(ends), width)]
-
-
-def _objective_cells(inst: ProblemInstance) -> list[tuple[tuple[int, ...], list[bytes]]]:
-    """Per objective, the cells of its statistic's automaton with the
-    objective as final value (_cells). Objectives of one statistic (omm,
-    ojzj) share their sets."""
-    return [_cells(tables, final) for tables, final in _objective_tables(inst)]
 
 
 def _union(sets) -> int:
@@ -555,36 +542,41 @@ def _join(blocks, n: int) -> int:
 
 
 def _select(cells, table: bytes, n: int) -> int:
-    """The packed set of the indices whose final value v has table[v] set,
-    table 256 bytes of 0 or 1, from the cells (_cells): in each block of the
-    cube, the union of the index sets of the states it marks."""
+    """The packed set of the indices whose final state s has table[s] set,
+    table bytes of 0 or 1 (0 beyond its end), from the cells (_cells): in
+    each block of the cube, the union of the index sets of the states it
+    marks."""
     sets, ends = cells
-    return _join([_union(compress(sets, e.translate(table))) for e in ends], n)
+    return _join([_union(compress(sets, _translate(e, table))) for e in ends], n)
 
 
 def _pair_bits(cells, pairs, n: int) -> int:
-    """The packed set of the indices whose final values (a, b) in two
-    automata's cells (_cells) form one of the pairs, no two with the same a."""
+    """The packed set of the indices whose final states (a, b) in two
+    automata's cells (_cells) form one of the pairs."""
     (sets1, ends1), (sets2, ends2) = cells
-    pair_b = dict(pairs)
+    wanted = defaultdict(set)
+    for a, b in pairs:
+        wanted[a].add(b)
     blocks = []
     for e1, e2 in zip(ends1, ends2):
-        by_b = defaultdict(list)
+        by_b = defaultdict(int)
         for y, b in zip(sets2, e2):
-            by_b[b].append(y)
-        blocks.append(_union(
-            x & y for x, a in zip(sets1, e1) if a in pair_b for y in by_b[pair_b[a]]
-        ))
+            by_b[b] |= y
+        blocks.append(_union(x & by_b[b] for x, a in zip(sets1, e1) for b in wanted.get(a, ())))
     return _join(blocks, n)
+
+
+def _statistic_pairs(objectives: tuple[str, str], pairs, n: int, l: int | None) -> int:
+    """The packed set of the strings whose two objectives' statistics form
+    one of the pairs (_pair_bits)."""
+    return _pair_bits([_cells(_statistic_tables(name, n, l)) for name in objectives], pairs, n)
 
 
 def _where(automaton: Callable[..., Callable], n: int, l: int | None, states) -> int:
     """The packed set of the indices at which automaton(n, l) ends in one of
     the given states."""
-    wanted = bytearray(256)
-    for s in states:
-        wanted[s] = 1
-    return _select(_cells(_step_tables(automaton, n, l), bytes(range(256))), wanted, n)
+    wanted = bytes(s in states for s in range(256))
+    return _select(_cells(_step_tables(automaton, n, l)), wanted, n)
 
 
 def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:

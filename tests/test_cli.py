@@ -100,6 +100,10 @@ class TestRatioCommand:
         assert rc == 1
         assert "ojzj takes no --l" in err
 
+    def test_ojzr_needs_block_length(self, capsys):
+        rc, out, err = run_main(capsys, ["ratio", "ojzr", "--n", "12", "--k", "5"])
+        assert (rc, out, err) == (1, "", "error: ojzr needs --l\n")
+
     @pytest.mark.parametrize(
         "argv",
         [["ojzj", "--n", "14300", "--k", "3"], ["ojzr", "--n", "300000", "--k", "5", "--l", "3"]],
@@ -415,6 +419,10 @@ class TestRunCommand:
         )
         assert rc == 1
         assert "budget must be a positive integer" in err
+        rc, _, err = run_main(
+            capsys, ["run", "semo", "omm:n=4", "--seeds", "1", "--budget", "abc"]
+        )
+        assert (rc, err) == (1, "error: bad budget 'abc'\n")
 
     def test_bad_target(self, capsys):
         rc, _, err = run_main(

@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 # A package __init__ imports names to export them, so it is not scanned.
 MODULES = [p for p in sorted((ROOT / "src" / "bibench").glob("*.py")) if p.name != "__init__.py"]
-MODULES += sorted((ROOT / "tests").glob("*.py"))
+MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -110,8 +110,9 @@ def test_only_the_profile_verify_and_two_commands_enumerate():
 
 
 def test_only_enumeration_and_the_records_build_a_pareto_set():
-    # One kernel selects every Pareto set from statistic or objective pairs:
-    # enumeration's from the front, each record's from its pairs.
+    # One kernel selects every Pareto set from pairs of statistics:
+    # enumeration's from those its value tables send onto the front, each
+    # record's, and two records' local optima, from the record's pairs.
     callers = {
         func.name
         for path in SOURCES
@@ -120,7 +121,7 @@ def test_only_enumeration_and_the_records_build_a_pareto_set():
         for node in ast.walk(func)
         if getattr(node, "id", getattr(node, "attr", None)) == "_pair_bits"
     }
-    assert callers == {"_report", "pareto_set"}
+    assert callers == {"_report", "_statistic_pairs"}
 
 
 def test_every_naive_name_is_used_by_a_test():
@@ -146,7 +147,7 @@ OLDEST_PYTHON = tuple(
 
 @pytest.mark.parametrize(
     "path",
-    SOURCES + sorted((ROOT / "tests").glob("*.py")),
+    SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")),
     ids=lambda p: f"{p.parent.name}/{p.name}",
 )
 def test_parses_as_the_oldest_supported_python(path):

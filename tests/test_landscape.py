@@ -950,8 +950,10 @@ class TestBitSlicedKernels:
             members = naive.pareto_set(vecs)
             packed = sum(1 << i for i in members)
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
-            cells = problems._objective_cells(inst)
-            assert _local_optima(cells, packed, inst.n) == expected, inst.descriptor
+            objectives = problems._objective_tables(inst)
+            cells = [problems._cells(tables) for tables, _ in objectives]
+            finals = [final for _, final in objectives]
+            assert _local_optima(cells, finals, packed, inst.n) == expected, inst.descriptor
             by_string = _local_optima_by_string(index_evaluator(inst), packed, inst.n)
             assert by_string == expected, inst.descriptor
             assert report.member_bits == packed, inst.descriptor
@@ -965,9 +967,11 @@ class TestBitSlicedKernels:
             n = inst.n
             report = enumerate_landscape(inst)
             low = min(n, set_bits)
+            objectives = problems._objective_tables(inst)
+            finals = [final for _, final in objectives]
             with mock.patch.object(problems, "_SET_BITS", set_bits):
-                cells = problems._objective_cells(inst)
-            for (sets, ends), plane in zip(cells, objective_planes(inst)):
+                cells = [problems._cells(tables) for tables, _ in objectives]
+            for (sets, ends), final, plane in zip(cells, finals, objective_planes(inst)):
                 # The sets partition the first 2^low indices; the blocks
                 # cover the cube.
                 assert _union(sets) == (1 << (1 << low)) - 1, inst.descriptor
@@ -977,14 +981,23 @@ class TestBitSlicedKernels:
                 for s, x in enumerate(sets):
                     for i in _set_indices(x, low):
                         states[i] = s
-                rebuilt = b"".join(states.translate(end.ljust(256, b"\0")) for end in ends)
+                # The blocks' end states, read through the value table.
+                rebuilt = b"".join(
+                    states.translate(end.ljust(256, b"\0")).translate(final.ljust(256, b"\0"))
+                    for end in ends
+                )
                 assert rebuilt == plane, inst.descriptor
-                # Selected by each value bit, they rebuild the bit planes.
+                # Selected by each value bit of the value table, they
+                # rebuild the bit planes.
                 for table in landscape._BITS:
-                    bits = problems._select((sets, ends), table, n)
+                    bits = problems._select((sets, ends), final.translate(table), n)
                     assert bits == pack_bits(plane.translate(table)), inst.descriptor
-            assert _pair_bits(cells, report.levels[0], n) == report.member_bits, inst.descriptor
-            assert _local_optima(cells, report.member_bits, n) == report.local_optima_bits
+            # The statistic pairs that the value tables send onto the front.
+            front = set(report.levels[0])
+            f1, f2 = finals
+            pairs = [(a, b) for a, v in enumerate(f1) for b, w in enumerate(f2) if (v, w) in front]
+            assert _pair_bits(cells, pairs, n) == report.member_bits, inst.descriptor
+            assert _local_optima(cells, finals, report.member_bits, n) == report.local_optima_bits
 
     @pytest.mark.parametrize(
         "descriptor, taken, refused",

@@ -284,13 +284,16 @@ class TestMasksMatchTheSetReferences:
     @pytest.mark.parametrize("set_bits", [3, 4, problems._SET_BITS])
     def test_completed_equals_the_reference(self, set_bits):
         # Every record's pairs, the completed strings of orzr and omzr among
-        # them, selected over blocks of the cube split from n = 4 and n = 5
-        # on.
+        # them, and every local-optimum closed form, lozj's and ojzr's pairs
+        # among them, selected over blocks of the cube split from n = 4 and
+        # n = 5 on.
         with mock.patch.object(problems, "_SET_BITS", set_bits):
             for inst in grid_instances(None, range(1, 13)):
                 n, k, l = inst.n, inst.k, inst.l
                 expected = REFERENCE_PARETO_SETS[inst.family](n, k, l)
                 assert members(inst.info.pareto_set(n, k, l), n) == expected, inst.descriptor
+                expected = REFERENCE_LOCAL_OPTIMA.get(inst.family, lambda n, k, l: set())(n, k, l)
+                assert members(inst.info.local_optima(n, k, l), n) == expected, inst.descriptor
 
     def test_block_marks_equal_the_left_to_right_reference(self):
         # The closed forms read the blocks right to left, from index bit 0;
@@ -348,11 +351,29 @@ def pair_disagreement(inst):
 class TestPairsBeyondTheCap:
     GRID = grid_instances(None, range(1, 33))
 
-    def test_pairs_have_distinct_first_values(self):
-        # _pair_bits reads the pairs as a dict, which would drop a repeat.
-        for inst in self.GRID:
-            firsts = [a for a, _ in inst.info.pareto(inst.n, inst.k, inst.l)]
-            assert len(set(firsts)) == len(firsts), inst.descriptor
+    @pytest.mark.parametrize("set_bits", [3, 4, problems._SET_BITS])
+    def test_pairs_select_the_union_of_their_selections(self, set_bits):
+        # Each pair alone selects the strings it counts; pairs whose first
+        # value repeats, and every record's pairs, ojzr's repeated one among
+        # them when l divides k, select the union of their pairs' own
+        # selections; a duplicated pair selects what it selects alone.
+        with mock.patch.object(problems, "_SET_BITS", set_bits):
+            for inst in grid_instances(None, range(1, 11)):
+                n, k, l = inst.n, inst.k, inst.l
+
+                def select(pairs):
+                    return problems._statistic_pairs(inst.info.objectives, pairs, n, l)
+
+                counts = statistic_pair_counts(inst)
+                alone = {pair: select([pair]) for pair in counts}
+                assert {p: x.bit_count() for p, x in alone.items()} == counts, inst.descriptor
+                for a in {a for a, _ in counts}:
+                    pairs = [pair for pair in counts if pair[0] == a]
+                    union = problems._union(alone[pair] for pair in pairs)
+                    assert select(pairs) == select(pairs + pairs[::-1]) == union, inst.descriptor
+                pairs = inst.info.pareto(n, k, l)
+                union = problems._union(alone.get(pair, 0) for pair in pairs)
+                assert inst.info.pareto_set(n, k, l) == union, inst.descriptor
 
     def test_counted_disagreement(self):
         # Zero on every exact family; the ojzr pairs assume a block length
