@@ -23,9 +23,9 @@ problems.image_polys counts by one DP over the index bits, the ones tables
 on first read. The Pareto set and the bit planes of the local-optimum scan
 are unions of the packed index sets that reach each state of the
 statistics' automata (problems._cells), selected by states: the Pareto set
-by the statistic pairs that the value tables send onto the front, as every
-Pareto closed form is built (problems._pair_bits), and a bit plane per
-value bit through the value table (problems._select).
+by the statistic pairs that the value tables send onto the front, through
+the kernel that builds every Pareto closed form (problems._statistic_pairs),
+and a bit plane per value bit through the value table (problems._select).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -50,8 +50,8 @@ from .problems import (
     ProblemInstance,
     _cells,
     _objective_tables,
-    _pair_bits,
     _select,
+    _statistic_pairs,
     _translate,
     image_polys,
     index_evaluator,
@@ -316,24 +316,24 @@ def _unpack_bits(packed: int, size: int) -> bytearray:
     return flags
 
 
-def _local_optima(cells, finals, member: int, n: int) -> int:
+def _local_optima(objective_tables, member: int, n: int) -> int:
     """The int whose bit i is set exactly when string i is a non-global
     local optimum: not a member (bit i of member) and no neighbour strictly
     dominates it (an equal-valued neighbour does not count).
 
-    Bit-sliced: from each objective's cells (problems._cells) and value
-    table, the objective's bit planes, low value bit first: the plane for
-    value bit k is the set of strings whose value has bit k set, the final
-    states that the value table composed with _BITS[k] marks (_select), so
-    bit i of every int below belongs to string i. For index bit b, the
+    Bit-sliced: from each objective's step tables, its cells (problems._cells),
+    and its value table, the objective's bit planes, low value bit first: the
+    plane for value bit k is the set of strings whose value has bit k set, the
+    final states that the value table composed with _BITS[k] marks (_select),
+    so bit i of every int below belongs to string i. For index bit b, the
     strings with bit b clear meet their neighbours 2^b bits up. The bit
     planes in turn tell, per objective, whether the two values differ and
     which is greater at the highest bit where they do."""
     size = 1 << n
-    sliced = [
-        [_select(c, _translate(final, table), n) for table in _BITS[: max(final).bit_length()]]
-        for c, final in zip(cells, finals)
-    ]
+    sliced = []
+    for tables, final in objective_tables:
+        cells, planes = _cells(tables), _BITS[: max(final).bit_length()]
+        sliced.append([_select(cells, _translate(final, table), n) for table in planes])
     marked = member
     for b in range(n):
         step = 1 << b
@@ -430,10 +430,10 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     front = set(assignment.levels[0])
 
     # The statistic pairs that the value tables send onto the front.
-    (tables1, final1), (tables2, final2) = _objective_tables(inst)
+    objective_tables = _objective_tables(inst)
+    (_, final1), (_, final2) = objective_tables
     pairs = [(a, b) for a, v in enumerate(final1) for b, w in enumerate(final2) if (v, w) in front]
-    cells = [_cells(tables1), _cells(tables2)]
-    member_bits = _pair_bits(cells, pairs, n)
+    member_bits = _statistic_pairs(inst.info.objectives, pairs, n, inst.l)
 
     # On the grid's instances with n = 17..22, the per-string check beats
     # the local-optimum scan on each with under 2% of the cube outside the
@@ -444,7 +444,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     if size - member_bits.bit_count() <= size >> 5:
         local_optima_bits = _local_optima_by_string(index_evaluator(inst), member_bits, n)
     else:
-        local_optima_bits = _local_optima(cells, [final1, final2], member_bits, n)
+        local_optima_bits = _local_optima(objective_tables, member_bits, n)
 
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
 

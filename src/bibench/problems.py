@@ -85,11 +85,11 @@ class ProblemInstance:
 # blocks of at most 2^_SET_BITS indices with the state each block ends in
 # (_cells). The cells hold states only. Unions of their sets are selected by
 # pairs of final states, every Pareto set and two local-optimum closed forms
-# (_pair_bits), and by a table over final states (_select), the block closed
-# forms (_where) and, through the value tables, the local-optimum scan's bit
-# planes. Read as they are, with no cube, the tables also decide symmetry,
-# by a DP that reads f2's tables in reverse, and separability, by DPs on
-# pairs of one objective's states (landscape.is_symmetric_pair,
+# (_statistic_pairs), and by a table over final states (_select), the block
+# closed forms (_where) and, through the value tables, the local-optimum
+# scan's bit planes. Read as they are, with no cube, the tables also decide
+# symmetry, by a DP that reads f2's tables in reverse, and separability, by
+# DPs on pairs of one objective's states (landscape.is_symmetric_pair,
 # landscape.is_fully_separable), and the image's levels decide complete
 # conflict and the front's shape (landscape._image_levels).
 #
@@ -550,10 +550,13 @@ def _select(cells, table: bytes, n: int) -> int:
     return _join([_union(compress(sets, _translate(e, table))) for e in ends], n)
 
 
-def _pair_bits(cells, pairs, n: int) -> int:
-    """The packed set of the indices whose final states (a, b) in two
-    automata's cells (_cells) form one of the pairs."""
-    (sets1, ends1), (sets2, ends2) = cells
+def _statistic_pairs(objectives: tuple[str, str], pairs, n: int, l: int | None) -> int:
+    """The packed set of the strings whose two objectives' statistics, the
+    final states of their automata, form one of the pairs (a, b); a first
+    state or a pair may repeat. The one kernel that selects strings by
+    statistic pairs: per block of the cube (_cells), the indices that the
+    first automaton's sets send to a, met with those the second's send to b."""
+    (sets1, ends1), (sets2, ends2) = (_cells(_statistic_tables(name, n, l)) for name in objectives)
     wanted = defaultdict(set)
     for a, b in pairs:
         wanted[a].add(b)
@@ -564,12 +567,6 @@ def _pair_bits(cells, pairs, n: int) -> int:
             by_b[b] |= y
         blocks.append(_union(x & by_b[b] for x, a in zip(sets1, e1) for b in wanted.get(a, ())))
     return _join(blocks, n)
-
-
-def _statistic_pairs(objectives: tuple[str, str], pairs, n: int, l: int | None) -> int:
-    """The packed set of the strings whose two objectives' statistics form
-    one of the pairs (_pair_bits)."""
-    return _pair_bits([_cells(_statistic_tables(name, n, l)) for name in objectives], pairs, n)
 
 
 def _where(automaton: Callable[..., Callable], n: int, l: int | None, states) -> int:

@@ -2,8 +2,10 @@
 
 import concurrent.futures
 import os
+from collections import deque
 from fractions import Fraction
 
+import naive
 import pytest
 from audited_loop import audit, audited_run
 
@@ -206,6 +208,65 @@ class TestStopping:
         assert result.hit
         assert result.hitting_time == 81
         assert any(vec == (8, 0) for _, vec in result.archive)
+
+
+ORZR_STALL = (
+    (ProblemInstance("orzr", n=6, l=2), 64),
+    (ProblemInstance("orzr", n=6, l=3), 64),
+    (ProblemInstance("orzr", n=8, l=2), 256),
+    (ProblemInstance("orzr", n=8, l=4), 256),
+    (ProblemInstance("orzr", n=12, l=4), 4096),
+)
+
+
+class TestOrzrStall:
+    """SEMO never holds more than one string on orzr with blocks of two or
+    more bits: one flip changes one block, so it completes a block or breaks
+    one, and never trades one objective for the other. So SEMO hits no
+    full-front target there at any budget."""
+
+    @staticmethod
+    def reachable_archives(vecs, n):
+        """Every archive, a set of indices, that SEMO reaches from a single
+        string by a breadth-first search over its steps: any member, any
+        one-bit flip, the child offered by the archive rule. Shares no code
+        with run."""
+
+        def offer(archive, child):
+            v = vecs[child]
+            if any(vecs[i][0] >= v[0] and vecs[i][1] >= v[1] for i in archive):
+                return archive
+            return frozenset(i for i in archive if not naive.dominates(v, vecs[i])) | {child}
+
+        seen = {frozenset([i]) for i in range(1 << n)}
+        queue = deque(seen)
+        while queue:
+            archive = queue.popleft()
+            for i in archive:
+                for b in range(n):
+                    after = offer(archive, i ^ 1 << b)
+                    if after not in seen:
+                        seen.add(after)
+                        queue.append(after)
+        return seen
+
+    @pytest.mark.parametrize(
+        "inst, count", ORZR_STALL, ids=lambda x: str(getattr(x, "descriptor", x))
+    )
+    def test_every_reachable_archive_is_one_string(self, inst, count):
+        vecs = naive.vectors(inst)
+        front = naive.levels(vecs)[0]
+        archives = self.reachable_archives(vecs, inst.n)
+        assert len(archives) == count
+        assert all(len(archive) == 1 for archive in archives)
+        assert not any(front <= {vecs[i] for i in archive} for archive in archives)
+
+    @pytest.mark.parametrize("inst", [inst for inst, _ in ORZR_STALL], ids=lambda i: i.descriptor)
+    def test_semo_runs_end_on_one_string(self, inst):
+        for seed in range(10):
+            result = run(RunConfig("semo", inst, seed, budget=2000))
+            assert not result.hit, seed
+            assert len(result.archive) == 1, seed
 
 
 class TestExperiment:

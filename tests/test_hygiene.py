@@ -4,9 +4,10 @@ top-level name of the package is referenced somewhere in it, no
 top-level name is defined in two modules of the package, only the search
 harness starts worker processes, only the profile, verify and the
 landscape and figure commands enumerate the cube, only enumeration and
-the family records build a Pareto set, the naive model in
-tests/naive.py is independent of the package and wholly used by the tests,
-and every module parses as the oldest Python that pyproject.toml admits."""
+the family records build a Pareto set, every library cache is bounded,
+the naive model in tests/naive.py is independent of the package and wholly
+used by the tests, and every module parses as the oldest Python that
+pyproject.toml admits."""
 
 import ast
 import re
@@ -110,18 +111,51 @@ def test_only_the_profile_verify_and_two_commands_enumerate():
 
 
 def test_only_enumeration_and_the_records_build_a_pareto_set():
-    # One kernel selects every Pareto set from pairs of statistics:
-    # enumeration's from those its value tables send onto the front, each
-    # record's, and two records' local optima, from the record's pairs.
+    # One kernel, _statistic_pairs, selects every Pareto set from pairs of
+    # statistics: enumeration's from those its value tables send onto the
+    # front, and each record's from the record's pairs. Two records' local
+    # optima call it from lambdas in the catalog, which are not function
+    # definitions and so are not counted here.
     callers = {
         func.name
         for path in SOURCES
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(func, ast.FunctionDef)
         for node in ast.walk(func)
-        if getattr(node, "id", getattr(node, "attr", None)) == "_pair_bits"
+        if getattr(node, "id", getattr(node, "attr", None)) == "_statistic_pairs"
     }
-    assert callers == {"_report", "_statistic_pairs"}
+    assert callers == {"_report", "pareto_set"}
+
+
+def test_every_library_cache_is_bounded():
+    # Every functools cache is written lru_cache(maxsize=<int literal>): no
+    # functools.cache (no name cache at all), bare lru_cache or
+    # maxsize=None, so no module-level cache grows without bound between
+    # calls. cached_property keeps a value on one report and is not counted.
+    cached = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        owners = {
+            id(decorator): func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for decorator in func.decorator_list
+        }
+        for node in ast.walk(tree):
+            # functools.cache, imported or read as an attribute.
+            names = [alias.name for alias in getattr(node, "names", ())]
+            name = getattr(node, "id", getattr(node, "attr", None))
+            where = (path.name, getattr(node, "lineno", None))
+            assert "cache" not in names and name != "cache", where
+            if name == "lru_cache":
+                call = calls.get(id(node))
+                assert call is not None and not call.args, where
+                assert [keyword.arg for keyword in call.keywords] == ["maxsize"], where
+                bound = call.keywords[0].value
+                assert isinstance(bound, ast.Constant) and type(bound.value) is int, where
+                cached[owners.get(id(call))] = bound.value
+    assert cached == {"_step_tables": 128, "index_evaluator": 128, "_index_sets": 128, "_report": 1}
 
 
 def test_every_naive_name_is_used_by_a_test():

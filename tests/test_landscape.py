@@ -56,7 +56,7 @@ from bibench.landscape import (
 from bibench.oracles import grid_instances, render_verification, verify
 from bibench.problems import (
     ProblemInstance,
-    _pair_bits,
+    _statistic_pairs,
     _union,
     evaluate,
     index_evaluator,
@@ -951,9 +951,7 @@ class TestBitSlicedKernels:
             packed = sum(1 << i for i in members)
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
             objectives = problems._objective_tables(inst)
-            cells = [problems._cells(tables) for tables, _ in objectives]
-            finals = [final for _, final in objectives]
-            assert _local_optima(cells, finals, packed, inst.n) == expected, inst.descriptor
+            assert _local_optima(objectives, packed, inst.n) == expected, inst.descriptor
             by_string = _local_optima_by_string(index_evaluator(inst), packed, inst.n)
             assert by_string == expected, inst.descriptor
             assert report.member_bits == packed, inst.descriptor
@@ -969,8 +967,14 @@ class TestBitSlicedKernels:
             low = min(n, set_bits)
             objectives = problems._objective_tables(inst)
             finals = [final for _, final in objectives]
+            # The statistic pairs that the value tables send onto the front.
+            front = set(report.levels[0])
+            f1, f2 = finals
+            pairs = [(a, b) for a, v in enumerate(f1) for b, w in enumerate(f2) if (v, w) in front]
             with mock.patch.object(problems, "_SET_BITS", set_bits):
                 cells = [problems._cells(tables) for tables, _ in objectives]
+                members = _statistic_pairs(inst.info.objectives, pairs, n, inst.l)
+                local_optima = _local_optima(objectives, report.member_bits, n)
             for (sets, ends), final, plane in zip(cells, finals, objective_planes(inst)):
                 # The sets partition the first 2^low indices; the blocks
                 # cover the cube.
@@ -992,12 +996,8 @@ class TestBitSlicedKernels:
                 for table in landscape._BITS:
                     bits = problems._select((sets, ends), final.translate(table), n)
                     assert bits == pack_bits(plane.translate(table)), inst.descriptor
-            # The statistic pairs that the value tables send onto the front.
-            front = set(report.levels[0])
-            f1, f2 = finals
-            pairs = [(a, b) for a, v in enumerate(f1) for b, w in enumerate(f2) if (v, w) in front]
-            assert _pair_bits(cells, pairs, n) == report.member_bits, inst.descriptor
-            assert _local_optima(cells, finals, report.member_bits, n) == report.local_optima_bits
+            assert members == report.member_bits, inst.descriptor
+            assert local_optima == report.local_optima_bits, inst.descriptor
 
     @pytest.mark.parametrize(
         "descriptor, taken, refused",
