@@ -7,15 +7,18 @@ to 63; the rest enumerates the cube.
 
 Enumeration holds a set of strings, such as the Pareto set or the local
 optima, as packed bits: an int whose bit i is set when string i is in the
-set. Most stages are whole-cube operations (bytes.translate, slicing,
-compress, big-int arithmetic on packed bits or on bit planes, whose bit i
-belongs to string i). Three stages loop in Python per string: where at most
-1/32 of the cube lies outside the Pareto set, its non-members and their
-neighbours are evaluated one by one (problems.index_evaluator) to check
-their local optimality (_local_optima_by_string); where the Pareto set holds
-at most 1/16 of the cube, LandscapeReport.component_count floods it from
-member to member (_component_count); and LandscapeReport.local_front_counts,
-read only by the objective_space figure, evaluates every local optimum.
+set. The stages work on such ints and on bit planes, whose bit i belongs
+to string i (bytes.translate, slicing, compress, big-int arithmetic): the
+local-optimum scan (_local_optima) on the blocks of at most 2^16 indices
+that problems._cells splits the cube into, so that its operands stay small
+enough for the cache, joining only its marks; the other stages on the whole
+cube. Three stages loop in Python per string: where at most 1/64 of the
+cube lies outside the Pareto set, its non-members and their neighbours are
+evaluated one by one (problems.index_evaluator) to check their local
+optimality (_local_optima_by_string); where the Pareto set holds at most
+1/16 of the cube, LandscapeReport.component_count floods it from member to
+member (_component_count); and LandscapeReport.local_front_counts, read
+only by the objective_space figure, evaluates every local optimum.
 
 No objective is held as a byte plane. The image, its multiplicities and
 the ones tables come from the packed ones counts per image vector that
@@ -25,7 +28,8 @@ are unions of the packed index sets that reach each state of the
 statistics' automata (problems._cells), selected by states: the Pareto set
 by the statistic pairs that the value tables send onto the front, through
 the kernel that builds every Pareto closed form (problems._statistic_pairs),
-and a bit plane per value bit through the value table (problems._select).
+and a bit plane per value bit and block through the value table
+(problems._select).
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -36,7 +40,7 @@ from __future__ import annotations
 import os
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -49,6 +53,7 @@ from .errors import EnumerationCapError, ValidationError
 from .problems import (
     ProblemInstance,
     _cells,
+    _join,
     _objective_tables,
     _select,
     _statistic_pairs,
@@ -208,22 +213,28 @@ class LandscapeReport:
     def ones_tables(self) -> tuple[tuple[int, OnesSummary], ...]:
         """For each number of ones, ascending, the counts of the f1 values,
         the f2 values and the levels of the strings with that many ones,
-        each sorted by value: the digits of the packed ones counts."""
-        n = self.n
-        mask = (1 << n + 1) - 1
+        each sorted by value: the digits of the packed ones counts, summed
+        per value first. No digit carries, since digit j's sum is at most
+        C(n, j) < 2^(n + 1)."""
+        width = self.n + 1
+        mask = (1 << width) - 1
         level_by_vector = LevelAssignment(self.levels).level_by_vector
-        tables = [(Counter(), Counter(), Counter()) for _ in range(n + 1)]
+        sums = (defaultdict(int), defaultdict(int), defaultdict(int))
+        f1, f2, by_level = sums
         for (a, b), poly in self.image_polys.items():
-            level = level_by_vector[a, b]
-            for f1, f2, by_level in tables:
-                if count := poly & mask:
-                    f1[a] += count
-                    f2[b] += count
-                    by_level[level] += count
-                poly >>= n + 1
+            f1[a] += poly
+            f2[b] += poly
+            by_level[level_by_vector[a, b]] += poly
+        tables = [([], [], []) for _ in range(width)]
+        for column, by_value in enumerate(sums):
+            for value in sorted(by_value):
+                poly = by_value[value]
+                for row in tables:
+                    if count := poly & mask:
+                        row[column].append((value, count))
+                    poly >>= width
         return tuple(
-            (ones, OnesSummary(*(tuple(sorted(c.items())) for c in counters)))
-            for ones, counters in enumerate(tables)
+            (ones, OnesSummary(*map(tuple, row))) for ones, row in enumerate(tables)
         )
 
     @property
@@ -321,46 +332,77 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     local optimum: not a member (bit i of member) and no neighbour strictly
     dominates it (an equal-valued neighbour does not count).
 
-    Bit-sliced: from each objective's step tables, its cells (problems._cells),
-    and its value table, the objective's bit planes, low value bit first: the
-    plane for value bit k is the set of strings whose value has bit k set, the
-    final states that the value table composed with _BITS[k] marks (_select),
-    so bit i of every int below belongs to string i. For index bit b, the
-    strings with bit b clear meet their neighbours 2^b bits up. The bit
+    Bit-sliced, block by block: from each objective's step tables, its cells
+    (problems._cells), and its value table, the objective's bit planes in
+    each of the cells' blocks of 2^low indices, low value bit first: the
+    plane for value bit k is the set of strings whose value has bit k set,
+    the final states that the value table composed with _BITS[k] marks
+    (_select), so bit i of every int below belongs to string i of its block.
+    For index bit b below low, the strings of a block with bit b clear meet
+    their neighbours 2^b bits up; for a higher bit, block r, with bit b - low
+    of r clear, meets block r + 2^(b - low) at the same positions. The bit
     planes in turn tell, per objective, whether the two values differ and
-    which is greater at the highest bit where they do."""
-    size = 1 << n
+    which is greater at the highest bit where they do. Only the blocks'
+    marks are joined into one int over the cube."""
     sliced = []
     for tables, final in objective_tables:
         cells, planes = _cells(tables), _BITS[: max(final).bit_length()]
-        sliced.append([_select(cells, _translate(final, table), n) for table in planes])
-    marked = member
-    for b in range(n):
-        step = 1 << b
-        # up: the neighbour is greater in some objective; down: smaller.
-        up = down = 0
-        for planes in sliced:
-            differ = greater = 0
-            for p in planes:
-                q = p >> step
-                d = p ^ q
-                if d:
-                    # Where they differ, a higher bit plane overrides.
-                    greater ^= (greater ^ q) & d
-                    differ |= d
-            up |= greater
-            down |= differ ^ greater
-        # Better in one direction only is strictly dominating.
-        strict = (up ^ down) & _bit_clear(n, b)
-        marked |= strict & up | (strict & down) << step
-    return marked ^ ((1 << size) - 1)
+        sliced.append([_select(cells, _translate(final, table)) for table in planes])
+    count = len(cells[1])
+    low = n + 1 - count.bit_length()
+    # blocks[r]: per objective, its bit planes in block r.
+    blocks = [[[p[r] for p in planes] for planes in sliced] for r in range(count)]
+    clear = [_bit_clear(low, b) for b in range(low)]
+    marked = []
+    for block in blocks:
+        marks = 0
+        for b, low_clear in enumerate(clear):
+            step = 1 << b
+            # up: the neighbour is greater in some objective; down: smaller.
+            up = down = 0
+            for planes in block:
+                differ = greater = 0
+                for p in planes:
+                    q = p >> step
+                    d = p ^ q
+                    if d:
+                        # Where they differ, a higher bit plane overrides.
+                        greater ^= (greater ^ q) & d
+                        differ |= d
+                up |= greater
+                down |= differ ^ greater
+            # Better in one direction only is strictly dominating.
+            strict = (up ^ down) & low_clear
+            marks |= strict & up | (strict & down) << step
+        marked.append(marks)
+    for h in range(count.bit_length() - 1):
+        step = 1 << h
+        for r in range(count):
+            if r & step:
+                continue
+            up = down = 0
+            for planes, above in zip(blocks[r], blocks[r | step]):
+                differ = greater = 0
+                for p, q in zip(planes, above):
+                    d = p ^ q
+                    if d:
+                        greater ^= (greater ^ q) & d
+                        differ |= d
+                up |= greater
+                down |= differ ^ greater
+            strict = up ^ down
+            marked[r] |= strict & up
+            marked[r | step] |= strict & down
+    # The planes go before the marks are joined, which lowers the peak.
+    del sliced, blocks
+    return (_join(marked, n) | member) ^ ((1 << (1 << n)) - 1)
 
 
 def _local_optima_by_string(evaluate, member: int, n: int) -> int:
     """The same set as _local_optima, found by checking each non-member
     against its n neighbours, evaluated one by one (index_evaluator): a step
-    per non-member and neighbour, against the scan's whole-cube passes, so
-    it pays for a dense Pareto set."""
+    per non-member and neighbour, against the scan's passes over the cube's
+    blocks, so it pays for a dense Pareto set."""
     packed = bytearray((1 << n) + 7 >> 3)
     bits = [1 << b for b in range(n)]
     for i in _set_indices(member ^ ((1 << (1 << n)) - 1), n):
@@ -436,12 +478,13 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     member_bits = _statistic_pairs(inst.info.objectives, pairs, n, inst.l)
 
     # On the grid's instances with n = 17..22, the per-string check beats
-    # the local-optimum scan on each with under 2% of the cube outside the
-    # Pareto set and loses on most beyond 3%. Between them the winner
-    # depends on the family, and over the ten instances the check took
-    # 0.48-0.57 s against the scan's 0.60-0.67 s. So the check takes every
-    # instance with at most 1/32 of the cube outside.
-    if size - member_bits.bit_count() <= size >> 5:
+    # the block scan on all but two with at most 1/64 of the cube outside
+    # the Pareto set, and loses on each from 1/32 to 1/8. Between them the
+    # scan won on 8 of the 10, and took 340-360 ms in all against the
+    # check's 437-465 ms; on the verification grid's seven (n <= 14),
+    # 0.83-0.92 ms against 0.96-1.04 ms. So the check takes every instance
+    # with at most 1/64 of the cube outside.
+    if size - member_bits.bit_count() <= size >> 6:
         local_optima_bits = _local_optima_by_string(index_evaluator(inst), member_bits, n)
     else:
         local_optima_bits = _local_optima(objective_tables, member_bits, n)

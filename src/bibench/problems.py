@@ -85,9 +85,10 @@ class ProblemInstance:
 # blocks of at most 2^_SET_BITS indices with the state each block ends in
 # (_cells). The cells hold states only. Unions of their sets are selected by
 # pairs of final states, every Pareto set and two local-optimum closed forms
-# (_statistic_pairs), and by a table over final states (_select), the block
-# closed forms (_where) and, through the value tables, the local-optimum
-# scan's bit planes. Read as they are, with no cube, the tables also decide
+# (_statistic_pairs), and by a table over final states, block by block
+# (_select): the block closed forms (_where), which join the blocks, and,
+# through the value tables, the local-optimum scan's bit planes, which stay
+# in blocks. Read as they are, with no cube, the tables also decide
 # symmetry, by a DP that reads f2's tables in reverse, and separability, by
 # DPs on pairs of one objective's states (landscape.is_symmetric_pair,
 # landscape.is_fully_separable), and the image's levels decide complete
@@ -541,13 +542,13 @@ def _join(blocks, n: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in blocks]), "little")
 
 
-def _select(cells, table: bytes, n: int) -> int:
-    """The packed set of the indices whose final state s has table[s] set,
-    table bytes of 0 or 1 (0 beyond its end), from the cells (_cells): in
-    each block of the cube, the union of the index sets of the states it
-    marks."""
+def _select(cells, table: bytes) -> list[int]:
+    """Per block of the cube, the packed set of its indices (bit i for the
+    block's i-th) whose final state s has table[s] set, table bytes of 0 or
+    1 (0 beyond its end), from the cells (_cells): the union of the index
+    sets of the states it marks. _join makes them one set over the cube."""
     sets, ends = cells
-    return _join([_union(compress(sets, _translate(e, table))) for e in ends], n)
+    return [_union(compress(sets, _translate(e, table))) for e in ends]
 
 
 def _statistic_pairs(objectives: tuple[str, str], pairs, n: int, l: int | None) -> int:
@@ -573,7 +574,7 @@ def _where(automaton: Callable[..., Callable], n: int, l: int | None, states) ->
     """The packed set of the indices at which automaton(n, l) ends in one of
     the given states."""
     wanted = bytes(s in states for s in range(256))
-    return _select(_cells(_step_tables(automaton, n, l)), wanted, n)
+    return _join(_select(_cells(_step_tables(automaton, n, l)), wanted), n)
 
 
 def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:

@@ -851,13 +851,14 @@ class TestMemory:
     @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
     def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
         # Enumeration's own peak, from no cached report or index sets; the
-        # budget covers it together with the profile's. 2.0 to 4.1 bytes per
-        # string at n = 18, the top on the scan path (lozj 4.09, lotz 4.02).
+        # budget covers it together with the profile's. 1.5 to 3.5 bytes per
+        # string at n = 18, the top on the scan path (cocz 3.50, omtz 3.41),
+        # whose bit planes stay in blocks.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._index_sets.cache_clear()
         peak = peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n)
-        assert peak <= 5 < BYTES_PER_STRING // 3
+        assert peak <= 4 < BYTES_PER_STRING // 3
 
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "ojzj:n=18,k=4", "omzj:n=18,k=4"])
     def test_dense_path_enumeration_builds_no_byte_plane(self, descriptor):
@@ -994,10 +995,42 @@ class TestBitSlicedKernels:
                 # Selected by each value bit of the value table, they
                 # rebuild the bit planes.
                 for table in landscape._BITS:
-                    bits = problems._select((sets, ends), final.translate(table), n)
+                    blocks = problems._select((sets, ends), final.translate(table))
+                    bits = problems._join(blocks, n)
                     assert bits == pack_bits(plane.translate(table)), inst.descriptor
             assert members == report.member_bits, inst.descriptor
             assert local_optima == report.local_optima_bits, inst.descriptor
+
+    @pytest.mark.parametrize("descriptor", ["lotz:n=17", "lozj:n=17,k=4", "orzr:n=18,l=3"])
+    def test_scan_on_a_split_cube_matches_the_neighbour_check(self, descriptor):
+        # At the default span a cube of 2^17 strings is two blocks and one
+        # of 2^18 four, so the scan compares strings across blocks for the
+        # index bits from 16 up. lozj:n=17 has 2,379 local optima, which a
+        # cross-block compare must not mark. Every non-member of the n = 17
+        # instances has a dominating neighbour inside its block; 64 of
+        # orzr:n=18's have one only in another block.
+        inst = parse_descriptor(descriptor)
+        report = enumerate_landscape(inst)
+        objectives = problems._objective_tables(inst)
+        blocks = 1 << inst.n - problems._SET_BITS
+        assert all(len(problems._cells(tables)[1]) == blocks for tables, _ in objectives)
+        scanned = _local_optima(objectives, report.member_bits, inst.n)
+        by_string = _local_optima_by_string(index_evaluator(inst), report.member_bits, inst.n)
+        assert scanned == by_string
+
+    def test_scan_on_blocks_of_eight_matches_the_naive_model(self):
+        # Blocks of 8 indices split every cube from n = 4, so each index bit
+        # from 3 up compares whole blocks.
+        instances = grid_instances(None, range(1, 11))
+        for inst in instances:
+            f1, f2 = objective_planes(inst)
+            vecs = list(zip(f1, f2))
+            members = naive.pareto_set(vecs)
+            packed = sum(1 << i for i in members)
+            expected = sum(1 << i for i in naive.local_optima(vecs, members))
+            objectives = problems._objective_tables(inst)
+            with mock.patch.object(problems, "_SET_BITS", 3):
+                assert _local_optima(objectives, packed, inst.n) == expected, inst.descriptor
 
     @pytest.mark.parametrize(
         "descriptor, taken, refused",
