@@ -99,12 +99,6 @@ _FIGURE_BUILDERS = {
 FIGURE_KINDS = tuple(_FIGURE_BUILDERS)
 
 
-def build_figure(report: LandscapeReport, kind: str) -> FigureDataset:
-    if kind not in _FIGURE_BUILDERS:
-        raise ValidationError(f"unknown figure kind {kind!r}; valid: {', '.join(FIGURE_KINDS)}")
-    return _FIGURE_BUILDERS[kind](report)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for
     # verification failures, so usage problems become domain errors.
@@ -255,7 +249,7 @@ def cmd_ratio(args) -> int:
 def cmd_figure(args) -> int:
     inst = parse_descriptor(args.descriptor)
     report = enumerate_landscape(inst)
-    dataset = build_figure(report, args.kind)
+    dataset = _FIGURE_BUILDERS[args.kind](report)
     _write_text(args.out, dataset.render())
     print(f"{dataset.kind}: {len(dataset.rows)} rows")
     return 0

@@ -1,5 +1,7 @@
 """Baseline Pareto-archive search: SEMO and GSEMO, plus a seeded experiment
-harness for hitting-time measurements.
+harness for hitting-time measurements. A run's hitting time is the first
+evaluation at which its archive holds ceil(fraction * |wanted|) of its
+Target's wanted front vectors: the named one, or the whole front.
 
 Determinism contract: runs are driven by random.Random (Mersenne Twister),
 whose output for a given integer seed is identical across platforms and
@@ -50,40 +52,38 @@ MAX_SEEDS = 100_000
 class Target:
     """Stopping target for a run, checked when built.
 
-    kind "full_front": every Pareto-front vector present in the archive.
-    kind "front_point": one named front vector present.
-    kind "coverage": at least the given fraction of front vectors present.
+    The wanted vectors are {vector} when a vector is named and the whole
+    Pareto front otherwise; a run stops once its archive holds
+    ceil(fraction * |wanted|) of them.
     """
 
-    kind: str
     vector: ObjectiveVector | None = None
-    fraction: Fraction | None = None
+    fraction: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("full_front", "front_point", "coverage"):
-            raise ValidationError(f"unknown target kind {self.kind!r}")
-        if self.kind == "front_point" and not (
+        if self.vector is not None and not (
             isinstance(self.vector, tuple)
             and len(self.vector) == 2
             and all(isinstance(c, int) and not isinstance(c, bool) for c in self.vector)
         ):
             raise ValidationError(f"front point must be two ints, got {self.vector!r}")
-        if self.kind == "coverage" and (
+        if (
             isinstance(self.fraction, bool)
             or not isinstance(self.fraction, numbers.Rational)
             or not 0 < self.fraction <= 1
         ):
             raise ValidationError(f"coverage fraction must be in (0, 1], got {self.fraction!r}")
-        if (self.vector is not None) + (self.fraction is not None) > (self.kind != "full_front"):
-            raise ValidationError(f"a {self.kind} target sets only its own field, got {self!r}")
 
     @classmethod
     def full_front(cls) -> "Target":
-        return cls("full_front")
+        return cls()
 
     @classmethod
     def front_point(cls, vector: ObjectiveVector) -> "Target":
-        return cls("front_point", vector=tuple(vector) if isinstance(vector, Sequence) else vector)
+        # None names no vector, which would mean the whole front.
+        if vector is None:
+            raise ValidationError("front point must be two ints, got None")
+        return cls(tuple(vector) if isinstance(vector, Sequence) else vector)
 
     @classmethod
     def coverage(cls, fraction) -> "Target":
@@ -92,7 +92,7 @@ class Target:
         # the binary double above it; anything else, NaN included, is left to the check.
         if isinstance(fraction, float) and 0 < fraction <= 1:
             fraction = Fraction(str(fraction))
-        return cls("coverage", fraction=fraction)
+        return cls(fraction=fraction)
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,14 @@ def _resolve_target(cfg: RunConfig) -> tuple[set[ObjectiveVector], int]:
     that is not on the front."""
     inst, target = cfg.instance, cfg.target
     front = set(reference_front(inst))
-    if target.kind == "front_point":
-        if target.vector not in front:
-            raise ValidationError(
-                f"target vector {target.vector} is not on the Pareto front of {inst.descriptor}"
-            )
-        return {target.vector}, 1
-    if target.kind == "coverage":
-        return front, -(-target.fraction.numerator * len(front) // target.fraction.denominator)
-    return front, len(front)
+    # {vector} when one is named; when none is, the set is empty and the front is wanted.
+    wanted = {target.vector} - {None} or front
+    if not wanted <= front:
+        raise ValidationError(
+            f"target vector {target.vector} is not on the Pareto front of {inst.descriptor}"
+        )
+    fraction = target.fraction
+    return wanted, -(-fraction.numerator * len(wanted) // fraction.denominator)
 
 
 def run(cfg: RunConfig) -> RunResult:

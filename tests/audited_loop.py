@@ -43,13 +43,9 @@ def audited_run(cfg):
     """The RunResult that run(cfg) must return, from the plain loop."""
     n = cfg.instance.n
     ev = index_evaluator(cfg.instance)
-    front = set(reference_front(cfg.instance))
-    if cfg.target.kind == "front_point":
-        wanted, needed = {cfg.target.vector}, 1
-    elif cfg.target.kind == "coverage":
-        wanted, needed = front, math.ceil(cfg.target.fraction * len(front))
-    else:
-        wanted, needed = front, len(front)
+    # The front vectors equal to the named one, or all of them if none is named.
+    wanted = {v for v in reference_front(cfg.instance) if cfg.target.vector in (None, v)}
+    needed = math.ceil(cfg.target.fraction * len(wanted))
     rng = random.Random(cfg.seed)
     archive = []
     offered = set()

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from audited_loop import audited_run
 
-from bibench.cli import build_figure, figure_levels_vs_ones, figure_objective_space
+from bibench.cli import _FIGURE_BUILDERS, figure_levels_vs_ones, figure_objective_space
 from bibench.errors import ValidationError
 from bibench.evolve import RunConfig, hitting_time_experiment, run
 from bibench.landscape import (
@@ -282,8 +282,8 @@ def test_criterion_9_figure_exports(capsys):
         assert 3 < interpolated
         # Deterministic bytes and full-cube coverage.
         for report in (omm, lotz, ojzr):
-            for kind in ("objective_space", "levels_vs_ones", "objectives_vs_ones"):
-                assert build_figure(report, kind).render() == build_figure(report, kind).render()
+            for build in _FIGURE_BUILDERS.values():
+                assert build(report).render() == build(report).render()
             n = report.instance.n
             assert sum(row[2] for row in figure_objective_space(report).rows) == 1 << n
             assert sum(row[2] for row in figure_levels_vs_ones(report).rows) == 1 << n

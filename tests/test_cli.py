@@ -20,15 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibench.cli import (
+    _FIGURE_BUILDERS,
     FIGURE_KINDS,
     _build_parser,
-    build_figure,
     figure_levels_vs_ones,
     figure_objective_space,
     figure_objectives_vs_ones,
     main,
 )
-from bibench.errors import ValidationError
 from bibench.landscape import CAP_ENV_VAR, MAX_CAP, enumerate_landscape, render_report
 from bibench.oracles import ClaimResult, VerificationReport
 from bibench.problems import FAMILY_NAMES, parse_descriptor
@@ -225,12 +224,16 @@ class TestFigureDatasets:
         dataset = figure_objectives_vs_ones(report)
         assert sum(row[3] for row in dataset.rows) == 2 * 256
 
-    def test_build_figure_dispatch_and_unknown_kind(self):
+    def test_build_figure_dispatch_and_unknown_kind(self, capsys, tmp_path):
         report = enumerate_landscape(parse_descriptor("omm:n=4"))
-        for kind in FIGURE_KINDS:
-            assert build_figure(report, kind).kind == kind
-        with pytest.raises(ValidationError):
-            build_figure(report, "histogram")
+        for kind, build in _FIGURE_BUILDERS.items():
+            assert build(report).kind == kind
+        out = tmp_path / "figure.csv"
+        argv = ["figure", "omm:n=4", "--kind", "histogram", "--out", str(out)]
+        rc, stdout, err = run_main(capsys, argv)
+        assert (rc, stdout) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 """Tests for the SEMO/GSEMO archive search and the experiment harness."""
 
 import concurrent.futures
+import dataclasses
 import os
 from collections import deque
 from fractions import Fraction
@@ -53,21 +54,14 @@ class TestTargets:
         with pytest.raises(ValidationError, match=r"^front point must be two ints, got "):
             Target.front_point(vector)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"kind": "coverage"},
-            {"kind": "front_point"},
-            {"kind": "full_front", "vector": (1, 2)},
-            {"kind": "full_front", "fraction": Fraction(1, 2)},
-            {"kind": "coverage", "fraction": Fraction(1, 2), "vector": (1, 2)},
-            {"kind": "front_point", "vector": (1, 2), "fraction": Fraction(1, 2)},
-            {"kind": "coverage", "fraction": 0.5},
-        ],
-    )
-    def test_a_target_sets_exactly_its_own_field(self, kwargs):
-        with pytest.raises(ValidationError):
-            Target(**kwargs)
+    def test_a_target_is_a_vector_and_a_fraction(self):
+        assert [field.name for field in dataclasses.fields(Target)] == ["vector", "fraction"]
+        assert Target.coverage(1) == Target.full_front() == Target()
+        assert hash(Target.coverage(1)) == hash(Target.full_front())
+        assert Target.coverage(0.5) == Target(fraction=Fraction(1, 2))
+        assert Target.front_point([3, 5]) == Target((3, 5))
+        with pytest.raises(ValidationError, match="coverage fraction"):
+            Target(fraction=0.5)  # only Target.coverage reads a float as a decimal
 
     def test_front_point_must_be_on_the_front(self):
         cfg = RunConfig("semo", LOTZ8, seed=1, budget=100, target=Target.front_point((7, 7)))
