@@ -8,17 +8,21 @@ to 63; the rest enumerates the cube.
 Enumeration holds a set of strings, such as the Pareto set or the local
 optima, as packed bits: an int whose bit i is set when string i is in the
 set. The stages work on such ints and on bit planes, whose bit i belongs
-to string i (bytes.translate, slicing, compress, big-int arithmetic): the
-local-optimum scan (_local_optima) on the blocks of at most 2^16 indices
-that problems._cells splits the cube into, so that its operands stay small
-enough for the cache, joining only its marks; the other stages on the whole
+to string i (bytes.translate, slicing, compress, big-int arithmetic). The
+local-optimum scan (_local_optima) and the bit flood that counts the
+components of a Pareto set holding more than 1/16 of the cube
+(_bit_component_count) work on the blocks of at most 2^16 indices that
+problems._cells splits the cube into, so that their operands stay small
+enough for the cache; the scan joins only its marks, and the flood visits
+only the blocks a component reaches. The other stages work on the whole
 cube. Three stages loop in Python per string: where at most 1/64 of the
-cube lies outside the Pareto set, its non-members and their neighbours are
-evaluated one by one (problems.index_evaluator) to check their local
-optimality (_local_optima_by_string); where the Pareto set holds at most
-1/16 of the cube, LandscapeReport.component_count floods it from member to
-member (_component_count); and LandscapeReport.local_front_counts, read
-only by the objective_space figure, evaluates every local optimum.
+cube lies outside the Pareto set, its non-members, found from the nonzero
+bytes of their packed set, and their neighbours are evaluated one by one
+(problems.index_evaluator) to check their local optimality
+(_local_optima_by_string); where the Pareto set holds at most 1/16 of the
+cube, LandscapeReport.component_count floods it from member to member
+(_component_count); and LandscapeReport.local_front_counts, read only by
+the objective_space figure, evaluates every local optimum.
 
 No objective is held as a byte plane. The image, its multiplicities and
 the ones tables come from the packed ones counts per image vector that
@@ -47,6 +51,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import compress
 
+from . import problems
 from .bitstring import BitString
 from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
@@ -67,9 +72,10 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 85 MB, 5.3 bytes per string, on a dense Pareto
-# set, whose component count floods with a whole-cube mask per index bit
-# (see README); the budget stays at 24, since 16 or less would raise
+# the families at n = 24 is 53 MB, 3.3 bytes per string, on lozj, where the
+# byte flood unpacks the sparse Pareto set into a 16 MiB mask; the dense
+# Pareto sets of omm, ojzj and omzj, flooded block by block, peak at 25 MB
+# (see README). The budget stays at 24, since 16 or less would raise
 # MAX_CAP, the largest n whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
 MEMORY_LIMIT = 16 << 30
@@ -201,9 +207,10 @@ class LandscapeReport:
     @cached_property
     def component_count(self) -> int:
         """The Pareto set's connected components under Hamming-1 moves.
-        Whole-cube floods cost a pass over the cube per sweep and component;
-        the byte flood costs a step per member. Sparse Pareto sets, with
-        their many isolated members (orzr, ojzr), take the byte flood."""
+        The bit flood costs a pass over each block a component reaches, per
+        sweep; the byte flood costs a step per member, after unpacking the
+        set to a 2^n-byte mask. Sparse Pareto sets, with their many isolated
+        members (orzr, ojzr), take the byte flood."""
         n, members = self.n, self.member_bits
         if members.bit_count() > (1 << n) >> 4:
             return _bit_component_count(members, n)
@@ -295,26 +302,59 @@ def _bit_clear(n: int, b: int) -> int:
 
 def _bit_component_count(members: int, n: int) -> int:
     """Connected components of the Hamming-distance-1 graph on the set bits
-    of members (bit i set when index i is a member). Each component grows
-    from its lowest member by sweeps over the whole cube, one shift pair per
-    index bit, until a sweep adds nothing."""
-    clear = [_bit_clear(n, b) for b in range(n)]
+    of members (bit i set when index i is a member), on the cube's blocks of
+    2^low indices, low = min(n, problems._SET_BITS), as problems._cells
+    splits it. Each component grows from its lowest member over a worklist
+    of blocks: a block is swept, one shift pair per index bit below low,
+    until a sweep adds nothing; then the strings it reached meet the
+    members at the same positions of each block that differs from it in
+    one higher index bit, and a block that grows is queued. Only the blocks
+    a component reaches are visited."""
+    low = min(n, problems._SET_BITS)
+    raw = members.to_bytes((1 << n) + 7 >> 3, "little")
+    width = len(raw) >> n - low
+    blocks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    clear = [_bit_clear(low, b) for b in range(low)]
+    steps = [1 << h for h in range(n - low)]
     components = 0
-    while members:
-        components += 1
-        grown = members & -members
-        seen = 0
-        while grown != seen:
-            seen = grown
-            for b, low in enumerate(clear):
-                step = 1 << b
-                grown |= ((grown & low) << step | (grown >> step) & low) & members
-        members ^= grown
+    for r, block in enumerate(blocks):
+        while block:
+            components += 1
+            # grown[s]: the component's strings in block s; swept[s]: those
+            # of them already passed on to the neighbouring blocks.
+            grown, swept = {r: block & -block}, {}
+            queue = [r]
+            while queue:
+                s = queue.pop()
+                reached = grown[s]
+                if swept.get(s) == reached:
+                    continue
+                # A block stops growing once it holds all its members.
+                member, seen = blocks[s], 0
+                while reached != seen and reached != member:
+                    seen = reached
+                    for b, mask in enumerate(clear):
+                        step = 1 << b
+                        reached |= ((reached & mask) << step | (reached >> step) & mask) & member
+                grown[s] = swept[s] = reached
+                for step in steps:
+                    t = s ^ step
+                    before = grown.get(t, 0)
+                    after = before | reached & blocks[t]
+                    if after != before:
+                        grown[t] = after
+                        queue.append(t)
+            for s, reached in grown.items():
+                blocks[s] ^= reached
+            block = blocks[r]
     return components
 
 
-# _BITS[k] maps a byte to its bit k.
+# _BITS[k] maps a byte to its bit k; _NONZERO maps a byte to 1 when it is
+# not 0, and _OFFSETS[v] lists the set bits of byte v, ascending.
 _BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
+_NONZERO = bytes(v > 0 for v in range(256))
+_OFFSETS = [[k for k in range(8) if v >> k & 1] for v in range(256)]
 
 
 def _unpack_bits(packed: int, size: int) -> bytearray:
@@ -402,17 +442,27 @@ def _local_optima_by_string(evaluate, member: int, n: int) -> int:
     """The same set as _local_optima, found by checking each non-member
     against its n neighbours, evaluated one by one (index_evaluator): a step
     per non-member and neighbour, against the scan's passes over the cube's
-    blocks, so it pays for a dense Pareto set."""
-    packed = bytearray((1 << n) + 7 >> 3)
+    blocks, so it pays for a dense Pareto set. The non-members come from
+    the packed bytes of their set: _indices finds the nonzero bytes, and
+    _OFFSETS the set bits of each, so no 2^n-byte mask is unpacked."""
+    outside = member ^ ((1 << (1 << n)) - 1)
+    if not outside:
+        return 0
+    raw = outside.to_bytes((1 << n) + 7 >> 3, "little")
+    # The int goes before the flags are made, which lowers the peak.
+    del outside
+    packed = bytearray(len(raw))
     bits = [1 << b for b in range(n)]
-    for i in _set_indices(member ^ ((1 << (1 << n)) - 1), n):
-        a, b = evaluate(i)
-        for bit in bits:
-            c, d = evaluate(i ^ bit)
-            if c >= a and d >= b and (c > a or d > b):
-                break
-        else:
-            packed[i >> 3] |= 1 << (i & 7)
+    for j in _indices(raw.translate(_NONZERO)):
+        for k in _OFFSETS[raw[j]]:
+            i = j << 3 | k
+            a, b = evaluate(i)
+            for bit in bits:
+                c, d = evaluate(i ^ bit)
+                if c >= a and d >= b and (c > a or d > b):
+                    break
+            else:
+                packed[j] |= 1 << k
     return int.from_bytes(packed, "little")
 
 

@@ -596,9 +596,32 @@ class TestFlatHelpers:
     @given(cube_subsets)
     @settings(max_examples=200)
     def test_bit_component_count_matches_reference(self, case):
+        # Blocks of 8 and 16 indices split every cube from n = 4 and n = 5,
+        # so components also grow across blocks; at the default span no
+        # cube here is split.
         n, members = case
         bits = sum(1 << i for i in members)
-        assert _bit_component_count(bits, n) == naive.components(members, n)
+        expected = naive.components(members, n)
+        for set_bits in (3, 4, problems._SET_BITS):
+            with mock.patch.object(problems, "_SET_BITS", set_bits):
+                assert _bit_component_count(bits, n) == expected, set_bits
+
+    def test_dense_flood_builds_no_mask_wider_than_a_block(self):
+        # ojzj:n=18,k=4's Pareto set holds 260,170 of 2^18 strings, so its
+        # profile floods the four blocks of 2^16 indices, with masks over
+        # one block each.
+        inst = parse_descriptor("ojzj:n=18,k=4")
+        bit_clear = landscape._bit_clear
+
+        def block_mask(n, b):
+            assert n <= problems._SET_BITS, n
+            return bit_clear(n, b)
+
+        _report.cache_clear()
+        with mock.patch.object(landscape, "_bit_clear", side_effect=block_mask) as masks:
+            assert characteristic_profile(inst).component_count == 3
+        assert masks.call_count == problems._SET_BITS
+        _report.cache_clear()
 
     @pytest.mark.parametrize("n", range(1, 64))
     def test_bit_reverser_matches_string_reversal(self, n, monkeypatch):
@@ -846,11 +869,13 @@ class TestMemory:
         "descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "lozr:n=18,l=3", "omzj:n=18,k=4"]
     )
     def test_profile_peaks_below_five_bytes_per_string(self, descriptor):
-        # The component count's flood is the peak: 1.4 bytes per string,
-        # 3.1 on the dense Pareto sets of ojzj and omzj.
+        # The component count is the peak: 1.38 bytes per string where the
+        # byte flood unpacks the sparse Pareto sets of lotz and lozr, 1.10
+        # to 1.13 where the bit flood takes the dense ones of ojzj and omzj
+        # block by block. The whole-cube bit flood took those to 3.1.
         inst = parse_descriptor(descriptor)
         enumerate_landscape(inst)
-        assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 3.5
+        assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 1.5
 
     @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
     def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
@@ -867,14 +892,15 @@ class TestMemory:
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "ojzj:n=18,k=4", "omzj:n=18,k=4"])
     def test_dense_path_enumeration_builds_no_byte_plane(self, descriptor):
         # The per-string check evaluates the few non-members and their
-        # neighbours one by one: 2.3 bytes per string at n = 18 on ojzj and
-        # omzj, the non-members' unpacked mask the largest part, and 1.1 on
-        # omm, which has no non-member to unpack. The objectives' byte
-        # planes took the peak to 4.0 to 4.3.
+        # neighbours one by one, found from the packed bytes of their set:
+        # 0.4 bytes per string at n = 18. The peak, 1.43 to 1.44 on all
+        # three, is the Pareto set's selection with the index sets it
+        # builds. Unpacking the non-members to a mask took ojzj and omzj to
+        # 2.3, and the objectives' byte planes took the peak to 4.0 to 4.3.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._index_sets.cache_clear()
-        assert peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n) <= 2.5
+        assert peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n) <= 1.6
 
     def test_an_empty_set_unpacks_no_mask(self):
         # An empty set's indices come without the 2^n-byte mask (1 MiB here).
