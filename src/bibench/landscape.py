@@ -16,13 +16,19 @@ problems._cells splits the cube into, so that their operands stay small
 enough for the cache; the scan joins only its marks, and the flood visits
 only the blocks a component reaches. The other stages work on the whole
 cube. Three stages loop in Python per string: where at most 1/64 of the
-cube lies outside the Pareto set, its non-members, found from the nonzero
-bytes of their packed set, and their neighbours are evaluated one by one
-(problems.index_evaluator) to check their local optimality
-(_local_optima_by_string); where the Pareto set holds at most 1/16 of the
-cube, LandscapeReport.component_count floods it from member to member
-(_component_count); and LandscapeReport.local_front_counts, read only by
-the objective_space figure, evaluates every local optimum.
+cube lies outside the Pareto set, its non-members and their neighbours are
+evaluated one by one (problems.index_evaluator) to check their local
+optimality (_local_optima_by_string); where the Pareto set holds at most
+1/16 of the cube, LandscapeReport.component_count floods it from member to
+member (_component_count); and LandscapeReport.local_front_counts, read
+only by the objective_space figure, evaluates every local optimum.
+
+No set is unpacked into a mask of the cube. The sparse readers above, and
+verify's claimed image, take the members from the nonzero bytes of the
+packed set (_members), a Python step per member; the report text and the
+index arrays, whose sets may fill most of the cube, take them from byte
+lanes of index bits selected from the packed bytes (_set_lanes), with no
+Python step per member.
 
 No objective is held as a byte plane. The image, its multiplicities and
 the ones tables come from the packed ones counts per image vector that
@@ -72,11 +78,12 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 53 MB, 3.3 bytes per string, on lozj, where the
-# byte flood unpacks the sparse Pareto set into a 16 MiB mask; the dense
-# Pareto sets of omm, ojzj and omzj, flooded block by block, peak at 25 MB
-# (see README). The budget stays at 24, since 16 or less would raise
-# MAX_CAP, the largest n whose estimate fits MEMORY_LIMIT, from 29 to 30.
+# the families at n = 24 is 43 MB, 2.7 bytes per string, on cocz, set by
+# enumeration's local-optimum scan; the component count takes a sparse
+# Pareto set's members from its packed bytes, and floods a dense one block
+# by block (see README). The budget stays at 24, since 16 or less would
+# raise MAX_CAP, the largest n whose estimate fits MEMORY_LIMIT, from 29 to
+# 30.
 BYTES_PER_STRING = 24
 MEMORY_LIMIT = 16 << 30
 MAX_CAP = (MEMORY_LIMIT // BYTES_PER_STRING).bit_length() - 1
@@ -208,13 +215,13 @@ class LandscapeReport:
     def component_count(self) -> int:
         """The Pareto set's connected components under Hamming-1 moves.
         The bit flood costs a pass over each block a component reaches, per
-        sweep; the byte flood costs a step per member, after unpacking the
-        set to a 2^n-byte mask. Sparse Pareto sets, with their many isolated
-        members (orzr, ojzr), take the byte flood."""
+        sweep; the set flood costs a step per member, found from the nonzero
+        bytes of the packed set (_members). Sparse Pareto sets, with their
+        many isolated members (orzr, ojzr), take the set flood."""
         n, members = self.n, self.member_bits
         if members.bit_count() > (1 << n) >> 4:
             return _bit_component_count(members, n)
-        return _component_count(_unpack_bits(members, 1 << n), n)
+        return _component_count(set(_members(members, n)), n)
 
     @cached_property
     def ones_tables(self) -> tuple[tuple[int, OnesSummary], ...]:
@@ -263,27 +270,24 @@ class LandscapeReport:
         return tuple(sorted(counts.items()))
 
 
-def _component_count(mask: bytearray, n: int) -> int:
+def _component_count(members: set[int], n: int) -> int:
     """Connected components of the Hamming-distance-1 graph on the indices
-    whose mask byte is set. Floods each component, clearing the mask as it
-    goes, so the mask is all zero on return."""
+    in members. Floods each component, removing what it reaches, so the set
+    is empty on return."""
     bits = [1 << b for b in range(n)]
     components = 0
-    start = mask.find(1)
-    while start != -1:
+    while members:
         components += 1
-        mask[start] = 0
-        stack = [start]
+        stack = [members.pop()]
         push = stack.append
         pop = stack.pop
         while stack:
             cur = pop()
             for bit in bits:
                 nb = cur ^ bit
-                if mask[nb]:
-                    mask[nb] = 0
+                if nb in members:
+                    members.remove(nb)
                     push(nb)
-        start = mask.find(1, start + 1)
     return components
 
 
@@ -355,16 +359,6 @@ def _bit_component_count(members: int, n: int) -> int:
 _BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
 _NONZERO = bytes(v > 0 for v in range(256))
 _OFFSETS = [[k for k in range(8) if v >> k & 1] for v in range(256)]
-
-
-def _unpack_bits(packed: int, size: int) -> bytearray:
-    """The size bytes whose byte i is bit i of packed."""
-    raw = packed.to_bytes(-(-size // 8), "little")
-    flags = bytearray(len(raw) << 3)
-    for k, table in enumerate(_BITS):
-        flags[k::8] = raw.translate(table)
-    del flags[size:]
-    return flags
 
 
 def _local_optima(objective_tables, member: int, n: int) -> int:
@@ -443,26 +437,20 @@ def _local_optima_by_string(evaluate, member: int, n: int) -> int:
     against its n neighbours, evaluated one by one (index_evaluator): a step
     per non-member and neighbour, against the scan's passes over the cube's
     blocks, so it pays for a dense Pareto set. The non-members come from
-    the packed bytes of their set: _indices finds the nonzero bytes, and
-    _OFFSETS the set bits of each, so no 2^n-byte mask is unpacked."""
-    outside = member ^ ((1 << (1 << n)) - 1)
-    if not outside:
+    the packed bytes of their set (_members)."""
+    if member.bit_count() == 1 << n:
         return 0
-    raw = outside.to_bytes((1 << n) + 7 >> 3, "little")
-    # The int goes before the flags are made, which lowers the peak.
-    del outside
-    packed = bytearray(len(raw))
+    packed = bytearray((1 << n) + 7 >> 3)
     bits = [1 << b for b in range(n)]
-    for j in _indices(raw.translate(_NONZERO)):
-        for k in _OFFSETS[raw[j]]:
-            i = j << 3 | k
-            a, b = evaluate(i)
-            for bit in bits:
-                c, d = evaluate(i ^ bit)
-                if c >= a and d >= b and (c > a or d > b):
-                    break
-            else:
-                packed[j] |= 1 << k
+    # No name holds the non-members' int, so _members can drop it.
+    for i in _members(member ^ ((1 << (1 << n)) - 1), n):
+        a, b = evaluate(i)
+        for bit in bits:
+            c, d = evaluate(i ^ bit)
+            if c >= a and d >= b and (c > a or d > b):
+                break
+        else:
+            packed[i >> 3] |= 1 << (i & 7)
     return int.from_bytes(packed, "little")
 
 
@@ -486,11 +474,98 @@ def _indices(mask: bytes) -> array:
     return indices
 
 
+def _members(bits: int, n: int):
+    """The set bits of packed bits over 2^n strings, ascending, one at a
+    time: _indices finds the nonzero packed bytes, and _OFFSETS the set bits
+    of each. A Python step per member, so for sparse sets."""
+    raw = bits.to_bytes((1 << n) + 7 >> 3, "little")
+    # The int goes before the mask of nonzero bytes is made, which lowers
+    # the peak where the caller holds it no longer.
+    del bits
+    for j in _indices(raw.translate(_NONZERO)):
+        for k in _OFFSETS[raw[j]]:
+            yield j << 3 | k
+
+
+# Bit 7 of a byte is the omit flag of the lane selections, and deleting
+# _OMITTED drops every flagged byte. _ZERO flags a zero byte; _CLEAR[k]
+# flags a byte whose bit k is clear, and _OFFSET[k] does too, but maps a
+# byte whose bit k is set to k.
+_ZERO = bytes([128]).ljust(256, b"\0")
+_CLEAR = [table.translate(bytes([128, 0]).ljust(256, b"\0")) for table in _BITS]
+_OFFSET = [table.translate(bytes([128, k]).ljust(256, b"\0")) for k, table in enumerate(_BITS)]
+_OMITTED = bytes(range(128, 256))
+# Nonzero packed bytes per span of _span_lanes: 8 slots each, so a span's
+# work stays within 16 KiB a lane, and its members within 16,384.
+_SPAN = 1 << 11
+
+
+def _periodic(size: int, shift: int) -> int:
+    """The int of size bytes whose byte j is (j >> shift) & 127."""
+    run = b"".join([bytes([v]) * (1 << shift) for v in range(min(128, size >> shift))])
+    return int.from_bytes(run * (size // len(run)), "little")
+
+
+def _set_lanes(bits: int, n: int):
+    """The set bits of packed bits over 2^n strings, ascending, as byte
+    lanes, one byte per member in each: lane 0 holds the member's index
+    bits 0 to 2, lane q >= 1 the 7 bits from 7q - 4. An iterator over the
+    lanes of the members of up to _SPAN nonzero packed bytes at a time
+    (_span_lanes). Each lane is selected by deleting flagged bytes, and no
+    mask of the cube is built.
+
+    Level 1, run before this returns, flags the zero packed bytes and
+    selects, from the periodic bytes (j >> 7p) & 127 over the packed bytes'
+    indices j, those of the nonzero bytes: lane p + 1 of their members."""
+    raw = bits.to_bytes((1 << n) + 7 >> 3, "little")
+    size = len(raw)
+    zero = int.from_bytes(raw.translate(_ZERO), "little")
+    nonzero = raw.translate(None, b"\0")
+    del raw
+    high = [
+        (_periodic(size, shift) | zero).to_bytes(size, "little").translate(None, _OMITTED)
+        for shift in range(0, n - 3, 7)
+    ]
+    return (_span_lanes(nonzero, high, start) for start in range(0, len(nonzero), _SPAN))
+
+
+def _span_lanes(nonzero: bytes, high: list[bytes], start: int) -> list[bytes]:
+    """Level 2 of _set_lanes, on the span of the nonzero packed bytes from
+    start: each byte gets 8 slots, slot k flagged when its bit k is clear.
+    Lane 0 is selected from the slots' offsets k, and each higher lane from
+    its level-1 lane, each byte in all 8 slots."""
+    span = nonzero[start : start + _SPAN]
+    slots = bytearray(len(span) << 3)
+    for k, table in enumerate(_OFFSET):
+        slots[k::8] = span.translate(table)
+    lanes = [slots.translate(None, _OMITTED)]
+    clear = [int.from_bytes(span.translate(table), "little") for table in _CLEAR]
+    for lane in high:
+        value = int.from_bytes(lane[start : start + _SPAN], "little")
+        for k, flag in enumerate(clear):
+            slots[k::8] = (value | flag).to_bytes(len(span), "little")
+        lanes.append(slots.translate(None, _OMITTED))
+    return lanes
+
+
 def _set_indices(bits: int, n: int) -> array:
-    """The indices of the set bits of packed bits over 2^n strings, ascending."""
+    """The indices of the set bits of packed bits over 2^n strings,
+    ascending: per span of _set_lanes, each lane spread into the array's
+    slots and shifted to its index bits."""
+    indices = array("I")
     if not bits:
-        return array("I")
-    return _indices(_unpack_bits(bits, 1 << n))
+        return indices
+    width = indices.itemsize
+    for lanes in _set_lanes(bits, n):
+        slots = bytearray(width * len(lanes[0]))
+        packed = 0
+        for q, lane in enumerate(lanes):
+            slots[::width] = lane
+            packed |= int.from_bytes(slots, "little") << (7 * q - 4 if q else 0)
+        indices.frombytes(packed.to_bytes(len(slots), "little"))
+    if sys.byteorder == "big":
+        indices.byteswap()
+    return indices
 
 
 def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
@@ -712,17 +787,25 @@ def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
 _DIGITS = [bytes(48 | v >> k & 1 for v in range(256)) for k in range(8)]
 
 
-def _binary_lines(indices: array, n: int) -> str:
-    """Each index as n binary digits, most significant first, one line each
-    with its newline. Built as one (n + 1)-column byte matrix: for index bit
-    b, the byte lane of the array that holds b is translated to digits and
-    assigned into column n - 1 - b."""
-    width = indices.itemsize
-    raw = indices.tobytes()
-    lines = bytearray(b"\n" * ((n + 1) * len(indices)))
-    for b in range(n):
-        lane = b >> 3 if sys.byteorder == "little" else width - 1 - (b >> 3)
-        lines[n - 1 - b :: n + 1] = raw[lane::width].translate(_DIGITS[b & 7])
+def _binary_lines(bits: int, n: int) -> str:
+    """The set bits of packed bits over 2^n strings, ascending, each as n
+    binary digits, most significant first, one line each with its newline.
+    Built as one (n + 1)-column byte matrix: index bit b is bit k of lane q
+    of _set_lanes, and per span that lane translated to digits is assigned
+    into column n - 1 - b of the span's rows."""
+    if not bits:
+        return ""
+    # Level 1 runs before the text is allocated, which lowers the peak.
+    spans = _set_lanes(bits, n)
+    width = n + 1
+    lines = bytearray(b"\n" * (width * bits.bit_count()))
+    start = 0
+    for lanes in spans:
+        end = start + width * len(lanes[0])
+        for b in range(n):
+            q, k = divmod(b + 4, 7) if b > 2 else (0, b)
+            lines[start + n - 1 - b : end : width] = lanes[q].translate(_DIGITS[k])
+        start = end
     return lines.decode("ascii")
 
 
@@ -754,7 +837,7 @@ def render_report(report: LandscapeReport) -> str:
             f"{ones},{_fmt_counts(summary.f1_counts)},"
             f"{_fmt_counts(summary.f2_counts)},{_fmt_counts(summary.level_counts)}"
         )
-    strings = _binary_lines(report.local_optima_indices, n)
+    strings = _binary_lines(report.local_optima_bits, n)
     return "".join(("\n".join(head), "\n", strings, "\n".join(tail), "\n"))
 
 

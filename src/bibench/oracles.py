@@ -17,7 +17,7 @@ from fractions import Fraction
 from .bitstring import BitString
 from .dominance import ObjectiveVector
 from .errors import ValidationError
-from .landscape import _image_levels, _set_indices, enumerate_landscape
+from .landscape import _image_levels, _members, enumerate_landscape
 from .problems import (
     FAMILY_NAMES,
     JUMP_OBJECTIVES,
@@ -223,7 +223,7 @@ def verify(inst: ProblemInstance) -> VerificationReport:
     if pareto_claim.matched:
         image = {v for v, _ in report.front_counts}
     else:
-        image = set(map(ev, _set_indices(pareto, n)))
+        image = set(map(ev, _members(pareto, n)))
     front = set(claimed_front_tuples(inst))
     claims = [
         pareto_claim,

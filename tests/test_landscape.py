@@ -40,9 +40,10 @@ from bibench.landscape import (
     _local_optima,
     _local_optima_by_string,
     _binary_lines,
+    _members,
     _report,
     _set_indices,
-    _unpack_bits,
+    _set_lanes,
     characteristic_profile,
     enumerate_landscape,
     enumeration_cap,
@@ -586,12 +587,11 @@ class TestFlatHelpers:
     @given(cube_subsets)
     @settings(max_examples=200)
     def test_mask_component_count_matches_reference(self, case):
+        # The sparse flood takes the members as a set, which it empties.
         n, members = case
-        mask = bytearray(1 << n)
-        for i in members:
-            mask[i] = 1
-        assert _component_count(mask, n) == naive.components(members, n)
-        assert not any(mask)
+        flooded = set(members)
+        assert _component_count(flooded, n) == naive.components(members, n)
+        assert not flooded
 
     @given(cube_subsets)
     @settings(max_examples=200)
@@ -650,9 +650,11 @@ class TestFlatHelpers:
 
 
 def reference_render(report):
-    """The former render_report: one str.format per local optimum, and the
-    Pareto set's size from its index array."""
+    """The former render_report: one str.format per local optimum, found by
+    reading the packed set's binary text, and the sizes from the index
+    arrays."""
     n = report.n
+    local = [i for i, c in enumerate(reversed(format(report.local_optima_bits, "b"))) if c == "1"]
     lines = [
         f"instance: {report.instance.descriptor}",
         f"search_space: {1 << n}",
@@ -667,7 +669,7 @@ def reference_render(report):
     ]
     lines.extend(f"{a},{b},{c}" for (a, b), c in report.front_counts)
     lines.append("local_optima_strings:")
-    lines.extend(map(f"{{:0{n}b}}".format, report.local_optima_indices))
+    lines.extend(map(f"{{:0{n}b}}".format, local))
     lines.append("ones_tables:")
     lines.append("ones,f1_value:count,f2_value:count,level:count")
     for ones, summary in report.ones_tables:
@@ -690,30 +692,90 @@ class TestMirror:
             assert is_symmetric_pair(inst) == symmetric, inst.descriptor
 
 
+def packed(members, n):
+    """The int over 2^n strings whose bit i is set for each i in members."""
+    raw = bytearray((1 << n) + 7 >> 3)
+    for i in members:
+        raw[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(raw, "little")
+
+
 class TestBinaryLines:
-    @pytest.mark.parametrize("n", range(1, 30))
+    """The members of a packed set, listed from its packed bytes: one at a
+    time (_members), as index arrays (_set_indices) and as text lines
+    (_binary_lines), the last two through the byte lanes of _set_lanes,
+    yielded per span of nonzero packed bytes."""
+
+    @pytest.mark.parametrize("n", range(1, 26))
     def test_lines_match_format(self, n):
-        # n = 8, 9, 16, 17, 24 and 25 put the top bit at a lane's edge.
         rng = random.Random(n)
         top = (1 << n) - 1
         picked = {0, top, 1, top >> 1, 1 << (n - 1)}
         picked.update(rng.randrange(top + 1) for _ in range(300))
-        indices = array("I", sorted(picked))
-        expected = "\n".join(f"{i:0{n}b}" for i in indices) + "\n"
-        assert _binary_lines(indices, n) == expected
-        assert _binary_lines(array("I", [top]), n) == "1" * n + "\n"
-        assert _binary_lines(array("I"), n) == ""
-        # On a big-endian host the array holds each index's bytes reversed,
-        # so the lane of index bit b counts from the other end.
-        swapped = array("I", indices)
-        swapped.byteswap()
+        expected = "".join(f"{i:0{n}b}\n" for i in sorted(picked))
+        assert _binary_lines(packed(picked, n), n) == expected
+        assert _binary_lines(1 << top, n) == "1" * n + "\n"
+        assert _binary_lines(0, n) == ""
+
+    @given(cube_subsets)
+    @settings(max_examples=200)
+    def test_members_indices_and_lines_match_sorted_and_format(self, case):
+        # Spans of 1 and 3 nonzero bytes split the sets here into many.
+        n, members = case
+        bits = packed(members, n)
+        ordered = sorted(members)
+        assert list(_members(bits, n)) == ordered
+        for span in (1, 3, landscape._SPAN):
+            with mock.patch.object(landscape, "_SPAN", span):
+                assert _set_indices(bits, n) == array("I", ordered), span
+                lines = "".join(f"{i:0{n}b}\n" for i in ordered)
+                assert _binary_lines(bits, n) == lines, span
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 11, 17, 18, 24, 25])
+    def test_lanes_at_their_edges(self, n):
+        # Lane 0 holds index bits 0 to 2, and lane q >= 1 the 7 bits from
+        # 7q - 4, so each n here ends the index at a lane's first or last
+        # bit, or below lane 1.
+        rng = random.Random(n)
+        top = (1 << n) - 1
+        sets = [set(), {top}, {1 << (n - 1)}, {rng.randrange(top + 1) for _ in range(200)}]
+        if n <= 18:
+            sets.append(set(range(top + 1)))
+        for members in sets:
+            bits = packed(members, n)
+            ordered = sorted(members)
+            spans = list(_set_lanes(bits, n))
+            assert all(len(lanes) == 1 + len(range(0, n - 3, 7)) for lanes in spans)
+            lanes = [b"".join(parts) for parts in zip(*spans)] or [b""]
+            assert lanes[0] == bytes(i & 7 for i in ordered)
+            for q, lane in enumerate(lanes[1:], 1):
+                assert lane == bytes(i >> 7 * q - 4 & 127 for i in ordered), q
+            assert list(_members(bits, n)) == ordered
+            assert _set_indices(bits, n) == array("I", ordered)
+            assert _binary_lines(bits, n) == "".join(f"{i:0{n}b}\n" for i in ordered)
+
+    def test_indices_on_a_big_endian_host(self):
+        # The slots are filled little-endian, so a big-endian host swaps
+        # them into its own order.
+        n = 20
+        rng = random.Random(n)
+        members = {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(300))}
         with mock.patch.object(landscape, "sys", types.SimpleNamespace(byteorder="big")):
-            assert _binary_lines(swapped, n) == expected
+            indices = _set_indices(packed(members, n), n)
+        indices.byteswap()
+        assert indices == array("I", sorted(members))
 
     def test_grid_reports_match_the_format_renderer(self):
         for inst in GRID:
             report = enumerate_landscape(inst)
             assert render_report(report) == reference_render(report), inst.descriptor
+
+    @pytest.mark.parametrize("descriptor", ["ojzr:n=18,k=7,l=3", "lozj:n=18,k=4", "lozr:n=18,l=3"])
+    def test_reports_past_the_grid_match_the_format_renderer(self, descriptor):
+        # The grid stops at n = 16; index bits 17 and up are in lane 3.
+        report = report_for(descriptor)
+        assert report.local_optima_bits >> (1 << 17)
+        assert render_report(report) == reference_render(report)
 
 
 class TestLazyParetoIndices:
@@ -852,7 +914,7 @@ class TestMemory:
             assert peak_bytes_per_string(lambda: predicate(inst), inst.n) <= 0.3
 
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "lozr:n=18,l=3"])
-    def test_symmetry_check_peaks_below_five_bytes_per_string(self, descriptor):
+    def test_symmetry_check_peaks_below_a_fifth_of_a_byte_per_string(self, descriptor):
         # The DP holds tables over the automata's states, not the cube:
         # 0.02 to 0.11 bytes per string over the families at n = 18.
         inst = parse_descriptor(descriptor)
@@ -860,18 +922,35 @@ class TestMemory:
         assert peak_bytes_per_string(lambda: is_symmetric_pair(inst), inst.n) <= 0.2
 
     def test_render_peaks_below_eight_bytes_per_string(self):
-        # 31,644 local optima, 19 bytes of text each.
+        # 31,644 local optima, 19 bytes of text each, built once as bytes
+        # and once decoded: 4.7 to 4.9 bytes per string.
         inst = parse_descriptor("ojzr:n=18,k=7,l=3")
         report = enumerate_landscape(inst)
         assert peak_bytes_per_string(lambda: render_report(report), inst.n) <= 8
 
-    @pytest.mark.parametrize(
-        "descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "lozr:n=18,l=3", "omzj:n=18,k=4"]
-    )
-    def test_profile_peaks_below_five_bytes_per_string(self, descriptor):
-        # The component count is the peak: 1.38 bytes per string where the
-        # byte flood unpacks the sparse Pareto sets of lotz and lozr, 1.10
-        # to 1.13 where the bit flood takes the dense ones of ojzj and omzj
+    @pytest.mark.parametrize("descriptor", ["lozj:n=18,k=4", "lozr:n=18,l=3"])
+    def test_render_of_few_local_optima_peaks_below_a_byte_per_string(self, descriptor):
+        # 3,059 and 3,900 local optima, listed from the packed bytes: 0.55
+        # and 0.72 bytes per string, the text and the lanes' first level
+        # over the 2^15 packed bytes. Unpacking the set to a 2^18-byte mask
+        # took 1.44 and 1.45.
+        inst = parse_descriptor(descriptor)
+        report = enumerate_landscape(inst)
+        assert peak_bytes_per_string(lambda: render_report(report), inst.n) <= 1
+
+    @pytest.mark.parametrize("descriptor", ["lotz:n=18", "lozr:n=18,l=3"])
+    def test_sparse_profile_peaks_below_half_a_byte_per_string(self, descriptor):
+        # The component count floods the few members of the sparse Pareto
+        # sets as a set, found from the packed bytes: 0.25 bytes per
+        # string. Unpacking the set to a 2^18-byte mask took 1.38.
+        inst = parse_descriptor(descriptor)
+        enumerate_landscape(inst)
+        assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 0.5
+
+    @pytest.mark.parametrize("descriptor", ["ojzj:n=18,k=4", "omzj:n=18,k=4"])
+    def test_dense_profile_peaks_below_one_and_a_half_bytes_per_string(self, descriptor):
+        # The component count is the peak: 1.10 to 1.13 bytes per string
+        # where the bit flood takes the dense Pareto sets of ojzj and omzj
         # block by block. The whole-cube bit flood took those to 3.1.
         inst = parse_descriptor(descriptor)
         enumerate_landscape(inst)
@@ -903,16 +982,16 @@ class TestMemory:
         assert peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n) <= 1.6
 
     def test_an_empty_set_unpacks_no_mask(self):
-        # An empty set's indices come without the 2^n-byte mask (1 MiB here).
+        # An empty set's indices come without a pass over its 2^n bits.
         assert peak_bytes_per_string(lambda: _set_indices(0, 20), 20) < 1024 / (1 << 20)
         assert _set_indices(0, 20) == array("I")
 
     @pytest.mark.parametrize("descriptor", ["ojzj:n=18,k=4", "ojzr:n=18,k=7,l=3"])
     def test_local_front_counts_build_no_byte_plane(self, descriptor):
-        # The local optima's index array, built by this read, is the
-        # peak: 1.5 bytes per string at n = 18 with 31,644 local optima,
-        # each evaluated once, and 0.02 with none. Byte planes took 3.3 to
-        # 4.0.
+        # The local optima's index array, built by this read from the
+        # packed bytes, is the peak: 1.1 bytes per string at n = 18 with
+        # 31,644 local optima, each evaluated once, and 0.02 with none.
+        # Unpacking the set to a mask took 1.5, and byte planes 3.3 to 4.0.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         report = enumerate_landscape(inst)
@@ -1107,15 +1186,6 @@ class TestBitSlicedKernels:
         _report.cache_clear()
         assert (1 << inst.n) - report.member_bits.bit_count() == non_members
         assert non_members <= len(calls) <= (inst.n + 1) * non_members
-
-    @given(cube_subsets)
-    @settings(max_examples=100)
-    def test_unpacked_bits_pack_back(self, case):
-        n, members = case
-        size, packed = 1 << n, sum(1 << i for i in members)
-        flags = _unpack_bits(packed, size)
-        assert len(flags) == size and set(flags) <= {0, 1}
-        assert pack_bits(flags) == packed
 
     @pytest.mark.parametrize(
         "mask",
