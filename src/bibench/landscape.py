@@ -15,20 +15,21 @@ components of a Pareto set holding more than 1/16 of the cube
 problems._cells splits the cube into, so that their operands stay small
 enough for the cache; the scan joins only its marks, and the flood visits
 only the blocks a component reaches. The other stages work on the whole
-cube. Three stages loop in Python per string: where at most 1/64 of the
-cube lies outside the Pareto set, its non-members and their neighbours are
+cube. Two stages loop in Python per string: where at most 1/64 of the cube
+lies outside the Pareto set, its non-members and their neighbours are
 evaluated one by one (problems.index_evaluator) to check their local
-optimality (_local_optima_by_string); where the Pareto set holds at most
-1/16 of the cube, LandscapeReport.component_count floods it from member to
-member (_component_count); and LandscapeReport.local_front_counts, read
-only by the objective_space figure, evaluates every local optimum.
+optimality (_local_optima_by_string); and where the Pareto set holds at
+most 1/16 of the cube, LandscapeReport.component_count floods it from
+member to member (_component_count). The image of a packed set, the local
+optima's (LandscapeReport.local_front_counts) or verify's claimed Pareto
+set's, is counted on the same blocks (problems._image_counts), with no
+string evaluated.
 
-No set is unpacked into a mask of the cube. The sparse readers above, and
-verify's claimed image, take the members from the nonzero bytes of the
-packed set (_members), a Python step per member; the report text and the
-index arrays, whose sets may fill most of the cube, take them from byte
-lanes of index bits selected from the packed bytes (_set_lanes), with no
-Python step per member.
+No set is unpacked into a mask of the cube. The sparse readers above and
+the index arrays take the members from the nonzero bytes of the packed set
+(_members), a Python step per member; the report text, whose set may fill
+most of the cube, takes them from byte lanes of index bits selected from
+the packed bytes (_set_lanes), with no Python step per member.
 
 No objective is held as a byte plane. The image, its multiplicities and
 the ones tables come from the packed ones counts per image vector that
@@ -48,9 +49,8 @@ accidental huge requests fail fast with a clear error.
 from __future__ import annotations
 
 import os
-import sys
 from array import array
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -64,9 +64,11 @@ from .errors import EnumerationCapError, ValidationError
 from .problems import (
     ProblemInstance,
     _cells,
+    _image_counts,
     _join,
     _objective_tables,
     _select,
+    _split,
     _statistic_pairs,
     _translate,
     image_polys,
@@ -182,13 +184,13 @@ class CharacteristicProfile:
 class LandscapeReport:
     """Exact analysis of one instance. The Pareto set and the local optima
     are kept once each, as packed bits (`member_bits`, `local_optima_bits`).
-    Their index arrays (4 bytes per member) are built on each read and kept
-    by neither the report nor its memo (_report): no caller reads one twice.
-    The local optima's image, the Pareto set's component count and the ones
-    tables are computed on first access and kept: the objective-space
-    figure reads the image, the report text, the summary line and the
-    profile the component count, the report text and the ones figures the
-    ones tables, and verify only sizes, the bit counts."""
+    Their index arrays (4 bytes per member, from _members) are built on each
+    read and kept by neither the report nor its memo (_report); no command
+    reads them. The local optima's image (counted on the automata's cells),
+    the component count and the ones tables are computed on first access and
+    kept: the objective-space figure reads the image, the report text, the
+    summary line and the profile the component count, the report text and
+    the ones figures the ones tables, and verify only sizes, the bit counts."""
 
     instance: ProblemInstance
     front_counts: tuple[tuple[ObjectiveVector, int], ...]
@@ -254,20 +256,19 @@ class LandscapeReport:
     @property
     def pareto_set_indices(self) -> array:
         """The indices of the Pareto set, ascending."""
-        return _set_indices(self.member_bits, self.n)
+        return array("I", _members(self.member_bits, self.n))
 
     @property
     def local_optima_indices(self) -> array:
         """The indices of the non-global Pareto local optima, ascending: no
         neighbor strictly dominates them, yet they are not Pareto-optimal.
         Equal-valued neighbors do not disqualify."""
-        return _set_indices(self.local_optima_bits, self.n)
+        return array("I", _members(self.local_optima_bits, self.n))
 
     @cached_property
     def local_front_counts(self) -> tuple[tuple[ObjectiveVector, int], ...]:
         """The local optima's image vectors, ascending, with their counts."""
-        counts = Counter(map(index_evaluator(self.instance), self.local_optima_indices))
-        return tuple(sorted(counts.items()))
+        return tuple(_image_counts(self.instance, self.local_optima_bits).items())
 
 
 def _component_count(members: set[int], n: int) -> int:
@@ -315,9 +316,7 @@ def _bit_component_count(members: int, n: int) -> int:
     one higher index bit, and a block that grows is queued. Only the blocks
     a component reaches are visited."""
     low = min(n, problems._SET_BITS)
-    raw = members.to_bytes((1 << n) + 7 >> 3, "little")
-    width = len(raw) >> n - low
-    blocks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    blocks = _split(members, n, 1 << n - low)
     clear = [_bit_clear(low, b) for b in range(low)]
     steps = [1 << h for h in range(n - low)]
     components = 0
@@ -477,7 +476,9 @@ def _indices(mask: bytes) -> array:
 def _members(bits: int, n: int):
     """The set bits of packed bits over 2^n strings, ascending, one at a
     time: _indices finds the nonzero packed bytes, and _OFFSETS the set bits
-    of each. A Python step per member, so for sparse sets."""
+    of each. A Python step per member, so for sparse sets; none if empty."""
+    if not bits:
+        return
     raw = bits.to_bytes((1 << n) + 7 >> 3, "little")
     # The int goes before the mask of nonzero bytes is made, which lowers
     # the peak where the caller holds it no longer.
@@ -546,26 +547,6 @@ def _span_lanes(nonzero: bytes, high: list[bytes], start: int) -> list[bytes]:
             slots[k::8] = (value | flag).to_bytes(len(span), "little")
         lanes.append(slots.translate(None, _OMITTED))
     return lanes
-
-
-def _set_indices(bits: int, n: int) -> array:
-    """The indices of the set bits of packed bits over 2^n strings,
-    ascending: per span of _set_lanes, each lane spread into the array's
-    slots and shifted to its index bits."""
-    indices = array("I")
-    if not bits:
-        return indices
-    width = indices.itemsize
-    for lanes in _set_lanes(bits, n):
-        slots = bytearray(width * len(lanes[0]))
-        packed = 0
-        for q, lane in enumerate(lanes):
-            slots[::width] = lane
-            packed |= int.from_bytes(slots, "little") << (7 * q - 4 if q else 0)
-        indices.frombytes(packed.to_bytes(len(slots), "little"))
-    if sys.byteorder == "big":
-        indices.byteswap()
-    return indices
 
 
 def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:

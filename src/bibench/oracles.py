@@ -17,11 +17,12 @@ from fractions import Fraction
 from .bitstring import BitString
 from .dominance import ObjectiveVector
 from .errors import ValidationError
-from .landscape import _image_levels, _members, enumerate_landscape
+from .landscape import _image_levels, enumerate_landscape
 from .problems import (
     FAMILY_NAMES,
     JUMP_OBJECTIVES,
     ProblemInstance,
+    _image_counts,
     family_catalog,
     index_evaluator,
 )
@@ -223,7 +224,7 @@ def verify(inst: ProblemInstance) -> VerificationReport:
     if pareto_claim.matched:
         image = {v for v, _ in report.front_counts}
     else:
-        image = set(map(ev, _members(pareto, n)))
+        image = set(_image_counts(inst, pareto))
     front = set(claimed_front_tuples(inst))
     claims = [
         pareto_claim,

@@ -88,11 +88,13 @@ class ProblemInstance:
 # (_statistic_pairs), and by a table over final states, block by block
 # (_select): the block closed forms (_where), which join the blocks, and,
 # through the value tables, the local-optimum scan's bit planes, which stay
-# in blocks. Read as they are, with no cube, the tables also decide
-# symmetry, by a DP that reads f2's tables in reverse, and separability, by
-# DPs on pairs of one objective's states (landscape.is_symmetric_pair,
-# landscape.is_fully_separable), and the image's levels decide complete
-# conflict and the front's shape (landscape._image_levels).
+# in blocks. Met in pairs, both objectives' sets count the image of a packed
+# set cut into the same blocks (_image_counts). Read as they are, with no
+# cube, the tables also decide symmetry, by a DP that reads f2's tables in
+# reverse, and separability, by DPs on pairs of one objective's states
+# (landscape.is_symmetric_pair, landscape.is_fully_separable), and the
+# image's levels decide complete conflict and the front's shape
+# (landscape._image_levels).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
@@ -542,6 +544,15 @@ def _join(blocks, n: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in blocks]), "little")
 
 
+def _split(bits: int, n: int, count: int) -> list[int]:
+    """The inverse of _join: the count blocks of packed bits over the cube."""
+    if count == 1:
+        return [bits]
+    raw = bits.to_bytes(1 << n >> 3, "little")
+    width = len(raw) // count
+    return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+
+
 def _select(cells, table: bytes) -> list[int]:
     """Per block of the cube, the packed set of its indices (bit i for the
     block's i-th) whose final state s has table[s] set, table bytes of 0 or
@@ -575,6 +586,23 @@ def _where(automaton: Callable[..., Callable], n: int, l: int | None, states) ->
     the given states."""
     wanted = bytes(s in states for s in range(256))
     return _join(_select(_cells(_step_tables(automaton, n, l)), wanted), n)
+
+
+def _image_counts(inst: ProblemInstance, bits: int) -> dict[ObjectiveVector, int]:
+    """How many strings of packed bits over the cube have each image vector
+    (f1, f2), in ascending order, with no string evaluated: per block of the
+    cells (_cells), the members in the index sets of each pair of the two
+    automata's states, counted to the vector their blocks' ends give."""
+    (tables1, final1), (tables2, final2) = _objective_tables(inst)
+    (sets1, ends1), (sets2, ends2) = _cells(tables1), _cells(tables2)
+    counts = defaultdict(int)
+    for block, e1, e2 in zip(_split(bits, inst.n, len(ends1)), ends1, ends2):
+        for x, a in zip(sets1, e1):
+            if x := x & block:
+                for y, b in zip(sets2, e2):
+                    if c := (x & y).bit_count():
+                        counts[final1[a], final2[b]] += c
+    return dict(sorted(counts.items()))
 
 
 def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:

@@ -8,7 +8,6 @@ import dataclasses
 import math
 import random
 import tracemalloc
-import types
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -23,7 +22,8 @@ import naive
 from planes import objective_planes
 from bibench import landscape, problems
 from bibench.bitstring import BitString
-from bibench.cli import _FIGURE_BUILDERS
+from bibench.cli import _FIGURE_BUILDERS, figure_objective_space
+from bibench.dominance import nondominated_sort
 from bibench.errors import EnumerationCapError, ValidationError
 from bibench.landscape import (
     BYTES_PER_STRING,
@@ -42,7 +42,6 @@ from bibench.landscape import (
     _binary_lines,
     _members,
     _report,
-    _set_indices,
     _set_lanes,
     characteristic_profile,
     enumerate_landscape,
@@ -57,9 +56,13 @@ from bibench.landscape import (
 from bibench.oracles import grid_instances, render_verification, verify
 from bibench.problems import (
     ProblemInstance,
+    _image_counts,
+    _join,
+    _split,
     _statistic_pairs,
     _union,
     evaluate,
+    image_polys,
     index_evaluator,
     parse_descriptor,
 )
@@ -700,11 +703,18 @@ def packed(members, n):
     return int.from_bytes(raw, "little")
 
 
+def index_arrays(bits, n):
+    """The index arrays of a report whose Pareto set and local optima are
+    both the packed set bits over 2^n strings."""
+    report = landscape.LandscapeReport(ProblemInstance("omm", n), (), (), {}, bits, bits, {})
+    return [report.pareto_set_indices, report.local_optima_indices]
+
+
 class TestBinaryLines:
     """The members of a packed set, listed from its packed bytes: one at a
-    time (_members), as index arrays (_set_indices) and as text lines
-    (_binary_lines), the last two through the byte lanes of _set_lanes,
-    yielded per span of nonzero packed bytes."""
+    time (_members), which the report's index arrays read, and as text
+    lines (_binary_lines), through the byte lanes of _set_lanes, yielded per
+    span of nonzero packed bytes."""
 
     @pytest.mark.parametrize("n", range(1, 26))
     def test_lines_match_format(self, n):
@@ -725,9 +735,9 @@ class TestBinaryLines:
         bits = packed(members, n)
         ordered = sorted(members)
         assert list(_members(bits, n)) == ordered
+        assert index_arrays(bits, n) == [array("I", ordered)] * 2
         for span in (1, 3, landscape._SPAN):
             with mock.patch.object(landscape, "_SPAN", span):
-                assert _set_indices(bits, n) == array("I", ordered), span
                 lines = "".join(f"{i:0{n}b}\n" for i in ordered)
                 assert _binary_lines(bits, n) == lines, span
 
@@ -751,19 +761,8 @@ class TestBinaryLines:
             for q, lane in enumerate(lanes[1:], 1):
                 assert lane == bytes(i >> 7 * q - 4 & 127 for i in ordered), q
             assert list(_members(bits, n)) == ordered
-            assert _set_indices(bits, n) == array("I", ordered)
+            assert index_arrays(bits, n) == [array("I", ordered)] * 2
             assert _binary_lines(bits, n) == "".join(f"{i:0{n}b}\n" for i in ordered)
-
-    def test_indices_on_a_big_endian_host(self):
-        # The slots are filled little-endian, so a big-endian host swaps
-        # them into its own order.
-        n = 20
-        rng = random.Random(n)
-        members = {0, (1 << n) - 1, *(rng.randrange(1 << n) for _ in range(300))}
-        with mock.patch.object(landscape, "sys", types.SimpleNamespace(byteorder="big")):
-            indices = _set_indices(packed(members, n), n)
-        indices.byteswap()
-        assert indices == array("I", sorted(members))
 
     def test_grid_reports_match_the_format_renderer(self):
         for inst in GRID:
@@ -982,21 +981,23 @@ class TestMemory:
         assert peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n) <= 1.6
 
     def test_an_empty_set_unpacks_no_mask(self):
-        # An empty set's indices come without a pass over its 2^n bits.
-        assert peak_bytes_per_string(lambda: _set_indices(0, 20), 20) < 1024 / (1 << 20)
-        assert _set_indices(0, 20) == array("I")
+        # An empty set's members come without a pass over its 2^n bits.
+        assert peak_bytes_per_string(lambda: list(_members(0, 20)), 20) < 1024 / (1 << 20)
+        assert index_arrays(0, 20) == [array("I")] * 2
 
-    @pytest.mark.parametrize("descriptor", ["ojzj:n=18,k=4", "ojzr:n=18,k=7,l=3"])
-    def test_local_front_counts_build_no_byte_plane(self, descriptor):
-        # The local optima's index array, built by this read from the
-        # packed bytes, is the peak: 1.1 bytes per string at n = 18 with
-        # 31,644 local optima, each evaluated once, and 0.02 with none.
-        # Unpacking the set to a mask took 1.5, and byte planes 3.3 to 4.0.
+    @pytest.mark.parametrize(
+        "descriptor", ["ojzj:n=18,k=4", "ojzr:n=18,k=7,l=3", "orzr:n=18,l=9", "lozr:n=18,l=3"]
+    )
+    def test_local_front_counts_peak_below_half_a_byte_per_string(self, descriptor):
+        # The image is counted on the automata's cells, from the set's
+        # packed bytes cut into blocks: 0.16 to 0.30 bytes per string at
+        # n = 18, from none to 244,032 local optima, evaluating no string.
+        # Building their index array and evaluating each took up to 5.34.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         report = enumerate_landscape(inst)
         assert "local_optima_indices" not in vars(report)
-        assert peak_bytes_per_string(lambda: report.local_front_counts, inst.n) <= 2
+        assert peak_bytes_per_string(lambda: report.local_front_counts, inst.n) <= 0.5
 
     @pytest.mark.parametrize(
         "descriptor",
@@ -1093,7 +1094,7 @@ class TestBitSlicedKernels:
                 assert len(ends) << low == 1 << n, inst.descriptor
                 states = bytearray(1 << low)
                 for s, x in enumerate(sets):
-                    for i in _set_indices(x, low):
+                    for i in _members(x, low):
                         states[i] = s
                 # The blocks' end states, read through the value table.
                 rebuilt = b"".join(
@@ -1283,6 +1284,20 @@ def unpacked(polys, n):
     }
 
 
+def counted_by_string(inst, bits):
+    """The image counts of packed bits over the cube, each string evaluated
+    through index_evaluator: the set's own strings, or, for a set over half
+    the cube, those outside it, taken from the counts of the whole image."""
+    n = inst.n
+    outside = bits ^ (1 << (1 << n)) - 1
+    if bits.bit_count() <= outside.bit_count():
+        counts = Counter(map(index_evaluator(inst), _members(bits, n)))
+    else:
+        counts = Counter(enumerate_landscape(inst).vector_counts)
+        counts.subtract(map(index_evaluator(inst), _members(outside, n)))
+    return dict(sorted((v, c) for v, c in counts.items() if c))
+
+
 class TestImageCounts:
     def test_counted_image_matches_the_planes(self):
         """The DP's digits against a count over the planes themselves, the
@@ -1316,6 +1331,44 @@ class TestImageCounts:
             assert {v: p % modulus for v, p in polys.items()} == per_vector, inst.descriptor
             assert sum(per_vector.values()) == 1 << n, inst.descriptor
 
+    def test_packed_sets_are_counted_as_their_strings_evaluate(self):
+        # Both sets of every grid instance up to n = 18, where the default
+        # span splits the cube from n = 17; blocks of 8 and 16 indices split
+        # every cube from n = 4 and n = 5.
+        for inst in grid_instances(None, range(1, 19)):
+            report = enumerate_landscape(inst)
+            for bits in (report.member_bits, report.local_optima_bits):
+                expected = counted_by_string(inst, bits)
+                for set_bits in (problems._SET_BITS, 3, 4)[: 1 if inst.n > 12 else 3]:
+                    with mock.patch.object(problems, "_SET_BITS", set_bits):
+                        counts = _image_counts(inst, bits)
+                    assert counts == expected, (inst.descriptor, set_bits)
+                    assert list(counts) == sorted(counts), (inst.descriptor, set_bits)
+
+    @given(cube_subsets, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_packed_set_is_counted_as_its_strings_evaluate(self, case, data):
+        n, members = case
+        inst = data.draw(st.sampled_from(grid_instances(None, [n])))
+        bits = packed(members, n)
+        expected = dict(sorted(Counter(map(index_evaluator(inst), members)).items()))
+        for set_bits in (3, 4, problems._SET_BITS):
+            with mock.patch.object(problems, "_SET_BITS", set_bits):
+                assert _image_counts(inst, bits) == expected, set_bits
+
+    @given(cube_subsets)
+    @settings(max_examples=200)
+    def test_split_inverts_join(self, case):
+        # One block, whole cubes below a byte included, or blocks of 8 or
+        # more indices, as the cells cut the cube.
+        n, members = case
+        bits = packed(members, n)
+        for count in [1 << h for h in range(max(1, n - 2))]:
+            blocks = _split(bits, n, count)
+            assert len(blocks) == count
+            assert all(x >> ((1 << n) // count) == 0 for x in blocks)
+            assert _join(blocks, n) == bits, count
+
     def test_vector_counts_ascend(self):
         for descriptor in ["lotz:n=8", "ojzj:n=10,k=3", "ojzr:n=12,k=5,l=3"]:
             keys = list(report_for(descriptor).vector_counts)
@@ -1340,4 +1393,63 @@ class TestPlanesOnly:
             "|PS|=156 ratio=39/1024 components=120 |LO|=648"
         )
         assert characteristic_profile(inst).flags == (True,) * 7
+        _report.cache_clear()
+
+    def test_local_optima_image_evaluates_no_string(self, monkeypatch):
+        """The objective-space figure counts the 648 local optima's image
+        on the automata, with every index-level statistic raising."""
+
+        def refuse(n, l):
+            raise AssertionError("index-level statistic called for the figure")
+
+        for name, record in problems.STATISTICS.items():
+            monkeypatch.setitem(problems.STATISTICS, name, record._replace(index=refuse))
+        problems.index_evaluator.cache_clear()
+        _report.cache_clear()
+        report = enumerate_landscape(ProblemInstance("ojzr", 12, k=5, l=3))
+        rows = figure_objective_space(report).rows
+        assert [row for row in rows if row[3] == "local_optimum"] == [(12, 0, 648, "local_optimum")]
+        _report.cache_clear()
+
+
+class TestBlockLayoutAtTheCap:
+    """At the default cap the cells cut the cube into 256 blocks of 2^16
+    indices, so eight index bits cross blocks. On sampled strings, 500 at
+    random and both ends of every block, the Pareto set, the local optima
+    and the counted image agree with brute force."""
+
+    INSTANCES = [
+        "lotz:n=24", "ojzj:n=24,k=4", "omm:n=24", "cocz:n=24", "omtz:n=24",
+        "omzj:n=24,k=4", "orzr:n=24,l=4", "omzr:n=24,l=4", "lozj:n=24,k=4",
+        "lozr:n=24,l=4", "ojzr:n=24,k=7,l=4", "orzr:n=24,l=12",
+    ]
+
+    def test_sampled_strings_match_brute_force(self, monkeypatch):
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        n, span = DEFAULT_CAP, 1 << problems._SET_BITS
+        assert n - problems._SET_BITS == 8
+        rng = random.Random(1)
+        sample = {rng.randrange(1 << n) for _ in range(500)}
+        sample.update(i for r in range(0, 1 << n, span) for i in (r, r + span - 1))
+        sample = sorted(sample)
+        flips = [1 << b for b in range(n)]
+        for descriptor in self.INSTANCES:
+            inst = parse_descriptor(descriptor)
+            report = enumerate_landscape(inst)
+            front = set(nondominated_sort(image_polys(inst)).levels[0])
+            ev = index_evaluator(inst)
+            member, local = (
+                bits.to_bytes(1 << n - 3, "little")
+                for bits in (report.member_bits, report.local_optima_bits)
+            )
+            for i in sample:
+                a, b = vector = ev(i)
+                assert (member[i >> 3] >> (i & 7) & 1) == (vector in front), (descriptor, i)
+                dominated = any(
+                    c >= a and d >= b and (c, d) != vector for c, d in (ev(i ^ f) for f in flips)
+                )
+                optimum = vector not in front and not dominated
+                assert (local[i >> 3] >> (i & 7) & 1) == optimum, (descriptor, i)
+            counts = dict(sorted(Counter(map(ev, sample)).items()))
+            assert _image_counts(inst, packed(sample, n)) == counts, descriptor
         _report.cache_clear()
