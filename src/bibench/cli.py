@@ -16,12 +16,7 @@ from fractions import Fraction
 from .bitstring import BitString
 from .errors import DomainError, ValidationError
 from .evolve import MAX_SEEDS, RunConfig, Target, hitting_time_experiment, render_experiment
-from .landscape import (
-    LandscapeReport,
-    enumerate_landscape,
-    render_report,
-    summary_line,
-)
+from .landscape import LandscapeReport, _report_pieces, enumerate_landscape, summary_line
 from .oracles import (
     DEFAULT_GRID_SIZES,
     grid_instances,
@@ -115,10 +110,11 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("descriptor", help="instance like 'ojzr:n=12,k=5,l=3'")
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces) -> None:
+    """Write the str pieces, in order, to the file at path."""
     try:
         with open(path, "w", newline="\n", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -196,7 +192,7 @@ def cmd_eval(args) -> int:
 def cmd_landscape(args) -> int:
     inst = parse_descriptor(args.descriptor)
     report = enumerate_landscape(inst)
-    _write_text(args.out, render_report(report))
+    _write_text(args.out, _report_pieces(report))
     print(summary_line(report))
     return 0
 
@@ -215,7 +211,7 @@ def cmd_verify(args) -> int:
         f" informational_mismatches={informational}"
     )
     if args.out:
-        _write_text(args.out, body + summary + "\n")
+        _write_text(args.out, (body, summary, "\n"))
     else:
         sys.stdout.write(body)
     print(summary)
@@ -250,7 +246,7 @@ def cmd_figure(args) -> int:
     inst = parse_descriptor(args.descriptor)
     report = enumerate_landscape(inst)
     dataset = _FIGURE_BUILDERS[args.kind](report)
-    _write_text(args.out, dataset.render())
+    _write_text(args.out, (dataset.render(),))
     print(f"{dataset.kind}: {len(dataset.rows)} rows")
     return 0
 
@@ -268,7 +264,7 @@ def cmd_run(args) -> int:
     experiment = hitting_time_experiment(template, seeds, threads=args.threads)
     text = render_experiment(experiment)
     if args.out:
-        _write_text(args.out, text)
+        _write_text(args.out, (text,))
         print(text.rstrip("\n").rsplit("\n", 1)[-1])
     else:
         sys.stdout.write(text)

@@ -29,7 +29,10 @@ No set is unpacked into a mask of the cube. The sparse readers above and
 the index arrays take the members from the nonzero bytes of the packed set
 (_members), a Python step per member; the report text, whose set may fill
 most of the cube, takes them from byte lanes of index bits selected from
-the packed bytes (_set_lanes), with no Python step per member.
+the packed bytes (_set_lanes), with no Python step per member. The text is
+listed span by span, up to _SPAN nonzero packed bytes at a time, and the
+landscape command writes each span as it comes, so it never holds the
+whole list; render_report joins the spans.
 
 No objective is held as a byte plane. The image, its multiplicities and
 the ones tables come from the packed ones counts per image vector that
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import compress
+from itertools import chain, compress
 
 from . import problems
 from .bitstring import BitString
@@ -83,9 +86,11 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 # the families at n = 24 is 43 MB, 2.7 bytes per string, on cocz, set by
 # enumeration's local-optimum scan; the component count takes a sparse
 # Pareto set's members from its packed bytes, and floods a dense one block
-# by block (see README). The budget stays at 24, since 16 or less would
-# raise MAX_CAP, the largest n whose estimate fits MEMORY_LIMIT, from 29 to
-# 30.
+# by block (see README). The landscape command adds one span of the report
+# text at a time, written as it is listed: orzr:n=24,l=12, whose 16.6 M
+# local optima fill 99% of the cube, peaks at 37 MB, 2.3 bytes per string.
+# The budget stays at 24, since 16 or less would raise MAX_CAP, the largest
+# n whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
 MEMORY_LIMIT = 16 << 30
 MAX_CAP = (MEMORY_LIMIT // BYTES_PER_STRING).bit_length() - 1
@@ -496,7 +501,7 @@ _ZERO = bytes([128]).ljust(256, b"\0")
 _CLEAR = [table.translate(bytes([128, 0]).ljust(256, b"\0")) for table in _BITS]
 _OFFSET = [table.translate(bytes([128, k]).ljust(256, b"\0")) for k, table in enumerate(_BITS)]
 _OMITTED = bytes(range(128, 256))
-# Nonzero packed bytes per span of _span_lanes: 8 slots each, so a span's
+# Nonzero packed bytes per span of _set_lanes: 8 slots each, so a span's
 # work stays within 16 KiB a lane, and its members within 16,384.
 _SPAN = 1 << 11
 
@@ -510,14 +515,16 @@ def _periodic(size: int, shift: int) -> int:
 def _set_lanes(bits: int, n: int):
     """The set bits of packed bits over 2^n strings, ascending, as byte
     lanes, one byte per member in each: lane 0 holds the member's index
-    bits 0 to 2, lane q >= 1 the 7 bits from 7q - 4. An iterator over the
-    lanes of the members of up to _SPAN nonzero packed bytes at a time
-    (_span_lanes). Each lane is selected by deleting flagged bytes, and no
-    mask of the cube is built.
+    bits 0 to 2, lane q >= 1 the 7 bits from 7q - 4. Yields the lanes of the
+    members of up to _SPAN nonzero packed bytes at a time. Each lane is
+    selected by deleting flagged bytes, and no mask of the cube is built.
 
-    Level 1, run before this returns, flags the zero packed bytes and
-    selects, from the periodic bytes (j >> 7p) & 127 over the packed bytes'
-    indices j, those of the nonzero bytes: lane p + 1 of their members."""
+    Level 1, run once, flags the zero packed bytes and selects, from the
+    periodic bytes (j >> 7p) & 127 over the packed bytes' indices j, those
+    of the nonzero bytes: lane p + 1 of their members. Level 2, per span,
+    gives each byte 8 slots, slot k flagged when its bit k is clear: lane 0
+    is selected from the slots' offsets k, and each higher lane from its
+    level-1 lane, each byte in all 8 slots."""
     raw = bits.to_bytes((1 << n) + 7 >> 3, "little")
     size = len(raw)
     zero = int.from_bytes(raw.translate(_ZERO), "little")
@@ -527,26 +534,20 @@ def _set_lanes(bits: int, n: int):
         (_periodic(size, shift) | zero).to_bytes(size, "little").translate(None, _OMITTED)
         for shift in range(0, n - 3, 7)
     ]
-    return (_span_lanes(nonzero, high, start) for start in range(0, len(nonzero), _SPAN))
-
-
-def _span_lanes(nonzero: bytes, high: list[bytes], start: int) -> list[bytes]:
-    """Level 2 of _set_lanes, on the span of the nonzero packed bytes from
-    start: each byte gets 8 slots, slot k flagged when its bit k is clear.
-    Lane 0 is selected from the slots' offsets k, and each higher lane from
-    its level-1 lane, each byte in all 8 slots."""
-    span = nonzero[start : start + _SPAN]
-    slots = bytearray(len(span) << 3)
-    for k, table in enumerate(_OFFSET):
-        slots[k::8] = span.translate(table)
-    lanes = [slots.translate(None, _OMITTED)]
-    clear = [int.from_bytes(span.translate(table), "little") for table in _CLEAR]
-    for lane in high:
-        value = int.from_bytes(lane[start : start + _SPAN], "little")
-        for k, flag in enumerate(clear):
-            slots[k::8] = (value | flag).to_bytes(len(span), "little")
-        lanes.append(slots.translate(None, _OMITTED))
-    return lanes
+    del zero
+    for start in range(0, len(nonzero), _SPAN):
+        span = nonzero[start : start + _SPAN]
+        slots = bytearray(len(span) << 3)
+        for k, table in enumerate(_OFFSET):
+            slots[k::8] = span.translate(table)
+        lanes = [slots.translate(None, _OMITTED)]
+        clear = [int.from_bytes(span.translate(table), "little") for table in _CLEAR]
+        for lane in high:
+            value = int.from_bytes(lane[start : start + _SPAN], "little")
+            for k, flag in enumerate(clear):
+                slots[k::8] = (value | flag).to_bytes(len(span), "little")
+            lanes.append(slots.translate(None, _OMITTED))
+        yield lanes
 
 
 def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
@@ -768,35 +769,31 @@ def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
 _DIGITS = [bytes(48 | v >> k & 1 for v in range(256)) for k in range(8)]
 
 
-def _binary_lines(bits: int, n: int) -> str:
+def _binary_lines(bits: int, n: int):
     """The set bits of packed bits over 2^n strings, ascending, each as n
     binary digits, most significant first, one line each with its newline.
-    Built as one (n + 1)-column byte matrix: index bit b is bit k of lane q
-    of _set_lanes, and per span that lane translated to digits is assigned
-    into column n - 1 - b of the span's rows."""
+    Yields the lines of one span of _set_lanes at a time, as a str built
+    from an (n + 1)-column byte matrix: index bit b is bit k of lane q, and
+    that lane translated to digits is assigned into column n - 1 - b."""
     if not bits:
-        return ""
-    # Level 1 runs before the text is allocated, which lowers the peak.
-    spans = _set_lanes(bits, n)
+        return
     width = n + 1
-    lines = bytearray(b"\n" * (width * bits.bit_count()))
-    start = 0
-    for lanes in spans:
-        end = start + width * len(lanes[0])
+    for lanes in _set_lanes(bits, n):
+        lines = bytearray(b"\n" * (width * len(lanes[0])))
         for b in range(n):
             q, k = divmod(b + 4, 7) if b > 2 else (0, b)
-            lines[start + n - 1 - b : end : width] = lanes[q].translate(_DIGITS[k])
-        start = end
-    return lines.decode("ascii")
+            lines[n - 1 - b :: width] = lanes[q].translate(_DIGITS[k])
+        yield lines.decode("ascii")
 
 
 def _fmt_counts(pairs) -> str:
     return ";".join(f"{v}:{c}" for v, c in pairs)
 
 
-def render_report(report: LandscapeReport) -> str:
-    """Stable plain-text serialization of a landscape report. The local
-    optima are written by _binary_lines, all at once."""
+def _report_pieces(report: LandscapeReport):
+    """The text of render_report in pieces: the head, the local optima span
+    by span (_binary_lines), and the tail. The head and the tail are built
+    before this returns, so an error in them comes before any text does."""
     n = report.n
     head = [
         f"instance: {report.instance.descriptor}",
@@ -818,8 +815,14 @@ def render_report(report: LandscapeReport) -> str:
             f"{ones},{_fmt_counts(summary.f1_counts)},"
             f"{_fmt_counts(summary.f2_counts)},{_fmt_counts(summary.level_counts)}"
         )
-    strings = _binary_lines(report.local_optima_bits, n)
-    return "".join(("\n".join(head), "\n", strings, "\n".join(tail), "\n"))
+    head, tail = "\n".join(head) + "\n", "\n".join(tail) + "\n"
+    return chain((head,), _binary_lines(report.local_optima_bits, n), (tail,))
+
+
+def render_report(report: LandscapeReport) -> str:
+    """Stable plain-text serialization of a landscape report: the pieces of
+    _report_pieces joined, which the landscape command writes one by one."""
+    return "".join(_report_pieces(report))
 
 
 def summary_line(report: LandscapeReport) -> str:

@@ -28,8 +28,16 @@ from bibench.cli import (
     figure_objectives_vs_ones,
     main,
 )
-from bibench.landscape import CAP_ENV_VAR, MAX_CAP, enumerate_landscape, render_report
-from bibench.oracles import ClaimResult, VerificationReport
+from bibench import landscape
+from bibench.errors import ValidationError
+from bibench.landscape import (
+    CAP_ENV_VAR,
+    MAX_CAP,
+    LandscapeReport,
+    enumerate_landscape,
+    render_report,
+)
+from bibench.oracles import ClaimResult, VerificationReport, grid_instances
 from bibench.problems import FAMILY_NAMES, parse_descriptor
 
 
@@ -75,6 +83,37 @@ class TestLandscapeCommand:
         run_main(capsys, ["landscape", "ojzj:n=8,k=2", "--out", str(a)])
         run_main(capsys, ["landscape", "ojzj:n=8,k=2", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "instances",
+        [
+            grid_instances(None, range(1, 17)),
+            [parse_descriptor(d) for d in ("ojzr:n=18,k=7,l=3", "lozj:n=18,k=4", "lozr:n=18,l=3")],
+        ],
+        ids=["grid", "n18"],
+    )
+    def test_the_file_is_the_rendered_report(self, capsys, tmp_path, instances):
+        # The command writes the report's pieces one by one; spans of 1 and
+        # 3 nonzero packed bytes split the local optima into many pieces.
+        out = tmp_path / "report.txt"
+        for inst in instances:
+            expected = render_report(enumerate_landscape(inst)).encode()
+            for span in (1, 3, landscape._SPAN):
+                with mock.patch.object(landscape, "_SPAN", span):
+                    rc, _, err = run_main(capsys, ["landscape", inst.descriptor, "--out", str(out)])
+                assert (rc, err) == (0, "")
+                assert out.read_bytes() == expected, (inst.descriptor, span)
+
+    def test_an_error_in_the_report_leaves_no_file(self, capsys, tmp_path):
+        # The head and the tail are built before the file is opened.
+        def refuse(report):
+            raise ValidationError("no ones tables")
+
+        out = tmp_path / "report.txt"
+        with mock.patch.object(LandscapeReport, "ones_tables", property(refuse)):
+            rc, stdout, err = run_main(capsys, ["landscape", "ojzr:n=12,k=5,l=3", "--out", str(out)])
+        assert (rc, stdout, err) == (1, "", "error: no ones tables\n")
+        assert not out.exists()
 
     def test_cap_guard(self, capsys, tmp_path):
         rc, _, err = run_main(

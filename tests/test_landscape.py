@@ -5,6 +5,7 @@ core's helpers are checked against the definitions in naive.py."""
 
 import contextlib
 import dataclasses
+import io
 import math
 import random
 import tracemalloc
@@ -22,7 +23,7 @@ import naive
 from planes import objective_planes
 from bibench import landscape, problems
 from bibench.bitstring import BitString
-from bibench.cli import _FIGURE_BUILDERS, figure_objective_space
+from bibench.cli import _FIGURE_BUILDERS, FIGURE_KINDS, figure_objective_space, main
 from bibench.dominance import nondominated_sort
 from bibench.errors import EnumerationCapError, ValidationError
 from bibench.landscape import (
@@ -710,11 +711,16 @@ def index_arrays(bits, n):
     return [report.pareto_set_indices, report.local_optima_indices]
 
 
+def binary_lines(bits, n):
+    """The text that _binary_lines yields span by span, joined."""
+    return "".join(_binary_lines(bits, n))
+
+
 class TestBinaryLines:
     """The members of a packed set, listed from its packed bytes: one at a
     time (_members), which the report's index arrays read, and as text
-    lines (_binary_lines), through the byte lanes of _set_lanes, yielded per
-    span of nonzero packed bytes."""
+    lines (_binary_lines), through the byte lanes of _set_lanes, both
+    yielded per span of nonzero packed bytes."""
 
     @pytest.mark.parametrize("n", range(1, 26))
     def test_lines_match_format(self, n):
@@ -723,9 +729,9 @@ class TestBinaryLines:
         picked = {0, top, 1, top >> 1, 1 << (n - 1)}
         picked.update(rng.randrange(top + 1) for _ in range(300))
         expected = "".join(f"{i:0{n}b}\n" for i in sorted(picked))
-        assert _binary_lines(packed(picked, n), n) == expected
-        assert _binary_lines(1 << top, n) == "1" * n + "\n"
-        assert _binary_lines(0, n) == ""
+        assert binary_lines(packed(picked, n), n) == expected
+        assert binary_lines(1 << top, n) == "1" * n + "\n"
+        assert list(_binary_lines(0, n)) == []
 
     @given(cube_subsets)
     @settings(max_examples=200)
@@ -736,10 +742,13 @@ class TestBinaryLines:
         ordered = sorted(members)
         assert list(_members(bits, n)) == ordered
         assert index_arrays(bits, n) == [array("I", ordered)] * 2
+        nonzero = len({i >> 3 for i in members})
         for span in (1, 3, landscape._SPAN):
             with mock.patch.object(landscape, "_SPAN", span):
-                lines = "".join(f"{i:0{n}b}\n" for i in ordered)
-                assert _binary_lines(bits, n) == lines, span
+                pieces = list(_binary_lines(bits, n))
+            # One piece per span of nonzero packed bytes.
+            assert len(pieces) == -(-nonzero // span), span
+            assert "".join(pieces) == "".join(f"{i:0{n}b}\n" for i in ordered), span
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 11, 17, 18, 24, 25])
     def test_lanes_at_their_edges(self, n):
@@ -762,7 +771,7 @@ class TestBinaryLines:
                 assert lane == bytes(i >> 7 * q - 4 & 127 for i in ordered), q
             assert list(_members(bits, n)) == ordered
             assert index_arrays(bits, n) == [array("I", ordered)] * 2
-            assert _binary_lines(bits, n) == "".join(f"{i:0{n}b}\n" for i in ordered)
+            assert binary_lines(bits, n) == "".join(f"{i:0{n}b}\n" for i in ordered)
 
     def test_grid_reports_match_the_format_renderer(self):
         for inst in GRID:
@@ -896,6 +905,13 @@ def peak_bytes_per_string(call, n):
     return peak / (1 << n)
 
 
+def run_quietly(argv):
+    """Run the command line tool on argv, which must succeed, with its
+    stdout dropped."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+
 class TestMemory:
     """Peaks of enumeration, and of the predicates and the text after it, so
     each is the call's own."""
@@ -979,6 +995,36 @@ class TestMemory:
         _report.cache_clear()
         problems._index_sets.cache_clear()
         assert peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n) <= 1.6
+
+    def test_landscape_command_peaks_below_a_third_of_the_budget(self, tmp_path):
+        # orzr:n=18,l=9 has 244,032 local optima, 93% of the cube. With
+        # enumeration, the command peaks at 5.0 to 5.7 bytes per string,
+        # writing the text span by span; built whole, the text took it to
+        # 36.0 to 37.2.
+        inst = parse_descriptor("orzr:n=18,l=9")
+        _report.cache_clear()
+        problems._index_sets.cache_clear()
+        argv = ["landscape", inst.descriptor, "--out", str(tmp_path / "report.txt")]
+        assert peak_bytes_per_string(lambda: run_quietly(argv), inst.n) <= BYTES_PER_STRING // 3
+
+    def test_every_command_on_the_grid_at_18_peaks_within_the_budget(self, tmp_path):
+        # Each of the 81 instances is enumerated once, by the landscape
+        # command; the figures and verify's claims read the memoized report.
+        # The landscape command peaks at 1.2 to 5.0 bytes per string, the top
+        # on orzr:n=18,l=9 and l=6; the others at 0.15 to 1.05. With the
+        # text built whole, those two took 36.5 and 21.5.
+        out = str(tmp_path / "out.txt")
+        peaks = {}
+        for inst in grid_instances(None, (18,)):
+            d = inst.descriptor
+            commands = [["landscape", d, "--out", out]]
+            commands += [["figure", d, "--kind", kind, "--out", out] for kind in FIGURE_KINDS]
+            for argv in commands:
+                peaks[" ".join(argv[:-2])] = peak_bytes_per_string(lambda: run_quietly(argv), 18)
+            peaks[f"verify {d}"] = peak_bytes_per_string(lambda: verify(inst), 18)
+        assert len(peaks) == 81 * 5
+        worst = max(peaks, key=peaks.get)
+        assert peaks[worst] <= BYTES_PER_STRING, (worst, peaks[worst])
 
     def test_an_empty_set_unpacks_no_mask(self):
         # An empty set's members come without a pass over its 2^n bits.
