@@ -297,6 +297,10 @@ def _component_count(members: set[int], n: int) -> int:
     return components
 
 
+# The masks are kept per width: the scan and the flood ask for the same
+# widths' masks on every call, and those of every (width, bit) up to
+# problems._SET_BITS = 16, 136 of them, fill about 256 KiB.
+@lru_cache(maxsize=136)
 def _bit_clear(n: int, b: int) -> int:
     """The int whose bit i, for every index i < 2^n, is set when bit b of i
     is clear."""

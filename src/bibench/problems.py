@@ -80,21 +80,22 @@ class ProblemInstance:
 # it. After the last bit the objective's own value table (OBJECTIVES) maps
 # the state to the objective value. The same tables count the image of an
 # instance by ones count in one DP over the index bits on pairs of both
-# objectives' states (image_polys), and, run over packed bits instead of
-# bytes, give the set of indices that reaches each state (_index_sets), over
-# blocks of at most 2^_SET_BITS indices with the state each block ends in
-# (_cells). The cells hold states only. Unions of their sets are selected by
-# pairs of final states, every Pareto set and two local-optimum closed forms
-# (_statistic_pairs), and by a table over final states, block by block
-# (_select): the block closed forms (_where), which join the blocks, and,
-# through the value tables, the local-optimum scan's bit planes, which stay
-# in blocks. Met in pairs, both objectives' sets count the image of a packed
-# set cut into the same blocks (_image_counts). Read as they are, with no
-# cube, the tables also decide symmetry, by a DP that reads f2's tables in
-# reverse, and separability, by DPs on pairs of one objective's states
-# (landscape.is_symmetric_pair, landscape.is_fully_separable), and the
-# image's levels decide complete conflict and the front's shape
-# (landscape._image_levels).
+# objectives' states, kept per pair of step tables (_state_pair_polys) and
+# summed through the instance's value tables on each call (image_polys),
+# and, run over packed bits instead of bytes, give the set of indices that
+# reaches each state (_index_sets), over blocks of at most 2^_SET_BITS
+# indices with the state each block ends in (_cells). The cells hold states
+# only. Unions of their sets are selected by pairs of final states, every
+# Pareto set and two local-optimum closed forms (_statistic_pairs), and by a
+# table over final states, block by block (_select): the block closed forms
+# (_where), which join the blocks, and, through the value tables, the
+# local-optimum scan's bit planes, which stay in blocks. Met in pairs, both
+# objectives' sets count the image of a packed set cut into the same blocks
+# (_image_counts). Read as they are, with no cube, the tables also decide
+# symmetry, by a DP that reads f2's tables in reverse, and separability, by
+# DPs on pairs of one objective's states (landscape.is_symmetric_pair,
+# landscape.is_fully_separable), and the image's levels decide complete
+# conflict and the front's shape (landscape._image_levels).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
@@ -605,16 +606,23 @@ def _image_counts(inst: ProblemInstance, bits: int) -> dict[ObjectiveVector, int
     return dict(sorted(counts.items()))
 
 
-def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:
-    """How many strings have each image vector (f1, f2), by ones count, in
-    ascending (f1, f2) order: each vector's value is a packed int whose
-    digit j, n + 1 bits wide, counts the strings with j ones. A DP over the
-    index bits, from bit 0 upward, on the pairs of both objectives' automaton
-    states, each with the same packed count of the index prefixes that reach
-    it: reading a 0 keeps a prefix's ones count, reading a 1 moves it up a
+# Instances that mix the same single-objective functions read the same pair
+# of automata: the verification grid's 191 instances read 71 pairs, as omm,
+# ojzj and omzj all read (ones, ones) at each n, and ojzr's instances share
+# (ones, all-zeroes blocks) across k. So the DP on pairs of states is kept per
+# pair of step tables, keyed by their contents: a changed automaton gives
+# other tables and never reads an old entry. The n=63 grid's 18 pairs keep
+# 4.9 MiB in all under tracemalloc, at most 0.94 MiB an entry (lotz).
+@lru_cache(maxsize=32)
+def _state_pair_polys(tables1, tables2) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Per pair (a, b) of the two automata's final states, the packed count
+    by ones count of the indices that lead there, as ((a, b), poly): digit j
+    of poly, n + 1 bits wide, counts the indices with j ones. A DP over the
+    index bits, from bit 0 upward, on the pairs of both automata's states,
+    each with the same packed count of the index prefixes that reach it:
+    reading a 0 keeps a prefix's ones count, reading a 1 moves it up a
     digit."""
-    width = inst.n + 1
-    (tables1, final1), (tables2, final2) = _objective_tables(inst)
+    width = len(tables1) + 1
     polys = {(0, 0): 1}
     for (a0, a1), (b0, b1) in zip(tables1, tables2):
         after = defaultdict(int)
@@ -622,8 +630,19 @@ def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:
             after[a0[a], b0[b]] += poly
             after[a1[a], b1[b]] += poly << width
         polys = after
+    return tuple(polys.items())
+
+
+def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:
+    """How many strings have each image vector (f1, f2), by ones count, in
+    ascending (f1, f2) order: each vector's value is a packed int whose
+    digit j, n + 1 bits wide, counts the strings with j ones. The counts of
+    the pairs of final states (_state_pair_polys), kept per pair of
+    automata, summed to the vectors that the instance's value tables give
+    them on each call."""
+    (tables1, final1), (tables2, final2) = _objective_tables(inst)
     image = defaultdict(int)
-    for (a, b), poly in polys.items():
+    for (a, b), poly in _state_pair_polys(tables1, tables2):
         image[final1[a], final2[b]] += poly
     return dict(sorted(image.items()))
 

@@ -1074,6 +1074,28 @@ class TestMemory:
         assert not is_fully_separable(inst, 1).separable
         assert peak_bytes_per_string(lambda: is_fully_separable(inst, 1), inst.n) <= 0.1
 
+    def test_image_memo_keeps_below_eight_mib_at_the_longest_strings(self):
+        # The 259 grid instances at n = 63 read 18 pairs of automata. Kept
+        # in the image memo, they hold 4.9 MiB under tracemalloc, at most
+        # 0.94 MiB an entry (lotz, then lozj and lozr at 0.87). The step
+        # tables are built first, so only the memo's entries count.
+        instances = grid_instances(None, (63,))
+        assert len(instances) == 259
+        for inst in instances:
+            problems._objective_tables(inst)
+        problems._state_pair_polys.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for inst in instances:
+                image_polys(inst)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        info = problems._state_pair_polys.cache_info()
+        assert (info.misses, info.currsize) == (18, 18)
+        assert kept <= 8 << 20
+
 
 def mask_from_runs(runs):
     return b"".join(bytes([value]) * length for value, length in runs)
@@ -1419,6 +1441,68 @@ class TestImageCounts:
         for descriptor in ["lotz:n=8", "ojzj:n=10,k=3", "ojzr:n=12,k=5,l=3"]:
             keys = list(report_for(descriptor).vector_counts)
             assert keys == sorted(keys), descriptor
+
+
+def uncached_image(inst):
+    """image_polys with the DP on pairs of states run afresh."""
+    with mock.patch.object(problems, "_state_pair_polys", problems._state_pair_polys.__wrapped__):
+        return image_polys(inst)
+
+
+class TestImageMemo:
+    """The DP on pairs of automaton states is kept per pair of step tables;
+    each instance folds it through its own value tables."""
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_memo_matches_an_uncached_run(self, order):
+        problems._state_pair_polys.cache_clear()
+        for inst in grid_instances(None, range(1, 17))[::order]:
+            image = image_polys(inst)
+            assert list(image.items()) == list(uncached_image(inst).items()), inst.descriptor
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("ojzr:n=12,k=2,l=3", "ojzr:n=12,k=5,l=3"), ("omm:n=10", "ojzj:n=10,k=2")],
+    )
+    def test_instances_sharing_both_automata_get_their_own_images(self, first, second):
+        problems._state_pair_polys.cache_clear()
+        images = [image_polys(parse_descriptor(d)) for d in (first, second)]
+        info = problems._state_pair_polys.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert images[0] != images[1]
+        assert images == [uncached_image(parse_descriptor(d)) for d in (first, second)]
+
+    def test_a_patched_automaton_reads_no_old_entry(self):
+        # The ones automaton swapped for one that counts zeroes: omm's
+        # vectors stay (c, n - c), each now counting the strings with c
+        # zeroes, and the memo reads the new tables.
+        inst = parse_descriptor("omm:n=10")
+        image = image_polys(inst)
+        ones = problems.STATISTICS["ones"]
+        zeroes = ones._replace(automaton=lambda n, l: lambda s, bit, m: s + 1 - bit)
+        with mock.patch.dict(problems.STATISTICS, {"ones": zeroes}):
+            patched = image_polys(inst)
+            assert patched == uncached_image(inst)
+        width = inst.n + 1
+        assert image == {(c, 10 - c): math.comb(10, c) << c * width for c in range(11)}
+        assert patched == {(c, 10 - c): math.comb(10, c) << (10 - c) * width for c in range(11)}
+        assert image_polys(inst) == image
+
+    def test_the_grid_reads_each_pair_of_automata_once_it_is_kept(self):
+        # The 191 grid instances read 71 distinct pairs of step tables. At
+        # maxsize 32, verify in grid order finds 103 of its 191 images kept
+        # (93 at 16, 120 at 64, where the misses fall to the 71 pairs). A
+        # change that keys the memo otherwise, resizes it or runs the DP more
+        # often moves these counts.
+        instances = grid_instances()
+        pairs = {tuple(t for t, _ in problems._objective_tables(i)) for i in instances}
+        assert (len(instances), len(pairs)) == (191, 71)
+        _report.cache_clear()
+        problems._state_pair_polys.cache_clear()
+        for inst in instances:
+            verify(inst)
+        info = problems._state_pair_polys.cache_info()
+        assert (info.hits, info.misses) == (103, 88)
 
 
 class TestPlanesOnly:
