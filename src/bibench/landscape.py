@@ -11,11 +11,12 @@ set. The stages work on such ints and on bit planes, whose bit i belongs
 to string i (bytes.translate, slicing, compress, big-int arithmetic). The
 local-optimum scan (_local_optima) and the bit flood that counts the
 components of a Pareto set holding more than 1/16 of the cube
-(_bit_component_count) work on the blocks of at most 2^16 indices that
-problems._cells splits the cube into, so that their operands stay small
-enough for the cache; the scan joins only its marks, and the flood visits
-only the blocks a component reaches. The other stages work on the whole
-cube. Two stages loop in Python per string: where at most 1/64 of the cube
+(_bit_component_count) work on the blocks of at most 2^16 indices that the
+automata's cells (problems._cells) and problems._split cut the cube into,
+so that their operands stay small enough for the cache; each reads the
+blocks' width from their count. The scan joins only its marks, and the
+flood visits only the blocks a component reaches. The other stages work on
+the whole cube. Two stages loop in Python per string: where at most 1/64 of the cube
 lies outside the Pareto set, its non-members and their neighbours are
 evaluated one by one (problems.index_evaluator) to check their local
 optimality (_local_optima_by_string); and where the Pareto set holds at
@@ -60,7 +61,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 
-from . import problems
 from .bitstring import BitString
 from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
@@ -298,8 +298,8 @@ def _component_count(members: set[int], n: int) -> int:
 
 
 # The masks are kept per width: the scan and the flood ask for the same
-# widths' masks on every call, and those of every (width, bit) up to
-# problems._SET_BITS = 16, 136 of them, fill about 256 KiB.
+# widths' masks on every call, and those of every (width, bit) up to the
+# blocks' width of 16, 136 of them, fill about 256 KiB.
 @lru_cache(maxsize=136)
 def _bit_clear(n: int, b: int) -> int:
     """The int whose bit i, for every index i < 2^n, is set when bit b of i
@@ -316,16 +316,16 @@ def _bit_clear(n: int, b: int) -> int:
 
 def _bit_component_count(members: int, n: int) -> int:
     """Connected components of the Hamming-distance-1 graph on the set bits
-    of members (bit i set when index i is a member), on the cube's blocks of
-    2^low indices, low = min(n, problems._SET_BITS), as problems._cells
-    splits it. Each component grows from its lowest member over a worklist
-    of blocks: a block is swept, one shift pair per index bit below low,
-    until a sweep adds nothing; then the strings it reached meet the
-    members at the same positions of each block that differs from it in
-    one higher index bit, and a block that grows is queued. Only the blocks
-    a component reaches are visited."""
-    low = min(n, problems._SET_BITS)
-    blocks = _split(members, n, 1 << n - low)
+    of members (bit i set when index i is a member), on the blocks of 2^low
+    indices that _split cuts the cube into, the cells' blocks, with low read
+    from their count. Each component grows from its lowest member over a
+    worklist of blocks: a block is swept, one shift pair per index bit below
+    low, until a sweep adds nothing; then the strings it reached meet the
+    members at the same positions of each block that differs from it in one
+    higher index bit, and a block that grows is queued. Only the blocks a
+    component reaches are visited."""
+    blocks = _split(members, n)
+    low = n + 1 - len(blocks).bit_length()
     clear = [_bit_clear(low, b) for b in range(low)]
     steps = [1 << h for h in range(n - low)]
     components = 0

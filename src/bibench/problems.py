@@ -82,20 +82,21 @@ class ProblemInstance:
 # instance by ones count in one DP over the index bits on pairs of both
 # objectives' states, kept per pair of step tables (_state_pair_polys) and
 # summed through the instance's value tables on each call (image_polys),
-# and, run over packed bits instead of bytes, give the set of indices that
-# reaches each state (_index_sets), over blocks of at most 2^_SET_BITS
-# indices with the state each block ends in (_cells). The cells hold states
-# only. Unions of their sets are selected by pairs of final states, every
-# Pareto set and two local-optimum closed forms (_statistic_pairs), and by a
-# table over final states, block by block (_select): the block closed forms
-# (_where), which join the blocks, and, through the value tables, the
-# local-optimum scan's bit planes, which stay in blocks. Met in pairs, both
-# objectives' sets count the image of a packed set cut into the same blocks
-# (_image_counts). Read as they are, with no cube, the tables also decide
-# symmetry, by a DP that reads f2's tables in reverse, and separability, by
-# DPs on pairs of one objective's states (landscape.is_symmetric_pair,
-# landscape.is_fully_separable), and the image's levels decide complete
-# conflict and the front's shape (landscape._image_levels).
+# and, run over packed bits instead of bytes, give the cells, kept per
+# automaton (_cells): the set of indices that reaches each state over a block
+# of at most 2^_SET_BITS indices, and the state each block of the cube ends
+# in. The cells hold states only. Unions of their sets are selected by pairs
+# of final states, every Pareto set and two local-optimum closed forms
+# (_statistic_pairs), and by a table over final states, block by block
+# (_select): the block closed forms (_where), which join the blocks, and,
+# through the value tables, the local-optimum scan's bit planes, which stay
+# in blocks. Met in pairs, both objectives' sets count the image of a packed
+# set cut into the same blocks (_split, _image_counts). Read as they are,
+# with no cube, the tables also decide symmetry, by a DP that reads f2's
+# tables in reverse, and separability, by DPs on pairs of one objective's
+# states (landscape.is_symmetric_pair, landscape.is_fully_separable), and the
+# image's levels decide complete conflict and the front's shape
+# (landscape._image_levels).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
@@ -492,43 +493,38 @@ def _objective_tables(inst: ProblemInstance):
 
 
 # The index sets span at most the first 2^16 indices, 8 KiB a set; a larger
-# cube is read as blocks of that many indices. So the sets of every state
-# stay small beside a whole-cube set (sets over half the cube at n = 24
-# raised the peak resident memory of a landscape analysis by up to a fifth),
-# and, like the step tables, they can be kept for the instances of one size:
-# at most 137 KiB an automaton at n = 24, 293 KiB for the 83 sets of the
-# whole verification grid.
+# cube is read as blocks of that many indices. So the sets stay small beside
+# a whole-cube set (sets over half the cube at n = 24 raised the peak
+# resident memory of a landscape analysis by up to a fifth), and the cells
+# are kept per automaton, like the step tables. The blocks' end states grow
+# as 2^(n - 16): the six automata of the table instances keep 0.59 MiB at
+# n = 16, 0.67 at n = 24 and 1.85 at n = 28, the grid's 83 keep 0.30 MiB.
+# Keyed by the tables alone, cells would go stale if the span changed; only
+# tests change it, and they clear the cells.
 _SET_BITS = 16
 
 
 @lru_cache(maxsize=128)
-def _index_sets(tables) -> tuple[int, ...]:
-    """The automaton run over packed bits: per state it can reach after the
-    given bits' tables, m = 0 to j - 1, the packed set of the indices below
-    2^j whose bits lead there, 0 for a state that none reaches. Reading bit
-    m sends state s's set x to t0[s] as it is and to t1[s] as x << 2^m, the
-    same indices with bit m set."""
+def _cells(tables) -> tuple[tuple[int, ...], tuple[bytes, ...]]:
+    """The automaton run over packed bits on the cube's blocks of 2^low
+    indices, low = min(n, _SET_BITS), as (sets, ends): sets[s] is the packed
+    set of the indices below 2^low whose bits lead the automaton to state s,
+    0 for a state that none reaches, and ends[r][s] is the state it ends in
+    from those indices plus r * 2^low. Reading bit m sends state s's set x
+    to t0[s] as it is and to t1[s] as x << 2^m, the same indices with bit m
+    set."""
+    low = min(len(tables), _SET_BITS)
     sets = [1]
-    for m, (t0, t1) in enumerate(tables):
+    for m, (t0, t1) in enumerate(tables[:low]):
         after = [0] * (max(t0 + t1) + 1)
         for x, a, b in zip(sets, t0, t1):
             after[a] |= x
             after[b] |= x << (1 << m)
         sets = after
-    return tuple(sets)
-
-
-def _cells(tables) -> tuple[tuple[int, ...], list[bytes]]:
-    """The automaton's index sets and the states the cube's blocks of 2^low
-    indices end in, low = min(n, _SET_BITS): sets[s] is the packed set of
-    the indices below 2^low whose bits lead the automaton to state s, and
-    ends[r][s] is the state it ends in from those indices plus r * 2^low."""
-    low = min(len(tables), _SET_BITS)
-    sets = _index_sets(tables[:low])
     # The state after the block's high bits, from each state after its low.
     width = len(sets)
     ends = _state_plane(tables[low:], bytes(range(width)))
-    return sets, [ends[r : r + width] for r in range(0, len(ends), width)]
+    return tuple(sets), tuple(ends[r : r + width] for r in range(0, len(ends), width))
 
 
 def _union(sets) -> int:
@@ -545,12 +541,13 @@ def _join(blocks, n: int) -> int:
     return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in blocks]), "little")
 
 
-def _split(bits: int, n: int, count: int) -> list[int]:
-    """The inverse of _join: the count blocks of packed bits over the cube."""
-    if count == 1:
+def _split(bits: int, n: int) -> list[int]:
+    """The inverse of _join: packed bits over the cube as its blocks of
+    2^min(n, _SET_BITS) indices, as _cells cuts it."""
+    if n <= _SET_BITS:
         return [bits]
     raw = bits.to_bytes(1 << n >> 3, "little")
-    width = len(raw) // count
+    width = 1 << _SET_BITS >> 3
     return [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
 
 
@@ -597,7 +594,7 @@ def _image_counts(inst: ProblemInstance, bits: int) -> dict[ObjectiveVector, int
     (tables1, final1), (tables2, final2) = _objective_tables(inst)
     (sets1, ends1), (sets2, ends2) = _cells(tables1), _cells(tables2)
     counts = defaultdict(int)
-    for block, e1, e2 in zip(_split(bits, inst.n, len(ends1)), ends1, ends2):
+    for block, e1, e2 in zip(_split(bits, inst.n), ends1, ends2):
         for x, a in zip(sets1, e1):
             if x := x & block:
                 for y, b in zip(sets2, e2):

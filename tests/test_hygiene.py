@@ -4,10 +4,11 @@ top-level name of the package is referenced somewhere in it, no
 top-level name is defined in two modules of the package, only the search
 harness starts worker processes, only the profile, verify and the
 landscape and figure commands enumerate the cube, only enumeration and
-the family records build a Pareto set, every library cache is bounded,
-the naive model in tests/naive.py is independent of the package and wholly
-used by the tests, and every module parses as the oldest Python that
-pyproject.toml admits."""
+the family records build a Pareto set, only problems.py names the blocks'
+span and only the tests' span helper changes it, every library cache is
+bounded, the naive model in tests/naive.py is independent of the package
+and wholly used by the tests, and every module parses as the oldest Python
+that pyproject.toml admits."""
 
 import ast
 import re
@@ -96,6 +97,35 @@ def test_only_the_search_harness_names_a_process_pool():
     assert naming == ["evolve.py"]
 
 
+def test_only_problems_names_the_block_span():
+    # The blocks' span is decided in one place: _cells and _split cut the
+    # cube by it, and the scan and the flood take the width from the blocks
+    # they are given.
+    naming = [p.name for p in SOURCES if "_SET_BITS" in p.read_text(encoding="utf-8")]
+    assert naming == ["problems.py"]
+
+
+def test_only_the_span_helper_changes_the_span():
+    # The cells are kept per automaton whatever the span, so a test that set
+    # _SET_BITS other than through planes.at_span, which clears them on entry
+    # and on exit, would read cells cut at another span. A change is a patch
+    # or setattr given the name as a string, or an assignment to the
+    # attribute.
+    setters = {"patch", "object", "setattr", "delattr"}
+    changing = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                setter = getattr(node.func, "attr", getattr(node.func, "id", None))
+                named = [a.value for a in node.args if isinstance(a, ast.Constant)]
+                if setter in setters and any(str(v).endswith("_SET_BITS") for v in named):
+                    changing.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "_SET_BITS":
+                if not isinstance(node.ctx, ast.Load):
+                    changing.add(path.name)
+    assert changing == {"planes.py"}
+
+
 def test_only_the_profile_verify_and_two_commands_enumerate():
     # Each enters enumeration once; the other predicates read the automata
     # or the image they count, so they answer beyond the cap.
@@ -158,7 +188,7 @@ def test_every_library_cache_is_bounded():
     assert cached == {
         "_step_tables": 128,
         "index_evaluator": 128,
-        "_index_sets": 128,
+        "_cells": 128,
         "_state_pair_polys": 32,
         "_bit_clear": 136,
         "_report": 1,

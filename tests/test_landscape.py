@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import naive
-from planes import objective_planes
+from planes import at_span, objective_planes
 from bibench import landscape, problems
 from bibench.bitstring import BitString
 from bibench.cli import _FIGURE_BUILDERS, FIGURE_KINDS, figure_objective_space, main
@@ -607,7 +607,7 @@ class TestFlatHelpers:
         bits = sum(1 << i for i in members)
         expected = naive.components(members, n)
         for set_bits in (3, 4, problems._SET_BITS):
-            with mock.patch.object(problems, "_SET_BITS", set_bits):
+            with at_span(set_bits):
                 assert _bit_component_count(bits, n) == expected, set_bits
 
     def test_dense_flood_builds_no_mask_wider_than_a_block(self):
@@ -920,13 +920,18 @@ class TestMemory:
     def test_image_predicates_peak_below_a_third_of_a_byte_per_string(self, descriptor):
         # The image DP holds packed counts per pair of automaton states, not
         # the cube. Measured with the automata's step tables already built,
-        # by one call first, so the peak is the DP's own and not what earlier
-        # tests left: 0.017 to 0.21 bytes per string at n = 18, lotz and lozj
-        # the top.
+        # by one call first, and the DP's memo cleared inside the measured
+        # call, so the peak is the DP's own and not what earlier tests left:
+        # 0.016 to 0.18 bytes per string at n = 18, lozj and lotz the top.
         inst = parse_descriptor(descriptor)
         is_completely_conflicting(inst)
+
+        def cold(predicate):
+            problems._state_pair_polys.cache_clear()
+            predicate(inst)
+
         for predicate in (is_completely_conflicting, front_shape):
-            assert peak_bytes_per_string(lambda: predicate(inst), inst.n) <= 0.3
+            assert peak_bytes_per_string(lambda: cold(predicate), inst.n) <= 0.3
 
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "lozr:n=18,l=3"])
     def test_symmetry_check_peaks_below_a_fifth_of_a_byte_per_string(self, descriptor):
@@ -973,14 +978,19 @@ class TestMemory:
 
     @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
     def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
-        # Enumeration's own peak, from no cached report or index sets; the
-        # budget covers it together with the profile's. 1.5 to 3.5 bytes per
-        # string at n = 18, the top on the scan path (cocz 3.50, omtz 3.41),
-        # whose bit planes stay in blocks.
+        # Enumeration's own peak, from no cached report, cells or image DP;
+        # the budget covers it together with the profile's. 1.4 to 3.0 bytes
+        # per string at n = 18, the top on the scan path (lotz 3.03, cocz
+        # 3.02), whose bit planes stay in blocks.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
-        problems._index_sets.cache_clear()
-        peak = peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n)
+        problems._cells.cache_clear()
+
+        def cold():
+            problems._state_pair_polys.cache_clear()
+            enumerate_landscape(inst)
+
+        peak = peak_bytes_per_string(cold, inst.n)
         assert peak <= 4 < BYTES_PER_STRING // 3
 
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "ojzj:n=18,k=4", "omzj:n=18,k=4"])
@@ -988,12 +998,12 @@ class TestMemory:
         # The per-string check evaluates the few non-members and their
         # neighbours one by one, found from the packed bytes of their set:
         # 0.4 bytes per string at n = 18. The peak, 1.43 to 1.44 on all
-        # three, is the Pareto set's selection with the index sets it
-        # builds. Unpacking the non-members to a mask took ojzj and omzj to
-        # 2.3, and the objectives' byte planes took the peak to 4.0 to 4.3.
+        # three, is the Pareto set's selection with the cells it builds.
+        # Unpacking the non-members to a mask took ojzj and omzj to 2.3, and
+        # the objectives' byte planes took the peak to 4.0 to 4.3.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
-        problems._index_sets.cache_clear()
+        problems._cells.cache_clear()
         assert peak_bytes_per_string(lambda: enumerate_landscape(inst), inst.n) <= 1.6
 
     def test_landscape_command_peaks_below_a_third_of_the_budget(self, tmp_path):
@@ -1003,7 +1013,7 @@ class TestMemory:
         # 36.0 to 37.2.
         inst = parse_descriptor("orzr:n=18,l=9")
         _report.cache_clear()
-        problems._index_sets.cache_clear()
+        problems._cells.cache_clear()
         argv = ["landscape", inst.descriptor, "--out", str(tmp_path / "report.txt")]
         assert peak_bytes_per_string(lambda: run_quietly(argv), inst.n) <= BYTES_PER_STRING // 3
 
@@ -1096,6 +1106,28 @@ class TestMemory:
         assert (info.misses, info.currsize) == (18, 18)
         assert kept <= 8 << 20
 
+    def test_cells_keep_below_a_mebibyte_at_the_cap(self):
+        # The automata of the six statistics at n = 24, l = 4 for the block
+        # statistics, as the table instances read them. Their index sets
+        # keep the same from n = 16 up; the blocks' end states grow as
+        # 2^(n - 16): 0.59 MiB at n = 16 and 20, 0.67 MiB at n = 24, 1.85 MiB
+        # at n = 28 under tracemalloc. The step tables are built first, so
+        # only the cells count.
+        automaton = problems._statistic_tables
+        automata = {automaton(name, DEFAULT_CAP, 4) for name in problems.OBJECTIVES}
+        assert len(automata) == 6
+        problems._cells.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for tables in automata:
+                problems._cells(tables)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert problems._cells.cache_info().currsize == 6
+        assert kept <= 1 << 20
+
 
 def mask_from_runs(runs):
     return b"".join(bytes([value]) * length for value, length in runs)
@@ -1150,7 +1182,7 @@ class TestBitSlicedKernels:
             front = set(report.levels[0])
             f1, f2 = finals
             pairs = [(a, b) for a, v in enumerate(f1) for b, w in enumerate(f2) if (v, w) in front]
-            with mock.patch.object(problems, "_SET_BITS", set_bits):
+            with at_span(set_bits):
                 cells = [problems._cells(tables) for tables, _ in objectives]
                 members = _statistic_pairs(inst.info.objectives, pairs, n, inst.l)
                 local_optima = _local_optima(objectives, report.member_bits, n)
@@ -1207,7 +1239,7 @@ class TestBitSlicedKernels:
             packed = sum(1 << i for i in members)
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
             objectives = problems._objective_tables(inst)
-            with mock.patch.object(problems, "_SET_BITS", 3):
+            with at_span(3):
                 assert _local_optima(objectives, packed, inst.n) == expected, inst.descriptor
 
     @pytest.mark.parametrize(
@@ -1408,7 +1440,7 @@ class TestImageCounts:
             for bits in (report.member_bits, report.local_optima_bits):
                 expected = counted_by_string(inst, bits)
                 for set_bits in (problems._SET_BITS, 3, 4)[: 1 if inst.n > 12 else 3]:
-                    with mock.patch.object(problems, "_SET_BITS", set_bits):
+                    with at_span(set_bits):
                         counts = _image_counts(inst, bits)
                     assert counts == expected, (inst.descriptor, set_bits)
                     assert list(counts) == sorted(counts), (inst.descriptor, set_bits)
@@ -1421,21 +1453,23 @@ class TestImageCounts:
         bits = packed(members, n)
         expected = dict(sorted(Counter(map(index_evaluator(inst), members)).items()))
         for set_bits in (3, 4, problems._SET_BITS):
-            with mock.patch.object(problems, "_SET_BITS", set_bits):
+            with at_span(set_bits):
                 assert _image_counts(inst, bits) == expected, set_bits
 
     @given(cube_subsets)
     @settings(max_examples=200)
     def test_split_inverts_join(self, case):
-        # One block, whole cubes below a byte included, or blocks of 8 or
-        # more indices, as the cells cut the cube.
+        # One block, whole cubes below a byte included, or blocks of 8, 16
+        # or 2^16 indices, as the cells cut the cube at each span.
         n, members = case
         bits = packed(members, n)
-        for count in [1 << h for h in range(max(1, n - 2))]:
-            blocks = _split(bits, n, count)
-            assert len(blocks) == count
-            assert all(x >> ((1 << n) // count) == 0 for x in blocks)
-            assert _join(blocks, n) == bits, count
+        for span in (3, 4, problems._SET_BITS):
+            with at_span(span):
+                blocks = _split(bits, n)
+            low = min(n, span)
+            assert len(blocks) == 1 << n - low, span
+            assert all(x >> (1 << low) == 0 for x in blocks), span
+            assert _join(blocks, n) == bits, span
 
     def test_vector_counts_ascend(self):
         for descriptor in ["lotz:n=8", "ojzj:n=10,k=3", "ojzr:n=12,k=5,l=3"]:
@@ -1503,6 +1537,38 @@ class TestImageMemo:
             verify(inst)
         info = problems._state_pair_polys.cache_info()
         assert (info.hits, info.misses) == (103, 88)
+
+
+class TestCellMemo:
+    """The cells are kept per automaton, keyed by its step tables, and a
+    change of span clears them (planes.at_span)."""
+
+    def test_cells_built_at_another_span_are_not_read_after_it(self):
+        # Kept by the step tables alone, the cells cut into blocks of 8
+        # indices came back at the default span, where lotz:n=18 has four
+        # blocks of 2^16.
+        objectives = problems._objective_tables(parse_descriptor("lotz:n=18"))
+        with at_span(3):
+            assert [len(problems._cells(tables)[1]) for tables, _ in objectives] == [1 << 15] * 2
+        assert [len(problems._cells(tables)[1]) for tables, _ in objectives] == [4] * 2
+
+    def test_the_grid_builds_each_automatons_cells_once(self):
+        # The 191 grid instances read 49 automata of statistics and 34 of
+        # the orzr and lozr local optima; verify asks for their cells 1,324
+        # times. A change that keys the cells otherwise, resizes their cache
+        # or asks for them more often moves these counts.
+        instances = grid_instances()
+        statistics = {t for inst in instances for t, _ in problems._objective_tables(inst)}
+        assert len(statistics) == 49
+        _report.cache_clear()
+        problems._cells.cache_clear()
+        for inst in instances:
+            verify(inst)
+        info = problems._cells.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1241, 83, 83)
+        # Kept values are shared by every caller, so none can be changed.
+        sets, ends = problems._cells(next(iter(statistics)))
+        assert type(sets) is type(ends) is tuple and type(ends[0]) is bytes
 
 
 class TestPlanesOnly:

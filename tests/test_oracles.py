@@ -6,13 +6,12 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planes import objective_planes
+from planes import at_span, objective_planes
 from bibench import problems
 from bibench.errors import ValidationError
 from bibench.landscape import BYTES_PER_STRING, _image_levels, enumerate_landscape
@@ -287,7 +286,7 @@ class TestMasksMatchTheSetReferences:
         # them, and every local-optimum closed form, lozj's and ojzr's pairs
         # among them, selected over blocks of the cube split from n = 4 and
         # n = 5 on.
-        with mock.patch.object(problems, "_SET_BITS", set_bits):
+        with at_span(set_bits):
             for inst in grid_instances(None, range(1, 13)):
                 n, k, l = inst.n, inst.k, inst.l
                 expected = REFERENCE_PARETO_SETS[inst.family](n, k, l)
@@ -357,7 +356,7 @@ class TestPairsBeyondTheCap:
         # value repeats, and every record's pairs, ojzr's repeated one among
         # them when l divides k, select the union of their pairs' own
         # selections; a duplicated pair selects what it selects alone.
-        with mock.patch.object(problems, "_SET_BITS", set_bits):
+        with at_span(set_bits):
             for inst in grid_instances(None, range(1, 11)):
                 n, k, l = inst.n, inst.k, inst.l
 

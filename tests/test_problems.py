@@ -1,12 +1,10 @@
 """Family catalog, descriptors, validation bounds, and evaluation parity with
 naive.py."""
 
-from unittest import mock
-
 import pytest
 
 import naive
-from planes import objective_planes
+from planes import at_span, objective_planes
 from bibench import problems
 from bibench.bitstring import MAX_LENGTH, BitString
 from bibench.errors import DescriptorError, ValidationError
@@ -296,7 +294,7 @@ class TestPlanes:
                 for i in range(1 << n):
                     expected[statistic(i)] |= 1 << i
                 for set_bits in (3, 4, problems._SET_BITS):
-                    with mock.patch.object(problems, "_SET_BITS", set_bits):
+                    with at_span(set_bits):
                         for v, indices in enumerate(expected):
                             mark = _where(STATISTICS[name].automaton, n, l, (v,))
                             assert mark == indices, (name, n, l, v, set_bits)
