@@ -26,14 +26,14 @@ optima's (LandscapeReport.local_front_counts) or verify's claimed Pareto
 set's, is counted on the same blocks (problems._image_counts), with no
 string evaluated.
 
-No set is unpacked into a mask of the cube. The sparse readers above and
-the index arrays take the members from the nonzero bytes of the packed set
-(_members), a Python step per member; the report text, whose set may fill
-most of the cube, takes them from byte lanes of index bits selected from
-the packed bytes (_set_lanes), with no Python step per member. The text is
-listed span by span, up to _SPAN nonzero packed bytes at a time, and the
-landscape command writes each span as it comes, so it never holds the
-whole list; render_report joins the spans.
+No set is unpacked into a mask of the cube. The sparse readers above and the
+index arrays take the members from the nonzero bytes of the packed set, each
+found by bytes.find (_members), a Python step per member; the report text,
+whose set may fill most of the cube, takes them from byte lanes of index
+bits selected from the packed bytes (_set_lanes), with no Python step per
+member. The text is listed span by span, up to _SPAN nonzero packed bytes at
+a time, and the landscape command writes each span as it comes, so it never
+holds the whole list; render_report joins the spans.
 
 No objective is held as a byte plane. The image, its multiplicities and
 the ones tables come from the packed ones counts per image vector that
@@ -59,7 +59,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, compress
+from itertools import chain
 
 from .bitstring import BitString
 from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
@@ -362,10 +362,10 @@ def _bit_component_count(members: int, n: int) -> int:
     return components
 
 
-# _BITS[k] maps a byte to its bit k; _NONZERO maps a byte to 1 when it is
-# not 0, and _OFFSETS[v] lists the set bits of byte v, ascending.
+# _BITS[k] maps a byte to its bit k; _ZERO maps a zero byte to 128 and any
+# other to 0, and _OFFSETS[v] lists the set bits of byte v, ascending.
 _BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
-_NONZERO = bytes(v > 0 for v in range(256))
+_ZERO = bytes([128]).ljust(256, b"\0")
 _OFFSETS = [[k for k in range(8) if v >> k & 1] for v in range(256)]
 
 
@@ -462,46 +462,28 @@ def _local_optima_by_string(evaluate, member: int, n: int) -> int:
     return int.from_bytes(packed, "little")
 
 
-# Zero bytes that end a run of a mask. Compressing a shorter gap costs less
-# than the find and the call that skipping it takes.
-_GAP = bytes(64)
-
-
-def _indices(mask: bytes) -> array:
-    """The indices of the set bytes of a 0/1 mask, ascending. One compress
-    per run of the mask that holds no gap of len(_GAP) zero bytes; find
-    skips the gaps."""
-    indices = array("I")
-    start = mask.find(1)
-    while start != -1:
-        end = mask.find(_GAP, start)
-        if end == -1:
-            end = len(mask)
-        indices.extend(compress(range(start, end), mask[start:end]))
-        start = mask.find(1, end)
-    return indices
-
-
 def _members(bits: int, n: int):
     """The set bits of packed bits over 2^n strings, ascending, one at a
-    time: _indices finds the nonzero packed bytes, and _OFFSETS the set bits
-    of each. A Python step per member, so for sparse sets; none if empty."""
+    time: find takes each packed byte that _ZERO leaves unflagged, and
+    _OFFSETS its set bits. A Python step per member, so for sparse sets."""
     if not bits:
         return
     raw = bits.to_bytes((1 << n) + 7 >> 3, "little")
-    # The int goes before the mask of nonzero bytes is made, which lowers
-    # the peak where the caller holds it no longer.
+    # The int goes before the flags are made, which lowers the peak where
+    # the caller holds it no longer.
     del bits
-    for j in _indices(raw.translate(_NONZERO)):
+    zero = raw.translate(_ZERO)
+    j = zero.find(0)
+    while j != -1:
         for k in _OFFSETS[raw[j]]:
             yield j << 3 | k
+        j = zero.find(0, j + 1)
 
 
 # Bit 7 of a byte is the omit flag of the lane selections, and deleting
 # _OMITTED drops every flagged byte. _ZERO flags a zero byte; _CLEAR[k]
 # flags a byte whose bit k is clear, and _OFFSET[k] does too, but maps a
 # byte whose bit k is set to k.
-_ZERO = bytes([128]).ljust(256, b"\0")
 _CLEAR = [table.translate(bytes([128, 0]).ljust(256, b"\0")) for table in _BITS]
 _OFFSET = [table.translate(bytes([128, k]).ljust(256, b"\0")) for k, table in enumerate(_BITS)]
 _OMITTED = bytes(range(128, 256))

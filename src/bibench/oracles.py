@@ -298,6 +298,8 @@ def grid_instances(
     """Every valid instance of the requested families on the size grid:
     each parameter k and l runs over 1..n, k then l ascending, and the
     family's rule keeps the valid ones."""
+    if isinstance(families, str):
+        raise ValidationError(f"families must be a sequence of names, got the string {families!r}")
     wanted = FAMILY_NAMES if families is None else tuple(families)
     for name in wanted:
         if name not in FAMILY_NAMES:

@@ -37,7 +37,6 @@ from bibench.landscape import (
     _bit_component_count,
     _component_count,
     _front_shape,
-    _indices,
     _local_optima,
     _local_optima_by_string,
     _binary_lines,
@@ -1133,10 +1132,29 @@ def mask_from_runs(runs):
     return b"".join(bytes([value]) * length for value, length in runs)
 
 
-# Masks of alternating runs around the extraction's 64-byte gap.
+# Packed bytes in runs of one byte value, zero or not, each run from one
+# byte up to hundreds.
 run_masks = st.lists(
-    st.tuples(st.integers(0, 1), st.sampled_from([1, 2, 7, 63, 64, 65, 200])), max_size=12
+    st.tuples(
+        st.sampled_from([0, 1, 0x80, 0xA5, 0xFF]), st.sampled_from([1, 2, 7, 63, 64, 65, 200])
+    ),
+    max_size=12,
 ).map(mask_from_runs)
+
+
+def random_packed(seed, size, share):
+    """size packed bytes, each nonzero with probability share."""
+    rng = random.Random(seed)
+    return bytes(rng.randrange(1, 256) if rng.random() < share else 0 for _ in range(size))
+
+
+def members_by_compress(raw):
+    """The packed set whose bytes are raw, padded with zero bytes to the
+    2^(n - 3) bytes of the least cube with n >= 3 that holds them, as
+    (bits, n), and its members from its unpacked bits."""
+    n = (max(len(raw), 1) - 1).bit_length() + 3
+    flags = (v >> k & 1 for v in raw for k in range(8))
+    return (int.from_bytes(raw, "little"), n), list(compress(range(len(raw) << 3), flags))
 
 
 def pack_bits(flags):
@@ -1288,27 +1306,32 @@ class TestBitSlicedKernels:
         assert (1 << inst.n) - report.member_bits.bit_count() == non_members
         assert non_members <= len(calls) <= (inst.n + 1) * non_members
 
+    # The member indices that _members lists from packed bytes, against
+    # compress over their unpacked bits. The cases end the cube on a
+    # nonzero byte or a zero one, and "no-bytes" is the empty int.
     @pytest.mark.parametrize(
         "mask",
         [
-            bytes(300),
-            b"\x01" * 300,
-            b"\x01" + bytes(299),
-            bytes(299) + b"\x01",
-            b"\x01\x00" * 150,
-            bytes(random.Random(7).choice((0, 1)) for _ in range(5000)),
-            bytes(random.Random(8).random() < 0.01 for _ in range(5000)),
+            bytes(256),
+            b"\xff" * 256,
+            b"\x01" + bytes(255),
+            bytes(255) + b"\x80",
+            b"\xa5\x00" * 128,
+            random_packed(7, 4096, 0.5),
+            random_packed(8, 4096, 0.01),
             b"",
         ],
         ids=["empty", "full", "first", "last", "alternating", "random", "sparse", "no-bytes"],
     )
     def test_indices_match_compress(self, mask):
-        assert _indices(mask) == array("I", compress(range(len(mask)), mask))
+        (bits, n), expected = members_by_compress(mask)
+        assert list(_members(bits, n)) == expected
 
     @given(run_masks)
     @settings(max_examples=200)
     def test_indices_match_compress_across_gaps(self, mask):
-        assert _indices(mask) == array("I", compress(range(len(mask)), mask))
+        (bits, n), expected = members_by_compress(mask)
+        assert list(_members(bits, n)) == expected
 
 
 class TestBruteForceCrossCheck:
@@ -1612,7 +1635,9 @@ class TestBlockLayoutAtTheCap:
     """At the default cap the cells cut the cube into 256 blocks of 2^16
     indices, so eight index bits cross blocks. On sampled strings, 500 at
     random and both ends of every block, the Pareto set, the local optima
-    and the counted image agree with brute force."""
+    and the counted image agree with brute force; and the block flood
+    counts the components of dense Pareto sets that the record's pairs
+    decide."""
 
     INSTANCES = [
         "lotz:n=24", "ojzj:n=24,k=4", "omm:n=24", "cocz:n=24", "omtz:n=24",
@@ -1648,4 +1673,34 @@ class TestBlockLayoutAtTheCap:
                 assert (local[i >> 3] >> (i & 7) & 1) == optimum, (descriptor, i)
             counts = dict(sorted(Counter(map(ev, sample)).items()))
             assert _image_counts(inst, packed(sample, n)) == counts, descriptor
+        _report.cache_clear()
+
+    @pytest.mark.parametrize(
+        "descriptor, runs",
+        [
+            ("ojzj:n=24,k=4", 3),
+            ("ojzj:n=24,k=11", 3),
+            ("omzj:n=24,k=4", 2),
+            ("omzj:n=24,k=11", 2),
+            ("omm:n=24", 1),
+        ],
+    )
+    def test_dense_components_are_the_runs_of_ones_counts(self, monkeypatch, descriptor, runs):
+        # Both statistics are the ones count, and a flip moves it by one. The
+        # strings with s or s + 1 ones are connected, and those with s ones
+        # alone only at s = 0 or n: so each maximal run of the pairs' ones
+        # counts here is one component. The set flood, a step per member,
+        # is too slow for millions of members; the pairs need no flood.
+        monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        inst = parse_descriptor(descriptor)
+        n, pairs = inst.n, inst.info.pareto(inst.n, inst.k, inst.l)
+        ones = {s for s, _ in pairs}
+        assert pairs == [(s, s) for s in sorted(ones)]
+        lone = [s for s in ones if s - 1 not in ones and s + 1 not in ones]
+        assert set(lone) <= {0, n}
+        report = enumerate_landscape(inst)
+        assert report.member_bits == inst.info.pareto_set(n, inst.k, inst.l)
+        # More than 1/16 of the cube: the block flood, across all 256 blocks.
+        assert report.member_bits.bit_count() > 1 << n - 4
+        assert report.component_count == sum(s - 1 not in ones for s in ones) == runs
         _report.cache_clear()

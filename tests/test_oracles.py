@@ -385,6 +385,18 @@ class TestPairsBeyondTheCap:
                 disagreeing[inst.n <= 16] += 1
         assert disagreeing == {True: 31, False: 155}
 
+    def test_counted_fronts_equal_the_printed_fronts(self):
+        # Equal on every exact family, so reference_front may trust the
+        # printed front as a search target beyond the cap; ojzr's printed
+        # front truncates its index range and leaves its special point
+        # unshifted.
+        differing = Counter()
+        for inst in self.GRID:
+            if set(_image_levels(inst)[0]) != set(claimed_front_tuples(inst)):
+                assert not inst.info.exact, inst.descriptor
+                differing[inst.n <= 16] += 1
+        assert differing == {True: 117, False: 573}
+
     def test_counted_disagreement_matches_the_verified_claim(self):
         for inst in SMALL_GRID:
             claim = verify(inst).claims[0]
@@ -773,6 +785,12 @@ class TestGrid:
         assert len(set(descriptors)) == len(descriptors)
         for descriptor in descriptors:
             parse_descriptor(descriptor)
+
+    @pytest.mark.parametrize("families", ["omm", "o", ""])
+    def test_a_bare_string_is_not_read_as_names(self, families):
+        # Iterated, "omm" would be the unknown family 'o'.
+        with pytest.raises(ValidationError, match=f"got the string {families!r}$"):
+            grid_instances(families)
 
     def test_family_order_is_canonical(self):
         grid = grid_instances(families=("lotz", "omm"))
