@@ -7,7 +7,7 @@ an index always fits machine words comfortably and exhaustive loops stay
 addressable.
 
 The library computes on raw indices; BitString is the value type at the API
-edge (evaluate's input, counterexample text, witnesses, final archives).
+edge (evaluate's input, counterexample text, final archives).
 """
 
 from __future__ import annotations

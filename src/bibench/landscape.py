@@ -61,7 +61,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
 
-from .bitstring import BitString
 from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
 from .problems import (
@@ -89,11 +88,10 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 # by block (see README). The landscape command adds one span of the report
 # text at a time, written as it is listed: orzr:n=24,l=12, whose 16.6 M
 # local optima fill 99% of the cube, peaks at 37 MB, 2.3 bytes per string.
-# The budget stays at 24, since 16 or less would raise MAX_CAP, the largest
-# n whose estimate fits MEMORY_LIMIT, from 29 to 30.
 BYTES_PER_STRING = 24
-MEMORY_LIMIT = 16 << 30
-MAX_CAP = (MEMORY_LIMIT // BYTES_PER_STRING).bit_length() - 1
+# The largest cap the env var may set, a stated constant: at the budget its
+# estimate is 12 GiB.
+MAX_CAP = 29
 
 LOW_RATIO_THRESHOLD = Fraction(1, 2)
 
@@ -138,21 +136,6 @@ class FrontShape(Enum):
     LINEAR = "linear"
     NONLINEAR_CONCAVE = "nonlinear_concave"
     DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class SeparabilityReport:
-    """Outcome of the per-bit flip-delta constancy check for one objective."""
-
-    objective: int
-    separable: bool
-    # When separable: per-position (value at 0, value at 1) contributions whose
-    # sum over positions reproduces the objective; the constant part sits on
-    # position 1. When not: a position and two contexts with different deltas.
-    contributions: tuple[tuple[int, int], ...] | None
-    witness_position: int | None
-    witness: tuple[BitString, BitString] | None
-    witness_deltas: tuple[int, int] | None
 
 
 @dataclass(frozen=True)
@@ -627,78 +610,28 @@ def is_symmetric_pair(inst: ProblemInstance) -> bool:
     return all(final1[s] == g[0] for s, g in pairs)
 
 
-def is_fully_separable(inst: ProblemInstance, objective: int) -> SeparabilityReport:
-    """Check one objective for full separability (bitwise additive form).
+def is_fully_separable(inst: ProblemInstance, objective: int) -> bool:
+    """True when flipping any one bit changes the objective by an amount
+    independent of all other bits (bitwise additive form).
 
-    An objective is fully separable iff flipping any one bit changes the value
-    by an amount independent of all other bits. On success the report carries
-    per-position contribution pairs; on failure, two contexts whose deltas for
-    the same position differ.
+    Per index bit b, a DP over the index bits from bit 0 upward on the pairs
+    of the automaton's states on a context (an index with bit b clear) and
+    on the context with bit b set. Context 0 is one of them, so the
+    objective is separable when the final pairs of every b share one delta.
     """
     if type(objective) is not int or objective not in (1, 2):
         raise ValidationError(f"objective selector must be 1 or 2, got {objective!r}")
     tables, final = _objective_tables(inst)[objective - 1]
-    return _separability(tables, final, objective)
-
-
-def _separability(tables, final, objective: int) -> SeparabilityReport:
-    """The report of is_fully_separable for the objective whose automaton
-    has the given step tables and final values. On failure it names the
-    first position, index bit b from n - 1 down, whose flip delta differs
-    between context 0 and some context (an index with bit b clear), and the
-    smallest such context.
-
-    Per bit b, a DP over the index bits from bit 0 upward on the pairs of
-    the automaton's states on a context and on the context with bit b set,
-    which also follows context 0's own pair. The final pairs with another
-    delta than context 0's are bad. A walk from the top bit down then keeps,
-    bit by bit, the lower bit value from which some reached pair still
-    leads into a bad pair, and which one."""
-    n = len(tables)
-    contributions = []
-    for b in reversed(range(n)):
-        # Per index bit, the pair's moves on each bit value of the context;
-        # at bit b the context reads 0 and its flip 1.
-        moves = [
-            ((t0, t1),) if m == b else ((t0, t0), (t1, t1)) for m, (t0, t1) in enumerate(tables)
-        ]
-        zero = (0, 0)
-        reached = [{zero}]
-        for pair_moves in moves:
-            reached.append({(u[s], v[r]) for s, r in reached[-1] for u, v in pair_moves})
-            u, v = pair_moves[0]
-            zero = u[zero[0]], v[zero[1]]
-        base, top = final[zero[0]], final[zero[1]]
-        # Each pair that leads into a bad final pair maps to that pair.
-        bad = {(s, r): (s, r) for s, r in reached.pop() if final[r] - final[s] != top - base}
-        if bad:
-            i = 0
-            for m in reversed(range(n)):
-                for c, (u, v) in enumerate(moves[m]):
-                    before = {(s, r): end for s, r in reached[m] if (end := bad.get((u[s], v[r])))}
-                    if before:
-                        i |= c << m
-                        bad = before
-                        break
-            s, r = bad[0, 0]
-            return SeparabilityReport(
-                objective=objective,
-                separable=False,
-                contributions=None,
-                witness_position=n - b,
-                witness=(BitString(n, 0), BitString(n, i)),
-                witness_deltas=(top - base, final[r] - final[s]),
-            )
-        contributions.append((0, top - base))
-    contributions[0] = (base, base + contributions[0][1])
-    return SeparabilityReport(
-        objective=objective,
-        separable=True,
-        contributions=tuple(contributions),
-        witness_position=None,
-        witness=None,
-        witness_deltas=None,
-    )
+    for b in range(len(tables)):
+        # At bit b the context reads 0 and its flip 1; elsewhere both read
+        # the context's bit.
+        reached = {(0, 0)}
+        for m, (t0, t1) in enumerate(tables):
+            moves = ((t0, t1),) if m == b else ((t0, t0), (t1, t1))
+            reached = {(u[s], v[r]) for s, r in reached for u, v in moves}
+        if len({final[r] - final[s] for s, r in reached}) > 1:
+            return False
+    return True
 
 
 def front_shape(inst: ProblemInstance) -> FrontShape:
@@ -734,7 +667,7 @@ def characteristic_profile(inst: ProblemInstance) -> CharacteristicProfile:
     """All seven characteristic flags for one instance, computed exactly."""
     report = enumerate_landscape(inst)
     shape = _front_shape(inst, [v for v, _ in report.front_counts])
-    separable = all(is_fully_separable(inst, objective).separable for objective in (1, 2))
+    separable = is_fully_separable(inst, 1) and is_fully_separable(inst, 2)
     return CharacteristicProfile(
         instance=inst,
         non_symmetric=not is_symmetric_pair(inst),

@@ -10,6 +10,7 @@ not every valid instance satisfies); all other families' claims must match.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -300,6 +301,8 @@ def grid_instances(
     family's rule keeps the valid ones."""
     if isinstance(families, str):
         raise ValidationError(f"families must be a sequence of names, got the string {families!r}")
+    if isinstance(n_values, str) or not isinstance(n_values, Sequence):
+        raise ValidationError(f"n_values must be a sequence of sizes, got {n_values!r}")
     wanted = FAMILY_NAMES if families is None else tuple(families)
     for name in wanted:
         if name not in FAMILY_NAMES:

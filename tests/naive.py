@@ -159,11 +159,9 @@ def separability(values, n):
     """Full separability by its definition: flipping position p changes the
     value by the same amount in every context (the other n - 1 bits).
 
-    Returns (witness, contributions), one of them None. The witness is the
-    first position p, in order 1..n, and the first context i, by index,
-    whose flip delta differs from context 0's, as (p, i, (delta at context
-    0, delta at i)). The contributions are each position's (value at 0,
-    value at 1), the constant on position 1."""
+    Returns None when separable, else a witness: the first position p, in
+    order 1..n, and the first context i, by index, whose flip delta differs
+    from context 0's, as (p, i, (delta at context 0, delta at i))."""
     size = 1 << n
     for position in range(1, n + 1):
         step = 1 << (n - position)
@@ -175,10 +173,8 @@ def separability(values, n):
         if deltas.count(deltas[0]) < len(deltas):
             contexts = compress(range(size), zero)
             i, d = next((i, d) for i, d in zip(contexts, deltas) if d != deltas[0])
-            return (position, i, (deltas[0], d)), None
-    base = values[0]
-    deltas = [values[1 << (n - position)] - base for position in range(1, n + 1)]
-    return None, ((base, base + deltas[0]),) + tuple((0, d) for d in deltas[1:])
+            return position, i, (deltas[0], d)
+    return None
 
 
 def front_shape(points):

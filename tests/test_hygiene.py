@@ -90,6 +90,18 @@ def test_each_top_level_name_is_defined_once():
     assert {name: sorted(paths) for name, paths in owners.items() if len(paths) > 1} == {}
 
 
+def test_every_predicate_is_annotated_to_return_a_bool():
+    # An object such as a report is truthy whatever it says, so a caller
+    # that writes `if is_...(inst):` would always take the branch.
+    returns = {
+        func.name: ast.unparse(func.returns) if func.returns else None
+        for path in SOURCES
+        for func in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(func, ast.FunctionDef) and func.name.startswith("is_")
+    }
+    assert returns and {name: r for name, r in returns.items() if r != "bool"} == {}
+
+
 def test_only_the_search_harness_names_a_process_pool():
     # hitting_time_experiment is the one caller that needs workers; every
     # other command runs in one process.

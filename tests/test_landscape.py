@@ -12,7 +12,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
+from itertools import combinations, compress
 from unittest import mock
 
 import pytest
@@ -31,9 +31,7 @@ from bibench.landscape import (
     CAP_ENV_VAR,
     DEFAULT_CAP,
     MAX_CAP,
-    MEMORY_LIMIT,
     FrontShape,
-    SeparabilityReport,
     _bit_component_count,
     _component_count,
     _front_shape,
@@ -218,17 +216,13 @@ class TestPredicates:
             assert is_completely_conflicting(inst) == scan, inst.descriptor
 
 
-def naive_report(values, n, objective):
-    """The report that naive.separability gives for one objective's values."""
-    witness, contributions = naive.separability(values, n)
-    return SeparabilityReport(
-        objective=objective,
-        separable=witness is None,
-        contributions=contributions,
-        witness_position=witness and witness[0],
-        witness=witness and (BitString(n, 0), BitString(n, witness[1])),
-        witness_deltas=witness and witness[2],
-    )
+def plane_is_separable(plane, n):
+    """is_fully_separable of an objective whose final values by index are
+    the plane, read by an automaton whose state after index bit m is the
+    index's low m + 1 bits."""
+    tables = [(range(1 << m), [s | 1 << m for s in range(1 << m)]) for m in range(n)]
+    with mock.patch.object(landscape, "_objective_tables", return_value=[(tables, plane)]):
+        return is_fully_separable(ProblemInstance("omm", n), 1)
 
 
 class TestSeparability:
@@ -241,9 +235,8 @@ class TestSeparability:
             ("omtz:n=6", 1),
             ("omzj:n=8,k=3", 1),
         ]:
-            rep = is_fully_separable(parse_descriptor(descriptor), objective)
-            assert rep.separable, (descriptor, objective)
-            assert rep.witness is None
+            inst = parse_descriptor(descriptor)
+            assert is_fully_separable(inst, objective) is True, (descriptor, objective)
 
     def test_positional_objectives_are_not_separable(self):
         for descriptor, objective in [
@@ -254,52 +247,40 @@ class TestSeparability:
             ("orzr:n=8,l=2", 1),
             ("lozr:n=8,l=2", 2),
         ]:
-            rep = is_fully_separable(parse_descriptor(descriptor), objective)
-            assert not rep.separable, (descriptor, objective)
-
-    def test_contributions_reconstruct_the_objective(self):
-        for descriptor, objective in [("omm:n=6", 2), ("cocz:n=6", 2)]:
             inst = parse_descriptor(descriptor)
-            rep = is_fully_separable(inst, objective)
-            for x in (BitString(6, i) for i in range(1 << 6)):
-                total = sum(pair[int(bit)] for bit, pair in zip(str(x), rep.contributions))
-                assert total == evaluate(inst, x)[objective - 1]
+            assert is_fully_separable(inst, objective) is False, (descriptor, objective)
 
-    def test_witness_really_breaks_constancy(self):
-        inst = ProblemInstance("lotz", 6)
-        rep = is_fully_separable(inst, 1)
-        a, b = rep.witness
-        bit = 1 << (inst.n - rep.witness_position)
-        da = evaluate(inst, BitString(6, a.index ^ bit))[0] - evaluate(inst, a)[0]
-        db = evaluate(inst, BitString(6, b.index ^ bit))[0] - evaluate(inst, b)[0]
-        assert (da, db) == rep.witness_deltas
-        assert da != db
-
-    @pytest.mark.parametrize(
-        "descriptor", ["lotz:n=6", "omtz:n=7", "ojzj:n=8,k=2", "orzr:n=8,l=2", "lozr:n=8,l=2"]
-    )
-    def test_witness_is_the_first_context_that_differs(self, descriptor):
-        # Positions in order 1..n; within one, contexts by index, context 0 first.
-        inst = parse_descriptor(descriptor)
-        vecs = naive.vectors(inst)
-        for objective in (1, 2):
-            values = [v[objective - 1] for v in vecs]
-            expected = naive_report(values, inst.n, objective)
-            assert is_fully_separable(inst, objective) == expected, (descriptor, objective)
+    def test_the_verdict_is_a_bool(self):
+        # A report object would be truthy whatever it said.
+        for descriptor in ["omm:n=6", "lotz:n=6", "ojzr:n=63,k=7,l=3"]:
+            inst = parse_descriptor(descriptor)
+            for objective in (1, 2):
+                assert type(is_fully_separable(inst, objective)) is bool, (descriptor, objective)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_witness_after_a_separable_position(self, n):
-        # Index bit n - 1, position 1, only adds 63, so the witness lies at
-        # a later position, and indices with the flipped bit set, which are
-        # not contexts, must not count. The automaton's state after bit m is
-        # the index's low m + 1 bits, so any plane can be its final values.
+        # Index bit n - 1, position 1, only adds 63, so the naive witness
+        # lies at a later position, and indices with the flipped bit set,
+        # which are not contexts, must not count.
         rng = random.Random(n)
         low = [rng.randrange(64) for _ in range(1 << (n - 1))]
         plane = bytes(low + [v + 63 for v in low])
-        tables = [(range(1 << m), [s | 1 << m for s in range(1 << m)]) for m in range(n)]
-        expected = naive_report(plane, n, 1)
-        assert expected.witness_position >= 2
-        assert landscape._separability(tables, plane, 1) == expected
+        witness = naive.separability(plane, n)
+        assert witness is not None and witness[0] >= 2
+        assert plane_is_separable(plane, n) is False, witness
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_one_interacting_pair_of_bits_is_found(self, n):
+        # A separable plane plus 1 where index bits b and c are both set:
+        # only b and c have a flip delta that depends on the context, so
+        # the check must reach whichever pair it is.
+        rng = random.Random(n)
+        weights = [rng.randrange(16) for _ in range(n)]
+        plane = [sum(w for m, w in enumerate(weights) if i >> m & 1) for i in range(1 << n)]
+        assert plane_is_separable(bytes(plane), n) is True
+        for b, c in combinations(range(n), 2):
+            pair = bytes(v + (i >> b & i >> c & 1) for i, v in enumerate(plane))
+            assert plane_is_separable(pair, n) is False, (b, c)
 
     def test_one_pass_check_matches_the_scan(self):
         instances = grid_instances(None, range(1, 17))
@@ -307,41 +288,54 @@ class TestSeparability:
         for inst in instances:
             planes = objective_planes(inst)
             for objective in (1, 2):
-                expected = naive_report(planes[objective - 1], inst.n, objective)
-                assert is_fully_separable(inst, objective) == expected, (inst.descriptor, objective)
+                witness = naive.separability(planes[objective - 1], inst.n)
+                assert is_fully_separable(inst, objective) is (witness is None), (
+                    inst.descriptor,
+                    objective,
+                    witness,
+                )
 
     def test_profile_reads_the_same_separability(self):
         instances = grid_instances(None, range(1, 17))
         assert len(instances) == 434
         for inst in instances:
-            both = is_fully_separable(inst, 1).separable and is_fully_separable(inst, 2).separable
+            both = is_fully_separable(inst, 1) and is_fully_separable(inst, 2)
             assert characteristic_profile(inst).not_fully_separable is not both, inst.descriptor
 
     def test_reports_beyond_the_grid_check_against_the_evaluator(self):
-        # From n = 17 no plane is built to check against. A witness's deltas
-        # are the evaluator's, and they differ; contributions add up to the
-        # evaluator's values at random indices.
+        # From n = 17 no plane is built to check against, so each verdict is
+        # certified by the evaluator. Separable: the value at 0 plus the
+        # flip deltas at context 0 of the index's set bits rebuild the value
+        # at random indices. Not separable: some bit's flip delta differs
+        # from context 0's at a single-bit context or at all ones but that
+        # bit.
         rng = random.Random(32)
         for inst in grid_instances(None, range(17, 33)):
+            n = inst.n
             evaluator = index_evaluator(inst)
             for objective in (1, 2):
-                rep = is_fully_separable(inst, objective)
 
                 def value(i):
                     return evaluator(i)[objective - 1]
 
-                if rep.separable:
-                    for i in (rng.getrandbits(inst.n) for _ in range(20)):
-                        bits = format(i, f"0{inst.n}b")
-                        total = sum(pair[int(bit)] for bit, pair in zip(bits, rep.contributions))
+                base = value(0)
+                deltas = [value(1 << b) - base for b in range(n)]
+                if is_fully_separable(inst, objective):
+                    for i in (rng.getrandbits(n) for _ in range(20)):
+                        total = base + sum(d for b, d in enumerate(deltas) if i >> b & 1)
                         assert total == value(i), (inst.descriptor, objective, i)
                     continue
-                step = 1 << (inst.n - rep.witness_position)
-                a, b = (x.index for x in rep.witness)
-                assert a == 0 and not b & step, (inst.descriptor, objective)
-                deltas = (value(step) - value(0), value(b | step) - value(b))
-                assert rep.witness_deltas == deltas, (inst.descriptor, objective)
-                assert deltas[0] != deltas[1], (inst.descriptor, objective)
+                full = (1 << n) - 1
+                witness = next(
+                    (
+                        (b, c)
+                        for b in range(n)
+                        for c in [1 << m for m in range(n) if m != b] + [full ^ 1 << b]
+                        if value(c | 1 << b) - value(c) != deltas[b]
+                    ),
+                    None,
+                )
+                assert witness is not None, (inst.descriptor, objective)
 
     def test_objective_selector_is_validated(self):
         with pytest.raises(ValidationError):
@@ -428,7 +422,7 @@ class TestCaps:
         monkeypatch.delenv(CAP_ENV_VAR, raising=False)
         descriptor, expected, image = row
         inst = parse_descriptor(descriptor)
-        flags = (is_symmetric_pair(inst), *(is_fully_separable(inst, o).separable for o in (1, 2)))
+        flags = (is_symmetric_pair(inst), *(is_fully_separable(inst, o) for o in (1, 2)))
         assert flags == expected
         assert (is_completely_conflicting(inst), front_shape(inst)) == image
         with pytest.raises(EnumerationCapError):
@@ -444,7 +438,7 @@ class TestCaps:
                     mock.patch.object(landscape, name, side_effect=AssertionError(name))
                 )
             assert is_symmetric_pair(inst) is not expected.non_symmetric
-            separable = all(is_fully_separable(inst, o).separable for o in (1, 2))
+            separable = all(is_fully_separable(inst, o) for o in (1, 2))
             assert is_completely_conflicting(inst) is not expected.non_completely_conflicting
             assert front_shape(inst) is expected.front_shape
         assert separable is not expected.not_fully_separable
@@ -458,8 +452,8 @@ class TestCaps:
             enumeration_cap()
 
     def test_env_var_is_bounded_by_the_memory_estimate(self, monkeypatch):
-        # MAX_CAP is the largest n whose estimated peak fits the limit.
-        assert BYTES_PER_STRING << MAX_CAP <= MEMORY_LIMIT < BYTES_PER_STRING << (MAX_CAP + 1)
+        # MAX_CAP is a stated constant, not derived from the budget.
+        assert MAX_CAP == 29
         monkeypatch.setenv(CAP_ENV_VAR, str(MAX_CAP))
         assert enumeration_cap() == MAX_CAP
         monkeypatch.setenv(CAP_ENV_VAR, str(MAX_CAP + 1))
@@ -1076,12 +1070,13 @@ class TestMemory:
 
     @pytest.mark.parametrize("descriptor", ["lotz:n=18", "ojzj:n=18,k=4", "lozr:n=18,l=3"])
     def test_witness_scan_peaks_below_six_bytes_per_string(self, descriptor):
-        # The witness DP holds sets of state pairs, not the cube: 0.05 to
-        # 0.06 bytes per string at n = 18.
+        # The separability DP holds one set of state pairs, not the cube:
+        # about 0.008 bytes per string at n = 18 (0.05 when it kept one set
+        # per bit for a witness).
         inst = parse_descriptor(descriptor)
         enumerate_landscape(inst)
-        assert not is_fully_separable(inst, 1).separable
-        assert peak_bytes_per_string(lambda: is_fully_separable(inst, 1), inst.n) <= 0.1
+        assert is_fully_separable(inst, 1) is False
+        assert peak_bytes_per_string(lambda: is_fully_separable(inst, 1), inst.n) <= 0.02
 
     def test_image_memo_keeps_below_eight_mib_at_the_longest_strings(self):
         # The 259 grid instances at n = 63 read 18 pairs of automata. Kept

@@ -792,6 +792,13 @@ class TestGrid:
         with pytest.raises(ValidationError, match=f"got the string {families!r}$"):
             grid_instances(families)
 
+    @pytest.mark.parametrize("n_values", [6, "6", None])
+    def test_sizes_must_be_a_sequence(self, n_values):
+        # Iterated, 6 would raise a TypeError and "6" would be read digit by
+        # digit.
+        with pytest.raises(ValidationError, match=f"got {n_values!r}$"):
+            grid_instances(None, n_values)
+
     def test_family_order_is_canonical(self):
         grid = grid_instances(families=("lotz", "omm"))
         assert [inst.descriptor for inst in grid] == [
