@@ -38,13 +38,19 @@ holds the whole list; render_report joins the spans.
 No objective is held as a byte plane. The image, its multiplicities and
 the ones tables come from the packed ones counts per image vector that
 problems.image_polys counts by one DP over the index bits, the ones tables
-on first read. The Pareto set and the bit planes of the local-optimum scan
-are unions of the packed index sets that reach each state of the
-statistics' automata (problems._cells), selected by states: the Pareto set
-by the statistic pairs that the value tables send onto the front, through
-the kernel that builds every Pareto closed form (problems._statistic_pairs),
-and a bit plane per value bit and block through the value table
-(problems._select).
+on first read. The Pareto set and the sets of the local-optimum scan are
+unions of the packed index sets that reach each state of the statistics'
+automata (problems._cells), selected by states: the Pareto set by the
+statistic pairs that the value tables send onto the front, through the
+kernel that builds every Pareto closed form (problems._statistic_pairs),
+and the scan's sets per block through a table over final states
+(problems._select). The scan knows two kinds of objective. A counting one
+(the ones count, the half-mix statistic) moves its automaton's final state
+by a fixed +1 or -1 when a given index bit is set, so a neighbour's value
+follows from the string's own final state: where the value rises and where
+it falls across that bit are two selections, and it needs no planes. Any
+other (leading ones, trailing zeroes, block counts) is compared bit-sliced,
+on a plane per bit of each value's rank among the value table's values.
 
 Enumeration is capped (default 24 bits, env var BIBENCH_ENUM_CAP) so
 accidental huge requests fail fast with a clear error.
@@ -82,8 +88,8 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 43 MB, 2.7 bytes per string, on cocz, set by
-# enumeration's local-optimum scan; the component count takes a sparse
+# the families at n = 24 is 38 MB, 2.4 bytes per string, on orzr, omtz and
+# ojzr, set by enumeration; the component count takes a sparse
 # Pareto set's members from its packed bytes, and floods a dense one block
 # by block (see README). The landscape command adds one span of the report
 # text at a time, written as it is listed: orzr:n=24,l=12, whose 16.6 M
@@ -347,9 +353,30 @@ def _bit_component_count(members: int, n: int) -> int:
 
 # _BITS[k] maps a byte to its bit k; _ZERO maps a zero byte to 128 and any
 # other to 0, and _OFFSETS[v] lists the set bits of byte v, ascending.
+# _COUNTS[c : c + len(t)] is the table that sends each state s to c + s.
 _BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
 _ZERO = bytes([128]).ljust(256, b"\0")
 _OFFSETS = [[k for k in range(8) if v >> k & 1] for v in range(256)]
+_COUNTS = bytes(range(256))
+
+
+def _counting_steps(tables) -> list[int] | None:
+    """Per index bit m, the move d_m of a counting automaton, or None for
+    any other: one whose table on 1 is its table on 0 moved by d_m = +1 or
+    -1 at every bit, each table sending consecutive states to consecutive
+    states (state s to c + s). Setting bit m of an index then moves the
+    final state by exactly d_m, since each later bit moves both states
+    alike. The ones count and the half-mix statistic count, and so do the
+    block counts at l = 1, where each bit is a block."""
+    steps = []
+    for pair in tables:
+        if any(t != _COUNTS[t[0] : t[0] + len(t)] for t in pair):
+            return None
+        step = pair[1][0] - pair[0][0]
+        if step not in (1, -1):
+            return None
+        steps.append(step)
+    return steps
 
 
 def _local_optima(objective_tables, member: int, n: int) -> int:
@@ -357,34 +384,65 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     local optimum: not a member (bit i of member) and no neighbour strictly
     dominates it (an equal-valued neighbour does not count).
 
-    Bit-sliced, block by block: from each objective's step tables, its cells
-    (problems._cells), and its value table, the objective's bit planes in
-    each of the cells' blocks of 2^low indices, low value bit first: the
-    plane for value bit k is the set of strings whose value has bit k set,
-    the final states that the value table composed with _BITS[k] marks
-    (_select), so bit i of every int below belongs to string i of its block.
-    For index bit b below low, the strings of a block with bit b clear meet
-    their neighbours 2^b bits up; for a higher bit, block r, with bit b - low
-    of r clear, meets block r + 2^(b - low) at the same positions. The bit
-    planes in turn tell, per objective, whether the two values differ and
-    which is greater at the highest bit where they do. Only the blocks'
+    Block by block, in the blocks of 2^low indices of the objectives' cells
+    (problems._cells), so bit i of every int below belongs to string i of
+    its block. For index bit b below low, the strings of a block with bit b
+    clear meet their neighbours 2^b bits up; for a higher bit, block r, with
+    bit b - low of r clear, meets block r + 2^(b - low) at the same
+    positions. Per objective, two sets tell where the neighbour's value is
+    greater and where it is smaller, and they are found in one of two ways.
+
+    A counting objective, whose automaton moves its final state by d_b when
+    bit b is set (_counting_steps: the ones count, the half-mix statistic),
+    fixes the neighbour's value by the string's own final state s: it is
+    greater where the value table rises from s to s + d_b and smaller where
+    it falls. So both sets are unions of the cells' index sets (_select),
+    one pair per distinct d_b, and no plane of the objective is built or
+    shifted. Any other objective (leading ones, trailing zeroes, block
+    counts) is bit-sliced: its plane for bit k of each value's rank among
+    the value table's distinct values is the set of strings whose rank has
+    bit k set (_select through the ranks and _BITS[k]), and the shifted
+    planes tell whether the two ranks differ and which is greater at the
+    highest bit where they do. Ranks keep the order, which is all the
+    comparison reads, in fewer planes than the values. Only the blocks'
     marks are joined into one int over the cube."""
-    sliced = []
+    ranked, moved = [], []
     for tables, final in objective_tables:
-        cells, planes = _cells(tables), _BITS[: max(final).bit_length()]
-        sliced.append([_select(cells, _translate(final, table)) for table in planes])
+        cells, steps = _cells(tables), _counting_steps(tables)
+        if steps is None:
+            values = sorted(set(final))
+            ranks = bytes(map(values.index, final))
+            planes = _BITS[: (len(values) - 1).bit_length()]
+            ranked.append([_select(cells, _translate(ranks, table)) for table in planes])
+            continue
+        # Per distinct move d, the strings whose neighbour is greater and
+        # those whose neighbour is smaller.
+        by_move = {}
+        for d in set(steps):
+            change = [
+                final[s + d] - v if 0 <= s + d < len(final) else 0 for s, v in enumerate(final)
+            ]
+            by_move[d] = (
+                _select(cells, bytes(c > 0 for c in change)),
+                _select(cells, bytes(c < 0 for c in change)),
+            )
+        moved.append([by_move[d] for d in steps])
     count = len(cells[1])
     low = n + 1 - count.bit_length()
-    # blocks[r]: per objective, its bit planes in block r.
-    blocks = [[[p[r] for p in planes] for planes in sliced] for r in range(count)]
+    # blocks[r]: per bit-sliced objective, its rank planes in block r.
+    blocks = [[[p[r] for p in planes] for planes in ranked] for r in range(count)]
     clear = [_bit_clear(low, b) for b in range(low)]
     marked = []
-    for block in blocks:
+    for r, block in enumerate(blocks):
         marks = 0
         for b, low_clear in enumerate(clear):
             step = 1 << b
             # up: the neighbour is greater in some objective; down: smaller.
             up = down = 0
+            for by_bit in moved:
+                rise, fall = by_bit[b]
+                up |= rise[r]
+                down |= fall[r]
             for planes in block:
                 differ = greater = 0
                 for p in planes:
@@ -406,6 +464,10 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
             if r & step:
                 continue
             up = down = 0
+            for by_bit in moved:
+                rise, fall = by_bit[low + h]
+                up |= rise[r]
+                down |= fall[r]
             for planes, above in zip(blocks[r], blocks[r | step]):
                 differ = greater = 0
                 for p, q in zip(planes, above):
@@ -418,8 +480,9 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
             strict = up ^ down
             marked[r] |= strict & up
             marked[r | step] |= strict & down
-    # The planes go before the marks are joined, which lowers the peak.
-    del sliced, blocks
+    # The planes and sets go before the marks are joined, which lowers the
+    # peak.
+    del ranked, moved, blocks
     return (_join(marked, n) | member) ^ ((1 << (1 << n)) - 1)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import ROUND_FLOOR, Decimal, localcontext
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .bitstring import BitString
@@ -33,6 +33,10 @@ DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
 # Bounds the ratio formulas' cost and the digits of the printed fractions,
 # which must stay below Python's int-to-str limit.
 MAX_RATIO_N = 4096
+
+# The decimal digits ojzj_threshold_k computes in, and ln 4 at them, once.
+_PRECISION = 60
+_LN4 = Decimal(4).ln(Context(prec=_PRECISION))
 
 # Counterexamples shown per direction of each set claim.
 MAX_COUNTEREXAMPLES = 5
@@ -75,8 +79,8 @@ def ojzj_threshold_k(n: int) -> int:
     """
     _check_ratio_params(n)
     with localcontext() as ctx:
-        ctx.prec = 60
-        value = Decimal(n) / 2 - (Decimal(n) * Decimal(4).ln() / 2).sqrt()
+        ctx.prec = _PRECISION
+        value = Decimal(n) / 2 - (Decimal(n) * _LN4 / 2).sqrt()
         pad = Decimal(10) ** -45
         lo = (value - pad).to_integral_value(rounding=ROUND_FLOOR)
         hi = (value + pad).to_integral_value(rounding=ROUND_FLOOR)

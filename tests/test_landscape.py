@@ -12,7 +12,7 @@ import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 from unittest import mock
 
 import pytest
@@ -34,6 +34,7 @@ from bibench.landscape import (
     FrontShape,
     _bit_component_count,
     _component_count,
+    _counting_steps,
     _front_shape,
     _local_optima,
     _local_optima_by_string,
@@ -1157,6 +1158,77 @@ def pack_bits(flags):
     return int(bytes(flags)[::-1].translate(b"01".ljust(256)), 2)
 
 
+class TestCountingAutomata:
+    # The local-optimum scan reads a counting objective's neighbours from its
+    # own final state (_counting_steps). Every automaton of the library, at
+    # n = 1..16 and each valid block length.
+    @staticmethod
+    def automata(n):
+        for name, record in problems.STATISTICS.items():
+            lengths = [l for l in range(1, n) if n % l == 0] if record.reads_l else [None]
+            for l in lengths:
+                yield name, l, problems._step_tables(record.automaton, n, l)
+        for name, automaton in (("orzr", problems._ORZR_OPTIMA), ("lozr", problems._LOZR_OPTIMA)):
+            for l in (l for l in range(1, n) if n % l == 0):
+                yield name, l, problems._step_tables(automaton, n, l)
+
+    def test_the_rule_accepts_exactly_the_counts(self):
+        # The ones count and the half-mix statistic. A block count at l = 1,
+        # where every bit is a block, is the ones or the zeroes count, and
+        # at n = 1 leading ones and trailing zeroes are too.
+        counts = {"ones", "first-half ones plus second-half zeroes"}
+        blocks = {"all-ones blocks", "all-zeroes blocks"}
+        for n in range(1, 17):
+            for name, l, tables in self.automata(n):
+                counting = name in counts or (name in blocks and l == 1) or (
+                    n == 1 and name in ("leading ones", "trailing zeroes")
+                )
+                assert (_counting_steps(tables) is not None) == counting, (name, n, l)
+
+    def test_setting_a_bit_moves_the_final_state_by_its_step(self):
+        # Byte x of the state plane is the final state of index x.
+        for n in range(1, 11):
+            for name, l, tables in self.automata(n):
+                steps = _counting_steps(tables)
+                if steps is None:
+                    continue
+                final = problems._state_plane(tables, b"\0")
+                half = n // 2
+                if name == "first-half ones plus second-half zeroes":
+                    assert steps == [-1] * half + [1] * (n - half)
+                for m, d in enumerate(steps):
+                    for x in range(1 << n):
+                        if not x >> m & 1:
+                            assert final[x | 1 << m] == final[x] + d, (name, n, l, m, x)
+
+
+    @pytest.mark.parametrize("set_bits", [3, problems._SET_BITS])
+    def test_scan_matches_the_naive_model_on_random_value_tables(self, set_bits):
+        # Every ordered pair of statistics, each under a value table drawn at
+        # random, often with few values so that ties occur: the scan must
+        # read a counting objective's moves in both directions (half-mix
+        # moves by -1 on its low half, a block count at l = 1 on every bit)
+        # and rank any other objective's values, whatever the table. At a
+        # span of 3 the index bits from 3 up compare whole blocks.
+        rng = random.Random(48)
+        for n, l in ((6, 2), (8, 1), (9, 3)):
+            automata = [
+                problems._step_tables(record.automaton, n, l if record.reads_l else None)
+                for record in problems.STATISTICS.values()
+            ]
+            # Per automaton, its tables and its final state at each index.
+            cube = [(tables, problems._state_plane(tables, b"\0")) for tables in automata]
+            for pair in product(cube, repeat=2):
+                objectives = [
+                    (tables, bytes(rng.randrange(rng.choice((2, 5, 200))) for _ in range(max(p) + 1)))
+                    for tables, p in pair
+                ]
+                f1, f2 = (problems._translate(p, final) for (_, p), (_, final) in zip(pair, objectives))
+                expected = sum(1 << i for i in naive.local_optima(list(zip(f1, f2)), set()))
+                with at_span(set_bits):
+                    assert _local_optima(objectives, 0, n) == expected, (n, l, objectives)
+
+
 class TestBitSlicedKernels:
     # Every grid instance up to n = 12, where the n = 1 and n = 2 planes are
     # shorter than a byte; the two n=16 instances have dense Pareto sets.
@@ -1224,14 +1296,19 @@ class TestBitSlicedKernels:
             assert members == report.member_bits, inst.descriptor
             assert local_optima == report.local_optima_bits, inst.descriptor
 
-    @pytest.mark.parametrize("descriptor", ["lotz:n=17", "lozj:n=17,k=4", "orzr:n=18,l=3"])
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["lotz:n=17", "lozj:n=17,k=4", "orzr:n=18,l=3", "ojzr:n=18,k=7,l=3", "cocz:n=18"],
+    )
     def test_scan_on_a_split_cube_matches_the_neighbour_check(self, descriptor):
         # At the default span a cube of 2^17 strings is two blocks and one
         # of 2^18 four, so the scan compares strings across blocks for the
         # index bits from 16 up. lozj:n=17 has 2,379 local optima, which a
         # cross-block compare must not mark. Every non-member of the n = 17
         # instances has a dominating neighbour inside its block; 64 of
-        # orzr:n=18's have one only in another block.
+        # orzr:n=18's have one only in another block. ojzr puts a counting
+        # objective beside a ranked block count, and cocz's half-mix moves
+        # by -1 on the low half and +1 on the high, where the blocks meet.
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
         objectives = problems._objective_tables(inst)

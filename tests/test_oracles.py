@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import compress
@@ -16,6 +17,7 @@ from bibench import problems
 from bibench.errors import ValidationError
 from bibench.landscape import BYTES_PER_STRING, _image_levels, enumerate_landscape
 from bibench.oracles import (
+    MAX_RATIO_N,
     ClaimResult,
     VerificationReport,
     _bits_claim,
@@ -452,6 +454,18 @@ class TestThreshold:
         assert 2 * threshold < n
         if threshold >= 1:
             assert ratio_ojzj(n, threshold) >= Fraction(1, 2)
+
+    def test_matches_the_formula_with_ln_4_computed_inline(self):
+        # The module computes ln 4 once; the formula with ln 4 computed in
+        # place, in the same 60-digit context, floors to the same values.
+        def inline(n):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                value = Decimal(n) / 2 - (Decimal(n) * Decimal(4).ln() / 2).sqrt()
+                return int(value.to_integral_value(rounding=ROUND_FLOOR))
+
+        sizes = [*range(1, 513), 1000, 2047, 2048, 3001, MAX_RATIO_N - 1, MAX_RATIO_N]
+        assert [ojzj_threshold_k(n) for n in sizes] == [inline(n) for n in sizes]
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValidationError):
