@@ -16,15 +16,12 @@ automata's cells (problems._cells) and problems._split cut the cube into,
 so that their operands stay small enough for the cache; each reads the
 blocks' width from their count. The scan joins only its marks, and the
 flood visits only the blocks a component reaches. The other stages work on
-the whole cube. Two stages loop in Python per string: where at most 1/64 of the cube
-lies outside the Pareto set, its non-members and their neighbours are
-evaluated one by one (problems.index_evaluator) to check their local
-optimality (_local_optima_by_string); and where the Pareto set holds at
-most 1/16 of the cube, LandscapeReport.component_count floods it from
-member to member (_component_count). The image of a packed set, the local
-optima's (LandscapeReport.local_front_counts) or verify's claimed Pareto
-set's, is counted on the same blocks (problems._image_counts), with no
-string evaluated.
+the whole cube. One stage loops in Python per string: where the Pareto set
+holds at most 1/16 of the cube, LandscapeReport.component_count floods it
+from member to member (_component_count). No stage evaluates a string: the
+image of a packed set, the local optima's
+(LandscapeReport.local_front_counts) or verify's claimed Pareto set's, is
+counted on the same blocks (problems._image_counts).
 
 No set is unpacked into a mask of the cube. The sparse readers above and the
 index arrays take the members from the nonzero bytes of the packed set, each
@@ -66,6 +63,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
+from operator import or_
 
 from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
@@ -80,7 +78,6 @@ from .problems import (
     _statistic_pairs,
     _translate,
     image_polys,
-    index_evaluator,
 )
 
 DEFAULT_CAP = 24
@@ -88,8 +85,8 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 38 MB, 2.4 bytes per string, on orzr, omtz and
-# ojzr, set by enumeration; the component count takes a sparse
+# the families at n = 24 is 38 MB, 2.4 bytes per string, on orzr (lotz
+# 37 MB), set by enumeration; the component count takes a sparse
 # Pareto set's members from its packed bytes, and floods a dense one block
 # by block (see README). The landscape command adds one span of the report
 # text at a time, written as it is listed: orzr:n=24,l=12, whose 16.6 M
@@ -397,16 +394,21 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     fixes the neighbour's value by the string's own final state s: it is
     greater where the value table rises from s to s + d_b and smaller where
     it falls. So both sets are unions of the cells' index sets (_select),
-    one pair per distinct d_b, and no plane of the objective is built or
-    shifted. Any other objective (leading ones, trailing zeroes, block
-    counts) is bit-sliced: its plane for bit k of each value's rank among
-    the value table's distinct values is the set of strings whose rank has
-    bit k set (_select through the ranks and _BITS[k]), and the shifted
-    planes tell whether the two ranks differ and which is greater at the
-    highest bit where they do. Ranks keep the order, which is all the
+    and no plane of the objective is built or shifted; the counting
+    objectives' sets are kept united, one pair per distinct tuple of their
+    moves across a bit. Any other objective (leading ones, trailing zeroes,
+    block counts) is bit-sliced: its plane for bit k of each value's rank
+    among the value table's distinct values is the set of strings whose
+    rank has bit k set (_select through the ranks and _BITS[k]), and the
+    shifted planes tell whether the two ranks differ and which is greater
+    at the highest bit where they do. Ranks keep the order, which is all the
     comparison reads, in fewer planes than the values. Only the blocks'
-    marks are joined into one int over the cube."""
-    ranked, moved = [], []
+    marks are joined into one int over the cube. A Pareto set that holds
+    the whole cube leaves no string to mark, and returns before any cell is
+    read."""
+    if member.bit_count() == 1 << n:
+        return 0
+    ranked, counting = [], []
     for tables, final in objective_tables:
         cells, steps = _cells(tables), _counting_steps(tables)
         if steps is None:
@@ -414,21 +416,26 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
             ranks = bytes(map(values.index, final))
             planes = _BITS[: (len(values) - 1).bit_length()]
             ranked.append([_select(cells, _translate(ranks, table)) for table in planes])
-            continue
-        # Per distinct move d, the strings whose neighbour is greater and
-        # those whose neighbour is smaller.
-        by_move = {}
-        for d in set(steps):
+        else:
+            counting.append((cells, final, steps))
+    count = len(cells[1])
+    low = n + 1 - count.bit_length()
+    # Per index bit, the counting objectives' moves across it, and per
+    # distinct moves, the strings whose neighbour is greater in some
+    # counting objective and those whose neighbour is smaller in some.
+    moves = list(zip(*(steps for _, _, steps in counting))) or [()] * n
+    by_moves = {}
+    for move in set(moves):
+        rise = fall = [0] * count
+        for (cells, final, _), d in zip(counting, move):
             change = [
                 final[s + d] - v if 0 <= s + d < len(final) else 0 for s, v in enumerate(final)
             ]
-            by_move[d] = (
-                _select(cells, bytes(c > 0 for c in change)),
-                _select(cells, bytes(c < 0 for c in change)),
-            )
-        moved.append([by_move[d] for d in steps])
-    count = len(cells[1])
-    low = n + 1 - count.bit_length()
+            rise = list(map(or_, rise, _select(cells, bytes(c > 0 for c in change))))
+            fall = list(map(or_, fall, _select(cells, bytes(c < 0 for c in change))))
+        by_moves[move] = rise, fall
+    moved = [by_moves[move] for move in moves]
+    del by_moves
     # blocks[r]: per bit-sliced objective, its rank planes in block r.
     blocks = [[[p[r] for p in planes] for planes in ranked] for r in range(count)]
     clear = [_bit_clear(low, b) for b in range(low)]
@@ -438,11 +445,8 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
         for b, low_clear in enumerate(clear):
             step = 1 << b
             # up: the neighbour is greater in some objective; down: smaller.
-            up = down = 0
-            for by_bit in moved:
-                rise, fall = by_bit[b]
-                up |= rise[r]
-                down |= fall[r]
+            rise, fall = moved[b]
+            up, down = rise[r], fall[r]
             for planes in block:
                 differ = greater = 0
                 for p in planes:
@@ -463,11 +467,8 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
         for r in range(count):
             if r & step:
                 continue
-            up = down = 0
-            for by_bit in moved:
-                rise, fall = by_bit[low + h]
-                up |= rise[r]
-                down |= fall[r]
+            rise, fall = moved[low + h]
+            up, down = rise[r], fall[r]
             for planes, above in zip(blocks[r], blocks[r | step]):
                 differ = greater = 0
                 for p, q in zip(planes, above):
@@ -482,30 +483,8 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
             marked[r | step] |= strict & down
     # The planes and sets go before the marks are joined, which lowers the
     # peak.
-    del ranked, moved, blocks
+    del ranked, moved, blocks, rise, fall
     return (_join(marked, n) | member) ^ ((1 << (1 << n)) - 1)
-
-
-def _local_optima_by_string(evaluate, member: int, n: int) -> int:
-    """The same set as _local_optima, found by checking each non-member
-    against its n neighbours, evaluated one by one (index_evaluator): a step
-    per non-member and neighbour, against the scan's passes over the cube's
-    blocks, so it pays for a dense Pareto set. The non-members come from
-    the packed bytes of their set (_members)."""
-    if member.bit_count() == 1 << n:
-        return 0
-    packed = bytearray((1 << n) + 7 >> 3)
-    bits = [1 << b for b in range(n)]
-    # No name holds the non-members' int, so _members can drop it.
-    for i in _members(member ^ ((1 << (1 << n)) - 1), n):
-        a, b = evaluate(i)
-        for bit in bits:
-            c, d = evaluate(i ^ bit)
-            if c >= a and d >= b and (c > a or d > b):
-                break
-        else:
-            packed[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(packed, "little")
 
 
 def _members(bits: int, n: int):
@@ -598,7 +577,6 @@ def enumerate_landscape(inst: ProblemInstance) -> LandscapeReport:
 @lru_cache(maxsize=1)
 def _report(inst: ProblemInstance) -> LandscapeReport:
     n = inst.n
-    size = 1 << n
 
     # The image with its multiplicities comes from the packed ones counts of
     # image_polys, in ascending (f1, f2) order. A vector's count is the sum
@@ -616,18 +594,6 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     pairs = [(a, b) for a, v in enumerate(final1) for b, w in enumerate(final2) if (v, w) in front]
     member_bits = _statistic_pairs(inst.info.objectives, pairs, n, inst.l)
 
-    # On the grid's instances with n = 17..22, the per-string check beats
-    # the block scan on all but two with at most 1/64 of the cube outside
-    # the Pareto set, and loses on each from 1/32 to 1/8. Between them the
-    # scan won on 8 of the 10, and took 340-360 ms in all against the
-    # check's 437-465 ms; on the verification grid's seven (n <= 14),
-    # 0.83-0.92 ms against 0.96-1.04 ms. So the check takes every instance
-    # with at most 1/64 of the cube outside.
-    if size - member_bits.bit_count() <= size >> 6:
-        local_optima_bits = _local_optima_by_string(index_evaluator(inst), member_bits, n)
-    else:
-        local_optima_bits = _local_optima(objective_tables, member_bits, n)
-
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
 
     return LandscapeReport(
@@ -636,7 +602,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         levels=assignment.levels,
         vector_counts=vector_counts,
         member_bits=member_bits,
-        local_optima_bits=local_optima_bits,
+        local_optima_bits=_local_optima(objective_tables, member_bits, n),
         image_polys=polys,
     )
 

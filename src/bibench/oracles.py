@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 
-from .bitstring import BitString
+from .bitstring import MAX_LENGTH, BitString
 from .dominance import ObjectiveVector
 from .errors import ValidationError
 from .landscape import _image_levels, enumerate_landscape
@@ -307,6 +307,10 @@ def grid_instances(
         raise ValidationError(f"families must be a sequence of names, got the string {families!r}")
     if isinstance(n_values, str) or not isinstance(n_values, Sequence):
         raise ValidationError(f"n_values must be a sequence of sizes, got {n_values!r}")
+    for n in n_values:
+        # Checked before any family's rule runs over 1..n.
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_LENGTH:
+            raise ValidationError(f"sizes must be integers in [1, {MAX_LENGTH}], got {n!r}")
     wanted = FAMILY_NAMES if families is None else tuple(families)
     for name in wanted:
         if name not in FAMILY_NAMES:

@@ -152,6 +152,22 @@ def test_only_the_profile_verify_and_two_commands_enumerate():
     assert callers == {"characteristic_profile", "verify", "cmd_landscape", "cmd_figure"}
 
 
+def test_only_run_verify_and_evaluate_name_the_index_evaluator():
+    # index_evaluator maps an index to its objective pair, a Python step per
+    # string: the search evaluates its offspring, verify the strings it
+    # lists as counterexamples, and evaluate one BitString. Enumeration reads
+    # only the automata, so a per-string path cannot come back to it unseen.
+    callers = {
+        func.name
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if getattr(node, "id", getattr(node, "attr", None)) == "index_evaluator"
+    }
+    assert callers == {"run", "verify", "evaluate"}
+
+
 def test_only_enumeration_and_the_records_build_a_pareto_set():
     # One kernel, _statistic_pairs, selects every Pareto set from pairs of
     # statistics: enumeration's from those its value tables send onto the

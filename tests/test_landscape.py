@@ -37,7 +37,6 @@ from bibench.landscape import (
     _counting_steps,
     _front_shape,
     _local_optima,
-    _local_optima_by_string,
     _binary_lines,
     _members,
     _report,
@@ -607,7 +606,8 @@ class TestFlatHelpers:
     def test_dense_flood_builds_no_mask_wider_than_a_block(self):
         # ojzj:n=18,k=4's Pareto set holds 260,170 of 2^18 strings, so its
         # profile floods the four blocks of 2^16 indices, with masks over
-        # one block each.
+        # one block each. The local-optimum scan, which every Pareto set
+        # short of the whole cube takes, asks for the same 16 masks first.
         inst = parse_descriptor("ojzj:n=18,k=4")
         bit_clear = landscape._bit_clear
 
@@ -618,7 +618,7 @@ class TestFlatHelpers:
         _report.cache_clear()
         with mock.patch.object(landscape, "_bit_clear", side_effect=block_mask) as masks:
             assert characteristic_profile(inst).component_count == 3
-        assert masks.call_count == problems._SET_BITS
+        assert masks.call_count == 2 * problems._SET_BITS
         _report.cache_clear()
 
     @pytest.mark.parametrize("n", range(1, 64))
@@ -989,12 +989,15 @@ class TestMemory:
 
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "ojzj:n=18,k=4", "omzj:n=18,k=4"])
     def test_dense_path_enumeration_builds_no_byte_plane(self, descriptor):
-        # The per-string check evaluates the few non-members and their
-        # neighbours one by one, found from the packed bytes of their set:
-        # 0.4 bytes per string at n = 18. The peak, 1.43 to 1.44 on all
-        # three, is the Pareto set's selection with the cells it builds.
-        # Unpacking the non-members to a mask took ojzj and omzj to 2.3, and
-        # the objectives' byte planes took the peak to 4.0 to 4.3.
+        # omm's Pareto set is the whole cube, so the local-optimum scan
+        # returns at once; ojzj's and omzj's scan unites both counting
+        # objectives' sets per move and peaks below the Pareto set's
+        # selection. The peak, 1.43 to 1.45 on all three, is that selection
+        # with the cells it builds. Kept per objective, the scan's sets took
+        # ojzj to 1.56, and the objectives' byte planes took the peak to 4.0
+        # to 4.3. The scan's 16 block masks (_bit_clear, 8 KiB each, kept
+        # for the process) are built by the first scan at n >= 16: in a
+        # process that has run none, ojzj and omzj read 1.80 to 1.85.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._cells.cache_clear()
@@ -1237,7 +1240,7 @@ class TestBitSlicedKernels:
     ]
 
     def test_local_optima_match_the_neighbour_check(self):
-        # Both paths on every instance.
+        # The scan, alone and in the report, on every instance.
         assert len(self.KERNEL_INSTANCES) == 248 + 2
         for inst in self.KERNEL_INSTANCES:
             report = enumerate_landscape(inst)
@@ -1248,8 +1251,6 @@ class TestBitSlicedKernels:
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
             objectives = problems._objective_tables(inst)
             assert _local_optima(objectives, packed, inst.n) == expected, inst.descriptor
-            by_string = _local_optima_by_string(index_evaluator(inst), packed, inst.n)
-            assert by_string == expected, inst.descriptor
             assert report.member_bits == packed, inst.descriptor
             assert report.local_optima_bits == expected, inst.descriptor
 
@@ -1314,9 +1315,9 @@ class TestBitSlicedKernels:
         objectives = problems._objective_tables(inst)
         blocks = 1 << inst.n - problems._SET_BITS
         assert all(len(problems._cells(tables)[1]) == blocks for tables, _ in objectives)
-        scanned = _local_optima(objectives, report.member_bits, inst.n)
-        by_string = _local_optima_by_string(index_evaluator(inst), report.member_bits, inst.n)
-        assert scanned == by_string
+        vecs = list(zip(*objective_planes(inst)))
+        expected = sum(1 << i for i in naive.local_optima(vecs, naive.pareto_set(vecs)))
+        assert _local_optima(objectives, report.member_bits, inst.n) == expected
 
     def test_scan_on_blocks_of_eight_matches_the_naive_model(self):
         # Blocks of 8 indices split every cube from n = 4, so each index bit
@@ -1331,52 +1332,6 @@ class TestBitSlicedKernels:
             objectives = problems._objective_tables(inst)
             with at_span(3):
                 assert _local_optima(objectives, packed, inst.n) == expected, inst.descriptor
-
-    @pytest.mark.parametrize(
-        "descriptor, taken, refused",
-        [
-            ("ojzj:n=18,k=4", "_local_optima_by_string", "_local_optima"),
-            ("lotz:n=18", "_local_optima", "_local_optima_by_string"),
-        ],
-    )
-    def test_pareto_density_selects_the_local_optimum_path(self, descriptor, taken, refused):
-        # ojzj's Pareto set leaves 1,974 strings out; lotz's holds 19. The
-        # per-string check evaluates those strings, so no bit plane is built.
-        inst = parse_descriptor(descriptor)
-        refuse = [refused, "_select"] if taken == "_local_optima_by_string" else [refused]
-        _report.cache_clear()
-        with contextlib.ExitStack() as stack:
-            for name in refuse:
-                stack.enter_context(
-                    mock.patch.object(landscape, name, side_effect=AssertionError(name))
-                )
-            path = stack.enter_context(
-                mock.patch.object(landscape, taken, wraps=getattr(landscape, taken))
-            )
-            enumerate_landscape(inst)
-        _report.cache_clear()
-        path.assert_called_once()
-
-    @pytest.mark.parametrize("descriptor, non_members", [("ojzj:n=18,k=4", 1974), ("omm:n=18", 0)])
-    def test_per_string_check_evaluates_only_non_members_and_neighbours(
-        self, descriptor, non_members
-    ):
-        # Each non-member is evaluated, then its neighbours until one
-        # strictly dominates it: at most n + 1 calls a non-member.
-        inst = parse_descriptor(descriptor)
-        evaluate = index_evaluator(inst)
-        calls = []
-
-        def counted(i):
-            calls.append(i)
-            return evaluate(i)
-
-        _report.cache_clear()
-        with mock.patch.object(landscape, "index_evaluator", return_value=counted):
-            report = enumerate_landscape(inst)
-        _report.cache_clear()
-        assert (1 << inst.n) - report.member_bits.bit_count() == non_members
-        assert non_members <= len(calls) <= (inst.n + 1) * non_members
 
     # The member indices that _members lists from packed bytes, against
     # compress over their unpacked bits. The cases end the cube on a
@@ -1649,9 +1604,12 @@ class TestCellMemo:
 
     def test_the_grid_builds_each_automatons_cells_once(self):
         # The 191 grid instances read 49 automata of statistics and 34 of
-        # the orzr and lozr local optima; verify asks for their cells 1,324
-        # times. A change that keys the cells otherwise, resizes their cache
-        # or asks for them more often moves these counts.
+        # the orzr and lozr local optima; verify asks for their cells 1,346
+        # times. The local-optimum scan asks for both objectives' cells on
+        # every instance but the 20 whose Pareto set is the whole cube,
+        # which return before reading a cell. A change that keys the cells
+        # otherwise, resizes their cache or asks for them more often moves
+        # these counts.
         instances = grid_instances()
         statistics = {t for inst in instances for t, _ in problems._objective_tables(inst)}
         assert len(statistics) == 49
@@ -1660,17 +1618,26 @@ class TestCellMemo:
         for inst in instances:
             verify(inst)
         info = problems._cells.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1241, 83, 83)
+        assert (info.hits, info.misses, info.currsize) == (1263, 83, 83)
         # Kept values are shared by every caller, so none can be changed.
         sets, ends = problems._cells(next(iter(statistics)))
         assert type(sets) is type(ends) is tuple and type(ends[0]) is bytes
 
 
 class TestPlanesOnly:
+    # Every grid instance up to n = 12, dense Pareto sets (omm, ojzj, omzj)
+    # included.
+    INSTANCES = grid_instances(None, range(1, 13))
+
     def test_enumeration_evaluates_no_string(self, monkeypatch):
-        """On the scan path (ojzr's Pareto set leaves most strings out),
-        enumeration and the profile read only the automata: with every
-        index-level statistic raising, both still succeed."""
+        """Enumeration and the profile read only the automata: with every
+        index-level statistic raising, each instance still gives the summary
+        line and the flags of a run with the statistics in place."""
+
+        def run(inst):
+            return summary_line(enumerate_landscape(inst)), characteristic_profile(inst).flags
+
+        expected = {inst: run(inst) for inst in self.INSTANCES}
 
         def refuse(n, l):
             raise AssertionError("index-level statistic called during enumeration")
@@ -1679,11 +1646,10 @@ class TestPlanesOnly:
             monkeypatch.setitem(problems.STATISTICS, name, record._replace(index=refuse))
         problems.index_evaluator.cache_clear()
         _report.cache_clear()
-        inst = ProblemInstance("ojzr", 12, k=5, l=3)
-        assert summary_line(enumerate_landscape(inst)) == (
-            "|PS|=156 ratio=39/1024 components=120 |LO|=648"
-        )
-        assert characteristic_profile(inst).flags == (True,) * 7
+        for inst in self.INSTANCES:
+            assert run(inst) == expected[inst], inst.descriptor
+        ojzr = ProblemInstance("ojzr", 12, k=5, l=3)
+        assert expected[ojzr] == ("|PS|=156 ratio=39/1024 components=120 |LO|=648", (True,) * 7)
         _report.cache_clear()
 
     def test_local_optima_image_evaluates_no_string(self, monkeypatch):

@@ -813,6 +813,16 @@ class TestGrid:
         with pytest.raises(ValidationError, match=f"got {n_values!r}$"):
             grid_instances(None, n_values)
 
+    @pytest.mark.parametrize(
+        "families, n", [("ojzj", 6.0), ("ojzr", 10**6), ("ojzr", 10**12), ("omm", True)]
+    )
+    def test_each_size_must_be_a_valid_length(self, families, n):
+        # Unchecked, 6.0 raised a TypeError from range(1, n + 1), and ojzr's
+        # rule ran over k and l up to n before an instance was refused: for
+        # 0.07 s at 10^6, and with no end in sight at 10^12.
+        with pytest.raises(ValidationError, match=f"got {n!r}$"):
+            grid_instances((families,), (6, n))
+
     def test_family_order_is_canonical(self):
         grid = grid_instances(families=("lotz", "omm"))
         assert [inst.descriptor for inst in grid] == [
