@@ -218,7 +218,6 @@ def test_every_library_cache_is_bounded():
         "index_evaluator": 128,
         "_cells": 128,
         "_state_pair_polys": 32,
-        "_bit_clear": 136,
         "_report": 1,
     }
 

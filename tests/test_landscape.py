@@ -607,19 +607,28 @@ class TestFlatHelpers:
         # ojzj:n=18,k=4's Pareto set holds 260,170 of 2^18 strings, so its
         # profile floods the four blocks of 2^16 indices, with masks over
         # one block each. The local-optimum scan, which every Pareto set
-        # short of the whole cube takes, asks for the same 16 masks first.
+        # short of the whole cube takes, asks for the same width's masks
+        # first: two calls, each deriving the 16 masks of one block.
         inst = parse_descriptor("ojzj:n=18,k=4")
-        bit_clear = landscape._bit_clear
+        bit_clears = landscape._bit_clears
 
-        def block_mask(n, b):
+        def block_masks(n):
             assert n <= problems._SET_BITS, n
-            return bit_clear(n, b)
+            return bit_clears(n)
 
         _report.cache_clear()
-        with mock.patch.object(landscape, "_bit_clear", side_effect=block_mask) as masks:
+        with mock.patch.object(landscape, "_bit_clears", side_effect=block_masks) as masks:
             assert characteristic_profile(inst).component_count == 3
-        assert masks.call_count == 2 * problems._SET_BITS
+        assert [call.args for call in masks.call_args_list] == [(problems._SET_BITS,)] * 2
         _report.cache_clear()
+
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_bit_masks_match_the_index_bits(self, n):
+        # Each mask is derived from the one before it, from b = n - 1 down.
+        masks = list(landscape._bit_clears(n))
+        assert [b for b, _ in masks] == list(reversed(range(n)))
+        for b, mask in masks:
+            assert mask == sum(1 << i for i in range(1 << n) if not i >> b & 1), b
 
     @pytest.mark.parametrize("n", range(1, 64))
     def test_bit_reverser_matches_string_reversal(self, n, monkeypatch):
@@ -963,9 +972,10 @@ class TestMemory:
 
     @pytest.mark.parametrize("descriptor", ["ojzj:n=18,k=4", "omzj:n=18,k=4"])
     def test_dense_profile_peaks_below_one_and_a_half_bytes_per_string(self, descriptor):
-        # The component count is the peak: 1.10 to 1.13 bytes per string
+        # The component count is the peak: 0.97 to 1.01 bytes per string
         # where the bit flood takes the dense Pareto sets of ojzj and omzj
-        # block by block. The whole-cube bit flood took those to 3.1.
+        # block by block, with the 16 masks of a block, 0.47, derived in the
+        # call. The whole-cube bit flood took those to 3.1.
         inst = parse_descriptor(descriptor)
         enumerate_landscape(inst)
         assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 1.5
@@ -973,9 +983,9 @@ class TestMemory:
     @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
     def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
         # Enumeration's own peak, from no cached report, cells or image DP;
-        # the budget covers it together with the profile's. 1.4 to 3.0 bytes
-        # per string at n = 18, the top on the scan path (lotz 3.03, cocz
-        # 3.02), whose bit planes stay in blocks.
+        # the budget covers it together with the profile's. 1.4 to 2.6 bytes
+        # per string at n = 18, the top on the scan path (lotz 2.61, omtz
+        # 2.38), whose bit planes stay in blocks.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._cells.cache_clear()
@@ -991,13 +1001,14 @@ class TestMemory:
     def test_dense_path_enumeration_builds_no_byte_plane(self, descriptor):
         # omm's Pareto set is the whole cube, so the local-optimum scan
         # returns at once; ojzj's and omzj's scan unites both counting
-        # objectives' sets per move and peaks below the Pareto set's
-        # selection. The peak, 1.43 to 1.45 on all three, is that selection
-        # with the cells it builds. Kept per objective, the scan's sets took
-        # ojzj to 1.56, and the objectives' byte planes took the peak to 4.0
-        # to 4.3. The scan's 16 block masks (_bit_clear, 8 KiB each, kept
-        # for the process) are built by the first scan at n >= 16: in a
-        # process that has run none, ojzj and omzj read 1.80 to 1.85.
+        # objectives' sets per move and peaks at 1.29 to 1.34, below the
+        # Pareto set's selection. The peak, 1.43 to 1.45 on all three, is
+        # that selection with the cells it builds. Kept per objective, the
+        # scan's sets took ojzj to 1.56, and the objectives' byte planes
+        # took the peak to 4.0 to 4.3. The scan derives its block masks one
+        # at a time and keeps none, so no earlier call changes the reading;
+        # with all 16 built at once and kept for the process, a first scan
+        # read 1.78 to 1.85.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._cells.cache_clear()
