@@ -9,17 +9,17 @@ Enumeration holds a set of strings, such as the Pareto set or the local
 optima, as packed bits: an int whose bit i is set when string i is in the
 set. The stages work on such ints and on bit planes, whose bit i belongs
 to string i (bytes.translate, slicing, compress, big-int arithmetic). The
-local-optimum scan (_local_optima) and the bit flood that counts the
-components of a Pareto set holding more than 1/16 of the cube
-(_bit_component_count) work on the blocks of at most 2^16 indices that the
-automata's cells (problems._cells) and problems._split cut the cube into,
-so that their operands stay small enough for the cache; each reads the
-blocks' width from their count. The scan joins only its marks, and the
-flood visits only the blocks a component reaches. The other stages work on
-the whole cube. One stage loops in Python per string: where the Pareto set
-holds at most 1/16 of the cube, LandscapeReport.component_count floods it
-from member to member (_component_count). No stage evaluates a string: the
-image of a packed set, the local optima's
+local-optimum scan (_local_optima) works on the blocks of at most 2^16
+indices that the automata's cells (problems._cells) cut the cube into, so
+that its operands stay small enough for the cache, and reads the blocks'
+width from their count; it joins only its marks. The other stages work on
+the whole cube. LandscapeReport.component_count counts a Pareto set whose
+objectives both read one count (_one_count: omm, ojzj and omzj, and orzr,
+omzr and ojzr at l = 1) from its levels of the cube, the image DP's pairs
+of states, and touches no string. Every other Pareto set, on the grid at
+most 1/16 of the cube beyond n = 10, takes the one stage that loops in
+Python per string: a flood from member to member (_component_count). No
+stage evaluates a string: the image of a packed set, the local optima's
 (LandscapeReport.local_front_counts) or verify's claimed Pareto set's, is
 counted on the same blocks (problems._image_counts).
 
@@ -74,7 +74,7 @@ from .problems import (
     _join,
     _objective_tables,
     _select,
-    _split,
+    _state_pair_polys,
     _statistic_pairs,
     _translate,
     image_polys,
@@ -86,11 +86,12 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
 # the families at n = 24 is 38 MB, 2.4 bytes per string, on orzr (lotz
-# 37 MB), set by enumeration; the component count takes a sparse
-# Pareto set's members from its packed bytes, and floods a dense one block
-# by block (see README). The landscape command adds one span of the report
-# text at a time, written as it is listed: orzr:n=24,l=12, whose 16.6 M
-# local optima fill 99% of the cube, peaks at 37 MB, 2.3 bytes per string.
+# 37 MB), set by enumeration; the component count takes a sparse Pareto
+# set's members from its packed bytes, and counts a dense one from its
+# levels, with no pass over the cube (see README). The landscape command
+# adds one span of the report text at a time, written as it is listed:
+# orzr:n=24,l=12, whose 16.6 M local optima fill 99% of the cube, peaks at
+# 37 MB, 2.3 bytes per string.
 BYTES_PER_STRING = 24
 # The largest cap the env var may set, a stated constant: at the budget its
 # estimate is 12 GiB.
@@ -207,14 +208,31 @@ class LandscapeReport:
     @cached_property
     def component_count(self) -> int:
         """The Pareto set's connected components under Hamming-1 moves.
-        The bit flood costs a pass over each block a component reaches, per
-        sweep; the set flood costs a step per member, found from the nonzero
-        bytes of the packed set (_members). Sparse Pareto sets, with their
-        many isolated members (orzr, ojzr), take the set flood."""
-        n, members = self.n, self.member_bits
-        if members.bit_count() > (1 << n) >> 4:
-            return _bit_component_count(members, n)
-        return _component_count(set(_members(members, n)), n)
+        Where both objectives read one count (_one_count), each pair (a, b)
+        of final states is one level of the cube, the strings with a fixed
+        number of ones once the bits that count down are complemented, and
+        consecutive states a are consecutive levels. Two consecutive levels
+        are connected, and no two strings of one level are adjacent; so each
+        maximal run of two or more front-selected levels is one component,
+        and each string of a level with no selected neighbour level is one.
+        A level's size is the digit sum of its packed ones counts
+        (_state_pair_polys), their remainder modulo 2^(n + 1) - 1 as in
+        _report. Any other Pareto set is flooded from member to member
+        (_component_count), a step per member, found from the nonzero bytes
+        of the packed set (_members)."""
+        n = self.n
+        objective_tables = _objective_tables(self.instance)
+        if not _one_count(objective_tables):
+            return _component_count(set(_members(self.member_bits, n)), n)
+        (tables1, final1), (tables2, final2) = objective_tables
+        front = {v for v, _ in self.front_counts}
+        modulus = (1 << n + 1) - 1
+        sizes = {
+            a: poly % modulus
+            for (a, b), poly in _state_pair_polys(tables1, tables2)
+            if (final1[a], final2[b]) in front
+        }
+        return sum(1 if a + 1 in sizes else size for a, size in sizes.items() if a - 1 not in sizes)
 
     @cached_property
     def ones_tables(self) -> tuple[tuple[int, OnesSummary], ...]:
@@ -297,54 +315,6 @@ def _bit_clears(n: int):
         clear ^= clear << (1 << b >> 1)
 
 
-def _bit_component_count(members: int, n: int) -> int:
-    """Connected components of the Hamming-distance-1 graph on the set bits
-    of members (bit i set when index i is a member), on the blocks of 2^low
-    indices that _split cuts the cube into, the cells' blocks, with low read
-    from their count. Each component grows from its lowest member over a
-    worklist of blocks: a block is swept, one shift pair per index bit below
-    low, until a sweep adds nothing; then the strings it reached meet the
-    members at the same positions of each block that differs from it in one
-    higher index bit, and a block that grows is queued. Only the blocks a
-    component reaches are visited."""
-    blocks = _split(members, n)
-    low = n + 1 - len(blocks).bit_length()
-    clear = list(_bit_clears(low))
-    steps = [1 << h for h in range(n - low)]
-    components = 0
-    for r, block in enumerate(blocks):
-        while block:
-            components += 1
-            # grown[s]: the component's strings in block s; swept[s]: those
-            # of them already passed on to the neighbouring blocks.
-            grown, swept = {r: block & -block}, {}
-            queue = [r]
-            while queue:
-                s = queue.pop()
-                reached = grown[s]
-                if swept.get(s) == reached:
-                    continue
-                # A block stops growing once it holds all its members.
-                member, seen = blocks[s], 0
-                while reached != seen and reached != member:
-                    seen = reached
-                    for b, mask in clear:
-                        step = 1 << b
-                        reached |= ((reached & mask) << step | (reached >> step) & mask) & member
-                grown[s] = swept[s] = reached
-                for step in steps:
-                    t = s ^ step
-                    before = grown.get(t, 0)
-                    after = before | reached & blocks[t]
-                    if after != before:
-                        grown[t] = after
-                        queue.append(t)
-            for s, reached in grown.items():
-                blocks[s] ^= reached
-            block = blocks[r]
-    return components
-
-
 # _BITS[k] maps a byte to its bit k; _ZERO maps a zero byte to 128 and any
 # other to 0, and _OFFSETS[v] lists the set bits of byte v, ascending.
 # _COUNTS[c : c + len(t)] is the table that sends each state s to c + s.
@@ -372,6 +342,19 @@ def _counting_steps(tables) -> list[int] | None:
             return None
         steps.append(step)
     return steps
+
+
+def _one_count(objective_tables) -> bool:
+    """True when both objectives' automata count (_counting_steps), with
+    moves equal at every index bit or opposite at every bit: omm, ojzj and
+    omzj, and orzr, omzr and ojzr at l = 1. Complementing the bits at which
+    the first counts down then makes its final state the ones count plus a
+    constant, and the second's final state follows from the first's."""
+    (tables1, _), (tables2, _) = objective_tables
+    steps1, steps2 = _counting_steps(tables1), _counting_steps(tables2)
+    if steps1 is None or steps2 is None:
+        return False
+    return steps1 == steps2 or steps1 == [-d for d in steps2]
 
 
 def _local_optima(objective_tables, member: int, n: int) -> int:

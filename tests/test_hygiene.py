@@ -111,8 +111,8 @@ def test_only_the_search_harness_names_a_process_pool():
 
 def test_only_problems_names_the_block_span():
     # The blocks' span is decided in one place: _cells and _split cut the
-    # cube by it, and the scan and the flood take the width from the blocks
-    # they are given.
+    # cube by it, and the local-optimum scan takes the width from the blocks
+    # it is given.
     naming = [p.name for p in SOURCES if "_SET_BITS" in p.read_text(encoding="utf-8")]
     assert naming == ["problems.py"]
 

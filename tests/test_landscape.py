@@ -32,7 +32,6 @@ from bibench.landscape import (
     DEFAULT_CAP,
     MAX_CAP,
     FrontShape,
-    _bit_component_count,
     _component_count,
     _counting_steps,
     _front_shape,
@@ -590,25 +589,11 @@ class TestFlatHelpers:
         assert _component_count(flooded, n) == naive.components(members, n)
         assert not flooded
 
-    @given(cube_subsets)
-    @settings(max_examples=200)
-    def test_bit_component_count_matches_reference(self, case):
-        # Blocks of 8 and 16 indices split every cube from n = 4 and n = 5,
-        # so components also grow across blocks; at the default span no
-        # cube here is split.
-        n, members = case
-        bits = sum(1 << i for i in members)
-        expected = naive.components(members, n)
-        for set_bits in (3, 4, problems._SET_BITS):
-            with at_span(set_bits):
-                assert _bit_component_count(bits, n) == expected, set_bits
-
-    def test_dense_flood_builds_no_mask_wider_than_a_block(self):
-        # ojzj:n=18,k=4's Pareto set holds 260,170 of 2^18 strings, so its
-        # profile floods the four blocks of 2^16 indices, with masks over
-        # one block each. The local-optimum scan, which every Pareto set
-        # short of the whole cube takes, asks for the same width's masks
-        # first: two calls, each deriving the 16 masks of one block.
+    def test_dense_profile_builds_no_mask_wider_than_a_block(self):
+        # ojzj:n=18,k=4's Pareto set holds 260,170 of 2^18 strings. The
+        # local-optimum scan, which every Pareto set short of the whole cube
+        # takes, derives the 16 masks of one block of 2^16 indices, once;
+        # the component count reads the levels and builds no mask.
         inst = parse_descriptor("ojzj:n=18,k=4")
         bit_clears = landscape._bit_clears
 
@@ -619,7 +604,7 @@ class TestFlatHelpers:
         _report.cache_clear()
         with mock.patch.object(landscape, "_bit_clears", side_effect=block_masks) as masks:
             assert characteristic_profile(inst).component_count == 3
-        assert [call.args for call in masks.call_args_list] == [(problems._SET_BITS,)] * 2
+        assert [call.args for call in masks.call_args_list] == [(problems._SET_BITS,)]
         _report.cache_clear()
 
     @pytest.mark.parametrize("n", range(0, 11))
@@ -857,11 +842,7 @@ class TestLazyComponentCount:
     def test_verify_counts_no_components(self, descriptor):
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
-        with contextlib.ExitStack() as stack:
-            for name in ("_component_count", "_bit_component_count"):
-                stack.enter_context(
-                    mock.patch.object(landscape, name, side_effect=AssertionError(name))
-                )
+        with mock.patch.object(landscape, "_component_count", side_effect=AssertionError):
             render_verification(verify(inst))
         assert "component_count" not in vars(enumerate_landscape(inst))
         vecs = naive.vectors(inst)
@@ -874,6 +855,64 @@ class TestLazyComponentCount:
         assert "component_count" not in repr(report)
         assert dataclasses.replace(report) == report
         assert report.component_count == 3
+
+
+class TestComponentCountFromLevels:
+    # Every grid instance up to n = 12, dense one-count Pareto sets (omm,
+    # ojzj, omzj, and orzr, omzr and ojzr at l = 1) included.
+    INSTANCES = grid_instances(None, range(1, 13))
+
+    def test_grid_counts_match_the_reference(self):
+        assert len(self.INSTANCES) == 248
+        _report.cache_clear()
+        for inst in self.INSTANCES:
+            expected = naive.components(naive.pareto_set(naive.vectors(inst)), inst.n)
+            assert enumerate_landscape(inst).component_count == expected, inst.descriptor
+        _report.cache_clear()
+
+    def test_one_count_instances_are_those_reading_the_ones_count_alone(self):
+        # Both objectives count the ones, or the zeroes where each bit is a
+        # block, or the strings are one bit long. cocz counts too, but its
+        # second objective moves against the first on one half of the bits
+        # only, so its pairs of states are not levels of the cube.
+        one_count = [
+            inst
+            for inst in self.INSTANCES
+            if inst.family in ("omm", "ojzj", "omzj")
+            or inst.family in ("orzr", "omzr", "ojzr") and inst.l == 1
+            or inst.n == 1
+        ]
+        assert [
+            inst for inst in self.INSTANCES if landscape._one_count(problems._objective_tables(inst))
+        ] == one_count
+
+    def test_a_lone_level_counts_its_strings(self, monkeypatch):
+        # On the catalog a level with no front-selected neighbour holds 0 or
+        # n ones, a single string. Value tables that send omm:n=8's counts
+        # 2, 3 and 6 onto the front select a run, one component, and a lone
+        # level whose C(8, 6) = 28 strings are a component each.
+        table = lambda n, k, l: [int(c in (2, 3, 6)) for c in range(n + 1)]
+        for name in ("ones", "zeroes"):
+            monkeypatch.setitem(problems.OBJECTIVES, name, ("ones", table))
+        _report.cache_clear()
+        report = enumerate_landscape(ProblemInstance("omm", 8))
+        members = set(_members(report.member_bits, 8))
+        assert report.component_count == naive.components(members, 8) == 1 + 28
+        _report.cache_clear()
+
+    def test_every_dense_pareto_set_beyond_n_10_is_one_count(self):
+        # The set flood takes a Python step per member, so it is meant for
+        # Pareto sets of at most 1/16 of the cube, or for small cubes: every
+        # other Pareto set on the grid reads one count and is counted from
+        # its levels. |PS| is summed over the front of the counted image,
+        # with no cube.
+        for inst in grid_instances(None, range(11, 30)):
+            if landscape._one_count(problems._objective_tables(inst)):
+                continue
+            polys = image_polys(inst)
+            modulus = (1 << inst.n + 1) - 1
+            size = sum(polys[v] % modulus for v in nondominated_sort(polys).levels[0])
+            assert size <= 1 << inst.n - 4, (inst.descriptor, size)
 
 
 class TestLazyOnesTables:
@@ -972,13 +1011,13 @@ class TestMemory:
 
     @pytest.mark.parametrize("descriptor", ["ojzj:n=18,k=4", "omzj:n=18,k=4"])
     def test_dense_profile_peaks_below_one_and_a_half_bytes_per_string(self, descriptor):
-        # The component count is the peak: 0.97 to 1.01 bytes per string
-        # where the bit flood takes the dense Pareto sets of ojzj and omzj
-        # block by block, with the 16 masks of a block, 0.47, derived in the
-        # call. The whole-cube bit flood took those to 3.1.
+        # The component count of the dense Pareto sets of ojzj and omzj
+        # reads their levels from the image DP's pairs of states and builds
+        # nothing over the cube: 0.02 bytes per string, as on omm. A flood
+        # over the set's blocks peaked at 0.97 to 1.01.
         inst = parse_descriptor(descriptor)
         enumerate_landscape(inst)
-        assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 1.5
+        assert peak_bytes_per_string(lambda: characteristic_profile(inst), inst.n) <= 0.1
 
     @pytest.mark.parametrize("descriptor", FAMILIES_AT_18)
     def test_enumeration_peaks_below_a_third_of_the_budget(self, descriptor):
@@ -1684,9 +1723,9 @@ class TestBlockLayoutAtTheCap:
     """At the default cap the cells cut the cube into 256 blocks of 2^16
     indices, so eight index bits cross blocks. On sampled strings, 500 at
     random and both ends of every block, the Pareto set, the local optima
-    and the counted image agree with brute force; and the block flood
-    counts the components of dense Pareto sets that the record's pairs
-    decide."""
+    and the counted image agree with brute force; and the components of
+    dense Pareto sets, counted from their levels, are those that the
+    record's pairs decide."""
 
     INSTANCES = [
         "lotz:n=24", "ojzj:n=24,k=4", "omm:n=24", "cocz:n=24", "omtz:n=24",
@@ -1732,24 +1771,31 @@ class TestBlockLayoutAtTheCap:
             ("omzj:n=24,k=4", 2),
             ("omzj:n=24,k=11", 2),
             ("omm:n=24", 1),
+            ("orzr:n=24,l=1", 1),
+            ("omzr:n=24,l=1", 1),
+            ("ojzr:n=24,k=7,l=1", 2),
         ],
     )
     def test_dense_components_are_the_runs_of_ones_counts(self, monkeypatch, descriptor, runs):
-        # Both statistics are the ones count, and a flip moves it by one. The
+        # The first statistic is the ones count (at l = 1 each bit is a
+        # block), and the second is the ones count (pairs (s, s)) or the
+        # zeroes count (pairs (s, n - s)); a flip moves them by one. The
         # strings with s or s + 1 ones are connected, and those with s ones
         # alone only at s = 0 or n: so each maximal run of the pairs' ones
-        # counts here is one component. The set flood, a step per member,
-        # is too slow for millions of members; the pairs need no flood.
+        # counts here is one component. The count reads the levels; the set
+        # flood, a step per member, is too slow for millions of members,
+        # and raises here.
         monkeypatch.delenv(CAP_ENV_VAR, raising=False)
+        monkeypatch.setattr(landscape, "_component_count", mock.Mock(side_effect=AssertionError))
         inst = parse_descriptor(descriptor)
         n, pairs = inst.n, inst.info.pareto(inst.n, inst.k, inst.l)
         ones = {s for s, _ in pairs}
-        assert pairs == [(s, s) for s in sorted(ones)]
+        assert set(pairs) in ({(s, s) for s in ones}, {(s, n - s) for s in ones})
         lone = [s for s in ones if s - 1 not in ones and s + 1 not in ones]
         assert set(lone) <= {0, n}
+        _report.cache_clear()
         report = enumerate_landscape(inst)
         assert report.member_bits == inst.info.pareto_set(n, inst.k, inst.l)
-        # More than 1/16 of the cube: the block flood, across all 256 blocks.
         assert report.member_bits.bit_count() > 1 << n - 4
         assert report.component_count == sum(s - 1 not in ones for s in ones) == runs
         _report.cache_clear()
