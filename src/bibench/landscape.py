@@ -13,13 +13,19 @@ local-optimum scan (_local_optima) works on the blocks of at most 2^16
 indices that the automata's cells (problems._cells) cut the cube into, so
 that its operands stay small enough for the cache, and reads the blocks'
 width from their count; it joins only its marks. The other stages work on
-the whole cube. LandscapeReport.component_count counts a Pareto set whose
-objectives both read one count (_one_count: omm, ojzj and omzj, and orzr,
-omzr and ojzr at l = 1) from its levels of the cube, the image DP's pairs
-of states, and touches no string. Every other Pareto set, on the grid at
-most 1/16 of the cube beyond n = 10, takes the one stage that loops in
-Python per string: a flood from member to member (_component_count). No
-stage evaluates a string: the image of a packed set, the local optima's
+the whole cube.
+
+Where both objectives read one count (_one_count: omm, ojzj and omzj, and
+orzr, omzr and ojzr at l = 1), the cube falls into levels, one per pair of
+final states that the image DP reaches (_levels), and each string's
+neighbours lie in exactly the levels next to its own. There the local
+optima are the levels that neither neighbouring level dominates, selected
+from the first objective's cells with no scan (_local_optima), and
+LandscapeReport.component_count counts the Pareto set from its levels;
+neither touches a string. Every other Pareto set, on the grid at most 1/16
+of the cube beyond n = 10, takes the one stage that loops in Python per
+string: a flood from member to member (_component_count). No stage
+evaluates a string: the image of a packed set, the local optima's
 (LandscapeReport.local_front_counts) or verify's claimed Pareto set's, is
 counted on the same blocks (problems._image_counts).
 
@@ -65,7 +71,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from operator import or_
 
-from .dominance import LevelAssignment, ObjectiveVector, nondominated_sort
+from .dominance import LevelAssignment, ObjectiveVector, dominates, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
 from .problems import (
     ProblemInstance,
@@ -216,22 +222,18 @@ class LandscapeReport:
         maximal run of two or more front-selected levels is one component,
         and each string of a level with no selected neighbour level is one.
         A level's size is the digit sum of its packed ones counts
-        (_state_pair_polys), their remainder modulo 2^(n + 1) - 1 as in
+        (_levels), their remainder modulo 2^(n + 1) - 1 as in
         _report. Any other Pareto set is flooded from member to member
         (_component_count), a step per member, found from the nonzero bytes
         of the packed set (_members)."""
         n = self.n
         objective_tables = _objective_tables(self.instance)
-        if not _one_count(objective_tables):
+        if not _one_count([_counting_steps(tables) for tables, _ in objective_tables]):
             return _component_count(set(_members(self.member_bits, n)), n)
-        (tables1, final1), (tables2, final2) = objective_tables
         front = {v for v, _ in self.front_counts}
         modulus = (1 << n + 1) - 1
-        sizes = {
-            a: poly % modulus
-            for (a, b), poly in _state_pair_polys(tables1, tables2)
-            if (final1[a], final2[b]) in front
-        }
+        levels = _levels(objective_tables)
+        sizes = {a: poly % modulus for a, (v, poly) in levels.items() if v in front}
         return sum(1 if a + 1 in sizes else size for a, size in sizes.items() if a - 1 not in sizes)
 
     @cached_property
@@ -344,31 +346,60 @@ def _counting_steps(tables) -> list[int] | None:
     return steps
 
 
-def _one_count(objective_tables) -> bool:
-    """True when both objectives' automata count (_counting_steps), with
-    moves equal at every index bit or opposite at every bit: omm, ojzj and
-    omzj, and orzr, omzr and ojzr at l = 1. Complementing the bits at which
-    the first counts down then makes its final state the ones count plus a
-    constant, and the second's final state follows from the first's."""
-    (tables1, _), (tables2, _) = objective_tables
-    steps1, steps2 = _counting_steps(tables1), _counting_steps(tables2)
+def _one_count(steps) -> bool:
+    """True when both objectives' automata count, given the pair of their
+    moves per index bit (_counting_steps, None for one that does not), and
+    the moves are equal at every index bit or opposite at every bit: omm,
+    ojzj and omzj, and orzr, omzr and ojzr at l = 1. Complementing the
+    bits at which the first counts down then makes its final state the
+    ones count plus a constant, and the second's final state follows from
+    the first's."""
+    steps1, steps2 = steps
     if steps1 is None or steps2 is None:
         return False
     return steps1 == steps2 or steps1 == [-d for d in steps2]
 
 
+def _levels(objective_tables) -> dict[int, tuple[ObjectiveVector, int]]:
+    """The levels of the cube of a one-count instance (_one_count), each
+    keyed by its first final state a, as its vector and its packed ones
+    counts: the pairs (a, b) of final states that the image DP reaches
+    (problems._state_pair_polys, kept by image_polys), where b follows
+    from a."""
+    (tables1, final1), (tables2, final2) = objective_tables
+    return {
+        a: ((final1[a], final2[b]), poly) for (a, b), poly in _state_pair_polys(tables1, tables2)
+    }
+
+
 def _local_optima(objective_tables, member: int, n: int) -> int:
     """The int whose bit i is set exactly when string i is a non-global
     local optimum: not a member (bit i of member) and no neighbour strictly
-    dominates it (an equal-valued neighbour does not count).
+    dominates it (an equal-valued neighbour does not count). A Pareto set
+    that holds the whole cube leaves no string to mark, and returns before
+    any cell is read.
 
-    Block by block, in the blocks of 2^low indices of the objectives' cells
-    (problems._cells), so bit i of every int below belongs to string i of
-    its block. For index bit b below low, the strings of a block with bit b
-    clear meet their neighbours 2^b bits up; for a higher bit, block r, with
-    bit b - low of r clear, meets block r + 2^(b - low) at the same
-    positions. Per objective, two sets tell where the neighbour's value is
-    greater and where it is smaller, and they are found in one of two ways.
+    Where both objectives read one count (_one_count), the strings of one
+    level (_levels), those that end in the first automaton's final state a,
+    share one vector, and each has neighbours in exactly the reached levels
+    a - 1 and a + 1: with the bits at which the first objective counts down
+    complemented, a is the ones count plus a constant, a string with j
+    ones, 0 < j < n, reaches j - 1 by clearing a bit and j + 1 by setting
+    one, and the strings with 0 or n ones have neighbours on one side only,
+    where the other level is not reached. So the strings of a level are
+    local optima together, exactly when neither neighbouring level's
+    vector dominates its own. Those levels are selected through a table
+    over the first objective's final states (_select), joined over the
+    cube, and the members dropped; nothing is scanned.
+
+    Any other instance is scanned block by block, in the blocks of 2^low
+    indices of the objectives' cells (problems._cells), so bit i of every
+    int below belongs to string i of its block. For index bit b below low,
+    the strings of a block with bit b clear meet their neighbours 2^b bits
+    up; for a higher bit, block r, with bit b - low of r clear, meets block
+    r + 2^(b - low) at the same positions. Per objective, two sets tell
+    where the neighbour's value is greater and where it is smaller, and
+    they are found in one of two ways.
 
     A counting objective, whose automaton moves its final state by d_b when
     bit b is set (_counting_steps: the ones count, the half-mix statistic),
@@ -384,14 +415,22 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     shifted planes tell whether the two ranks differ and which is greater
     at the highest bit where they do. Ranks keep the order, which is all the
     comparison reads, in fewer planes than the values. Only the blocks'
-    marks are joined into one int over the cube. A Pareto set that holds
-    the whole cube leaves no string to mark, and returns before any cell is
-    read."""
+    marks are joined into one int over the cube."""
     if member.bit_count() == 1 << n:
         return 0
+    objective_steps = [_counting_steps(tables) for tables, _ in objective_tables]
+    if _one_count(objective_steps):
+        vectors = {a: v for a, (v, _) in _levels(objective_tables).items()}
+        table = bytearray(max(vectors) + 1)
+        # A level that is not reached has no strings; its stand-in v does
+        # not dominate v.
+        for a, v in vectors.items():
+            table[a] = not any(dominates(vectors.get(c, v), v) for c in (a - 1, a + 1))
+        selected = _join(_select(_cells(objective_tables[0][0]), table), n)
+        return (selected | member) ^ member
     ranked, counting = [], []
-    for tables, final in objective_tables:
-        cells, steps = _cells(tables), _counting_steps(tables)
+    for (tables, final), steps in zip(objective_tables, objective_steps):
+        cells = _cells(tables)
         if steps is None:
             values = sorted(set(final))
             ranks = bytes(map(values.index, final))

@@ -367,6 +367,23 @@ class TestFrontShape:
     def test_everything_else_is_linear_at_desk_scale(self, descriptor):
         assert front_shape(parse_descriptor(descriptor)) is FrontShape.LINEAR
 
+    def test_a_convex_front_is_not_classified(self):
+        # Half-mix against all-ones blocks at n = 6, l = 2, a pair of the
+        # library's objectives that no family mixes, has a front whose
+        # middle point lies above the chord of the other two: neither
+        # collinear nor bent below its upper hull, so front_shape raises
+        # (and characteristic_profile with it). No catalog instance up to
+        # n = 32 has such a front.
+        strings = [format(i, "06b") for i in range(64)]
+        vecs = [(naive.ones_then_zeroes(x, 0, 2), naive.all_ones_blocks(x, 0, 2)) for x in strings]
+        points = sorted({vecs[i] for i in naive.pareto_set(vecs)})
+        assert points == [(3, 6), (5, 4), (6, 2)]
+        assert naive.front_shape(points) is None
+        with pytest.raises(ValidationError, match="neither collinear nor concave"):
+            _front_shape(ProblemInstance("omm", 6), points)
+        shapes = Counter(front_shape(inst) for inst in grid_instances(None, range(1, 33)))
+        assert shapes == {FrontShape.LINEAR: 1582, FrontShape.NONLINEAR_CONCAVE: 190}
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 12), st.integers(0, 12)),
@@ -590,21 +607,15 @@ class TestFlatHelpers:
         assert not flooded
 
     def test_dense_profile_builds_no_mask_wider_than_a_block(self):
-        # ojzj:n=18,k=4's Pareto set holds 260,170 of 2^18 strings. The
-        # local-optimum scan, which every Pareto set short of the whole cube
-        # takes, derives the 16 masks of one block of 2^16 indices, once;
-        # the component count reads the levels and builds no mask.
+        # ojzj:n=18,k=4's Pareto set holds 260,170 of 2^18 strings. Both of
+        # its objectives read one count, so the local optima and the
+        # component count are read from the levels of the cube, and
+        # neither derives a mask; the block scan, which would, is not run.
         inst = parse_descriptor("ojzj:n=18,k=4")
-        bit_clears = landscape._bit_clears
-
-        def block_masks(n):
-            assert n <= problems._SET_BITS, n
-            return bit_clears(n)
-
         _report.cache_clear()
-        with mock.patch.object(landscape, "_bit_clears", side_effect=block_masks) as masks:
+        with mock.patch.object(landscape, "_bit_clears") as masks:
             assert characteristic_profile(inst).component_count == 3
-        assert [call.args for call in masks.call_args_list] == [(problems._SET_BITS,)]
+        masks.assert_not_called()
         _report.cache_clear()
 
     @pytest.mark.parametrize("n", range(0, 11))
@@ -857,6 +868,11 @@ class TestLazyComponentCount:
         assert report.component_count == 3
 
 
+def one_count(inst):
+    """Whether both objectives of inst read one count (landscape._one_count)."""
+    return landscape._one_count([_counting_steps(t) for t, _ in problems._objective_tables(inst)])
+
+
 class TestComponentCountFromLevels:
     # Every grid instance up to n = 12, dense one-count Pareto sets (omm,
     # ojzj, omzj, and orzr, omzr and ojzr at l = 1) included.
@@ -875,16 +891,14 @@ class TestComponentCountFromLevels:
         # block, or the strings are one bit long. cocz counts too, but its
         # second objective moves against the first on one half of the bits
         # only, so its pairs of states are not levels of the cube.
-        one_count = [
+        expected = [
             inst
             for inst in self.INSTANCES
             if inst.family in ("omm", "ojzj", "omzj")
             or inst.family in ("orzr", "omzr", "ojzr") and inst.l == 1
             or inst.n == 1
         ]
-        assert [
-            inst for inst in self.INSTANCES if landscape._one_count(problems._objective_tables(inst))
-        ] == one_count
+        assert [inst for inst in self.INSTANCES if one_count(inst)] == expected
 
     def test_a_lone_level_counts_its_strings(self, monkeypatch):
         # On the catalog a level with no front-selected neighbour holds 0 or
@@ -907,7 +921,7 @@ class TestComponentCountFromLevels:
         # its levels. |PS| is summed over the front of the counted image,
         # with no cube.
         for inst in grid_instances(None, range(11, 30)):
-            if landscape._one_count(problems._objective_tables(inst)):
+            if one_count(inst):
                 continue
             polys = image_polys(inst)
             modulus = (1 << inst.n + 1) - 1
@@ -1039,15 +1053,14 @@ class TestMemory:
     @pytest.mark.parametrize("descriptor", ["omm:n=18", "ojzj:n=18,k=4", "omzj:n=18,k=4"])
     def test_dense_path_enumeration_builds_no_byte_plane(self, descriptor):
         # omm's Pareto set is the whole cube, so the local-optimum scan
-        # returns at once; ojzj's and omzj's scan unites both counting
-        # objectives' sets per move and peaks at 1.29 to 1.34, below the
-        # Pareto set's selection. The peak, 1.43 to 1.45 on all three, is
-        # that selection with the cells it builds. Kept per objective, the
-        # scan's sets took ojzj to 1.56, and the objectives' byte planes
-        # took the peak to 4.0 to 4.3. The scan derives its block masks one
-        # at a time and keeps none, so no earlier call changes the reading;
-        # with all 16 built at once and kept for the process, a first scan
-        # read 1.78 to 1.85.
+        # returns at once. Both of ojzj's and omzj's objectives read one
+        # count, so their local optima are the levels that no neighbouring
+        # level dominates, selected from the first objective's cells and
+        # joined over the cube: 0.41 bytes per string beside the Pareto set
+        # that the report holds, where the block scan took 0.64 to 0.67.
+        # The peak, 1.43 to 1.46 on all three, is the Pareto set's
+        # selection with the cells it builds. The objectives' byte planes
+        # took it to 4.0 to 4.3.
         inst = parse_descriptor(descriptor)
         _report.cache_clear()
         problems._cells.cache_clear()
@@ -1262,8 +1275,14 @@ class TestCountingAutomata:
         # read a counting objective's moves in both directions (half-mix
         # moves by -1 on its low half, a block count at l = 1 on every bit)
         # and rank any other objective's values, whatever the table. At a
-        # span of 3 the index bits from 3 up compare whole blocks.
+        # span of 3 the index bits from 3 up compare whole blocks. Where
+        # both statistics read one count (_one_count), the local optima are
+        # read from the levels, and are checked with the Pareto set passed
+        # as the members too: no such catalog instance up to n = 18 has a
+        # local optimum outside its Pareto set, but 13 of the 14 such pairs
+        # here do.
         rng = random.Random(48)
+        nonempty = total = 0
         for n, l in ((6, 2), (8, 1), (9, 3)):
             automata = [
                 problems._step_tables(record.automaton, n, l if record.reads_l else None)
@@ -1277,9 +1296,20 @@ class TestCountingAutomata:
                     for tables, p in pair
                 ]
                 f1, f2 = (problems._translate(p, final) for (_, p), (_, final) in zip(pair, objectives))
-                expected = sum(1 << i for i in naive.local_optima(list(zip(f1, f2)), set()))
+                vecs = list(zip(f1, f2))
+                expected = sum(1 << i for i in naive.local_optima(vecs, set()))
                 with at_span(set_bits):
                     assert _local_optima(objectives, 0, n) == expected, (n, l, objectives)
+                if not landscape._one_count([_counting_steps(t) for t, _ in objectives]):
+                    continue
+                members = naive.pareto_set(vecs)
+                packed = sum(1 << i for i in members)
+                expected = sum(1 << i for i in naive.local_optima(vecs, members))
+                nonempty += expected != 0
+                total += 1
+                with at_span(set_bits):
+                    assert _local_optima(objectives, packed, n) == expected, (n, l, objectives)
+        assert (nonempty, total) == (13, 14)
 
 
 class TestBitSlicedKernels:
@@ -1349,7 +1379,15 @@ class TestBitSlicedKernels:
 
     @pytest.mark.parametrize(
         "descriptor",
-        ["lotz:n=17", "lozj:n=17,k=4", "orzr:n=18,l=3", "ojzr:n=18,k=7,l=3", "cocz:n=18"],
+        [
+            "lotz:n=17",
+            "lozj:n=17,k=4",
+            "orzr:n=18,l=3",
+            "ojzr:n=18,k=7,l=3",
+            "cocz:n=18",
+            "omzj:n=18,k=4",
+            "ojzr:n=18,k=7,l=1",
+        ],
     )
     def test_scan_on_a_split_cube_matches_the_neighbour_check(self, descriptor):
         # At the default span a cube of 2^17 strings is two blocks and one
@@ -1360,6 +1398,8 @@ class TestBitSlicedKernels:
         # orzr:n=18's have one only in another block. ojzr puts a counting
         # objective beside a ranked block count, and cocz's half-mix moves
         # by -1 on the low half and +1 on the high, where the blocks meet.
+        # omzj and ojzr at l = 1 read one count, so their levels are
+        # selected per block and the four blocks joined.
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
         objectives = problems._objective_tables(inst)
@@ -1625,9 +1665,11 @@ class TestImageMemo:
     def test_the_grid_reads_each_pair_of_automata_once_it_is_kept(self):
         # The 191 grid instances read 71 distinct pairs of step tables. At
         # maxsize 32, verify in grid order finds 103 of its 191 images kept
-        # (93 at 16, 120 at 64, where the misses fall to the 71 pairs). A
-        # change that keys the memo otherwise, resizes it or runs the DP more
-        # often moves these counts.
+        # (93 at 16, 120 at 64, where the misses fall to the 71 pairs). The
+        # local-optimum levels of the 50 one-count instances whose Pareto
+        # set is not the whole cube read the pair their image has just kept,
+        # 50 hits more. A change that keys the memo otherwise, resizes it or
+        # runs the DP more often moves these counts.
         instances = grid_instances()
         pairs = {tuple(t for t, _ in problems._objective_tables(i)) for i in instances}
         assert (len(instances), len(pairs)) == (191, 71)
@@ -1636,7 +1678,7 @@ class TestImageMemo:
         for inst in instances:
             verify(inst)
         info = problems._state_pair_polys.cache_info()
-        assert (info.hits, info.misses) == (103, 88)
+        assert (info.hits, info.misses) == (153, 88)
 
 
 class TestCellMemo:
@@ -1654,12 +1696,13 @@ class TestCellMemo:
 
     def test_the_grid_builds_each_automatons_cells_once(self):
         # The 191 grid instances read 49 automata of statistics and 34 of
-        # the orzr and lozr local optima; verify asks for their cells 1,346
+        # the orzr and lozr local optima; verify asks for their cells 1,296
         # times. The local-optimum scan asks for both objectives' cells on
-        # every instance but the 20 whose Pareto set is the whole cube,
-        # which return before reading a cell. A change that keys the cells
-        # otherwise, resizes their cache or asks for them more often moves
-        # these counts.
+        # every instance but the 70 one-count ones (_one_count): the 20
+        # whose Pareto set is the whole cube return before reading a cell,
+        # and the other 50 select their levels from the first objective's
+        # cells alone. A change that keys the cells otherwise, resizes their
+        # cache or asks for them more often moves these counts.
         instances = grid_instances()
         statistics = {t for inst in instances for t, _ in problems._objective_tables(inst)}
         assert len(statistics) == 49
@@ -1668,7 +1711,7 @@ class TestCellMemo:
         for inst in instances:
             verify(inst)
         info = problems._cells.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1263, 83, 83)
+        assert (info.hits, info.misses, info.currsize) == (1213, 83, 83)
         # Kept values are shared by every caller, so none can be changed.
         sets, ends = problems._cells(next(iter(statistics)))
         assert type(sets) is type(ends) is tuple and type(ends[0]) is bytes
