@@ -21,22 +21,17 @@ from .landscape import (
     is_fully_separable,
     is_symmetric_pair,
 )
-from .oracles import (
-    VerificationReport,
-    claimed_front_tuples,
-    grid_instances,
-    ojzj_asymptote,
-    ojzj_threshold_k,
-    ratio_ojzj,
-    ratio_ojzr,
-    verify,
-)
+from .oracles import VerificationReport, claimed_front_tuples, grid_instances, verify
 from .problems import (
     FamilyInfo,
     ProblemInstance,
     evaluate,
     family_catalog,
+    ojzj_asymptote,
+    ojzj_threshold_k,
     parse_descriptor,
+    ratio_ojzj,
+    ratio_ojzr,
 )
 
 __version__ = "0.1.0"

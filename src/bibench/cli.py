@@ -17,18 +17,11 @@ from .bitstring import BitString
 from .errors import DomainError, ValidationError
 from .evolve import MAX_SEEDS, RunConfig, Target, hitting_time_experiment, render_experiment
 from .landscape import LandscapeReport, _report_pieces, enumerate_landscape, summary_line
-from .oracles import (
-    DEFAULT_GRID_SIZES,
-    grid_instances,
-    ojzj_threshold_k,
-    ojzr_bound,
-    ojzr_within_bound,
-    ratio_ojzj,
-    ratio_ojzr,
-    render_verification,
-    verify,
-)
+from .oracles import DEFAULT_GRID_SIZES, grid_instances, render_verification, verify
 from .problems import FAMILY_NAMES, evaluate, family_catalog, parse_descriptor
+
+# The families whose record has a Pareto-share formula, by name.
+_RATIO_FAMILIES = {info.name: info for info in family_catalog() if info.ratio_lines}
 
 
 @dataclass(frozen=True)
@@ -219,26 +212,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    if args.ratio_family == "ojzj":
-        if args.l is not None:
-            raise ValidationError("ojzj takes no --l")
-        ratio = ratio_ojzj(args.n, args.k)
-        print(f"ratio = {ratio.numerator}/{ratio.denominator} ({float(ratio):.6f})")
-        print(f"threshold_k = {ojzj_threshold_k(args.n)}")
-        print(f"ratio >= 1/2: {'true' if ratio >= Fraction(1, 2) else 'false'}")
-        return 0
-    if args.l is None:
-        raise ValidationError("ojzr needs --l")
-    ratio = ratio_ojzr(args.n, args.k, args.l)
-    print(f"ratio = {ratio.numerator}/{ratio.denominator} ({float(ratio):.6f})")
-    if args.l > 2:
-        _, doubled = ojzr_bound(args.n, args.l)
-        shown = (
-            f"2^({doubled // 2})" if doubled % 2 == 0 else f"2^({doubled}/2)"
-        )
-        print(f"bound = {shown} ({2.0 ** (doubled / 2):.6f})")
-        within = ojzr_within_bound(args.n, args.k, args.l)
-        print(f"within_bound: {'true' if within else 'false'}")
+    info = _RATIO_FAMILIES[args.ratio_family]
+    if ("l" in info.params) != (args.l is not None):
+        raise ValidationError(f"{info.name} {'takes no' if args.l is not None else 'needs'} --l")
+    for line in info.ratio_lines(args.n, args.k, args.l):
+        print(line)
     return 0
 
 
@@ -300,7 +278,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ratio", help="exact Pareto-share formulas")
-    p.add_argument("ratio_family", metavar="family", choices=("ojzj", "ojzr"))
+    p.add_argument("ratio_family", metavar="family", choices=tuple(_RATIO_FAMILIES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int)

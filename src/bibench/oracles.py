@@ -1,19 +1,15 @@
 """Closed-form predictions for each family and their verification.
 
-Every closed form here is a claim under test: brute-force enumeration is
-always the ground truth, and verify() compares the two, reporting concrete
-counterexamples for any difference. Claims for the ojzr family are
-informational (their derivations assume block length below the gap, which
-not every valid instance satisfies); all other families' claims must match.
+Every closed form of a family record is a claim under test: brute-force
+enumeration is always the ground truth, and verify() compares the two,
+reporting concrete counterexamples for any difference. A claim must match
+when the record's closed forms are exact, and is informational otherwise.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import ROUND_FLOOR, Context, Decimal, localcontext
-from fractions import Fraction
 
 from .bitstring import MAX_LENGTH, BitString
 from .dominance import ObjectiveVector
@@ -30,14 +26,6 @@ from .problems import (
 
 DEFAULT_GRID_SIZES = (6, 8, 10, 12, 14)
 
-# Bounds the ratio formulas' cost and the digits of the printed fractions,
-# which must stay below Python's int-to-str limit.
-MAX_RATIO_N = 4096
-
-# The decimal digits ojzj_threshold_k computes in, and ln 4 at them, once.
-_PRECISION = 60
-_LN4 = Decimal(4).ln(Context(prec=_PRECISION))
-
 # Counterexamples shown per direction of each set claim.
 MAX_COUNTEREXAMPLES = 5
 
@@ -50,98 +38,6 @@ def claimed_front_tuples(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
     and an unshifted special point); verify() surfaces any such difference.
     """
     return tuple(sorted(inst.info.front(inst.n, inst.k, inst.l)))
-
-
-def ratio_ojzj(n: int, k: int) -> Fraction:
-    """Exact Pareto-set share of the search space for the ojzj family."""
-    _check_ratio_params(n, k)
-    if not (1 <= k and 2 * k < n):
-        raise ValidationError(f"ratio_ojzj needs 1 <= k < n/2, got n={n} k={k}")
-    inner = sum(math.comb(n, s) for s in range(n - k + 1, n))
-    return Fraction((1 << n) - 2 * inner, 1 << n)
-
-
-def _check_ratio_params(n: int, *params: int) -> None:
-    for value in (n, *params):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValidationError(f"ratio parameters must be ints, got {value!r}")
-    if not 1 <= n <= MAX_RATIO_N:
-        raise ValidationError(f"n must be in [1, {MAX_RATIO_N}], got {n}")
-
-
-def ojzj_threshold_k(n: int) -> int:
-    """Largest gap for which the ojzj Pareto share is guaranteed >= 1/2:
-    floor(n/2 - sqrt(n ln(4) / 2)), with the floor certified exact.
-
-    Computed in 60-digit decimal arithmetic with an interval pad; if the two
-    interval ends floored differently the value would be numerically
-    ambiguous and an error is raised instead of guessing.
-    """
-    _check_ratio_params(n)
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        value = Decimal(n) / 2 - (Decimal(n) * _LN4 / 2).sqrt()
-        pad = Decimal(10) ** -45
-        lo = (value - pad).to_integral_value(rounding=ROUND_FLOOR)
-        hi = (value + pad).to_integral_value(rounding=ROUND_FLOOR)
-    if lo != hi:
-        raise ValidationError(f"threshold floor numerically ambiguous for n={n}")
-    return int(lo)
-
-
-def ojzj_asymptote(n: int) -> float:
-    """Limiting Pareto share at the widest interesting gap, by parity of n."""
-    _check_ratio_params(n)
-    factor = 3.0 if n % 2 == 0 else 4.0
-    return factor * math.sqrt(2.0) / math.sqrt(math.pi * n)
-
-
-def ratio_ojzr(n: int, k: int, l: int) -> Fraction:
-    """Exact value of the printed ojzr Pareto-share formula.
-
-    Preconditions follow the formula's stated domain: 1 < k < floor(n/2),
-    l divides n with at least two blocks, and n - k is not a multiple of l.
-    The formula counts the closed-form Pareto set, which only matches
-    enumeration when l < k; verify() reports the difference elsewhere.
-    """
-    _check_ratio_params(n, k, l)
-    if not 1 < k < n // 2:
-        raise ValidationError(f"ratio_ojzr needs 1 < k < floor(n/2), got n={n} k={k}")
-    if l < 1 or n % l or n // l < 2:
-        raise ValidationError(f"ratio_ojzr needs l dividing n with n/l > 1, got n={n} l={l}")
-    if (n - k) % l == 0:
-        raise ValidationError(
-            f"ratio_ojzr needs n - k not divisible by l, got n={n} k={k} l={l}"
-        )
-    b = n // l
-    p = k // l
-    ceil_kl = -(-k // l)
-    count = 1 + sum(math.comb(b, i) for i in range(ceil_kl, b + 1))
-    count += math.comb(b, p) * math.comb(n - p * l, n - k)
-    return Fraction(count, 1 << n)
-
-
-def ojzr_bound(n: int, l: int) -> tuple[Fraction, int]:
-    """The bound 2^(-1 + n(1/l - 1/2)) as (squared value, doubled exponent).
-
-    The exponent -1 + n(1/l - 1/2) need not be an integer, but its double is
-    once l divides n, so comparisons against the bound square both sides.
-    """
-    _check_ratio_params(n, l)
-    if l < 1 or n % l:
-        raise ValidationError(f"bound needs l dividing n, got n={n} l={l}")
-    doubled = -2 + (n // l) * (2 - l)
-    squared = Fraction(1 << doubled, 1) if doubled >= 0 else Fraction(1, 1 << -doubled)
-    return squared, doubled
-
-
-def ojzr_within_bound(n: int, k: int, l: int) -> bool:
-    """Exact check of ratio_ojzr(n,k,l) <= 2^(-1 + n(1/l - 1/2)); needs l > 2."""
-    if l <= 2:
-        raise ValidationError(f"the bound applies for l > 2, got l={l}")
-    ratio = ratio_ojzr(n, k, l)
-    squared, _ = ojzr_bound(n, l)
-    return ratio * ratio <= squared
 
 
 def reference_front(inst: ProblemInstance) -> tuple[ObjectiveVector, ...]:
@@ -250,43 +146,10 @@ def verify(inst: ProblemInstance) -> VerificationReport:
         ),
     ]
 
-    if inst.family == "ojzj":
-        formula = ratio_ojzj(n, inst.k)
-        claims.append(
-            ClaimResult(
-                "ratio_formula",
-                True,
-                formula == report.ratio,
-                f"formula={formula} enumerated={report.ratio}",
-                (),
-            )
-        )
-        threshold = ojzj_threshold_k(n)
-        guaranteed = inst.k <= threshold
-        claims.append(
-            ClaimResult(
-                "ratio_threshold",
-                True,
-                (not guaranteed) or report.ratio >= Fraction(1, 2),
-                f"threshold_k={threshold} k={inst.k} ratio={report.ratio}",
-                (),
-            )
-        )
-    if inst.family == "ojzr":
-        try:
-            formula = ratio_ojzr(n, inst.k, inst.l)
-        except ValidationError:
-            formula = None
-        if formula is not None:
-            claims.append(
-                ClaimResult(
-                    "ratio_formula",
-                    False,
-                    formula == report.ratio,
-                    f"formula={formula} enumerated={report.ratio}",
-                    (),
-                )
-            )
+    claims += (
+        ClaimResult(name, must, matched, detail, ())
+        for name, matched, detail in inst.info.ratio_claims(n, inst.k, inst.l, report.ratio)
+    )
 
     notes = []
     if any(name in JUMP_OBJECTIVES for name in inst.info.objectives):

@@ -1,20 +1,24 @@
 """Bi-objective problem families, their instances, and evaluation.
 
 Each family composes two scalar objectives into a maximized pair and is
-defined by one record in the catalog: its objectives, parameter rule and
-closed forms. Instances are value objects, checked when built; a compact
-text descriptor ("ojzr:n=12,k=5,l=3") names an instance uniquely and
-round-trips through parse_descriptor/descriptor.
+defined by one record in the catalog: its objectives, parameter rule,
+closed forms and claims on its Pareto-set share. Instances are value
+objects, checked when built; a compact text descriptor ("ojzr:n=12,k=5,l=3")
+names an instance uniquely and round-trips through
+parse_descriptor/descriptor.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR, Context, Decimal, localcontext
+from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import compress
 from operator import or_
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .bitstring import MAX_LENGTH, BitString
 from .dominance import ObjectiveVector
@@ -338,6 +342,144 @@ def _ojzr_pareto(n, k, l):
     return pairs + [(n - k, k // l)]
 
 
+# Bounds the ratio formulas' cost and the digits of the printed fractions,
+# which must stay below Python's int-to-str limit.
+MAX_RATIO_N = 4096
+
+# The decimal digits ojzj_threshold_k computes in, and ln 4 at them, once.
+_PRECISION = 60
+_LN4 = Decimal(4).ln(Context(prec=_PRECISION))
+
+def ratio_ojzj(n: int, k: int) -> Fraction:
+    """Exact Pareto-set share of the search space for the ojzj family."""
+    _check_ratio_params(n, k)
+    if not (1 <= k and 2 * k < n):
+        raise ValidationError(f"ratio_ojzj needs 1 <= k < n/2, got n={n} k={k}")
+    inner = sum(math.comb(n, s) for s in range(n - k + 1, n))
+    return Fraction((1 << n) - 2 * inner, 1 << n)
+
+
+def _check_ratio_params(n: int, *params: int) -> None:
+    for value in (n, *params):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"ratio parameters must be ints, got {value!r}")
+    if not 1 <= n <= MAX_RATIO_N:
+        raise ValidationError(f"n must be in [1, {MAX_RATIO_N}], got {n}")
+
+
+def ojzj_threshold_k(n: int) -> int:
+    """Largest gap for which the ojzj Pareto share is guaranteed >= 1/2:
+    floor(n/2 - sqrt(n ln(4) / 2)), with the floor certified exact.
+
+    Computed in 60-digit decimal arithmetic with an interval pad; if the two
+    interval ends floored differently the value would be numerically
+    ambiguous and an error is raised instead of guessing.
+    """
+    _check_ratio_params(n)
+    with localcontext() as ctx:
+        ctx.prec = _PRECISION
+        value = Decimal(n) / 2 - (Decimal(n) * _LN4 / 2).sqrt()
+        pad = Decimal(10) ** -45
+        lo = (value - pad).to_integral_value(rounding=ROUND_FLOOR)
+        hi = (value + pad).to_integral_value(rounding=ROUND_FLOOR)
+    if lo != hi:
+        raise ValidationError(f"threshold floor numerically ambiguous for n={n}")
+    return int(lo)
+
+
+def ojzj_asymptote(n: int) -> float:
+    """Limiting Pareto share at the widest interesting gap, by parity of n."""
+    _check_ratio_params(n)
+    factor = 3.0 if n % 2 == 0 else 4.0
+    return factor * math.sqrt(2.0) / math.sqrt(math.pi * n)
+
+
+def ratio_ojzr(n: int, k: int, l: int) -> Fraction:
+    """Exact value of the printed ojzr Pareto-share formula.
+
+    Preconditions follow the formula's stated domain: 1 < k < floor(n/2),
+    l divides n with at least two blocks, and n - k is not a multiple of l.
+    The formula counts the closed-form Pareto set, which only matches
+    enumeration when l < k; verify() reports the difference elsewhere.
+    """
+    _check_ratio_params(n, k, l)
+    if not 1 < k < n // 2:
+        raise ValidationError(f"ratio_ojzr needs 1 < k < floor(n/2), got n={n} k={k}")
+    if l < 1 or n % l or n // l < 2:
+        raise ValidationError(f"ratio_ojzr needs l dividing n with n/l > 1, got n={n} l={l}")
+    if (n - k) % l == 0:
+        raise ValidationError(
+            f"ratio_ojzr needs n - k not divisible by l, got n={n} k={k} l={l}"
+        )
+    b = n // l
+    p = k // l
+    ceil_kl = -(-k // l)
+    count = 1 + sum(math.comb(b, i) for i in range(ceil_kl, b + 1))
+    count += math.comb(b, p) * math.comb(n - p * l, n - k)
+    return Fraction(count, 1 << n)
+
+
+def ojzr_bound(n: int, l: int) -> tuple[Fraction, int]:
+    """The bound 2^(-1 + n(1/l - 1/2)) as (squared value, doubled exponent).
+
+    The exponent -1 + n(1/l - 1/2) need not be an integer, but its double is
+    once l divides n, so comparisons against the bound square both sides.
+    """
+    _check_ratio_params(n, l)
+    if l < 1 or n % l:
+        raise ValidationError(f"bound needs l dividing n, got n={n} l={l}")
+    doubled = -2 + (n // l) * (2 - l)
+    squared = Fraction(1 << doubled, 1) if doubled >= 0 else Fraction(1, 1 << -doubled)
+    return squared, doubled
+
+
+def ojzr_within_bound(n: int, k: int, l: int) -> bool:
+    """Exact check of ratio_ojzr(n,k,l) <= 2^(-1 + n(1/l - 1/2)); needs l > 2."""
+    if l <= 2:
+        raise ValidationError(f"the bound applies for l > 2, got l={l}")
+    ratio = ratio_ojzr(n, k, l)
+    squared, _ = ojzr_bound(n, l)
+    return ratio * ratio <= squared
+
+
+def _share_line(ratio: Fraction) -> str:
+    return f"ratio = {ratio.numerator}/{ratio.denominator} ({float(ratio):.6f})"
+
+
+def _ojzj_claims(n, k, l, ratio):
+    formula = ratio_ojzj(n, k)
+    yield "ratio_formula", formula == ratio, f"formula={formula} enumerated={ratio}"
+    threshold = ojzj_threshold_k(n)
+    matched = k > threshold or ratio >= Fraction(1, 2)
+    yield "ratio_threshold", matched, f"threshold_k={threshold} k={k} ratio={ratio}"
+
+
+def _ojzj_lines(n, k, l):
+    ratio = ratio_ojzj(n, k)
+    yield _share_line(ratio)
+    yield f"threshold_k = {ojzj_threshold_k(n)}"
+    yield f"ratio >= 1/2: {'true' if ratio >= Fraction(1, 2) else 'false'}"
+
+
+def _ojzr_claims(n, k, l, ratio):
+    # The formula's stated domain is narrower than the family's rule; outside
+    # it there is no claim.
+    try:
+        formula = ratio_ojzr(n, k, l)
+    except ValidationError:
+        return
+    yield "ratio_formula", formula == ratio, f"formula={formula} enumerated={ratio}"
+
+
+def _ojzr_lines(n, k, l):
+    yield _share_line(ratio_ojzr(n, k, l))
+    if l > 2:
+        _, doubled = ojzr_bound(n, l)
+        shown = f"2^({doubled // 2})" if doubled % 2 == 0 else f"2^({doubled}/2)"
+        yield f"bound = {shown} ({2.0 ** (doubled / 2):.6f})"
+        yield f"within_bound: {'true' if ojzr_within_bound(n, k, l) else 'false'}"
+
+
 @dataclass(frozen=True, slots=True)
 class FamilyInfo:
     """One family, defined in one place.
@@ -350,6 +492,13 @@ class FamilyInfo:
     bit i is set when the string with index i is in the set, as pareto_set
     builds from the pairs; `front` gives the front as printed. They are
     exact oracles unless `exact` is False.
+
+    `ratio_claims(n, k, l, ratio)` yields the family's claims on the
+    Pareto-set share `ratio` that enumeration counted, as (name, matched,
+    detail) triples, must-match exactly when the closed forms are exact; it
+    yields none by default. `ratio_lines(n, k, l)` yields the lines that
+    `bibench ratio` prints for the family's share formula, and is None for a
+    family that has none.
     """
 
     name: str
@@ -361,6 +510,8 @@ class FamilyInfo:
     rule: Callable[..., str | None] = lambda n, k, l: None
     local_optima: Callable[..., int] = lambda n, k, l: 0
     exact: bool = True
+    ratio_claims: Callable[..., Iterable[tuple[str, bool, str]]] = lambda n, k, l, ratio: ()
+    ratio_lines: Callable[..., Iterable[str]] | None = None
 
     def pareto_set(self, n: int, k: int | None, l: int | None) -> int:
         """The strings of the pairs of `pareto`, as packed bits."""
@@ -377,7 +528,8 @@ _CATALOG = (
                rule=lambda n, k, l: None if 1 <= k and 2 * k < n else "requires 1 <= k < n/2",
                pareto=lambda n, k, l: [(s, s) for s in (0, *range(k, n - k + 1), n)],
                front=lambda n, k, l: {(k, n + k), (n + k, k)}
-               | {(k + s, n + k - s) for s in range(k, n - k + 1)}),
+               | {(k + s, n + k - s) for s in range(k, n - k + 1)},
+               ratio_claims=_ojzj_claims, ratio_lines=_ojzj_lines),
     # First half all ones: ones plus the mixed count, 2 (first-half ones) + n/2, is 3n/2.
     FamilyInfo("cocz", ("ones", "ones in first half plus zeroes in second half"), (), "n even",
                rule=lambda n, k, l: "n must be even" if n % 2 else None,
@@ -418,6 +570,7 @@ _CATALOG = (
                rule=lambda n, k, l: _block_length(n, k, l) if 1 < k and 2 * k <= n
                else "requires 1 < k <= floor(n/2)",
                pareto=_ojzr_pareto, front=_ojzr_front, exact=False,
+               ratio_claims=_ojzr_claims, ratio_lines=_ojzr_lines,
                local_optima=lambda n, k, l: _statistic_pairs(
                    ("one-jump", "all-zeroes blocks"), [(n - k, z) for z in range(k // l)], n, l)),
 )

@@ -21,17 +21,17 @@ from bibench.landscape import (
     enumerate_landscape,
     front_shape,
 )
-from bibench.oracles import (
-    grid_instances,
+from bibench.oracles import grid_instances, verify
+from bibench.problems import (
+    ProblemInstance,
     ojzj_asymptote,
     ojzj_threshold_k,
     ojzr_bound,
     ojzr_within_bound,
+    parse_descriptor,
     ratio_ojzj,
     ratio_ojzr,
-    verify,
 )
-from bibench.problems import ProblemInstance, parse_descriptor
 
 
 @contextmanager

@@ -4,11 +4,11 @@ top-level name of the package is referenced somewhere in it, no
 top-level name is defined in two modules of the package, only the search
 harness starts worker processes, only the profile, verify and the
 landscape and figure commands enumerate the cube, only enumeration and
-the family records build a Pareto set, only problems.py names the blocks'
-span and only the tests' span helper changes it, every library cache is
-bounded, the naive model in tests/naive.py is independent of the package
-and wholly used by the tests, and every module parses as the oldest Python
-that pyproject.toml admits."""
+the family records build a Pareto set, only problems.py names a family or
+the blocks' span and only the tests' span helper changes the span, every
+library cache is bounded, the naive model in tests/naive.py is independent
+of the package and wholly used by the tests, and every module parses as the
+oldest Python that pyproject.toml admits."""
 
 import ast
 import re
@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from bibench.problems import FAMILY_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 # A package __init__ imports names to export them, so it is not scanned.
@@ -115,6 +117,23 @@ def test_only_problems_names_the_block_span():
     # it is given.
     naming = [p.name for p in SOURCES if "_SET_BITS" in p.read_text(encoding="utf-8")]
     assert naming == ["problems.py"]
+
+
+def test_only_problems_names_a_family():
+    # Each family is defined in one place, its record: a module that held a
+    # family's name, or compared an instance's family, could give that
+    # family claims or rules apart from the record.
+    naming = set()
+    for path in SOURCES:
+        if path.name != "problems.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Constant) and node.value in FAMILY_NAMES:
+                    naming.add((path.name, node.value))
+                elif isinstance(node, ast.Compare):
+                    operands = [node.left, *node.comparators]
+                    if any(getattr(x, "attr", None) == "family" for x in operands):
+                        naming.add((path.name, "family comparison"))
+    assert naming == set()
 
 
 def test_only_the_span_helper_changes_the_span():

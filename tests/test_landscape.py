@@ -1487,6 +1487,103 @@ class TestBruteForceCrossCheck:
         ] == naive.ones_tables(vecs)
 
 
+# The naive model's function for each of the library's objectives.
+NAIVE_OBJECTIVES = {
+    "ones": naive.ones,
+    "zeroes": naive.zeroes,
+    "leading ones": naive.leading_ones,
+    "trailing zeroes": naive.trailing_zeroes,
+    "one-jump": naive.one_jump,
+    "zero-jump": naive.zero_jump,
+    "ones in first half plus zeroes in second half": naive.ones_then_zeroes,
+    "all-ones blocks": naive.all_ones_blocks,
+    "all-zeroes blocks": naive.all_zeroes_blocks,
+}
+
+
+@contextlib.contextmanager
+def mixed_pairs(sizes):
+    """Inside the with statement, every ordered pair of the objectives is a
+    family, registered as a record and in naive.FAMILIES, and the valid
+    instances of all of them on the sizes are yielded. A pair takes k with a
+    jump and l with a block count, under the catalog's rules: ojzj's on k,
+    the block families' on l and cocz's even n with the half-mix. Its
+    closed forms are empty."""
+    catalog = {info.name: info for info in problems.family_catalog()}
+    records, models, instances = {}, {}, []
+    for pair in product(problems.OBJECTIVES, repeat=2):
+        jump = any(name in problems.JUMP_OBJECTIVES for name in pair)
+        blocks = any(name.endswith("blocks") for name in pair)
+        half = "ones in first half plus zeroes in second half" in pair
+        params = ("k",) * jump + ("l",) * blocks
+        rules = [
+            catalog[family].rule
+            for family, wanted in (("ojzj", jump), ("orzr", blocks), ("cocz", half))
+            if wanted
+        ]
+        name = " x ".join(pair)
+        records[name] = problems.FamilyInfo(
+            name, pair, params, "the catalog's rules",
+            pareto=lambda n, k, l: [], front=lambda n, k, l: set(),
+            rule=lambda n, k, l, rules=rules: next(
+                (why for why in (rule(n, k, l) for rule in rules) if why), None
+            ),
+        )
+        models[name] = tuple(NAIVE_OBJECTIVES[objective] for objective in pair)
+        for n in sizes:
+            ks = range(1, n + 1) if "k" in params else (None,)
+            ls = range(1, n + 1) if "l" in params else (None,)
+            instances.extend(
+                (name, n, k, l) for k in ks for l in ls if records[name].rule(n, k, l) is None
+            )
+    with mock.patch.dict(problems._BY_NAME, records), mock.patch.dict(naive.FAMILIES, models):
+        yield [ProblemInstance(*args) for args in instances]
+
+
+class TestMixAndMatchPairs:
+    """The paper builds new functions by mixing and matching single
+    objectives; the engine is general over pairs of automata, so every
+    ordered pair of the nine objectives is checked against naive.py."""
+
+    def test_every_pair_matches_the_naive_model(self):
+        convex = set()
+        with mixed_pairs(range(1, 9)) as instances:
+            assert len(instances) == 888
+            for inst in instances:
+                n, where = inst.n, inst.descriptor
+                vecs = naive.vectors(inst)
+                pareto = naive.pareto_set(vecs)
+                rep = enumerate_landscape(inst)
+                assert list(rep.pareto_set_indices) == sorted(pareto), where
+                assert list(rep.local_optima_indices) == sorted(
+                    naive.local_optima(vecs, pareto)
+                ), where
+                assert rep.component_count == naive.components(pareto, n), where
+                assert rep.levels == tuple(
+                    tuple(sorted(level, reverse=True)) for level in naive.levels(vecs)
+                ), where
+                f1, f2 = (bytes(v[objective] for v in vecs) for objective in (0, 1))
+                assert is_symmetric_pair(inst) == (naive.mirror(f1[::-1], n) == f2), where
+                for objective, plane in enumerate((f1, f2), 1):
+                    separable = naive.separability(plane, n) is None
+                    assert is_fully_separable(inst, objective) is separable, (where, objective)
+                shape = naive.front_shape(sorted({vecs[i] for i in pareto}))
+                if shape is None:
+                    convex.add((inst.info.objectives, n, inst.l))
+                    with pytest.raises(ValidationError, match="neither collinear nor concave"):
+                        front_shape(inst)
+                else:
+                    assert front_shape(inst).value == shape, where
+        # The convex fronts are the half-mix against a block count, both
+        # ways round, at n = 6, l = 2: front_shape raises on them.
+        half = "ones in first half plus zeroes in second half"
+        assert convex == {
+            (pair, 6, 2)
+            for blocks in ("all-ones blocks", "all-zeroes blocks")
+            for pair in ((half, blocks), (blocks, half))
+        }
+
+
 small_instances = st.sampled_from(grid_instances(n_values=range(1, 11)))
 
 

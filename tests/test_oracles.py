@@ -17,29 +17,29 @@ from bibench import problems
 from bibench.errors import ValidationError
 from bibench.landscape import BYTES_PER_STRING, _image_levels, enumerate_landscape
 from bibench.oracles import (
-    MAX_RATIO_N,
     ClaimResult,
     VerificationReport,
     _bits_claim,
     claimed_front_tuples,
     grid_instances,
-    ojzj_asymptote,
-    ojzj_threshold_k,
-    ojzr_bound,
-    ojzr_within_bound,
-    ratio_ojzj,
-    ratio_ojzr,
     reference_front,
     render_verification,
     verify,
 )
 from bibench.problems import (
     FAMILY_NAMES,
+    MAX_RATIO_N,
     STATISTICS,
     ProblemInstance,
     _orzr_move,
     index_evaluator,
+    ojzj_asymptote,
+    ojzj_threshold_k,
+    ojzr_bound,
+    ojzr_within_bound,
     parse_descriptor,
+    ratio_ojzj,
+    ratio_ojzr,
 )
 
 EIGHT_BIT_DESCRIPTORS = (
@@ -349,6 +349,19 @@ def pair_disagreement(inst):
     )
 
 
+def counted_ratio(inst):
+    """The Pareto share from the counted image alone: the strings whose
+    vector lies on the image's first level, summed over the digits of
+    their packed counts by ones count, over 2^n."""
+    n = inst.n
+    polys = problems.image_polys(inst)
+    digit = (1 << n + 1) - 1
+    count = sum(
+        polys[v] >> j * (n + 1) & digit for v in _image_levels(inst)[0] for j in range(n + 1)
+    )
+    return Fraction(count, 1 << n)
+
+
 class TestPairsBeyondTheCap:
     GRID = grid_instances(None, range(1, 33))
 
@@ -386,6 +399,23 @@ class TestPairsBeyondTheCap:
                 assert not inst.info.exact, inst.descriptor
                 disagreeing[inst.n <= 16] += 1
         assert disagreeing == {True: 31, False: 155}
+
+    def test_record_ratio_claims_on_the_counted_share(self):
+        # Every must-match claim holds. ojzr's formula counts its record's
+        # pairs, and misses on 186 instances, as many as the 31 + 155 whose
+        # pairs disagree with the counted Pareto set (test_counted_disagreement).
+        tally = Counter()
+        for inst in self.GRID:
+            ratio = counted_ratio(inst)
+            for name, matched, detail in inst.info.ratio_claims(inst.n, inst.k, inst.l, ratio):
+                assert matched or not inst.info.exact, (inst.descriptor, name, detail)
+                tally[inst.family, name, matched] += 1
+        assert tally == {
+            ("ojzj", "ratio_formula", True): 240,
+            ("ojzj", "ratio_threshold", True): 240,
+            ("ojzr", "ratio_formula", True): 168,
+            ("ojzr", "ratio_formula", False): 186,
+        }
 
     def test_counted_fronts_equal_the_printed_fronts(self):
         # Equal on every exact family, so reference_front may trust the
