@@ -194,6 +194,8 @@ def cmd_verify(args) -> int:
     sizes = tuple(s for s in DEFAULT_GRID_SIZES if s <= args.n_max)
     if not sizes:
         raise ValidationError(f"--n-max {args.n_max} leaves no grid sizes {DEFAULT_GRID_SIZES}")
+    if args.n_max > max(DEFAULT_GRID_SIZES):
+        raise ValidationError(f"--n-max {args.n_max} is above the grid sizes {DEFAULT_GRID_SIZES}")
     families = None if args.scope == "all" else (args.scope,)
     reports = [verify(inst) for inst in grid_instances(families, sizes)]
     failures = sum(not r.must_match_ok for r in reports)

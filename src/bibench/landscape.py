@@ -12,8 +12,10 @@ to string i (bytes.translate, slicing, compress, big-int arithmetic). The
 local-optimum scan (_local_optima) works on the blocks of at most 2^16
 indices that the automata's cells (problems._cells) cut the cube into, so
 that its operands stay small enough for the cache, and reads the blocks'
-width from their count; it joins only its marks. The other stages work on
-the whole cube.
+width from their count. It cuts the Pareto set into the same blocks
+(problems._split), compares across the blocks first, and scans inside only
+the blocks that still hold a string to mark; it joins only its result. The
+other stages work on the whole cube.
 
 Where both objectives read one count (_one_count: omm, ojzj and omzj, and
 orzr, omzr and ojzr at l = 1), the cube falls into levels, one per pair of
@@ -80,6 +82,7 @@ from .problems import (
     _join,
     _objective_tables,
     _select,
+    _split,
     _state_pair_polys,
     _statistic_pairs,
     _translate,
@@ -91,13 +94,13 @@ CAP_ENV_VAR = "BIBENCH_ENUM_CAP"
 
 # Budget for the peak resident memory of enumerate_landscape plus
 # characteristic_profile per string of the cube. The largest measured over
-# the families at n = 24 is 38 MB, 2.4 bytes per string, on orzr (lotz
-# 37 MB), set by enumeration; the component count takes a sparse Pareto
+# the families at n = 24 is 33 MB, 2.1 bytes per string, on orzr (lotz
+# 31 MB), set by enumeration; the component count takes a sparse Pareto
 # set's members from its packed bytes, and counts a dense one from its
 # levels, with no pass over the cube (see README). The landscape command
 # adds one span of the report text at a time, written as it is listed:
 # orzr:n=24,l=12, whose 16.6 M local optima fill 99% of the cube, peaks at
-# 37 MB, 2.3 bytes per string.
+# 38 MB, 2.4 bytes per string.
 BYTES_PER_STRING = 24
 # The largest cap the env var may set, a stated constant: at the budget its
 # estimate is 12 GiB.
@@ -394,12 +397,21 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
 
     Any other instance is scanned block by block, in the blocks of 2^low
     indices of the objectives' cells (problems._cells), so bit i of every
-    int below belongs to string i of its block. For index bit b below low,
-    the strings of a block with bit b clear meet their neighbours 2^b bits
-    up; for a higher bit, block r, with bit b - low of r clear, meets block
-    r + 2^(b - low) at the same positions. Per objective, two sets tell
-    where the neighbour's value is greater and where it is smaller, and
-    they are found in one of two ways.
+    int below belongs to string i of its block. Per block, the members and
+    the strings marked so far are one int, which is full once the block
+    has no string left to mark; the result is its complement. The block
+    bits, b >= low, go first, from the top down: block r, with bit b - low
+    of r clear, meets block r + 2^(b - low) at the same positions, and a
+    pair of full blocks is skipped. Then, for index bit b below low, the
+    strings of a block with bit b clear meet their neighbours 2^b bits up,
+    in the blocks that are not full; where none is left, no mask of these
+    bits is made. Marks only accumulate, and the comparison at one bit
+    marks only the blocks it reads, so neither the order of the bits nor
+    a skipped pair changes the result. On lotz, the top block bit fills
+    every block whose top index bit is clear, each later block bit visits
+    half as many pairs, and only the block of all ones is scanned inside.
+    Per objective, two sets tell where the neighbour's value is greater and
+    where it is smaller, and they are found in one of two ways.
 
     A counting objective, whose automaton moves its final state by d_b when
     bit b is set (_counting_steps: the ones count, the half-mix statistic),
@@ -415,7 +427,7 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     shifted planes tell whether the two ranks differ and which is greater
     at the highest bit where they do. Ranks keep the order, which is all the
     comparison reads, in fewer planes than the values. Only the blocks'
-    marks are joined into one int over the cube."""
+    results are joined into one int over the cube."""
     if member.bit_count() == 1 << n:
         return 0
     objective_steps = [_counting_steps(tables) for tables, _ in objective_tables]
@@ -458,18 +470,21 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     del by_moves
     # blocks[r]: per bit-sliced objective, its rank planes in block r.
     blocks = [[[p[r] for p in planes] for planes in ranked] for r in range(count)]
-    # Bit by bit, so that one mask is held at a time.
-    marked = [0] * count
-    for b, low_clear in _bit_clears(low):
-        step = 1 << b
+    # marked[r]: the members of block r and the strings marked in it.
+    marked = _split(member, n)
+    full = (1 << (1 << low)) - 1
+    for h in reversed(range(count.bit_length() - 1)):
+        step = 1 << h
         # up: the neighbour is greater in some objective; down: smaller.
-        rise, fall = moved[b]
-        for r, block in enumerate(blocks):
+        rise, fall = moved[low + h]
+        for r in range(count):
+            s = r | step
+            if r == s or marked[r] == full and marked[s] == full:
+                continue
             up, down = rise[r], fall[r]
-            for planes in block:
+            for planes, above in zip(blocks[r], blocks[s]):
                 differ = greater = 0
-                for p in planes:
-                    q = p >> step
+                for p, q in zip(planes, above):
                     d = p ^ q
                     if d:
                         # Where they differ, a higher bit plane overrides.
@@ -478,31 +493,34 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
                 up |= greater
                 down |= differ ^ greater
             # Better in one direction only is strictly dominating.
-            strict = (up ^ down) & low_clear
-            marked[r] |= strict & up | (strict & down) << step
-    for h in range(count.bit_length() - 1):
-        step = 1 << h
-        for r in range(count):
-            if r & step:
-                continue
-            rise, fall = moved[low + h]
-            up, down = rise[r], fall[r]
-            for planes, above in zip(blocks[r], blocks[r | step]):
-                differ = greater = 0
-                for p, q in zip(planes, above):
-                    d = p ^ q
-                    if d:
-                        greater ^= (greater ^ q) & d
-                        differ |= d
-                up |= greater
-                down |= differ ^ greater
             strict = up ^ down
             marked[r] |= strict & up
-            marked[r | step] |= strict & down
+            marked[s] |= strict & down
+    # Bit by bit, so that one mask is held at a time, over the blocks that
+    # are not full.
+    live = [(r, block) for r, block in enumerate(blocks) if marked[r] != full]
+    if live:
+        for b, low_clear in _bit_clears(low):
+            step = 1 << b
+            rise, fall = moved[b]
+            for r, block in live:
+                up, down = rise[r], fall[r]
+                for planes in block:
+                    differ = greater = 0
+                    for p in planes:
+                        q = p >> step
+                        d = p ^ q
+                        if d:
+                            greater ^= (greater ^ q) & d
+                            differ |= d
+                    up |= greater
+                    down |= differ ^ greater
+                strict = (up ^ down) & low_clear
+                marked[r] |= strict & up | (strict & down) << step
     # The planes and sets go before the marks are joined, which lowers the
     # peak.
-    del ranked, moved, blocks, rise, fall
-    return (_join(marked, n) | member) ^ ((1 << (1 << n)) - 1)
+    del ranked, moved, blocks, live, rise, fall
+    return _join([m ^ full for m in marked], n)
 
 
 def _members(bits: int, n: int):

@@ -326,6 +326,14 @@ class TestVerifyCommand:
         assert rc == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("n_max", ["15", "16", "64"])
+    def test_n_max_above_the_grid_rejected(self, capsys, n_max):
+        # Every grid size is at most 14, so a larger --n-max would check the
+        # same grid as 14.
+        rc, out, err = run_main(capsys, ["verify", "omm", "--n-max", n_max])
+        assert (rc, out) == (1, "")
+        assert err == f"error: --n-max {n_max} is above the grid sizes (6, 8, 10, 12, 14)\n"
+
     def test_threads_is_not_a_verify_option(self, capsys):
         rc, out, err = run_main(capsys, ["verify", "omm", "--threads", "2"])
         assert (rc, out, err) == (1, "", "error: unrecognized arguments: --threads 2\n")

@@ -1387,6 +1387,10 @@ class TestBitSlicedKernels:
             "cocz:n=18",
             "omzj:n=18,k=4",
             "ojzr:n=18,k=7,l=1",
+            "lotz:n=18",
+            "omtz:n=18",
+            "orzr:n=18,l=2",
+            "lozr:n=18,l=2",
         ],
     )
     def test_scan_on_a_split_cube_matches_the_neighbour_check(self, descriptor):
@@ -1399,7 +1403,11 @@ class TestBitSlicedKernels:
         # objective beside a ranked block count, and cocz's half-mix moves
         # by -1 on the low half and +1 on the high, where the blocks meet.
         # omzj and ojzr at l = 1 read one count, so their levels are
-        # selected per block and the four blocks joined.
+        # selected per block and the four blocks joined. On lotz and omtz
+        # the top block bit marks every string of the two blocks whose top
+        # index bit is clear, so the next block bit skips their pair; on
+        # orzr and lozr at l = 2 the block bits mark all of the two middle
+        # blocks. The scan inside the blocks skips every block so filled.
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
         objectives = problems._objective_tables(inst)
@@ -1422,6 +1430,34 @@ class TestBitSlicedKernels:
             objectives = problems._objective_tables(inst)
             with at_span(3):
                 assert _local_optima(objectives, packed, inst.n) == expected, inst.descriptor
+
+    @pytest.mark.parametrize("set_bits", [3, 4])
+    def test_scan_inside_the_blocks_runs_only_for_strings_the_block_bits_leave(self, set_bits):
+        # The block bits, the index bits from set_bits up, go first. A block
+        # all of whose non-members have a dominating neighbour across one of
+        # them is full, and the scan inside the blocks skips it; where every
+        # block is, the masks of the in-block bits are never made: on this
+        # grid, only on cocz.
+        skipped = []
+        for inst in grid_instances(None, range(set_bits + 1, 11)):
+            objectives = problems._objective_tables(inst)
+            if landscape._one_count([_counting_steps(t) for t, _ in objectives]):
+                continue
+            n = inst.n
+            vecs = list(zip(*objective_planes(inst)))
+            members = set(naive.pareto_set(vecs))
+            left = any(
+                not any(naive.dominates(vecs[i ^ 1 << b], vecs[i]) for b in range(set_bits, n))
+                for i in range(1 << n)
+                if i not in members
+            )
+            if not left:
+                skipped.append(inst.descriptor)
+            spy = mock.Mock(wraps=landscape._bit_clears)
+            with at_span(set_bits), mock.patch.object(landscape, "_bit_clears", spy):
+                _local_optima(objectives, sum(1 << i for i in members), n)
+            assert spy.call_count == left, inst.descriptor
+        assert skipped == ["cocz:n=6", "cocz:n=8", "cocz:n=10"][set_bits - 3 :]
 
     # The member indices that _members lists from packed bytes, against
     # compress over their unpacked bits. The cases end the cube on a

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 from planes import at_span, objective_planes
 from bibench import problems
 from bibench.errors import ValidationError
-from bibench.landscape import BYTES_PER_STRING, _image_levels, enumerate_landscape
+from bibench.landscape import (
+    BYTES_PER_STRING,
+    CAP_ENV_VAR,
+    _image_levels,
+    enumerate_landscape,
+    summary_line,
+)
 from bibench.oracles import (
     ClaimResult,
     VerificationReport,
@@ -743,6 +749,45 @@ class TestVerify:
         assert len(instances) == 74
         for inst in instances:
             assert verify(inst).must_match_ok, inst.descriptor
+
+    def test_split_cubes_must_match(self):
+        # From n = 17 the default span cuts the cube into 2 to 16 blocks, so
+        # the local-optimum scan compares strings across blocks; every cube
+        # of the grid up to n = 16 is one block.
+        instances = grid_instances(None, range(17, 21))
+        assert len(instances) == 244
+        for inst in instances:
+            assert verify(inst).must_match_ok, inst.descriptor
+
+    # At n = 26 each cube is 1,024 blocks. After the block bits the scan
+    # goes inside 1 of them on lotz and omtz, 32 on orzr and lozr at l = 2
+    # and 643 on lozj:k=5. lotz, omtz and orzr have no local optimum; lozr
+    # and lozj have 8,178 and 65,779.
+    @pytest.mark.long
+    @pytest.mark.parametrize(
+        "descriptor",
+        ["lotz:n=26", "omtz:n=26", "orzr:n=26,l=2", "lozr:n=26,l=2", "lozj:n=26,k=5"],
+    )
+    def test_cubes_of_a_thousand_blocks_must_match(self, monkeypatch, descriptor):
+        monkeypatch.setenv(CAP_ENV_VAR, "26")
+        inst = parse_descriptor(descriptor)
+        for tables, _ in problems._objective_tables(inst):
+            assert len(problems._cells(tables)[1]) == 1024
+        report = verify(inst)
+        assert report.must_match_ok
+        assert {claim.name: claim for claim in report.claims}["local_optima"].matched
+
+    @pytest.mark.long
+    @pytest.mark.parametrize(
+        "descriptor, line",
+        [
+            ("lotz:n=26", "|PS|=27 ratio=27/67108864 components=1 |LO|=0"),
+            ("lozr:n=26,l=2", "|PS|=14 ratio=7/33554432 components=14 |LO|=8178"),
+        ],
+    )
+    def test_summary_lines_at_26(self, monkeypatch, descriptor, line):
+        monkeypatch.setenv(CAP_ENV_VAR, "26")
+        assert summary_line(enumerate_landscape(parse_descriptor(descriptor))) == line
 
     @pytest.mark.parametrize(
         "descriptor",
