@@ -95,14 +95,18 @@ class TestLandscapeCommand:
     def test_the_file_is_the_rendered_report(self, capsys, tmp_path, instances):
         # The command writes the report's pieces one by one; spans of 1 and
         # 3 nonzero packed bytes split the local optima into many pieces.
-        out = tmp_path / "report.txt"
+        # Each call writes a new file, deleted once read: truncating and
+        # rewriting one file costs tens of milliseconds a close on some
+        # filesystems.
         for inst in instances:
             expected = render_report(enumerate_landscape(inst)).encode()
             for span in (1, 3, landscape._SPAN):
+                out = tmp_path / f"{inst.descriptor}-{span}.txt"
                 with mock.patch.object(landscape, "_SPAN", span):
                     rc, _, err = run_main(capsys, ["landscape", inst.descriptor, "--out", str(out)])
                 assert (rc, err) == (0, "")
                 assert out.read_bytes() == expected, (inst.descriptor, span)
+                out.unlink()
 
     def test_an_error_in_the_report_leaves_no_file(self, capsys, tmp_path):
         # The head and the tail are built before the file is opened.

@@ -7,8 +7,9 @@ landscape and figure commands enumerate the cube, only enumeration and
 the family records build a Pareto set, only problems.py names a family or
 the blocks' span and only the tests' span helper changes the span, every
 library cache is bounded, the naive model in tests/naive.py is independent
-of the package and wholly used by the tests, and every module parses as the
-oldest Python that pyproject.toml admits."""
+of the package and wholly used by the tests, every module parses as the
+oldest Python that pyproject.toml admits, and each test name that CI's
+memory step selects is defined."""
 
 import ast
 import re
@@ -269,3 +270,18 @@ OLDEST_PYTHON = tuple(
 )
 def test_parses_as_the_oldest_supported_python(path):
     ast.parse(path.read_text(encoding="utf-8"), feature_version=OLDEST_PYTHON)
+
+
+def test_each_name_the_memory_step_selects_is_defined():
+    # CI runs the memory tests again, alone, by -k "A or B"; were one name
+    # renamed away, the step would pass on the other alone.
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    step = workflow.split("name: the memory tests on their own", 1)[1].split("- name:", 1)[0]
+    terms = re.search(r'-k "([^"]+)"', step).group(1).split(" or ")
+    defined = {
+        node.name
+        for path in (ROOT / "tests").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+    }
+    assert sorted(set(terms) - defined) == []
