@@ -12,10 +12,10 @@ to string i (bytes.translate, slicing, compress, big-int arithmetic). The
 local-optimum scan (_local_optima) works on the blocks of at most 2^16
 indices that the automata's cells (problems._cells) cut the cube into, so
 that its operands stay small enough for the cache, and reads the blocks'
-width from their count. It cuts the Pareto set into the same blocks
-(problems._split), compares across the blocks first, and scans inside only
-the blocks that still hold a string to mark; it joins only its result. The
-other stages work on the whole cube.
+width from their count. It takes the Pareto set in the same blocks, as
+their selection leaves it (problems._statistic_pairs), compares across the
+blocks first, and scans inside only the blocks that still hold a string to
+mark; it joins only its result. The other stages work on the whole cube.
 
 Where both objectives read one count (_one_count: omm, ojzj and omzj, and
 orzr, omzr and ojzr at l = 1), the cube falls into levels, one per pair of
@@ -82,7 +82,6 @@ from .problems import (
     _join,
     _objective_tables,
     _select,
-    _split,
     _state_pair_polys,
     _statistic_pairs,
     _translate,
@@ -375,12 +374,13 @@ def _levels(objective_tables) -> dict[int, tuple[ObjectiveVector, int]]:
     }
 
 
-def _local_optima(objective_tables, member: int, n: int) -> int:
+def _local_optima(objective_tables, members: list[int], n: int) -> int:
     """The int whose bit i is set exactly when string i is a non-global
-    local optimum: not a member (bit i of member) and no neighbour strictly
-    dominates it (an equal-valued neighbour does not count). A Pareto set
-    that holds the whole cube leaves no string to mark, and returns before
-    any cell is read.
+    local optimum: not a member and no neighbour strictly dominates it (an
+    equal-valued neighbour does not count). The members come in the blocks
+    of the objectives' cells, as problems._statistic_pairs selects them. A
+    Pareto set that holds the whole cube leaves no string to mark, and
+    returns before any cell is read.
 
     Where both objectives read one count (_one_count), the strings of one
     level (_levels), those that end in the first automaton's final state a,
@@ -392,8 +392,9 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     where the other level is not reached. So the strings of a level are
     local optima together, exactly when neither neighbouring level's
     vector dominates its own. Those levels are selected through a table
-    over the first objective's final states (_select), joined over the
-    cube, and the members dropped; nothing is scanned.
+    over the first objective's final states (_select), the members dropped
+    block by block, and the blocks joined over the cube; nothing is
+    scanned.
 
     Any other instance is scanned block by block, in the blocks of 2^low
     indices of the objectives' cells (problems._cells), so bit i of every
@@ -428,7 +429,7 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     at the highest bit where they do. Ranks keep the order, which is all the
     comparison reads, in fewer planes than the values. Only the blocks'
     results are joined into one int over the cube."""
-    if member.bit_count() == 1 << n:
+    if sum(x.bit_count() for x in members) == 1 << n:
         return 0
     objective_steps = [_counting_steps(tables) for tables, _ in objective_tables]
     if _one_count(objective_steps):
@@ -438,8 +439,8 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
         # not dominate v.
         for a, v in vectors.items():
             table[a] = not any(dominates(vectors.get(c, v), v) for c in (a - 1, a + 1))
-        selected = _join(_select(_cells(objective_tables[0][0]), table), n)
-        return (selected | member) ^ member
+        selected = _select(_cells(objective_tables[0][0]), table)
+        return _join([(x | m) ^ m for x, m in zip(selected, members)], n)
     ranked, counting = [], []
     for (tables, final), steps in zip(objective_tables, objective_steps):
         cells = _cells(tables)
@@ -471,7 +472,7 @@ def _local_optima(objective_tables, member: int, n: int) -> int:
     # blocks[r]: per bit-sliced objective, its rank planes in block r.
     blocks = [[[p[r] for p in planes] for planes in ranked] for r in range(count)]
     # marked[r]: the members of block r and the strings marked in it.
-    marked = _split(member, n)
+    marked = list(members)
     full = (1 << (1 << low)) - 1
     for h in reversed(range(count.bit_length() - 1)):
         step = 1 << h
@@ -628,7 +629,8 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
     objective_tables = _objective_tables(inst)
     (_, final1), (_, final2) = objective_tables
     pairs = [(a, b) for a, v in enumerate(final1) for b, w in enumerate(final2) if (v, w) in front]
-    member_bits = _statistic_pairs(inst.info.objectives, pairs, n, inst.l)
+    member_blocks = _statistic_pairs(inst.info.objectives, pairs, n, inst.l)
+    member_bits = _join(member_blocks, n)
 
     front_counts = tuple((v, vector_counts[v]) for v in sorted(front))
 
@@ -638,7 +640,7 @@ def _report(inst: ProblemInstance) -> LandscapeReport:
         levels=assignment.levels,
         vector_counts=vector_counts,
         member_bits=member_bits,
-        local_optima_bits=_local_optima(objective_tables, member_bits, n),
+        local_optima_bits=_local_optima(objective_tables, member_blocks, n),
         image_polys=polys,
     )
 

@@ -89,18 +89,19 @@ class ProblemInstance:
 # and, run over packed bits instead of bytes, give the cells, kept per
 # automaton (_cells): the set of indices that reaches each state over a block
 # of at most 2^_SET_BITS indices, and the state each block of the cube ends
-# in. The cells hold states only. Unions of their sets are selected by pairs
-# of final states, every Pareto set and two local-optimum closed forms
-# (_statistic_pairs), and by a table over final states, block by block
-# (_select): the block closed forms (_where), which join the blocks, and,
-# through the value tables, the local-optimum scan's bit planes, which stay
-# in blocks. Met in pairs, both objectives' sets count the image of a packed
-# set cut into the same blocks (_split, _image_counts). Read as they are,
-# with no cube, the tables also decide symmetry, by a DP that reads f2's
-# tables in reverse, and separability, by DPs on pairs of one objective's
-# states (landscape.is_symmetric_pair, landscape.is_fully_separable), and the
-# image's levels decide complete conflict and the front's shape
-# (landscape._image_levels).
+# in. The cells hold states only. Unions of their sets are selected block
+# by block: by pairs of final states, every Pareto set and two
+# local-optimum closed forms (_statistic_pairs), which the records join and
+# enumeration joins once, handing the blocks to the local-optimum scan; and
+# by a table over final states (_select): the block closed forms (_where),
+# which join the blocks, and, through the value tables, the local-optimum
+# scan's bit planes, which stay in blocks. Met in pairs, both objectives'
+# sets count the image of a packed set cut into the same blocks (_split,
+# _image_counts). Read as they are, with no cube, the tables also decide
+# symmetry, by a DP that reads f2's tables in reverse, and separability, by
+# DPs on pairs of one objective's states (landscape.is_symmetric_pair,
+# landscape.is_fully_separable), and the image's levels decide complete
+# conflict and the front's shape (landscape._image_levels).
 #
 # A table builder takes (n, k, l) and returns the list of objective values by
 # statistic value.
@@ -515,7 +516,7 @@ class FamilyInfo:
 
     def pareto_set(self, n: int, k: int | None, l: int | None) -> int:
         """The strings of the pairs of `pareto`, as packed bits."""
-        return _statistic_pairs(self.objectives, self.pareto(n, k, l), n, l)
+        return _join(_statistic_pairs(self.objectives, self.pareto(n, k, l), n, l), n)
 
 
 _CATALOG = (
@@ -555,8 +556,8 @@ _CATALOG = (
     FamilyInfo("lozj", ("leading ones", "zero-jump"), ("k",), "1 < k < n/2",
                rule=lambda n, k, l: None if 1 < k and 2 * k < n else "requires 1 < k < n/2",
                pareto=lambda n, k, l: [(a, a) for a in (0, *range(k, n + 1))],
-               local_optima=lambda n, k, l: _statistic_pairs(
-                   ("leading ones", "zero-jump"), [(a, k) for a in range(k)], n, l),
+               local_optima=lambda n, k, l: _join(_statistic_pairs(
+                   ("leading ones", "zero-jump"), [(a, k) for a in range(k)], n, l), n),
                front=_zero_jump_front),
     # 1^s 0^(n-s), s a multiple of l: s leading ones, every later block all zero.
     FamilyInfo("lozr", ("leading ones", "all-zeroes blocks"), ("l",), "l divides n, n/l > 1",
@@ -571,8 +572,9 @@ _CATALOG = (
                else "requires 1 < k <= floor(n/2)",
                pareto=_ojzr_pareto, front=_ojzr_front, exact=False,
                ratio_claims=_ojzr_claims, ratio_lines=_ojzr_lines,
-               local_optima=lambda n, k, l: _statistic_pairs(
-                   ("one-jump", "all-zeroes blocks"), [(n - k, z) for z in range(k // l)], n, l)),
+               local_optima=lambda n, k, l: _join(_statistic_pairs(
+                   ("one-jump", "all-zeroes blocks"), [(n - k, z) for z in range(k // l)], n, l),
+                   n)),
 )
 
 _BY_NAME = {info.name: info for info in _CATALOG}
@@ -713,11 +715,12 @@ def _select(cells, table: bytes) -> list[int]:
     return [_union(compress(sets, _translate(e, table))) for e in ends]
 
 
-def _statistic_pairs(objectives: tuple[str, str], pairs, n: int, l: int | None) -> int:
-    """The packed set of the strings whose two objectives' statistics, the
-    final states of their automata, form one of the pairs (a, b); a first
-    state or a pair may repeat. The one kernel that selects strings by
-    statistic pairs: per block of the cube (_cells), the indices that the
+def _statistic_pairs(objectives: tuple[str, str], pairs, n: int, l: int | None) -> list[int]:
+    """Per block of the cube (_cells), as _select gives them, the packed set
+    of the strings whose two objectives' statistics, the final states of
+    their automata, form one of the pairs (a, b); a first state or a pair
+    may repeat. _join makes them one set over the cube. The one kernel that
+    selects strings by statistic pairs: in each block, the indices that the
     first automaton's sets send to a, met with those the second's send to b."""
     (sets1, ends1), (sets2, ends2) = (_cells(_statistic_tables(name, n, l)) for name in objectives)
     wanted = defaultdict(set)
@@ -729,7 +732,7 @@ def _statistic_pairs(objectives: tuple[str, str], pairs, n: int, l: int | None) 
         for y, b in zip(sets2, e2):
             by_b[b] |= y
         blocks.append(_union(x & by_b[b] for x, a in zip(sets1, e1) for b in wanted.get(a, ())))
-    return _join(blocks, n)
+    return blocks
 
 
 def _where(automaton: Callable[..., Callable], n: int, l: int | None, states) -> int:

@@ -1223,7 +1223,8 @@ class TestCountingAutomata:
                 vecs = list(zip(f1, f2))
                 expected = sum(1 << i for i in naive.local_optima(vecs, set()))
                 with at_span(set_bits):
-                    assert _local_optima(objectives, 0, n) == expected, (n, l, objectives)
+                    local = _local_optima(objectives, _split(0, n), n)
+                    assert local == expected, (n, l, objectives)
                 if not landscape._one_count([_counting_steps(t) for t, _ in objectives]):
                     continue
                 members = naive.pareto_set(vecs)
@@ -1232,7 +1233,8 @@ class TestCountingAutomata:
                 nonempty += expected != 0
                 total += 1
                 with at_span(set_bits):
-                    assert _local_optima(objectives, packed, n) == expected, (n, l, objectives)
+                    local = _local_optima(objectives, _split(packed, n), n)
+                    assert local == expected, (n, l, objectives)
         assert (nonempty, total) == (13, 14)
 
 
@@ -1259,8 +1261,8 @@ class TestBitSlicedKernels:
             pairs = [(a, b) for a, v in enumerate(f1) for b, w in enumerate(f2) if (v, w) in front]
             with at_span(set_bits):
                 cells = [problems._cells(tables) for tables, _ in objectives]
-                members = _statistic_pairs(inst.info.objectives, pairs, n, inst.l)
-                local_optima = _local_optima(objectives, report.member_bits, n)
+                members = _join(_statistic_pairs(inst.info.objectives, pairs, n, inst.l), n)
+                local_optima = _local_optima(objectives, _split(report.member_bits, n), n)
             for (sets, ends), final, plane in zip(cells, finals, objective_planes(inst)):
                 # The sets partition the first 2^low indices; the blocks
                 # cover the cube.
@@ -1324,7 +1326,7 @@ class TestBitSlicedKernels:
         assert all(len(problems._cells(tables)[1]) == blocks for tables, _ in objectives)
         vecs = list(zip(*objective_planes(inst)))
         expected = sum(1 << i for i in naive.local_optima(vecs, naive.pareto_set(vecs)))
-        assert _local_optima(objectives, report.member_bits, inst.n) == expected
+        assert _local_optima(objectives, _split(report.member_bits, inst.n), inst.n) == expected
 
     def test_scan_on_blocks_of_eight_matches_the_naive_model(self):
         # Blocks of 8 indices split every cube from n = 4, so each index bit
@@ -1338,7 +1340,8 @@ class TestBitSlicedKernels:
             expected = sum(1 << i for i in naive.local_optima(vecs, members))
             objectives = problems._objective_tables(inst)
             with at_span(3):
-                assert _local_optima(objectives, packed, inst.n) == expected, inst.descriptor
+                local = _local_optima(objectives, _split(packed, inst.n), inst.n)
+                assert local == expected, inst.descriptor
 
     @pytest.mark.parametrize("set_bits", [3, 4])
     def test_scan_inside_the_blocks_runs_only_for_strings_the_block_bits_leave(self, set_bits):
@@ -1364,7 +1367,7 @@ class TestBitSlicedKernels:
                 skipped.append(inst.descriptor)
             spy = mock.Mock(wraps=landscape._bit_clears)
             with at_span(set_bits), mock.patch.object(landscape, "_bit_clears", spy):
-                _local_optima(objectives, sum(1 << i for i in members), n)
+                _local_optima(objectives, _split(sum(1 << i for i in members), n), n)
             assert spy.call_count == left, inst.descriptor
         assert skipped == ["cocz:n=6", "cocz:n=8", "cocz:n=10"][set_bits - 3 :]
 

@@ -382,7 +382,8 @@ class TestPairsBeyondTheCap:
                 n, k, l = inst.n, inst.k, inst.l
 
                 def select(pairs):
-                    return problems._statistic_pairs(inst.info.objectives, pairs, n, l)
+                    blocks = problems._statistic_pairs(inst.info.objectives, pairs, n, l)
+                    return problems._join(blocks, n)
 
                 counts = statistic_pair_counts(inst)
                 alone = {pair: select([pair]) for pair in counts}
