@@ -133,6 +133,38 @@ class TestFrozenCounts:
         assert dict(rep.front_counts)[(12, 3)] == 144
         assert dict(rep.local_front_counts) == {(12, 0): 648}
 
+    def test_pareto_set_strings_are_mutually_nondominated(self):
+        inst = parse_descriptor("lozr:n=8,l=2")
+        rep = enumerate_landscape(inst)
+        values = [evaluate(inst, BitString(8, i)) for i in rep.pareto_set_indices]
+        for a in values:
+            for b in values:
+                assert not (a != b and a[0] >= b[0] and a[1] >= b[1])
+
+    def test_local_optima_have_no_dominating_neighbor(self):
+        inst = parse_descriptor("lozj:n=8,k=3")
+        rep = enumerate_landscape(inst)
+        front = {v for v, _ in rep.front_counts}
+        vecs = naive.vectors(inst)
+        for i in rep.local_optima_indices:
+            assert vecs[i] not in front
+            assert not any(naive.dominates(vecs[i ^ 1 << b], vecs[i]) for b in range(8))
+
+
+class TestOnesTables:
+    @pytest.mark.parametrize(
+        "descriptor", ["omm:n=6", "lotz:n=6", "ojzj:n=8,k=2", "ojzr:n=12,k=5,l=3"]
+    )
+    def test_tables_partition_the_cube(self, descriptor):
+        rep = report_for(descriptor)
+        n = rep.n
+        assert [ones for ones, _ in rep.ones_tables] == list(range(n + 1))
+        for ones, summary in rep.ones_tables:
+            expected = math.comb(n, ones)
+            assert sum(c for _, c in summary.f1_counts) == expected
+            assert sum(c for _, c in summary.f2_counts) == expected
+            assert sum(c for _, c in summary.level_counts) == expected
+
 
 class TestCharacteristicFlags:
     @pytest.mark.parametrize("row", PROFILE_TABLE, ids=lambda r: r[0])
@@ -171,6 +203,16 @@ class TestPredicates:
         assert is_completely_conflicting(ProblemInstance("omm", 8))
         for descriptor in ["lotz:n=8", "cocz:n=8", "ojzj:n=8,k=2", "omtz:n=8"]:
             assert not is_completely_conflicting(parse_descriptor(descriptor))
+
+    def test_complete_conflict_matches_the_consecutive_pair_scan(self):
+        """One non-dominated level against the definition: consecutive
+        distinct vectors never share f1, and f2 strictly falls."""
+        for inst in grid_instances(None, range(1, 13)):
+            distinct = sorted(enumerate_landscape(inst).vector_counts)
+            scan = all(
+                b1 != a1 and b2 < a2 for (a1, a2), (b1, b2) in zip(distinct, distinct[1:])
+            )
+            assert is_completely_conflicting(inst) == scan, inst.descriptor
 
 
 def plane_is_separable(plane, n):
@@ -238,6 +280,26 @@ class TestSeparability:
         for b, c in combinations(range(n), 2):
             pair = bytes(v + (i >> b & i >> c & 1) for i, v in enumerate(plane))
             assert plane_is_separable(pair, n) is False, (b, c)
+
+    def test_one_pass_check_matches_the_scan(self):
+        instances = grid_instances(None, range(1, 17))
+        assert len(instances) == 434
+        for inst in instances:
+            planes = objective_planes(inst)
+            for objective in (1, 2):
+                witness = naive.separability(planes[objective - 1], inst.n)
+                assert is_fully_separable(inst, objective) is (witness is None), (
+                    inst.descriptor,
+                    objective,
+                    witness,
+                )
+
+    def test_profile_reads_the_same_separability(self):
+        instances = grid_instances(None, range(1, 17))
+        assert len(instances) == 434
+        for inst in instances:
+            both = is_fully_separable(inst, 1) and is_fully_separable(inst, 2)
+            assert characteristic_profile(inst).not_fully_separable is not both, inst.descriptor
 
     def test_every_context_counts(self):
         # The majority of three bits: flipping one bit changes it by 0 where
@@ -428,6 +490,15 @@ class TestCaps:
 
 
 class TestImagePredicates:
+    def test_profile_reads_the_image_predicates(self):
+        # The profile reads conflict and shape from its report, the
+        # predicates from the counted image.
+        assert len(GRID) == 434
+        for inst in GRID:
+            profile = characteristic_profile(inst)
+            assert profile.non_completely_conflicting is not is_completely_conflicting(inst)
+            assert profile.front_shape is front_shape(inst), inst.descriptor
+
     def test_profile_enumerates_once(self):
         inst = ProblemInstance("ojzr", 12, k=5, l=3)
         with mock.patch.object(
@@ -623,6 +694,14 @@ def reference_render(report):
 GRID = grid_instances(None, range(1, 17))
 
 
+class TestMirror:
+    def test_grid_planes_and_symmetry_match_the_delta_swaps(self):
+        for inst in GRID:
+            f1, f2 = objective_planes(inst)
+            symmetric = naive.mirror(f1[::-1], inst.n) == f2
+            assert is_symmetric_pair(inst) == symmetric, inst.descriptor
+
+
 def packed(members, n):
     """The int over 2^n strings whose bit i is set for each i in members."""
     raw = bytearray((1 << n) + 7 >> 3)
@@ -805,6 +884,14 @@ class TestComponentCountFromLevels:
     # Every grid instance up to n = 12, dense one-count Pareto sets (omm,
     # ojzj, omzj, and orzr, omzr and ojzr at l = 1) included.
     INSTANCES = grid_instances(None, range(1, 13))
+
+    def test_grid_counts_match_the_reference(self):
+        assert len(self.INSTANCES) == 248
+        _report.cache_clear()
+        for inst in self.INSTANCES:
+            expected = naive.components(naive.pareto_set(naive.vectors(inst)), inst.n)
+            assert enumerate_landscape(inst).component_count == expected, inst.descriptor
+        _report.cache_clear()
 
     def test_one_count_instances_are_those_reading_the_ones_count_alone(self):
         # Both objectives count the ones, or the zeroes where each bit is a
@@ -1245,6 +1332,22 @@ class TestBitSlicedKernels:
         parse_descriptor(d) for d in ("ojzj:n=16,k=3", "omzj:n=16,k=4")
     ]
 
+    def test_local_optima_match_the_neighbour_check(self):
+        # The scan, alone and in the report, on every instance.
+        assert len(self.KERNEL_INSTANCES) == 248 + 2
+        for inst in self.KERNEL_INSTANCES:
+            report = enumerate_landscape(inst)
+            f1, f2 = objective_planes(inst)
+            vecs = list(zip(f1, f2))
+            members = naive.pareto_set(vecs)
+            packed = sum(1 << i for i in members)
+            expected = sum(1 << i for i in naive.local_optima(vecs, members))
+            objectives = problems._objective_tables(inst)
+            local = _local_optima(objectives, _split(packed, inst.n), inst.n)
+            assert local == expected, inst.descriptor
+            assert report.member_bits == packed, inst.descriptor
+            assert report.local_optima_bits == expected, inst.descriptor
+
     # Sets over 8 and 16 indices split every cube from n = 4 and n = 5 into
     # blocks; at the default span no kernel instance is split.
     @pytest.mark.parametrize("set_bits", [3, 4, problems._SET_BITS])
@@ -1625,6 +1728,32 @@ class TestMixAndMatchPairs:
             assert check_planes(inst, *objective_planes(inst))[1] is not None, inst.descriptor
 
 
+small_instances = st.sampled_from(grid_instances(n_values=range(1, 11)))
+
+
+class TestReportProperties:
+    """Properties of the report on random valid instances with n <= 10,
+    drawn from every family's parameter rule."""
+
+    @given(small_instances)
+    @settings(max_examples=100, deadline=None)
+    def test_symmetric_pairs_map_the_pareto_set_onto_itself(self, inst):
+        if not is_symmetric_pair(inst):
+            return
+        n = inst.n
+        ps = set(enumerate_landscape(inst).pareto_set_indices)
+        mirror = {int(format(i ^ ((1 << n) - 1), f"0{n}b")[::-1], 2) for i in ps}
+        assert mirror == ps
+
+    @given(small_instances)
+    @settings(max_examples=100, deadline=None)
+    def test_ones_table_rows_sum_to_binomials(self, inst):
+        n = inst.n
+        for ones, summary in enumerate_landscape(inst).ones_tables:
+            for counts in (summary.f1_counts, summary.f2_counts, summary.level_counts):
+                assert sum(c for _, c in counts) == math.comb(n, ones)
+
+
 def unpacked(polys, n):
     """The (f1, f2, ones) histogram held in the digits of image_polys."""
     mask = (1 << n + 1) - 1
@@ -1651,6 +1780,19 @@ def counted_by_string(inst, bits):
 
 
 class TestImageCounts:
+    def test_counted_image_matches_the_planes(self):
+        """The DP's digits against a count over the planes themselves, the
+        ones plane from its index form."""
+        ones_planes = {}
+        for inst in grid_instances(None, range(1, 17)):
+            f1, f2 = objective_planes(inst)
+            if inst.n not in ones_planes:
+                ones_count = problems.STATISTICS["ones"].index(inst.n, None)
+                ones_planes[inst.n] = bytes(map(ones_count, range(1 << inst.n)))
+            ones = ones_planes[inst.n]
+            polys = problems.image_polys(inst)
+            assert unpacked(polys, inst.n) == Counter(zip(f1, f2, ones)), inst.descriptor
+
     def test_digits_and_remainders_beyond_the_planes(self):
         """For n = 17..24, without the planes: the digits summed over the
         vectors are the binomials, each vector's remainder modulo
