@@ -15,7 +15,9 @@ that its operands stay small enough for the cache, and reads the blocks'
 width from their count. It takes the Pareto set in the same blocks, as
 their selection leaves it (problems._statistic_pairs), compares across the
 blocks first, and scans inside only the blocks that still hold a string to
-mark; it joins only its result. The other stages work on the whole cube.
+mark, and in each, while after an index bit one half of what it scans is
+full, only the other half; it joins only its result. The other stages work
+on the whole cube.
 
 Where both objectives read one count (_one_count: omm, ojzj and omzj, and
 orzr, omzr and ojzr at l = 1), the cube falls into levels, one per pair of
@@ -76,6 +78,7 @@ from operator import or_
 from .dominance import LevelAssignment, ObjectiveVector, dominates, nondominated_sort
 from .errors import EnumerationCapError, ValidationError
 from .problems import (
+    _COUNTS,
     ProblemInstance,
     _cells,
     _image_counts,
@@ -321,11 +324,9 @@ def _bit_clears(n: int):
 
 # _BITS[k] maps a byte to its bit k; _ZERO maps a zero byte to 128 and any
 # other to 0, and _OFFSETS[v] lists the set bits of byte v, ascending.
-# _COUNTS[c : c + len(t)] is the table that sends each state s to c + s.
 _BITS = [bytes(v >> k & 1 for v in range(256)) for k in range(8)]
 _ZERO = bytes([128]).ljust(256, b"\0")
 _OFFSETS = [[k for k in range(8) if v >> k & 1] for v in range(256)]
-_COUNTS = bytes(range(256))
 
 
 def _counting_steps(tables) -> list[int] | None:
@@ -403,14 +404,23 @@ def _local_optima(objective_tables, members: list[int], n: int) -> int:
     has no string left to mark; the result is its complement. The block
     bits, b >= low, go first, from the top down: block r, with bit b - low
     of r clear, meets block r + 2^(b - low) at the same positions, and a
-    pair of full blocks is skipped. Then, for index bit b below low, the
-    strings of a block with bit b clear meet their neighbours 2^b bits up,
-    in the blocks that are not full; where none is left, no mask of these
-    bits is made. Marks only accumulate, and the comparison at one bit
-    marks only the blocks it reads, so neither the order of the bits nor
-    a skipped pair changes the result. On lotz, the top block bit fills
-    every block whose top index bit is clear, each later block bit visits
-    half as many pairs, and only the block of all ones is scanned inside.
+    pair of full blocks is skipped. Then, for index bit b below low, from
+    the top down, the strings of a block with bit b clear meet their
+    neighbours 2^b bits up, in the blocks that are not full; where none is
+    left, no mask of these bits is made. After bit b, the block's two halves
+    of 2^b strings, with bit b clear and set, are checked: every higher bit
+    is compared and the lower bits pair strings only inside a half, so a
+    full half is done. A block both of whose halves are full is dropped,
+    and one with one full half goes on as its other half, its rank planes,
+    marks and counting sets cut to 2^b strings in place and its offset in
+    the block kept for the join, and is checked again after the next bit;
+    one with neither goes on whole and is not checked again. Marks only
+    accumulate, and the comparison at one bit marks only the blocks it
+    reads, so neither the order of the bits nor a skipped pair or half
+    changes the result. On lotz, the top block bit fills every block whose
+    top index bit is clear, each later block bit visits half as many pairs,
+    and only the block of all ones is scanned inside, where bit b compares
+    only the 2^(b + 1) strings whose higher index bits are all set.
     Per objective, two sets tell where the neighbour's value is greater and
     where it is smaller, and they are found in one of two ways.
 
@@ -468,9 +478,11 @@ def _local_optima(objective_tables, members: list[int], n: int) -> int:
             fall = list(map(or_, fall, _select(cells, bytes(c < 0 for c in change))))
         by_moves[move] = rise, fall
     moved = [by_moves[move] for move in moves]
-    del by_moves
-    # blocks[r]: per bit-sliced objective, its rank planes in block r.
+    # blocks[r]: per bit-sliced objective, its rank planes in block r. They
+    # are held there alone, so that a block cut to a half (below) frees the
+    # other half's.
     blocks = [[[p[r] for p in planes] for planes in ranked] for r in range(count)]
+    del ranked
     # marked[r]: the members of block r and the strings marked in it.
     marked = list(members)
     full = (1 << (1 << low)) - 1
@@ -497,16 +509,22 @@ def _local_optima(objective_tables, members: list[int], n: int) -> int:
             strict = up ^ down
             marked[r] |= strict & up
             marked[s] |= strict & down
+    # narrowed[r], for a block cut to a half (below): the offset in block r
+    # of the strings that its marks, planes and sets hold from then on, and
+    # the mask of as many bits. The block's other strings are full.
+    narrowed = {}
     # Bit by bit, so that one mask is held at a time, over the blocks that
-    # are not full.
-    live = [(r, block) for r, block in enumerate(blocks) if marked[r] != full]
+    # are not full (live), of which those in halving are checked after each
+    # bit.
+    live = [r for r in range(count) if marked[r] != full]
+    halving = live[:]
     if live:
         for b, low_clear in _bit_clears(low):
             step = 1 << b
             rise, fall = moved[b]
-            for r, block in live:
+            for r in live:
                 up, down = rise[r], fall[r]
-                for planes in block:
+                for planes in blocks[r]:
                     differ = greater = 0
                     for p in planes:
                         q = p >> step
@@ -518,9 +536,41 @@ def _local_optima(objective_tables, members: list[int], n: int) -> int:
                     down |= differ ^ greater
                 strict = (up ^ down) & low_clear
                 marked[r] |= strict & up | (strict & down) << step
+            # The halves of 2^b strings on either side of bit b: the lower
+            # bits pair strings only inside one, so one that is full is
+            # done. A block of which both are is dropped, one of which only
+            # one is goes on as the other, its marks, planes and sets cut
+            # to its 2^b strings in place, and one of which neither is goes
+            # on whole and is not checked again. After bit 0 nothing is left
+            # to compare, and once no block is, no more masks are made.
+            if b and halving:
+                half = (1 << step) - 1
+                kept, dropped = [], set()
+                for r in halving:
+                    marks = marked[r]
+                    lower, upper = marks & half == half, marks >> step == half
+                    if lower and upper:
+                        dropped.add(r)
+                    elif lower or upper:
+                        shift = step if lower else 0
+                        marked[r] = marks >> shift & half
+                        blocks[r] = [[p >> shift & half for p in planes] for planes in blocks[r]]
+                        for rise, fall in by_moves.values():
+                            rise[r] = rise[r] >> shift & half
+                            fall[r] = fall[r] >> shift & half
+                        offset, _ = narrowed.get(r, (0, full))
+                        narrowed[r] = offset + shift, half
+                        kept.append(r)
+                halving = kept
+                if dropped:
+                    live = [r for r in live if r not in dropped]
+                    if not live:
+                        break
     # The planes and sets go before the marks are joined, which lowers the
     # peak.
-    del ranked, moved, blocks, live, rise, fall
+    del by_moves, moved, blocks, rise, fall
+    for r, (offset, mask) in narrowed.items():
+        marked[r] = full ^ (mask ^ marked[r]) << offset
     return _join([m ^ full for m in marked], n)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from .bitstring import MAX_LENGTH, BitString
 from .dominance import ObjectiveVector
@@ -115,10 +116,13 @@ def verify(inst: ProblemInstance) -> VerificationReport:
     n = inst.n
     must = inst.info.exact
     pareto = inst.info.pareto_set(n, inst.k, inst.l)
-    ev = index_evaluator(inst)
+    # Only a claim that lists counterexamples evaluates strings, so the
+    # evaluator is built at the first one shown, and index_evaluator's own
+    # cache keeps it for the rest.
+    evaluator = partial(index_evaluator, inst)
 
     def show(i: int) -> str:
-        return f"{BitString(n, i)} -> {ev(i)}"
+        return f"{BitString(n, i)} -> {evaluator()(i)}"
 
     pareto_claim = _bits_claim("pareto_set", must, pareto, report.member_bits, show)
     # The image of the enumerated Pareto set is the front.

@@ -84,7 +84,8 @@ class ProblemInstance:
 # it. After the last bit the objective's own value table (OBJECTIVES) maps
 # the state to the objective value. The same tables count the image of an
 # instance by ones count in one DP over the index bits on pairs of both
-# objectives' states, kept per pair of step tables (_state_pair_polys) and
+# objectives' states (an automaton that counts the ones left out, since the
+# count is its state), kept per pair of step tables (_state_pair_polys) and
 # summed through the instance's value tables on each call (image_polys),
 # and, run over packed bits instead of bytes, give the cells, kept per
 # automaton (_cells): the set of indices that reaches each state over a block
@@ -207,6 +208,10 @@ def _step_tables(automaton: Callable[..., Callable], n: int, l: int | None):
         tables.append(tuple(map(bytes, pair)))
         states = {table[s] for table in pair for s in states}
     return tuple(tables)
+
+
+# _COUNTS[c : c + len(t)] is the table that sends each state s to c + s.
+_COUNTS = bytes(range(256))
 
 
 def _translate(plane: bytes, table: bytes) -> bytes:
@@ -774,16 +779,36 @@ def _state_pair_polys(tables1, tables2) -> tuple[tuple[tuple[int, int], int], ..
     index bits, from bit 0 upward, on the pairs of both automata's states,
     each with the same packed count of the index prefixes that reach it:
     reading a 0 keeps a prefix's ones count, reading a 1 moves it up a
-    digit."""
+    digit.
+
+    Where an automaton is the ones counter, whose final state is the ones
+    count j itself (the ones statistic of omm, ojzj, omzj, cocz, omtz, omzr,
+    lozj and ojzr, and all-ones blocks at l = 1), the digits already keep
+    that state: the DP runs with an automaton that stays in state 0 in its
+    place, and pair (j, b), (a, j) or (j, j) is digit j of the packed count
+    of the states left, in place."""
     width = len(tables1) + 1
+    still = ((b"\0", b"\0"),) * (width - 1)
+    first, second = (
+        all(t0 == _COUNTS[: len(t0)] and t1 == _COUNTS[1 : len(t1) + 1] for t0, t1 in tables)
+        for tables in (tables1, tables2)
+    )
     polys = {(0, 0): 1}
-    for (a0, a1), (b0, b1) in zip(tables1, tables2):
+    for (a0, a1), (b0, b1) in zip(still if first else tables1, still if second else tables2):
         after = defaultdict(int)
         for (a, b), poly in polys.items():
             after[a0[a], b0[b]] += poly
             after[a1[a], b1[b]] += poly << width
         polys = after
-    return tuple(polys.items())
+    if not (first or second):
+        return tuple(polys.items())
+    mask = (1 << width) - 1
+    return tuple(
+        ((j if first else a, j if second else b), digit)
+        for (a, b), poly in polys.items()
+        for j in range(width)
+        if (digit := poly & mask << j * width)
+    )
 
 
 def image_polys(inst: ProblemInstance) -> dict[ObjectiveVector, int]:

@@ -1421,7 +1421,13 @@ class TestBitSlicedKernels:
         # the top block bit marks every string of the two blocks whose top
         # index bit is clear, so the next block bit skips their pair; on
         # orzr and lozr at l = 2 the block bits mark all of the two middle
-        # blocks. The scan inside the blocks skips every block so filled.
+        # blocks. The scan inside the blocks skips every block so filled,
+        # and goes on with the half of a block that still has strings to
+        # mark: lotz's and omtz's block of all ones halves at each index
+        # bit from 15 down to 2 and is full after bit 1, cocz's halves at
+        # bits 15 to 10, where both its counting objectives' rise and fall
+        # sets are cut, and each of orzr:l=3's two blocks at bit 15; no
+        # ojzr, lozj or lozr block, nor orzr's at l = 2, halves.
         inst = parse_descriptor(descriptor)
         report = enumerate_landscape(inst)
         objectives = problems._objective_tables(inst)

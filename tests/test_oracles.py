@@ -761,13 +761,26 @@ class TestVerify:
             assert verify(inst).must_match_ok, inst.descriptor
 
     # At n = 26 each cube is 1,024 blocks. After the block bits the scan
-    # goes inside 1 of them on lotz and omtz, 32 on orzr and lozr at l = 2
-    # and 643 on lozj:k=5. lotz, omtz and orzr have no local optimum; lozr
-    # and lozj have 8,178 and 65,779.
+    # goes inside 1 of them on lotz, omtz and cocz, 32 on orzr and lozr at
+    # l = 2 and 643 on lozj:k=5. Inside, the scan goes on with the half of a
+    # block that still has strings to mark: lotz's and omtz's block halves
+    # at each index bit from 15 down to 2, cocz's at bits 15 and 14, where
+    # its two counting objectives' rise and fall sets are cut, and 256 of
+    # lozj's at each bit from 15 down to 1, while the other 387 and those of
+    # orzr and lozr never halve.
+    # lotz, omtz, cocz and orzr have no local optimum; lozr and lozj have
+    # 8,178 and 65,779.
     @pytest.mark.long
     @pytest.mark.parametrize(
         "descriptor",
-        ["lotz:n=26", "omtz:n=26", "orzr:n=26,l=2", "lozr:n=26,l=2", "lozj:n=26,k=5"],
+        [
+            "lotz:n=26",
+            "omtz:n=26",
+            "cocz:n=26",
+            "orzr:n=26,l=2",
+            "lozr:n=26,l=2",
+            "lozj:n=26,k=5",
+        ],
     )
     def test_cubes_of_a_thousand_blocks_must_match(self, monkeypatch, descriptor):
         monkeypatch.setenv(CAP_ENV_VAR, "26")
