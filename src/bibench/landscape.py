@@ -516,8 +516,7 @@ def _local_optima(objective_tables, members: list[int], n: int) -> int:
     # Bit by bit, so that one mask is held at a time, over the blocks that
     # are not full (live), of which those in halving are checked after each
     # bit.
-    live = [r for r in range(count) if marked[r] != full]
-    halving = live[:]
+    live = halving = [r for r in range(count) if marked[r] != full]
     if live:
         for b, low_clear in _bit_clears(low):
             step = 1 << b

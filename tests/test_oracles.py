@@ -767,9 +767,8 @@ class TestVerify:
     # at each index bit from 15 down to 2, cocz's at bits 15 and 14, where
     # its two counting objectives' rise and fall sets are cut, and 256 of
     # lozj's at each bit from 15 down to 1, while the other 387 and those of
-    # orzr and lozr never halve.
-    # lotz, omtz, cocz and orzr have no local optimum; lozr and lozj have
-    # 8,178 and 65,779.
+    # orzr and lozr never halve. lotz, omtz, cocz and orzr have no local
+    # optimum; lozr and lozj have 8,178 and 65,779.
     @pytest.mark.long
     @pytest.mark.parametrize(
         "descriptor",
